@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke bench-compare tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
+.PHONY: build test lint verify bench bench-smoke bench-test bench-compare tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ bench-smoke:
 	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-ratio-smoke.json
 	$(GO) run ./cmd/benchsnap -delta -delta-scale 0.25 -out /tmp/benchsnap-delta-smoke.json
 	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-delta-smoke.json
+
+# bench-test runs the tests of cmd/classpack-bench, the repository's
+# benchmark, which is a Go module of its own and so outside ./...: every
+# workload end to end at scale 0.05 (~7s). It catches an API change that
+# breaks the benchmark before the benchmark itself is run.
+bench-test:
+	cd cmd/classpack-bench && $(GO) test ./...
 
 # bench-compare diffs two recorded snapshots and fails on a >10%
 # throughput regression:

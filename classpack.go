@@ -128,6 +128,13 @@ type Options struct {
 	// chunks extract faster but compress worse — models reset at every
 	// chunk boundary. 64 is a reasonable starting point.
 	ChunkClasses int
+	// ChunkCache, when non-nil, holds the decoded version-3 chunks of
+	// every Archive opened with it, so a chunk decoded for one Archive
+	// serves later extractions from any of them (see ChunkCache). Nil
+	// gives each Archive a private cache of its most recently decoded
+	// chunk. Read by OpenArchive (and so by Diff and ApplyDelta); ignored
+	// elsewhere.
+	ChunkCache *ChunkCache
 }
 
 // DefaultOptions returns the paper's evaluated configuration.

@@ -28,8 +28,8 @@ var ErrDeltaMismatch = errors.New("classpack: patch does not apply to this archi
 // bytes are unchanged between the versions match whole without being
 // decoded — diffing two near-identical archives touches only the
 // changed chunks, and Diff(a, a) decodes nothing. Only Concurrency,
-// MaxDecodedBytes and MaxClassCount of opts are honored (a nil opts
-// uses defaults). The new archive must be version 2 or 3; version-1
+// MaxDecodedBytes, MaxClassCount and ChunkCache of opts are honored (a
+// nil opts uses defaults). The new archive must be version 2 or 3; version-1
 // archives (which Pack no longer emits) cannot be delta targets.
 func Diff(oldArchive, newArchive []byte, opts *Options) ([]byte, error) {
 	oldA, err := OpenArchiveBytes(oldArchive, opts)
@@ -112,7 +112,7 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 				oldOrds = append(oldOrds, g)
 			}
 		}
-		oldFiles, err := oldA.ExtractOrdinals(oldOrds)
+		oldFiles, err := oldA.ordinals(oldOrds)
 		if err != nil {
 			return nil, fmt.Errorf("classpack: old archive: %w", err)
 		}
@@ -122,7 +122,7 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 				byDigest[h] = oldOrds[i]
 			}
 		}
-		newFiles, err := newA.ExtractOrdinals(newOrds)
+		newFiles, err := newA.ordinals(newOrds)
 		if err != nil {
 			return nil, fmt.Errorf("classpack: new archive: %w", err)
 		}
@@ -177,7 +177,7 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 // classes extract lazily from the old archive (a version-3 old archive
 // decodes only the chunks the patch references); the patch payload
 // decodes through the normal checked path. Only Concurrency,
-// MaxDecodedBytes and MaxClassCount of opts are honored.
+// MaxDecodedBytes, MaxClassCount and ChunkCache of opts are honored.
 //
 // Failures caused by the patch or archive bytes are *CorruptError
 // values or wrap one; a well-formed patch built against a different old
@@ -210,7 +210,7 @@ func ApplyDelta(oldArchive, patch []byte, opts *Options) ([]byte, error) {
 		}
 		copyOrds = append(copyOrds, op)
 	}
-	copies, err := oldA.ExtractOrdinals(copyOrds)
+	copies, err := oldA.ordinals(copyOrds)
 	if err != nil {
 		return nil, fmt.Errorf("classpack: old archive: %w", err)
 	}
