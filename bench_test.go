@@ -136,12 +136,12 @@ func BenchmarkUnpack(b *testing.B) {
 	}
 }
 
-// benchThroughputInput loads the javac-like corpus as raw stripped file
-// bytes — the whole-pipeline input the public API consumes — plus their
-// total size for b.SetBytes.
-func benchThroughputInput(b *testing.B) ([][]byte, int64) {
+// benchThroughputInput loads the javac-like corpus at scale as raw
+// stripped file bytes — the whole-pipeline input the public API
+// consumes — plus their total size for b.SetBytes.
+func benchThroughputInput(b *testing.B, scale float64) ([][]byte, int64) {
 	b.Helper()
-	c, err := bench.Load("213_javac", benchScale)
+	c, err := bench.Load("213_javac", scale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func benchJobLevels() []int {
 // encode + compress) over class-file input bytes, at -j 1 and -j
 // NumCPU, tracking the parallel pipeline's speedup in BENCH_*.json.
 func BenchmarkPackThroughput(b *testing.B) {
-	files, total := benchThroughputInput(b)
+	files, total := benchThroughputInput(b, benchScale)
 	for _, j := range benchJobLevels() {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			opts := DefaultOptions()
@@ -188,7 +188,7 @@ func BenchmarkPackThroughput(b *testing.B) {
 // + decode + reserialize) over reproduced class-file bytes, at -j 1 and
 // -j NumCPU.
 func BenchmarkUnpackThroughput(b *testing.B) {
-	files, total := benchThroughputInput(b)
+	files, total := benchThroughputInput(b, benchScale)
 	packed, err := Pack(files, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -204,6 +204,34 @@ func BenchmarkUnpackThroughput(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkExtractClassInOrder opens a version-3 archive without a
+// shared chunk cache and extracts every class by name in archive order:
+// the library loop that the Archive's private chunk cache serves. The
+// corpus is full scale so the archive spans several chunks.
+func BenchmarkExtractClassInOrder(b *testing.B) {
+	files, total := benchThroughputInput(b, 1)
+	opts := DefaultOptions()
+	opts.ChunkClasses = 64
+	packed, err := Pack(files, &opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := OpenArchiveBytes(packed, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range a.ClassNames() {
+			if _, err := a.ExtractClass(name); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
