@@ -21,8 +21,9 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/classpack-vet -timing -budget 30s ./...
 
-# verify is the full hygiene gate: compile everything, lint (go vet +
-# classpack-vet), then run the whole suite under the race detector.
+# verify is the full hygiene gate: lint (go vet + classpack-vet) and
+# delta-smoke, compile everything, then run the whole suite under the
+# race detector.
 # Expected clean — the parallel pack/unpack pipeline and the bench
 # corpus cache are race-stress-tested. The service and cache layers get
 # an explicit second race pass: their retry/eviction paths are the most
@@ -33,16 +34,17 @@ verify: lint delta-smoke
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
 
 # bench runs the throughput benchmarks that track the parallel
-# pipeline's speedup (MB/s at -j 1 vs -j NumCPU).
+# pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and
+# unpack to a jar (which adds the per-member DEFLATE).
 bench:
-	$(GO) test -run=NONE -bench='Benchmark(Pack|Unpack)Throughput' -benchmem .
+	$(GO) test -run=NONE -bench='^Benchmark(Pack|Unpack|UnpackToJar)Throughput$$' -benchmem .
 
 # bench-smoke keeps the snapshot tooling from rotting: one short
 # iteration of the throughput benchmarks through cmd/benchsnap, then
 # schema validation of the file it produced. Runs in CI.
 bench-smoke:
 	$(GO) run ./cmd/benchsnap -n 1 -benchtime 1x \
-		-bench '^Benchmark(Pack|Unpack)Throughput$$' -out /tmp/benchsnap-smoke.json
+		-bench '^Benchmark(Pack|Unpack|UnpackToJar)Throughput$$' -out /tmp/benchsnap-smoke.json
 	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-smoke.json
 	$(GO) run ./cmd/benchsnap -ratio -ratio-scale 0.25 -out /tmp/benchsnap-ratio-smoke.json
 	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-ratio-smoke.json

@@ -1,6 +1,7 @@
 package classpack
 
 import (
+	"runtime"
 	"testing"
 
 	"classpack/internal/bench"
@@ -14,17 +15,25 @@ import (
 // ordinary drift (map growth heuristics, runtime changes) does not.
 //
 // Measured at the time of writing (213_javac corpus at benchScale):
-// pack ≈ 4.0k allocs, unpack ≈ 5.4k allocs; before the campaign the same
+// pack ≈ 4.0k allocs, unpack ≈ 5.1k allocs; before the campaign the same
 // corpus cost ≈ 28k and ≈ 16k respectively.
+//
+// The bytes ceiling uses the corpus at bytesScale, where per-method
+// costs outweigh the fixed per-archive ones (stream buffers, inflaters):
+// unpack ≈ 8.9 MB, against ≈ 25.8 MB before the decoder reused its
+// instruction arenas across classes.
 
 const (
 	packAllocCeiling   = 8000  // measured ~4.0k; ceiling ≈ 2x
-	unpackAllocCeiling = 11000 // measured ~5.4k; ceiling ≈ 2x
+	unpackAllocCeiling = 11000 // measured ~5.1k; ceiling ≈ 2x
+
+	bytesScale         = 0.3
+	unpackBytesCeiling = 18 << 20 // measured ~8.9 MB; ceiling ≈ 2x
 )
 
-func allocCorpus(t *testing.T) ([][]byte, []byte) {
+func allocCorpus(t *testing.T, scale float64) ([][]byte, []byte) {
 	t.Helper()
-	c, err := bench.Load("213_javac", benchScale)
+	c, err := bench.Load("213_javac", scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +52,7 @@ func TestPackAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on full corpus")
 	}
-	files, _ := allocCorpus(t)
+	files, _ := allocCorpus(t, benchScale)
 	opts := DefaultOptions()
 	opts.Concurrency = 1 // serial: no per-worker goroutine noise
 	allocs := testing.AllocsPerRun(5, func() {
@@ -61,7 +70,7 @@ func TestUnpackAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on full corpus")
 	}
-	_, packed := allocCorpus(t)
+	_, packed := allocCorpus(t, benchScale)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := UnpackN(packed, 1); err != nil {
 			t.Fatal(err)
@@ -71,4 +80,38 @@ func TestUnpackAllocs(t *testing.T) {
 	if allocs > unpackAllocCeiling {
 		t.Errorf("Unpack allocated %.0f times per run, ceiling %d", allocs, unpackAllocCeiling)
 	}
+}
+
+// TestUnpackAllocBytes pins the heap bytes one serial unpack allocates.
+// Allocation counts miss a slice that grows per method, because each
+// growth is one allocation however large; bytes catch it.
+func TestUnpackAllocBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement on full corpus")
+	}
+	_, packed := allocCorpus(t, bytesScale)
+	bytes := bytesPerRun(5, func() {
+		if _, err := UnpackN(packed, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("unpack: %.0f bytes allocated per run (%d packed bytes)", bytes, len(packed))
+	if bytes > unpackBytesCeiling {
+		t.Errorf("Unpack allocated %.0f bytes per run, ceiling %d", bytes, unpackBytesCeiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, measured after a warm-up call with
+// GOMAXPROCS set to 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

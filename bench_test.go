@@ -188,6 +188,25 @@ func BenchmarkPackThroughput(b *testing.B) {
 // + decode + reserialize) over reproduced class-file bytes, at -j 1 and
 // -j NumCPU.
 func BenchmarkUnpackThroughput(b *testing.B) {
+	benchUnpackThroughput(b, func(packed []byte, j int) error {
+		_, err := UnpackN(packed, j)
+		return err
+	})
+}
+
+// BenchmarkUnpackToJarThroughput measures end-to-end unpack-to-jar MB/s
+// (the above plus per-member DEFLATE and zip assembly) at -j 1 and
+// -j NumCPU: the work of the classpack-bench codec workload's unpack.
+func BenchmarkUnpackToJarThroughput(b *testing.B) {
+	benchUnpackThroughput(b, func(packed []byte, j int) error {
+		_, err := UnpackToJarN(packed, j)
+		return err
+	})
+}
+
+// benchUnpackThroughput runs unpack on the packed javac-like corpus at
+// each job level, reporting MB/s of reproduced class-file bytes.
+func benchUnpackThroughput(b *testing.B, unpack func(packed []byte, j int) error) {
 	files, total := benchThroughputInput(b, benchScale)
 	packed, err := Pack(files, nil)
 	if err != nil {
@@ -199,7 +218,7 @@ func BenchmarkUnpackThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := UnpackN(packed, j); err != nil {
+				if err := unpack(packed, j); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -106,9 +106,10 @@ type Options struct {
 	// JDK names (§14 of the paper); helpful mainly for small archives.
 	Preload bool
 	// Concurrency bounds the worker pool used for per-file
-	// parse/canonicalize and per-stream compression: 0 means all cores,
-	// 1 reproduces the serial path exactly. It is a local performance
-	// knob only — the packed bytes are identical for every value.
+	// parse/canonicalize and per-stream compression, and when unpacking
+	// to a jar for per-member DEFLATE: 0 means all cores, 1 reproduces
+	// the serial path exactly. It is a local performance knob only — the
+	// packed and jar bytes are identical for every value.
 	Concurrency int
 	// MaxDecodedBytes caps the total decoded size of all wire streams
 	// during unpacking (0 = a 1 GiB default). The cap is charged against
@@ -490,7 +491,7 @@ func UnpackToJarN(data []byte, concurrency int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return jarFromFiles(files)
+	return jarFromFiles(files, concurrency)
 }
 
 // UnpackToJarOpts is UnpackToJar with explicit decode options (see
@@ -500,21 +501,24 @@ func UnpackToJarOpts(data []byte, opts *Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return jarFromFiles(files)
+	return jarFromFiles(files, opts.unpackOpts().Concurrency)
 }
 
-func jarFromFiles(files []File) ([]byte, error) {
+// jarFromFiles builds the jar, DEFLATE-compressing its members on up to
+// concurrency workers (0 = all cores, 1 = serial); the bytes are the
+// same for every value.
+func jarFromFiles(files []File, concurrency int) ([]byte, error) {
 	members := make([]archive.File, len(files))
 	for i, f := range files {
 		members[i] = archive.File{Name: f.Name, Data: f.Data}
 	}
-	return archive.WriteJar(members)
+	return archive.WriteJarN(members, concurrency)
 }
 
 // JarFromFiles builds a conventional jar from class files — the same
 // layout UnpackToJar produces — for callers assembling subsets via
-// Archive.ExtractClasses.
-func JarFromFiles(files []File) ([]byte, error) { return jarFromFiles(files) }
+// Archive.ExtractClasses. Members are compressed on all cores.
+func JarFromFiles(files []File) ([]byte, error) { return jarFromFiles(files, 0) }
 
 // Stats describes a packed archive's composition by stream category
 // (the Table 6 breakdown): compressed bytes attributed to strings,

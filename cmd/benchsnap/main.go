@@ -63,9 +63,10 @@ import (
 const Schema = "classpack-benchsnap/v1"
 
 // defaultBench selects the benchmarks a snapshot records: the
-// end-to-end throughput pair (the gate metrics) plus the Table
-// experiments, so ratio-affecting regressions show up in the same file.
-const defaultBench = "^Benchmark(PackThroughput|UnpackThroughput|Table[1-8])$"
+// end-to-end throughputs (the gate metrics: pack, unpack, and unpack
+// to a jar) plus the Table experiments, so ratio-affecting regressions
+// show up in the same file.
+const defaultBench = "^Benchmark(PackThroughput|UnpackThroughput|UnpackToJarThroughput|Table[1-8])$"
 
 // regressionLimit is the relative throughput loss -compare tolerates.
 const regressionLimit = 0.10

@@ -12,8 +12,13 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"strings"
 	"sync"
+	"unicode/utf8"
+
+	"classpack/internal/par"
 )
 
 // File is one archive member.
@@ -86,46 +91,114 @@ func putBuffer(b *bytes.Buffer) {
 	}
 }
 
-// pooledDeflater returns its flate.Writer to the pool when the zip
-// writer closes the entry.
-type pooledDeflater struct{ fw *flate.Writer }
+// Zip header fields as archive/zip's CreateHeader sets them; writeZip
+// sets them itself so that CreateRaw writes the same bytes.
+const (
+	zipVersion20    = 20    // creator and reader version
+	zipDataDescFlag = 0x8   // sizes and CRC follow the body
+	zipUTF8NameFlag = 0x800 // the name is UTF-8, not CP-437
+)
 
-func (d *pooledDeflater) Write(p []byte) (int, error) { return d.fw.Write(p) }
-
-func (d *pooledDeflater) Close() error {
-	err := d.fw.Close()
-	putFlateWriter(d.fw)
-	d.fw = nil
-	return err
-}
-
-func writeZip(files []File, method uint16) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-	// Maximum compression, matching the paper's gzip usage.
-	zw.RegisterCompressor(zip.Deflate, func(w io.Writer) (io.WriteCloser, error) {
-		return &pooledDeflater{fw: getFlateWriter(w)}, nil
+// writeZip builds a zip of files with every member at method (Store or
+// Deflate). The member bodies — DEFLATE at BestCompression through the
+// pooled writers, matching the paper's gzip usage — are independent, so
+// they are compressed on up to concurrency workers (0 = all cores, 1 =
+// inline on the calling goroutine). The zip is then assembled serially,
+// in input order, with CreateRaw and the header fields CreateHeader
+// would have set, so the bytes equal those of a CreateHeader-and-write
+// loop for every concurrency.
+func writeZip(files []File, method uint16, concurrency int) ([]byte, error) {
+	type body struct {
+		data []byte
+		crc  uint32
+	}
+	bodies := make([]body, len(files))
+	err := par.Do(concurrency, len(files), func(i int) error {
+		f := files[i]
+		b := body{data: f.Data, crc: crc32.ChecksumIEEE(f.Data)}
+		if method == zip.Deflate && !isDir(f.Name) {
+			var err error
+			if b.data, err = Flate(f.Data); err != nil {
+				return fmt.Errorf("archive: %s: %w", f.Name, err)
+			}
+		}
+		bodies[i] = b
+		return nil
 	})
-	for _, f := range files {
-		w, err := zw.CreateHeader(&zip.FileHeader{Name: f.Name, Method: method})
+	if err != nil {
+		return nil, err
+	}
+
+	var out bytes.Buffer
+	zw := zip.NewWriter(&out)
+	for i, f := range files {
+		fh := &zip.FileHeader{
+			Name:           f.Name,
+			Method:         method,
+			CreatorVersion: zipVersion20,
+			ReaderVersion:  zipVersion20,
+		}
+		if needsUTF8Flag(f.Name) {
+			fh.Flags |= zipUTF8NameFlag
+		}
+		if isDir(f.Name) {
+			// CreateHeader stores a directory with no data descriptor
+			// and zero sizes; its writer rejects any body, as below.
+			fh.Method = zip.Store
+		} else {
+			fh.Flags |= zipDataDescFlag
+			fh.CRC32 = bodies[i].crc
+			fh.CompressedSize64 = uint64(len(bodies[i].data))
+			fh.UncompressedSize64 = uint64(len(f.Data))
+		}
+		w, err := zw.CreateRaw(fh)
 		if err != nil {
 			return nil, fmt.Errorf("archive: %s: %w", f.Name, err)
 		}
-		if _, err := w.Write(f.Data); err != nil {
+		if _, err := w.Write(bodies[i].data); err != nil {
 			return nil, fmt.Errorf("archive: %s: %w", f.Name, err)
 		}
 	}
 	if err := zw.Close(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return out.Bytes(), nil
 }
 
-// WriteJar builds a jar (zip, per-file DEFLATE).
-func WriteJar(files []File) ([]byte, error) { return writeZip(files, zip.Deflate) }
+// isDir reports whether a member name denotes a directory entry.
+func isDir(name string) bool { return strings.HasSuffix(name, "/") }
+
+// needsUTF8Flag reports whether CreateHeader would set the UTF-8 flag
+// for name: it does when name is valid UTF-8 and holds a rune outside
+// the range that CP-437 and the common local encodings agree on.
+func needsUTF8Flag(name string) bool {
+	require := false
+	for i := 0; i < len(name); {
+		r, size := utf8.DecodeRuneInString(name[i:])
+		i += size
+		if r < 0x20 || r > 0x7d || r == 0x5c {
+			if !utf8.ValidRune(r) || (r == utf8.RuneError && size == 1) {
+				return false
+			}
+			require = true
+		}
+	}
+	return require
+}
+
+// WriteJar builds a jar (zip, per-file DEFLATE), compressing members on
+// all cores. It is WriteJarN with concurrency 0.
+func WriteJar(files []File) ([]byte, error) { return WriteJarN(files, 0) }
+
+// WriteJarN builds a jar, DEFLATE-compressing its members on up to
+// concurrency workers (0 = all cores, 1 = serial on the calling
+// goroutine). The jar bytes are identical for every concurrency.
+func WriteJarN(files []File, concurrency int) ([]byte, error) {
+	return writeZip(files, zip.Deflate, concurrency)
+}
 
 // WriteStored builds a "j0r": a jar whose entries are stored uncompressed.
-func WriteStored(files []File) ([]byte, error) { return writeZip(files, zip.Store) }
+func WriteStored(files []File) ([]byte, error) { return writeZip(files, zip.Store, 1) }
 
 // GzipWhole compresses data as one gzip stream at maximum compression.
 func GzipWhole(data []byte) ([]byte, error) {

@@ -3,6 +3,7 @@ package bytecode
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"classpack/internal/corrupt"
 )
@@ -298,7 +299,10 @@ func DecodeOne(code []byte, pos int) (Instruction, int, error) {
 
 // Encode re-serializes instructions previously produced by Decode (their
 // Offset fields must describe a contiguous layout). The output is
-// byte-identical to the original array when operands are unchanged.
+// byte-identical to the original array when operands are unchanged. A
+// bipush/sipush operand outside its s1/s2 field, or a tableswitch whose
+// High-Low+1 differs from its target count, is an error rather than a
+// silently truncated instruction.
 func Encode(insns []Instruction) ([]byte, error) {
 	size := 0
 	if n := len(insns); n > 0 {
@@ -344,9 +348,20 @@ func appendInstruction(out []byte, in *Instruction) ([]byte, error) {
 			return nil, fmt.Errorf("bytecode: iinc %d %d needs wide", in.A, in.B)
 		}
 		return append(out, byte(in.Op), byte(in.A), byte(int8(in.B))), nil
-	case FmtSByte, FmtCP1, FmtNewArray:
+	case FmtSByte:
+		if in.A < math.MinInt8 || in.A > math.MaxInt8 {
+			return nil, fmt.Errorf("bytecode: %s operand %d out of s1 range at %d", in.Op, in.A, pos)
+		}
 		return append(out, byte(in.Op), byte(in.A)), nil
-	case FmtSShort, FmtCP2:
+	case FmtCP1, FmtNewArray:
+		return append(out, byte(in.Op), byte(in.A)), nil
+	case FmtSShort:
+		if in.A < math.MinInt16 || in.A > math.MaxInt16 {
+			return nil, fmt.Errorf("bytecode: %s operand %d out of s2 range at %d", in.Op, in.A, pos)
+		}
+		out = append(out, byte(in.Op))
+		return binary.BigEndian.AppendUint16(out, uint16(in.A)), nil
+	case FmtCP2:
 		out = append(out, byte(in.Op))
 		return binary.BigEndian.AppendUint16(out, uint16(in.A)), nil
 	case FmtBranch2:
@@ -368,6 +383,10 @@ func appendInstruction(out []byte, in *Instruction) ([]byte, error) {
 		out = binary.BigEndian.AppendUint16(out, uint16(in.A))
 		return append(out, byte(in.B)), nil
 	case FmtTableSwitch:
+		if int64(in.High)-int64(in.Low)+1 != int64(len(in.Targets)) {
+			return nil, fmt.Errorf("bytecode: tableswitch %d..%d with %d targets at %d",
+				in.Low, in.High, len(in.Targets), pos)
+		}
 		out = append(out, byte(in.Op))
 		for i := 0; i < 3-pos%4; i++ {
 			out = append(out, 0)

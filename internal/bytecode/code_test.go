@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -244,6 +245,36 @@ func TestDecodeRandomizedNoPanic(t *testing.T) {
 		}
 		if !bytes.Equal(code, back) {
 			t.Fatalf("valid decode did not re-encode identically: % x", code)
+		}
+	}
+}
+
+func TestEncodeRejectsOutOfRangeOperands(t *testing.T) {
+	three := []int{0, 0, 0}
+	cases := []struct {
+		name string
+		in   Instruction
+		ok   bool
+	}{
+		{"bipush 127", Instruction{Op: Bipush, A: 127}, true},
+		{"bipush -128", Instruction{Op: Bipush, A: -128}, true},
+		{"bipush 128", Instruction{Op: Bipush, A: 128}, false},
+		{"bipush -129", Instruction{Op: Bipush, A: -129}, false},
+		{"bipush 300", Instruction{Op: Bipush, A: 300}, false},
+		{"sipush 32767", Instruction{Op: Sipush, A: 32767}, true},
+		{"sipush -32768", Instruction{Op: Sipush, A: -32768}, true},
+		{"sipush 32768", Instruction{Op: Sipush, A: 32768}, false},
+		{"sipush -32769", Instruction{Op: Sipush, A: -32769}, false},
+		{"tableswitch 0..2, 3 targets", Instruction{Op: Tableswitch, Low: 0, High: 2, Targets: three}, true},
+		{"tableswitch -1..1, 3 targets", Instruction{Op: Tableswitch, Low: -1, High: 1, Targets: three}, true},
+		{"tableswitch 0..3, 3 targets", Instruction{Op: Tableswitch, Low: 0, High: 3, Targets: three}, false},
+		{"tableswitch 0..1, 3 targets", Instruction{Op: Tableswitch, Low: 0, High: 1, Targets: three}, false},
+		{"tableswitch wrapped bounds", Instruction{Op: Tableswitch, Low: math.MaxInt32, High: math.MinInt32 + 1, Targets: three}, false},
+	}
+	for _, c := range cases {
+		_, err := Encode([]Instruction{c.in})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Encode err = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }

@@ -146,6 +146,15 @@ type unpacker struct {
 	hoffs      []int
 	scratch    strip.Scratch
 	decoded    map[*classfile.CodeAttr][]bytecode.Instruction
+
+	// Per-class instruction arenas, reset by class: insnArena holds the
+	// decoded dInsns of every method, codeArena the resolved instructions
+	// build hands to renumber. Methods take capped views (a[start:end:end])
+	// so a later append never writes into a finished method. Nothing
+	// outlives the class: renumber re-encodes the code without keeping a
+	// reference, and the returned ClassFile aliases neither arena.
+	insnArena []dInsn
+	codeArena []bytecode.Instruction
 }
 
 // msigEntry caches everything derived from one method descriptor: the

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
 	"classpack/internal/ir"
 	"classpack/internal/stackstate"
+	"classpack/internal/streams"
 	"classpack/internal/strip"
 )
 
@@ -84,6 +86,7 @@ func checkCount(n uint64, what string) (int, error) {
 }
 
 func (u *unpacker) class() (*classfile.ClassFile, error) {
+	u.insnArena, u.codeArena = u.insnArena[:0], u.codeArena[:0]
 	minor, err := u.meta.Uint()
 	if err != nil {
 		return nil, err
@@ -337,18 +340,21 @@ func (u *unpacker) code() (*dCode, error) {
 		}
 		sim = u.sim
 	}
+	start := len(u.insnArena)
 	pos := 0
 	for pos < c.codeLen {
 		di, next, err := u.insn(pos, sim)
 		if err != nil {
 			return nil, fmt.Errorf("at offset %d: %w", pos, err)
 		}
-		c.insns = append(c.insns, di)
+		u.insnArena = append(u.insnArena, di)
 		pos = next
 	}
 	if pos != c.codeLen {
 		return nil, fmt.Errorf("core: instructions end at %d, code length %d", pos, c.codeLen)
 	}
+	end := len(u.insnArena)
+	c.insns = u.insnArena[start:end:end]
 	return c, nil
 }
 
@@ -415,12 +421,14 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		if err := u.readReg(&di.in, true); err != nil {
 			return di, 0, err
 		}
-	case bytecode.FmtSByte, bytecode.FmtSShort:
-		v, err := u.r.Stream(sIntImm).Int()
-		if err != nil {
+	case bytecode.FmtSByte:
+		if di.in.A, err = signed(u.r.Stream(sIntImm), 8); err != nil {
 			return di, 0, err
 		}
-		di.in.A = int(v)
+	case bytecode.FmtSShort:
+		if di.in.A, err = signed(u.r.Stream(sIntImm), 16); err != nil {
+			return di, 0, err
+		}
 	case bytecode.FmtCP1, bytecode.FmtCP2:
 		if di.isLdc {
 			if err := u.ldcValue(&di, ldcKind); err != nil {
@@ -462,18 +470,22 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		}
 		di.in.A = int(atype)
 	case bytecode.FmtBranch2, bytecode.FmtBranch4:
-		rel, err := u.r.Stream(sBranch).Int()
+		bits := uint(16)
+		if bytecode.FormatOf(di.in.Op) == bytecode.FmtBranch4 {
+			bits = 32
+		}
+		rel, err := signed(u.r.Stream(sBranch), bits)
 		if err != nil {
 			return di, 0, err
 		}
-		di.in.A = pos + int(rel)
+		di.in.A = pos + rel
 	case bytecode.FmtTableSwitch:
 		sw := u.r.Stream(sSwitch)
-		def, err := sw.Int()
+		def, err := signed(sw, 32)
 		if err != nil {
 			return di, 0, err
 		}
-		low, err := sw.Int()
+		low, err := signed(sw, 32)
 		if err != nil {
 			return di, 0, err
 		}
@@ -484,20 +496,25 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		if n > 1<<20 {
 			return di, 0, corrupt.TooLarge(sSwitch, -1, "tableswitch with %d targets", n)
 		}
-		di.in.Default = pos + int(def)
+		// The class file stores low and high = low+n-1 as s4s, and the
+		// JVM requires low <= high.
+		if n == 0 || int64(low)+int64(n)-1 > math.MaxInt32 {
+			return di, 0, corrupt.Errorf(sSwitch, -1, "tableswitch low %d with %d targets", low, n)
+		}
+		di.in.Default = pos + def
 		di.in.Low = int32(low)
-		di.in.High = int32(low) + int32(n) - 1
+		di.in.High = int32(int64(low) + int64(n) - 1)
 		di.in.Targets = make([]int, n)
 		for i := range di.in.Targets {
-			rel, err := sw.Int()
+			rel, err := signed(sw, 32)
 			if err != nil {
 				return di, 0, err
 			}
-			di.in.Targets[i] = pos + int(rel)
+			di.in.Targets[i] = pos + rel
 		}
 	case bytecode.FmtLookupSwitch:
 		sw := u.r.Stream(sSwitch)
-		def, err := sw.Int()
+		def, err := signed(sw, 32)
 		if err != nil {
 			return di, 0, err
 		}
@@ -508,30 +525,37 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		if n > 1<<20 {
 			return di, 0, corrupt.TooLarge(sSwitch, -1, "lookupswitch with %d pairs", n)
 		}
-		di.in.Default = pos + int(def)
+		di.in.Default = pos + def
 		di.in.Keys = make([]int32, n)
 		for i := range di.in.Keys {
 			if i == 0 {
-				k, err := sw.Int()
+				k, err := signed(sw, 32)
 				if err != nil {
 					return di, 0, err
 				}
 				di.in.Keys[0] = int32(k)
-			} else {
-				diff, err := sw.Uint()
-				if err != nil {
-					return di, 0, err
-				}
-				di.in.Keys[i] = di.in.Keys[i-1] + int32(diff)
+				continue
 			}
-		}
-		di.in.Targets = make([]int, n)
-		for i := range di.in.Targets {
-			rel, err := sw.Int()
+			// Keys ascend strictly and stay within int32: the encoder
+			// writes positive deltas, and a wrapped key would unpack as
+			// an unsorted (and so unverifiable) lookupswitch.
+			diff, err := sw.Uint()
 			if err != nil {
 				return di, 0, err
 			}
-			di.in.Targets[i] = pos + int(rel)
+			prev := int64(di.in.Keys[i-1])
+			if diff == 0 || diff > uint64(math.MaxInt32-prev) {
+				return di, 0, corrupt.Errorf(sSwitch, -1, "lookupswitch key delta %d after key %d", diff, prev)
+			}
+			di.in.Keys[i] = int32(prev + int64(diff))
+		}
+		di.in.Targets = make([]int, n)
+		for i := range di.in.Targets {
+			rel, err := signed(sw, 32)
+			if err != nil {
+				return di, 0, err
+			}
+			di.in.Targets[i] = pos + rel
 		}
 	default:
 		return di, 0, fmt.Errorf("core: cannot unpack opcode %s", di.in.Op)
@@ -541,6 +565,20 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		sim.StepInfo(&di.in, info)
 	}
 	return di, pos + di.in.Size(), nil
+}
+
+// signed reads a zigzag operand that the class file stores as a signed
+// field of the given bit width. bytecode.Encode would truncate a wider
+// value into a plausible wrong instruction, so it is corrupt here.
+func signed(s *streams.RStream, bits uint) (int, error) {
+	v, err := s.Int()
+	if err != nil {
+		return 0, err
+	}
+	if lim := int64(1) << (bits - 1); v < -lim || v >= lim {
+		return 0, corrupt.Errorf(s.Name(), -1, "operand %d does not fit %d bits", v, bits)
+	}
+	return int(v), nil
 }
 
 // constStackKind maps a pool kind to the stack kind ldc pushes.
@@ -576,14 +614,18 @@ func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
 	if err != nil {
 		return err
 	}
+	// Local slots are u2 even under wide.
+	if v>>1 > math.MaxUint16 {
+		return corrupt.Errorf(sRegs, -1, "local slot %d out of range", v>>1)
+	}
 	in.A = int(v >> 1)
 	redundantWide := v&1 != 0
 	if iinc {
-		d, err := u.r.Stream(sIntImm).Int()
+		d, err := signed(u.r.Stream(sIntImm), 16)
 		if err != nil {
 			return err
 		}
-		in.B = int(d)
+		in.B = d
 		in.Wide = redundantWide || in.A > 0xff || in.B < -128 || in.B > 127
 		return nil
 	}
@@ -732,15 +774,17 @@ func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.Class
 				MaxStack:  uint16(m.code.maxStack),
 				MaxLocals: uint16(m.code.maxLocals),
 			}
-			insns := make([]bytecode.Instruction, len(m.code.insns))
+			start := len(u.codeArena)
 			for i := range m.code.insns {
 				di := &m.code.insns[i]
 				in := di.in
 				if err := u.resolveOperand(b, di, &in); err != nil {
 					return nil, err
 				}
-				insns[i] = in
+				u.codeArena = append(u.codeArena, in)
 			}
+			end := len(u.codeArena)
+			insns := u.codeArena[start:end:end]
 			for _, h := range m.code.handlers {
 				eh := classfile.ExceptionHandler{
 					StartPC:   uint16(h.start),

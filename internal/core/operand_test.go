@@ -1,0 +1,168 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"classpack/internal/bytecode"
+	"classpack/internal/classfile"
+	"classpack/internal/corrupt"
+	"classpack/internal/encoding/varint"
+	"classpack/internal/streams"
+)
+
+// packMethod packs a one-class archive whose only method is emit's code.
+func packMethod(t *testing.T, emit func(a *bytecode.Assembler)) []byte {
+	t.Helper()
+	b := classfile.NewBuilder("p/C", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "(I)V")
+	a := bytecode.NewAssembler()
+	emit(a)
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 8, Code: code})
+	cf, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs := []*classfile.ClassFile{cf}
+	strippedBytes(t, cfs)
+	packed, err := Pack(cfs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return packed
+}
+
+// rewriteStream re-serializes a version-2 archive with the raw bytes of
+// one stream passed through edit. Every checksum is recomputed, so only
+// the decoder's own operand checks can notice the change.
+func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) []byte) []byte {
+	t.Helper()
+	body := packed[6:]
+	secs, err := streams.Sections(body, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := streams.NewCheckedReaderLimit(body, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := streams.NewWriter()
+	found := false
+	for _, s := range secs {
+		st := r.Stream(s.Name)
+		raw, err := st.Raw(st.Remaining())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name == name {
+			raw, found = edit(raw), true
+		}
+		_, _ = w.Stream(s.Name).Write(raw)
+	}
+	if !found {
+		t.Fatalf("archive has no %s stream", name)
+	}
+	out, err := w.FinishChecked(true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(packed[:6:6], out...)
+}
+
+// setVarint returns an edit replacing the i-th varint of a stream with
+// v, zigzag-encoded when signed. Earlier varints are skipped by length,
+// which is the same for zigzag and plain values.
+func setVarint(t *testing.T, i int, v int64, signed bool) func([]byte) []byte {
+	return func(raw []byte) []byte {
+		off := 0
+		for k := 0; ; k++ {
+			_, n, err := varint.Uint(raw[off:])
+			if err != nil {
+				t.Fatalf("stream has no varint %d: %v", i, err)
+			}
+			if k < i {
+				off += n
+				continue
+			}
+			out := append([]byte(nil), raw[:off]...)
+			if signed {
+				out = varint.AppendInt(out, v)
+			} else {
+				out = varint.AppendUint(out, uint64(v))
+			}
+			return append(out, raw[off+n:]...)
+		}
+	}
+}
+
+// TestOutOfRangeOperandsAreCorrupt crafts archives whose CRCs are valid
+// but whose immediates, branch and switch operands do not fit the
+// class-file fields they decode into. Each must unpack to a CorruptError
+// naming the stream, never to a silently truncated instruction.
+func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
+	bipush := func(a *bytecode.Assembler) { a.SByte(5); a.Op(bytecode.Pop); a.Op(bytecode.Return) }
+	sipush := func(a *bytecode.Assembler) { a.SShort(1000); a.Op(bytecode.Pop); a.Op(bytecode.Return) }
+	iinc := func(a *bytecode.Assembler) { a.Iinc(1, 1000); a.Op(bytecode.Return) }
+	loop := func(a *bytecode.Assembler) {
+		l := a.NewLabel()
+		a.Bind(l)
+		a.Branch(bytecode.Goto, l)
+	}
+	table := func(a *bytecode.Assembler) {
+		l := a.NewLabel()
+		a.Local(bytecode.Iload, 0)
+		a.TableSwitch(0, []bytecode.Label{l, l, l}, l)
+		a.Bind(l)
+		a.Op(bytecode.Return)
+	}
+	lookup := func(a *bytecode.Assembler) {
+		l := a.NewLabel()
+		a.Local(bytecode.Iload, 0)
+		a.LookupSwitch([]int32{0, 5}, []bytecode.Label{l, l}, l)
+		a.Bind(l)
+		a.Op(bytecode.Return)
+	}
+	cases := []struct {
+		name   string
+		emit   func(*bytecode.Assembler)
+		stream string
+		edit   func([]byte) []byte
+	}{
+		{"bipush 300", bipush, sIntImm, setVarint(t, 0, 300, true)},
+		{"bipush -129", bipush, sIntImm, setVarint(t, 0, -129, true)},
+		{"sipush 40000", sipush, sIntImm, setVarint(t, 0, 40000, true)},
+		{"sipush -32769", sipush, sIntImm, setVarint(t, 0, -32769, true)},
+		{"iinc delta 40000", iinc, sIntImm, setVarint(t, 0, 40000, true)},
+		{"local slot 1<<17", iinc, sRegs, setVarint(t, 0, 1<<18, false)},
+		{"goto offset 40000", loop, sBranch, setVarint(t, 0, 40000, true)},
+		{"tableswitch default 1<<40", table, sSwitch, setVarint(t, 0, 1<<40, true)},
+		{"tableswitch low 1<<33", table, sSwitch, setVarint(t, 1, 1<<33, true)},
+		{"tableswitch high past int32", table, sSwitch, setVarint(t, 1, math.MaxInt32-1, true)},
+		{"tableswitch without targets", table, sSwitch, setVarint(t, 2, 0, false)},
+		{"lookupswitch first key 1<<31", lookup, sSwitch, setVarint(t, 2, 1<<31, true)},
+		{"lookupswitch key wraps int32", lookup, sSwitch, setVarint(t, 2, math.MaxInt32-2, true)},
+		{"lookupswitch repeated key", lookup, sSwitch, setVarint(t, 3, 0, false)},
+		{"lookupswitch target 1<<32", lookup, sSwitch, setVarint(t, 4, 1<<32, true)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			packed := packMethod(t, c.emit)
+			same := rewriteStream(t, packed, c.stream, func(raw []byte) []byte { return raw })
+			if _, err := Unpack(same); err != nil {
+				t.Fatalf("unedited rewrite does not unpack: %v", err)
+			}
+			_, err := Unpack(rewriteStream(t, packed, c.stream, c.edit))
+			ce, ok := corrupt.As(err)
+			if !ok {
+				t.Fatalf("Unpack = %v, want a CorruptError", err)
+			}
+			if ce.Stream != c.stream {
+				t.Fatalf("CorruptError names stream %q, want %q: %v", ce.Stream, c.stream, err)
+			}
+		})
+	}
+}

@@ -48,6 +48,8 @@ type SalvageResult struct {
 	Lost int `json:"lost"`
 	// Damage lists every damaged region found, in detection order.
 	Damage []DamageRegion `json:"damage,omitempty"`
+
+	concurrency int // Salvage's Options.Concurrency, which Jar reuses
 }
 
 // Salvage decodes as much of a packed archive as possible instead of
@@ -82,7 +84,7 @@ func Salvage(data []byte, opts *Options) (*SalvageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &SalvageResult{TotalClasses: cres.TotalClasses}
+	res := &SalvageResult{TotalClasses: cres.TotalClasses, concurrency: o.Concurrency}
 	if cres.Version == core.Version3 {
 		// Version-3 damage is chunk-attributed: the stream name gains a
 		// "chunkN/" prefix so a report distinguishes which failure domain
@@ -165,9 +167,10 @@ func reserializeInto(res *SalvageResult, classes []*classfile.ClassFile, concurr
 }
 
 // Jar rebuilds a conventional jar from the recovered classes, the same
-// layout UnpackToJar produces for a clean archive.
+// layout UnpackToJar produces for a clean archive, compressing members
+// with the Concurrency that Salvage was given.
 func (r *SalvageResult) Jar() ([]byte, error) {
-	return jarFromFiles(r.Files)
+	return jarFromFiles(r.Files, r.concurrency)
 }
 
 // region maps a corrupt.Error to the public damage shape.
