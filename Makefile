@@ -99,15 +99,21 @@ delta-smoke:
 # checked-in seed corpora — enough to catch regressions in the
 # panic-free-decoding guarantee without dominating CI time. The go tool
 # accepts one -fuzz pattern per invocation, hence one line per target.
+# By default the go tool spends up to 60s minimizing each input that
+# widens coverage, which would eat the whole budget (a 10s run then
+# executes a few dozen inputs), so minimization is cut to one run;
+# a failing input is still written under testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz='^FuzzUnpack$$' -fuzztime=$(FUZZTIME) .
-	$(GO) test -run=NONE -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) .
-	$(GO) test -run=NONE -fuzz='^FuzzChunkIndex$$' -fuzztime=$(FUZZTIME) .
-	$(GO) test -run=NONE -fuzz='^FuzzStreamsReader$$' -fuzztime=$(FUZZTIME) ./internal/streams
-	$(GO) test -run=NONE -fuzz='^FuzzJazzDecode$$' -fuzztime=$(FUZZTIME) ./internal/jazz
-	$(GO) test -run=NONE -fuzz='^FuzzCustomDecode$$' -fuzztime=$(FUZZTIME) ./internal/custom
-	$(GO) test -run=NONE -fuzz='^FuzzReadClassFile$$' -fuzztime=$(FUZZTIME) ./internal/classfile
+	$(GO) test -run=NONE -fuzz='^FuzzUnpack$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzUnpackStream$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzChunkIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzDelta$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzStreamsReader$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/streams
+	$(GO) test -run=NONE -fuzz='^FuzzJazzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/jazz
+	$(GO) test -run=NONE -fuzz='^FuzzCustomDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/custom
+	$(GO) test -run=NONE -fuzz='^FuzzReadClassFile$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/classfile
 
 # fuzz-corpus regenerates the checked-in seed corpora under testdata/fuzz
 # from internal/synth packs (run after wire-format changes).

@@ -29,9 +29,19 @@ const (
 
 	bytesScale         = 0.3
 	unpackBytesCeiling = 18 << 20 // measured ~8.9 MB; ceiling ≈ 2x
+
+	// Version 3 at 2 classes per chunk: the corpus spans 3 chunks at
+	// benchScale (6 classes) and 16 at bytesScale (32 classes), so these
+	// pin what the container walk, the index check and each chunk's own
+	// stream reader and reference models cost on top of the classes.
+	unpackV3AllocCeiling = 15500    // measured ~7.65k; ceiling ≈ 2x
+	unpackV3BytesCeiling = 56 << 20 // measured ~28.0 MB; ceiling ≈ 2x
 )
 
-func allocCorpus(t *testing.T, scale float64) ([][]byte, []byte) {
+// allocCorpus loads 213_javac at scale and packs it with the default
+// options, as version 3 with that many classes per chunk when
+// chunkClasses is positive.
+func allocCorpus(t *testing.T, scale float64, chunkClasses int) ([][]byte, []byte) {
 	t.Helper()
 	c, err := bench.Load("213_javac", scale)
 	if err != nil {
@@ -41,18 +51,32 @@ func allocCorpus(t *testing.T, scale float64) ([][]byte, []byte) {
 	for i, f := range c.StrippedFiles {
 		files[i] = f.Data
 	}
-	packed, err := Pack(files, nil)
+	opts := DefaultOptions()
+	opts.ChunkClasses = chunkClasses
+	packed, err := Pack(files, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return files, packed
 }
 
+// unpackRows are the layouts the unpack allocation tests measure: the
+// monolithic version 2 and version 3 at 2 classes per chunk.
+var unpackRows = []struct {
+	name         string
+	chunkClasses int
+	allocs       float64 // ceiling at benchScale
+	bytes        float64 // ceiling at bytesScale
+}{
+	{"v2", 0, unpackAllocCeiling, unpackBytesCeiling},
+	{"v3", 2, unpackV3AllocCeiling, unpackV3BytesCeiling},
+}
+
 func TestPackAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on full corpus")
 	}
-	files, _ := allocCorpus(t, benchScale)
+	files, _ := allocCorpus(t, benchScale, 0)
 	opts := DefaultOptions()
 	opts.Concurrency = 1 // serial: no per-worker goroutine noise
 	allocs := testing.AllocsPerRun(5, func() {
@@ -70,15 +94,19 @@ func TestUnpackAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on full corpus")
 	}
-	_, packed := allocCorpus(t, benchScale)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := UnpackN(packed, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("unpack: %.0f allocs per run (%d packed bytes)", allocs, len(packed))
-	if allocs > unpackAllocCeiling {
-		t.Errorf("Unpack allocated %.0f times per run, ceiling %d", allocs, unpackAllocCeiling)
+	for _, row := range unpackRows {
+		t.Run(row.name, func(t *testing.T) {
+			_, packed := allocCorpus(t, benchScale, row.chunkClasses)
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := UnpackOpts(packed, &Options{Concurrency: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("unpack: %.0f allocs per run (%d packed bytes)", allocs, len(packed))
+			if allocs > row.allocs {
+				t.Errorf("Unpack allocated %.0f times per run, ceiling %.0f", allocs, row.allocs)
+			}
+		})
 	}
 }
 
@@ -89,15 +117,19 @@ func TestUnpackAllocBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on full corpus")
 	}
-	_, packed := allocCorpus(t, bytesScale)
-	bytes := bytesPerRun(5, func() {
-		if _, err := UnpackN(packed, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("unpack: %.0f bytes allocated per run (%d packed bytes)", bytes, len(packed))
-	if bytes > unpackBytesCeiling {
-		t.Errorf("Unpack allocated %.0f bytes per run, ceiling %d", bytes, unpackBytesCeiling)
+	for _, row := range unpackRows {
+		t.Run(row.name, func(t *testing.T) {
+			_, packed := allocCorpus(t, bytesScale, row.chunkClasses)
+			bytes := bytesPerRun(5, func() {
+				if _, err := UnpackOpts(packed, &Options{Concurrency: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("unpack: %.0f bytes allocated per run (%d packed bytes)", bytes, len(packed))
+			if bytes > row.bytes {
+				t.Errorf("Unpack allocated %.0f bytes per run, ceiling %.0f", bytes, row.bytes)
+			}
+		})
 	}
 }
 

@@ -38,10 +38,10 @@ func TestNegativeConcurrencyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = UnpackN(packed, -1)
-	wantErr("UnpackN", err)
-	_, err = UnpackToJarN(packed, -3)
-	wantErr("UnpackToJarN", err)
+	_, err = UnpackOpts(packed, &Options{Concurrency: -1})
+	wantErr("UnpackOpts", err)
+	_, err = UnpackToJarOpts(packed, &Options{Concurrency: -3})
+	wantErr("UnpackToJarOpts", err)
 
 	errs := VerifyAll(files, false, -2)
 	if len(errs) != len(files) {
@@ -57,8 +57,8 @@ func TestNegativeConcurrencyRejected(t *testing.T) {
 	if _, err := Pack(files, &opts); err != nil {
 		t.Fatalf("Pack with Concurrency 0: %v", err)
 	}
-	if _, err := UnpackN(packed, 1); err != nil {
-		t.Fatalf("UnpackN with concurrency 1: %v", err)
+	if _, err := UnpackOpts(packed, &Options{Concurrency: 1}); err != nil {
+		t.Fatalf("UnpackOpts with concurrency 1: %v", err)
 	}
 }
 

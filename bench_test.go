@@ -189,7 +189,7 @@ func BenchmarkPackThroughput(b *testing.B) {
 // -j NumCPU.
 func BenchmarkUnpackThroughput(b *testing.B) {
 	benchUnpackThroughput(b, func(packed []byte, j int) error {
-		_, err := UnpackN(packed, j)
+		_, err := UnpackOpts(packed, &Options{Concurrency: j})
 		return err
 	})
 }
@@ -199,7 +199,7 @@ func BenchmarkUnpackThroughput(b *testing.B) {
 // -j NumCPU: the work of the classpack-bench codec workload's unpack.
 func BenchmarkUnpackToJarThroughput(b *testing.B) {
 	benchUnpackThroughput(b, func(packed []byte, j int) error {
-		_, err := UnpackToJarN(packed, j)
+		_, err := UnpackToJarOpts(packed, &Options{Concurrency: j})
 		return err
 	})
 }

@@ -2,6 +2,7 @@ package classpack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"runtime"
@@ -107,6 +108,82 @@ func TestOpenArchiveSizeBomb(t *testing.T) {
 	// And the honest size still opens.
 	if _, err := OpenArchive(bytes.NewReader(packed), int64(len(packed)), nil); err != nil {
 		t.Fatalf("honest open: %v", err)
+	}
+}
+
+// chunkBomb is a version-3 archive whose index, with a valid checksum,
+// lists one class in one junk chunk that fills the rest of the archive.
+type chunkBomb struct {
+	head, tail []byte
+	size       int64
+}
+
+func newChunkBomb(t *testing.T, size int64) chunkBomb {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.ChunkClasses = 1
+	packed, err := Pack(sample(t), &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := chunkBomb{head: packed[:6], size: size}
+	// The index is stored raw; its only chunk starts at offset 7, after
+	// a one-byte length prefix, and ends at the end-of-chunks sentinel.
+	const indexLen = 15 // the chunk length takes a 4-byte varint
+	var raw []byte
+	for _, v := range []uint64{1, 1, 7, uint64(size) - 8 - indexLen - 16, 1, 1, 3} {
+		raw = varint.AppendUint(raw, v)
+	}
+	raw = append(raw, "p/C"...)
+	blob := append([]byte{1, byte(len(raw))}, raw...)
+	if len(blob) != indexLen {
+		t.Fatalf("index blob is %d bytes, want %d", len(blob), indexLen)
+	}
+	b.tail = binary.BigEndian.AppendUint32(blob, crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli)))
+	b.tail = binary.BigEndian.AppendUint64(b.tail, indexLen)
+	b.tail = append(b.tail, "CJPX"...)
+	return b
+}
+
+func (b chunkBomb) ReadAt(p []byte, off int64) (int, error) {
+	tailOff := b.size - int64(len(b.tail))
+	for i := range p {
+		switch at := off + int64(i); {
+		case at < int64(len(b.head)):
+			p[i] = b.head[at]
+		case at >= tailOff:
+			p[i] = b.tail[at-tailOff]
+		default:
+			p[i] = 0xff
+		}
+	}
+	return len(p), nil
+}
+
+// TestExtractChunkBomb pins that lazy extraction holds a chunk length
+// the index declares to the decode budget plus the container's 64 KiB
+// slack before allocating it: a chunk that large could never decode
+// within the budget, so extracting from it must fail with ErrTooLarge
+// without a chunk-sized buffer.
+func TestExtractChunkBomb(t *testing.T) {
+	const budget = 1 << 20
+	const size = 64 << 20
+	a, err := OpenArchive(newChunkBomb(t, size), size, &Options{MaxDecodedBytes: budget})
+	if err != nil {
+		t.Fatalf("OpenArchive: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = a.ExtractClass("p/C")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("ExtractClass = %v, want ErrTooLarge", err)
+	}
+	if _, ok := AsCorrupt(err); !ok {
+		t.Fatalf("chunk-bomb rejection is not a CorruptError: %v", err)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(budget+1<<16); got > bound {
+		t.Fatalf("rejecting the chunk bomb allocated %d bytes, bound %d", got, bound)
 	}
 }
 

@@ -223,31 +223,22 @@ func parseAndStrip(files [][]byte, concurrency int) ([]*classfile.ClassFile, err
 }
 
 // Unpack decompresses a packed archive into class files using all
-// cores. Decompression is deterministic: it reproduces Strip of each
-// input file byte for byte, regardless of worker count.
-func Unpack(data []byte) ([]File, error) {
-	return UnpackN(data, 0)
-}
+// cores and the default resource caps: UnpackOpts with nil options.
+func Unpack(data []byte) ([]File, error) { return UnpackOpts(data, nil) }
 
-// UnpackN is Unpack with an explicit worker bound (0 = all cores, 1 =
-// fully serial; negative values are an error). Stream decompression
-// fans out first; classes are then decoded sequentially (reference
-// pools are stateful) and the final per-file serialization fans out
-// again, re-sequenced by index.
-func UnpackN(data []byte, concurrency int) ([]File, error) {
-	return unpackFiles(data, core.UnpackOpts{Concurrency: concurrency})
-}
-
-// UnpackOpts is Unpack with explicit decode options: Concurrency,
-// MaxDecodedBytes and MaxClassCount are honored; the coding fields are
-// ignored because the archive header fixes them. A nil opts behaves
-// like Unpack. Failures caused by the archive bytes are *CorruptError
-// values (or wrap one); cap violations additionally match ErrTooLarge.
+// UnpackOpts decompresses a packed archive into class files with
+// explicit decode options: Concurrency, MaxDecodedBytes and
+// MaxClassCount are honored; the coding fields are ignored because the
+// archive header fixes them. A nil opts uses all cores and the default
+// caps. Stream decompression fans out first; classes are then decoded
+// sequentially (reference pools are stateful) and the final per-file
+// serialization fans out again, re-sequenced by index. Decompression is
+// deterministic: it reproduces Strip of each input file byte for byte,
+// regardless of worker count. Failures caused by the archive bytes are
+// *CorruptError values (or wrap one); cap violations additionally match
+// ErrTooLarge. A negative Concurrency is an error.
 func UnpackOpts(data []byte, opts *Options) ([]File, error) {
-	return unpackFiles(data, opts.unpackOpts())
-}
-
-func unpackFiles(data []byte, o core.UnpackOpts) ([]File, error) {
+	o := opts.unpackOpts()
 	if err := checkConcurrency(o.Concurrency); err != nil {
 		return nil, err
 	}
@@ -272,22 +263,6 @@ func unpackFiles(data []byte, o core.UnpackOpts) ([]File, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// UnpackEach decodes a packed archive sequentially, calling visit with
-// each class file as soon as it is complete. The archive format is
-// sequential, so an eager class loader (§11 of the paper) can define each
-// class the moment it arrives instead of caching the whole archive; order
-// the input superclass-first (see OrderForEagerLoading) so no definition
-// blocks. A visit error aborts decoding.
-func UnpackEach(data []byte, visit func(File) error) error {
-	return core.UnpackStream(data, func(cf *classfile.ClassFile) error {
-		raw, err := classfile.Write(cf)
-		if err != nil {
-			return err
-		}
-		return visit(File{Name: cf.ThisClassName() + ".class", Data: raw})
-	})
 }
 
 // OrderForEagerLoading reorders class files so that every superclass
@@ -479,23 +454,12 @@ func PackJar(jarData []byte, opts *Options) (packed []byte, skipped []string, er
 }
 
 // UnpackToJar decompresses a packed archive and rebuilds a conventional
-// jar file (per-file DEFLATE) from the classes, usable by any JVM.
-func UnpackToJar(data []byte) ([]byte, error) {
-	return UnpackToJarN(data, 0)
-}
-
-// UnpackToJarN is UnpackToJar with an explicit worker bound (0 = all
-// cores, 1 = serial).
-func UnpackToJarN(data []byte, concurrency int) ([]byte, error) {
-	files, err := UnpackN(data, concurrency)
-	if err != nil {
-		return nil, err
-	}
-	return jarFromFiles(files, concurrency)
-}
+// jar file (per-file DEFLATE) from the classes, usable by any JVM:
+// UnpackToJarOpts with nil options.
+func UnpackToJar(data []byte) ([]byte, error) { return UnpackToJarOpts(data, nil) }
 
 // UnpackToJarOpts is UnpackToJar with explicit decode options (see
-// UnpackOpts).
+// UnpackOpts); Concurrency also bounds the per-member DEFLATE.
 func UnpackToJarOpts(data []byte, opts *Options) ([]byte, error) {
 	files, err := UnpackOpts(data, opts)
 	if err != nil {

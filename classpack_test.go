@@ -192,10 +192,10 @@ func TestUnpackEachStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []string
-	err = UnpackEach(packed, func(f File) error {
+	err = UnpackStream(bytes.NewReader(packed), func(f File) error {
 		seen = append(seen, f.Name)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +210,10 @@ func TestUnpackEachStreamsInOrder(t *testing.T) {
 	// An aborting visitor stops the stream.
 	calls := 0
 	sentinel := fmt.Errorf("stop")
-	err = UnpackEach(packed, func(File) error {
+	err = UnpackStream(bytes.NewReader(packed), func(File) error {
 		calls++
 		return sentinel
-	})
+	}, nil)
 	if err != sentinel || calls != 1 {
 		t.Fatalf("abort: err=%v calls=%d", err, calls)
 	}

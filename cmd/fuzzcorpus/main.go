@@ -86,14 +86,16 @@ func run() error {
 			return err
 		}
 
-		// FuzzUnpack: full archives, default options and the
-		// uncompressed/no-stackstate layout.
+		// FuzzUnpack and FuzzUnpackStream: full archives, default options
+		// and (FuzzUnpack only) the uncompressed/no-stackstate layout.
 		packed, err := classpack.Pack(raw, nil)
 		if err != nil {
 			return err
 		}
-		if err := corpusFile("testdata/fuzz/FuzzUnpack", "seed-"+profile, packed); err != nil {
-			return err
+		for _, target := range []string{"FuzzUnpack", "FuzzUnpackStream"} {
+			if err := corpusFile("testdata/fuzz/"+target, "seed-"+profile, packed); err != nil {
+				return err
+			}
 		}
 		plain := classpack.DefaultOptions()
 		plain.StackState = false
@@ -121,16 +123,17 @@ func run() error {
 				return err
 			}
 		}
-		// Version-3 chunked archives: clean seeds for unpack, salvage, and
-		// the index reader, plus deterministic footer/index corruptions so
-		// the index fuzzer starts inside its error paths.
+		// Version-3 chunked archives: clean seeds for unpack, streaming
+		// unpack, salvage, and the index reader, plus deterministic chunk,
+		// footer and index corruptions so salvage, the index fuzzer and the
+		// differential unpack harness start inside their error paths.
 		chunked := classpack.DefaultOptions()
 		chunked.ChunkClasses = 2
 		packedV3, err := classpack.Pack(raw, &chunked)
 		if err != nil {
 			return err
 		}
-		for _, target := range []string{"FuzzUnpack", "FuzzSalvage", "FuzzChunkIndex"} {
+		for _, target := range []string{"FuzzUnpack", "FuzzUnpackStream", "FuzzSalvage", "FuzzChunkIndex"} {
 			if err := corpusFile("testdata/fuzz/"+target, "seed-"+profile+"-v3", packedV3); err != nil {
 				return err
 			}
@@ -139,18 +142,22 @@ func run() error {
 		for i := 0; i < 4; i++ {
 			mut := planV3.Next(len(packedV3)).Apply(packedV3)
 			name := fmt.Sprintf("seed-%s-v3-fault%d", profile, i)
-			if err := corpusFile("testdata/fuzz/FuzzSalvage", name, mut); err != nil {
-				return err
+			for _, target := range []string{"FuzzSalvage", "FuzzUnpackStream"} {
+				if err := corpusFile("testdata/fuzz/"+target, name, mut); err != nil {
+					return err
+				}
 			}
 		}
 		flip := faultinject.BitFlip{Off: len(packedV3) - 10, Bit: 1}
-		if err := corpusFile("testdata/fuzz/FuzzChunkIndex",
-			"seed-"+profile+"-v3-footer", flip.Apply(packedV3)); err != nil {
-			return err
-		}
-		if err := corpusFile("testdata/fuzz/FuzzChunkIndex",
-			"seed-"+profile+"-v3-trunc", packedV3[:len(packedV3)-7]); err != nil {
-			return err
+		for _, target := range []string{"FuzzChunkIndex", "FuzzUnpackStream"} {
+			if err := corpusFile("testdata/fuzz/"+target,
+				"seed-"+profile+"-v3-footer", flip.Apply(packedV3)); err != nil {
+				return err
+			}
+			if err := corpusFile("testdata/fuzz/"+target,
+				"seed-"+profile+"-v3-trunc", packedV3[:len(packedV3)-7]); err != nil {
+				return err
+			}
 		}
 
 		// FuzzDelta: a real CJPD patch between the chunked archive and a
@@ -186,11 +193,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := corpusFile("testdata/fuzz/FuzzSalvage", "seed-"+profile+"-v1", legacy); err != nil {
-			return err
-		}
-		if err := corpusFile("testdata/fuzz/FuzzUnpack", "seed-"+profile+"-v1", legacy); err != nil {
-			return err
+		for _, target := range []string{"FuzzSalvage", "FuzzUnpack", "FuzzUnpackStream"} {
+			if err := corpusFile("testdata/fuzz/"+target, "seed-"+profile+"-v1", legacy); err != nil {
+				return err
+			}
 		}
 
 		// FuzzJazzDecode: the §9 Jazz competitor's own wire format.

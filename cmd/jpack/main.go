@@ -459,7 +459,7 @@ func cmdUnpack(args []string) error {
 	}
 	if jarOut != "" {
 		start := time.Now()
-		jar, err := classpack.UnpackToJarN(data, j)
+		jar, err := classpack.UnpackToJarOpts(data, &classpack.Options{Concurrency: j})
 		if err != nil {
 			return err
 		}
@@ -473,7 +473,7 @@ func cmdUnpack(args []string) error {
 		return nil
 	}
 	start := time.Now()
-	out, err := classpack.UnpackN(data, j)
+	out, err := classpack.UnpackOpts(data, &classpack.Options{Concurrency: j})
 	if err != nil {
 		return err
 	}

@@ -93,8 +93,8 @@ func TestCheckedArchiveDeterministicAcrossConcurrency(t *testing.T) {
 		} else if !bytes.Equal(packed, want) {
 			t.Fatalf("Concurrency=%d: checked archive differs from serial archive", j)
 		}
-		if _, err := UnpackN(packed, j); err != nil {
-			t.Fatalf("UnpackN(j=%d) of checked archive: %v", j, err)
+		if _, err := UnpackOpts(packed, &Options{Concurrency: j}); err != nil {
+			t.Fatalf("UnpackOpts(j=%d) of checked archive: %v", j, err)
 		}
 	}
 }

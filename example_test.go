@@ -1,6 +1,7 @@
 package classpack_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -47,17 +48,17 @@ func ExamplePack() {
 	// Adder.class
 }
 
-func ExampleUnpackEach() {
+func ExampleUnpackStream() {
 	packed, err := classpack.Pack(compileDemo(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Classes stream out one at a time, in archive order (§11: an eager
 	// loader can define each one as it arrives).
-	err = classpack.UnpackEach(packed, func(f classpack.File) error {
+	err = classpack.UnpackStream(bytes.NewReader(packed), func(f classpack.File) error {
 		fmt.Println("arrived:", f.Name)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

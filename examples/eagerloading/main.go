@@ -5,12 +5,19 @@
 //
 // This example compiles an inheritance-heavy program, orders the classes
 // superclass-first with classpack.OrderForEagerLoading, packs them, and
-// then streams the archive with classpack.UnpackEach: as each class is
+// then streams the archive with classpack.UnpackStream: as each class is
 // decoded it is immediately "defined" into the embedded interpreter, and
 // the program starts the moment everything is resident.
+//
+// UnpackStream is one of classpack's five decode calls. Unpack and
+// UnpackOpts return every class at once, UnpackToJar and UnpackToJarOpts
+// rebuild a jar, and UnpackStream reads an io.Reader and hands over each
+// class the moment it is decoded; the Opts forms and UnpackStream take
+// options (workers and resource caps), and nil means the defaults.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -81,12 +88,12 @@ func main() {
 	}
 	fmt.Printf("\npacked archive: %d bytes\n\n", len(packed))
 
-	// Stream-decode: UnpackEach hands over each class the moment it is
+	// Stream-decode: UnpackStream hands over each class the moment it is
 	// complete, so the loader never needs the whole archive in memory.
 	var loaded []*classfile.ClassFile
 	defined := map[string]bool{"java/lang/Object": true}
 	fmt.Println("eager loading as classes arrive:")
-	err = classpack.UnpackEach(packed, func(f classpack.File) error {
+	err = classpack.UnpackStream(bytes.NewReader(packed), func(f classpack.File) error {
 		cf, err := classfile.Parse(f.Data)
 		if err != nil {
 			return err
@@ -101,7 +108,7 @@ func main() {
 		loaded = append(loaded, cf)
 		fmt.Printf("  defined %-14s (%d classes resident)\n", cf.ThisClassName(), len(loaded))
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 
 	"classpack/internal/bytecode"
@@ -14,8 +16,12 @@ import (
 	"classpack/internal/strip"
 )
 
-// sHeader names the fixed archive header in corrupt errors.
-const sHeader = "header"
+// Section names of the fixed archive header, and of an archive read
+// whole from a stream or reader, in corrupt errors.
+const (
+	sHeader    = "header"
+	sContainer = "container"
+)
 
 // DefaultMaxClassCount is the class-count cap applied when UnpackOpts
 // does not choose one.
@@ -43,14 +49,8 @@ type UnpackOpts struct {
 // is byte-for-byte the stripped input of Pack regardless of worker
 // count.
 func Unpack(data []byte) ([]*classfile.ClassFile, error) {
-	return UnpackN(data, 0)
-}
-
-// UnpackN is Unpack with an explicit worker bound for stream
-// decompression (0 = all cores, 1 = serial).
-func UnpackN(data []byte, concurrency int) ([]*classfile.ClassFile, error) {
 	var out []*classfile.ClassFile
-	err := UnpackStreamOpts(data, UnpackOpts{Concurrency: concurrency}, func(cf *classfile.ClassFile) error {
+	err := UnpackStreamOpts(data, UnpackOpts{}, func(cf *classfile.ClassFile) error {
 		out = append(out, cf)
 		return nil
 	})
@@ -60,25 +60,14 @@ func UnpackN(data []byte, concurrency int) ([]*classfile.ClassFile, error) {
 	return out, nil
 }
 
-// UnpackStream decodes the archive sequentially, invoking visit as each
-// class becomes complete — the wire format is sequential (§2), so an eager
-// class loader (§11) can define classes as they arrive instead of caching
-// the archive. A visit error aborts decoding and is returned verbatim.
-func UnpackStream(data []byte, visit func(*classfile.ClassFile) error) error {
-	return UnpackStreamN(data, 0, visit)
-}
-
-// UnpackStreamN is UnpackStream with an explicit worker bound for the
-// up-front stream decompression (0 = all cores, 1 = serial). Class
-// decoding itself stays sequential: reference pools are stateful, so
-// each class's references depend on every class before it.
-func UnpackStreamN(data []byte, concurrency int, visit func(*classfile.ClassFile) error) error {
-	return UnpackStreamOpts(data, UnpackOpts{Concurrency: concurrency}, visit)
-}
-
-// UnpackStreamOpts is UnpackStream with explicit decode options. Any
-// failure caused by the archive bytes (as opposed to a visit error) is
-// a *corrupt.Error or wraps one.
+// UnpackStreamOpts decodes the archive sequentially, invoking visit as
+// each class becomes complete — the wire format is sequential (§2), so
+// an eager class loader (§11) can define classes as they arrive instead
+// of caching the archive. Stream decompression fans out over
+// o.Concurrency workers first; class decoding itself stays sequential,
+// because reference pools are stateful. A visit error aborts decoding
+// and stays in the returned error's chain for errors.Is; any failure
+// caused by the archive bytes is a *corrupt.Error or wraps one.
 func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
 	opts, err := header(data)
 	if err != nil {
@@ -88,7 +77,7 @@ func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile
 	// data, v2 verifies per-stream and trailer CRC32Cs before decoding,
 	// v3 is a sequence of checked chunks plus a trailing class index.
 	if data[4] == Version3 {
-		return unpackV3(data, o, visit)
+		return unpackChunks(&chunkWalker{data: data, pos: 6}, opts, o, visit)
 	}
 	_, err = DecodeChunk(opts, data[6:], data[4] != Version1, o, func(ord int, cf *classfile.ClassFile) error {
 		return visit(cf)
@@ -183,7 +172,43 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 		u.decs[i], _ = refs.NewDecoder(opts.Scheme)
 		u.members[i] = make(map[string]ir.MemberRef)
 	}
+	if opts.Preload {
+		preloadUnpacker(u)
+	}
 	return u
+}
+
+// decodeClasses is the class loop of every container body: it reads the
+// declared class count, holds it to the class cap, then decodes the
+// classes in order and hands each to visit with its ordinal. It returns
+// the declared count, or -1 when the count was unreadable or over the
+// cap. A decode failure comes back as a corrupt error naming the class
+// it hit; a visit error stops the loop and comes back as it is.
+func (u *unpacker) decodeClasses(o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int, error) {
+	count, err := u.meta.Uint()
+	if err != nil {
+		return -1, fmt.Errorf("core: class count: %w", err)
+	}
+	if maxClasses := EffectiveMaxClasses(o); count > uint64(maxClasses) {
+		return -1, corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
+	}
+	for i := 0; i < int(count); i++ {
+		cf, err := u.class()
+		if err != nil {
+			err = fmt.Errorf("core: unpack class %d: %w", i, err)
+			if _, ok := corrupt.As(err); !ok {
+				// Failures that no one stream carries, such as a decoded
+				// descriptor that does not parse, are charged to int.meta,
+				// as salvage charges them.
+				err = corrupt.New(sMeta, -1, err)
+			}
+			return int(count), err
+		}
+		if err := visit(i, cf); err != nil {
+			return int(count), err
+		}
+	}
+	return int(count), nil
 }
 
 // className memoizes ir.KeyToClassName, which joins package and simple
@@ -229,11 +254,26 @@ func (u *unpacker) fieldInfoType(desc string) (classfile.Type, error) {
 	return t, nil
 }
 
+// decodeRef decodes one reference from pool's stream. The reference
+// decoders read it as a plain varint.ByteReader, so a varint or range
+// code inside one that does not parse comes back as a plain error; it is
+// damage to that stream.
+func (u *unpacker) decodeRef(pool poolID, ctx int) (key string, isNew, transient bool, err error) {
+	s := u.r.Stream(refStream(pool))
+	key, isNew, transient, err = u.decs[pool].Decode(s, ctx)
+	if err != nil {
+		if _, ok := corrupt.As(err); !ok {
+			err = corrupt.New(s.Name(), -1, err)
+		}
+	}
+	return key, isNew, transient, err
+}
+
 // strRef decodes a reference in a pool whose objects are plain strings.
 // The defined string is an owned copy (string(raw)), never an alias of
 // the decoded stream buffer, so pool entries cannot pin stream memory.
 func (u *unpacker) strRef(pool poolID, cat strCat) (string, error) {
-	key, isNew, transient, err := u.decs[pool].Decode(u.r.Stream(refStream(pool)), 0)
+	key, isNew, transient, err := u.decodeRef(pool, 0)
 	if err != nil {
 		return "", err
 	}
@@ -265,7 +305,7 @@ func (u *unpacker) stringConstRef() (string, error) {
 
 // classRef decodes a class/primitive/array type reference.
 func (u *unpacker) classRef() (ir.ClassKey, error) {
-	key, isNew, transient, err := u.decs[poolClass].Decode(u.r.Stream(refStream(poolClass)), 0)
+	key, isNew, transient, err := u.decodeRef(poolClass, 0)
 	if err != nil {
 		return ir.ClassKey{}, err
 	}
@@ -307,7 +347,7 @@ func (u *unpacker) classRef() (ir.ClassKey, error) {
 
 // sigRef decodes a signature reference.
 func (u *unpacker) sigRef() (ir.Signature, error) {
-	key, isNew, transient, err := u.decs[poolSig].Decode(u.r.Stream(refStream(poolSig)), 0)
+	key, isNew, transient, err := u.decodeRef(poolSig, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +396,7 @@ func (u *unpacker) memberRef(use opUse, ctx int) (ir.MemberRef, error) {
 	case useInterface:
 		pool, kind = poolMethodInterface, classfile.KindInterfaceMethodref
 	}
-	key, isNew, transient, err := u.decs[pool].Decode(u.r.Stream(refStream(pool)), ctx)
+	key, isNew, transient, err := u.decodeRef(pool, ctx)
 	if err != nil {
 		return ir.MemberRef{}, err
 	}
@@ -401,8 +441,7 @@ func (u *unpacker) readF32() (float32, error) {
 	if err != nil {
 		return 0, err
 	}
-	bits := uint32(raw[0])<<24 | uint32(raw[1])<<16 | uint32(raw[2])<<8 | uint32(raw[3])
-	return math.Float32frombits(bits), nil
+	return math.Float32frombits(binary.BigEndian.Uint32(raw)), nil
 }
 
 func (u *unpacker) readF64() (float64, error) {
@@ -410,9 +449,5 @@ func (u *unpacker) readF64() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var bits uint64
-	for _, b := range raw {
-		bits = bits<<8 | uint64(b)
-	}
-	return math.Float64frombits(bits), nil
+	return math.Float64frombits(binary.BigEndian.Uint64(raw)), nil
 }

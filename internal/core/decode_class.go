@@ -60,7 +60,7 @@ type dInsn struct {
 }
 
 type dCode struct {
-	maxStack, maxLocals int
+	maxStack, maxLocals uint16
 	handlers            []dHandler
 	codeLen             int
 	insns               []dInsn
@@ -87,11 +87,11 @@ func checkCount(n uint64, what string) (int, error) {
 
 func (u *unpacker) class() (*classfile.ClassFile, error) {
 	u.insnArena, u.codeArena = u.insnArena[:0], u.codeArena[:0]
-	minor, err := u.meta.Uint()
+	minor, err := u2(u.meta, "minor_version")
 	if err != nil {
 		return nil, err
 	}
-	major, err := u.meta.Uint()
+	major, err := u2(u.meta, "major_version")
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func (u *unpacker) class() (*classfile.ClassFile, error) {
 			return nil, err
 		}
 	}
-	return u.build(uint16(minor), uint16(major), flags, this, super, ifaces, inner, fields, methods)
+	return u.build(minor, major, flags, this, super, ifaces, inner, fields, methods)
 }
 
 func (u *unpacker) innerEntry() (dInner, error) {
@@ -236,7 +236,7 @@ func (u *unpacker) constValue(t classfile.Type) (dConst, error) {
 	case classfile.KindString:
 		c.s, err = u.stringConstRef()
 	default:
-		err = fmt.Errorf("core: field type %s cannot carry a constant", t)
+		err = corrupt.Errorf(sMeta, -1, "field type %s cannot carry a constant", t)
 	}
 	return c, err
 }
@@ -278,15 +278,13 @@ func (u *unpacker) method() (dMethod, error) {
 func (u *unpacker) code() (*dCode, error) {
 	c := &dCode{}
 	maxes := u.r.Stream(sMaxes)
-	v, err := maxes.Uint()
-	if err != nil {
+	var err error
+	if c.maxStack, err = u2(maxes, "max_stack"); err != nil {
 		return nil, err
 	}
-	c.maxStack = int(v)
-	if v, err = maxes.Uint(); err != nil {
+	if c.maxLocals, err = u2(maxes, "max_locals"); err != nil {
 		return nil, err
 	}
-	c.maxLocals = int(v)
 	nHandlersRaw, err := u.meta.Uint()
 	if err != nil {
 		return nil, err
@@ -301,7 +299,7 @@ func (u *unpacker) code() (*dCode, error) {
 	for i := range c.handlers {
 		h := &c.handlers[i]
 		for _, p := range []*int{&h.start, &h.end, &h.handler} {
-			v, err := hs.Uint()
+			v, err := u2(hs, "handler pc")
 			if err != nil {
 				return nil, err
 			}
@@ -319,7 +317,8 @@ func (u *unpacker) code() (*dCode, error) {
 		}
 		handlerOffsets = append(handlerOffsets, h.handler)
 	}
-	if v, err = u.meta.Uint(); err != nil {
+	v, err := u.meta.Uint()
+	if err != nil {
 		return nil, err
 	}
 	// Bound before narrowing to int, so a 64-bit length can neither
@@ -351,7 +350,7 @@ func (u *unpacker) code() (*dCode, error) {
 		pos = next
 	}
 	if pos != c.codeLen {
-		return nil, fmt.Errorf("core: instructions end at %d, code length %d", pos, c.codeLen)
+		return nil, corrupt.Errorf(sOpcodes, -1, "instructions end at %d, code length %d", pos, c.codeLen)
 	}
 	end := len(u.insnArena)
 	c.insns = u.insnArena[start:end:end]
@@ -399,7 +398,7 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		di.in.Op = op
 		ldcKind = kind
 	} else if int(wire) >= numWireOps {
-		return di, 0, fmt.Errorf("core: invalid wire opcode 0x%02x", wireByte)
+		return di, 0, corrupt.Errorf(sOpcodes, -1, "invalid wire opcode 0x%02x", wireByte)
 	} else if sim != nil {
 		di.in.Op = sim.SourceOp(wire)
 	} else {
@@ -558,13 +557,27 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 			di.in.Targets[i] = pos + rel
 		}
 	default:
-		return di, 0, fmt.Errorf("core: cannot unpack opcode %s", di.in.Op)
+		return di, 0, corrupt.Errorf(sOpcodes, -1, "cannot unpack opcode %s", di.in.Op)
 	}
 
 	if sim != nil {
 		sim.StepInfo(&di.in, info)
 	}
 	return di, pos + di.in.Size(), nil
+}
+
+// u2 reads an unsigned value that the class file stores as a u2 field.
+// build would narrow a wider value into a plausible wrong one, so it is
+// corrupt here.
+func u2(s *streams.RStream, field string) (uint16, error) {
+	v, err := s.Uint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxUint16 {
+		return 0, corrupt.Errorf(s.Name(), -1, "%s %d does not fit u2", field, v)
+	}
+	return uint16(v), nil
 }
 
 // signed reads a zigzag operand that the class file stores as a signed
@@ -681,7 +694,7 @@ func (u *unpacker) cpOperand(di *dInsn, ctx int, info *stackstate.OpInfo) error 
 		di.class, err = u.classRef()
 		return err
 	default:
-		return fmt.Errorf("core: unexpected constant-pool instruction %s", di.in.Op)
+		return corrupt.Errorf(sOpcodes, -1, "unexpected constant-pool instruction %s", di.in.Op)
 	}
 	if err != nil {
 		return err
@@ -771,8 +784,8 @@ func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.Class
 		member := b.AddMethod(uint16(m.flags), m.name, ir.SignatureToDescriptor(m.sig))
 		if m.code != nil {
 			attr := &classfile.CodeAttr{
-				MaxStack:  uint16(m.code.maxStack),
-				MaxLocals: uint16(m.code.maxLocals),
+				MaxStack:  m.code.maxStack,
+				MaxLocals: m.code.maxLocals,
 			}
 			start := len(u.codeArena)
 			for i := range m.code.insns {

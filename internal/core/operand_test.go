@@ -11,8 +11,9 @@ import (
 	"classpack/internal/streams"
 )
 
-// packMethod packs a one-class archive whose only method is emit's code.
-func packMethod(t *testing.T, emit func(a *bytecode.Assembler)) []byte {
+// packMethod packs a one-class archive whose only method is emit's code,
+// with the given exception handlers.
+func packMethod(t *testing.T, emit func(a *bytecode.Assembler), handlers ...classfile.ExceptionHandler) []byte {
 	t.Helper()
 	b := classfile.NewBuilder("p/C", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
 	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "(I)V")
@@ -22,7 +23,7 @@ func packMethod(t *testing.T, emit func(a *bytecode.Assembler)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 8, Code: code})
+	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 8, Code: code, Handlers: handlers})
 	cf, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +101,10 @@ func setVarint(t *testing.T, i int, v int64, signed bool) func([]byte) []byte {
 }
 
 // TestOutOfRangeOperandsAreCorrupt crafts archives whose CRCs are valid
-// but whose immediates, branch and switch operands do not fit the
-// class-file fields they decode into. Each must unpack to a CorruptError
-// naming the stream, never to a silently truncated instruction.
+// but whose immediates, branch and switch operands, version numbers,
+// max_stack/max_locals or handler pcs do not fit the class-file fields
+// they decode into. Each must unpack to a CorruptError naming the
+// stream, never to a silently truncated value.
 func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 	bipush := func(a *bytecode.Assembler) { a.SByte(5); a.Op(bytecode.Pop); a.Op(bytecode.Return) }
 	sipush := func(a *bytecode.Assembler) { a.SShort(1000); a.Op(bytecode.Pop); a.Op(bytecode.Return) }
@@ -126,6 +128,11 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 		a.Bind(l)
 		a.Op(bytecode.Return)
 	}
+	ret := func(a *bytecode.Assembler) { a.Op(bytecode.Return) }
+	// pc 0 nop, pc 1 return, pc 2 athrow; rows that edit the handler
+	// stream pack it with a handler covering [0,1) that starts at 2.
+	guarded := func(a *bytecode.Assembler) { a.Op(bytecode.Nop); a.Op(bytecode.Return); a.Op(bytecode.Athrow) }
+	handler := classfile.ExceptionHandler{StartPC: 0, EndPC: 1, HandlerPC: 2}
 	cases := []struct {
 		name   string
 		emit   func(*bytecode.Assembler)
@@ -147,10 +154,22 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 		{"lookupswitch key wraps int32", lookup, sSwitch, setVarint(t, 2, math.MaxInt32-2, true)},
 		{"lookupswitch repeated key", lookup, sSwitch, setVarint(t, 3, 0, false)},
 		{"lookupswitch target 1<<32", lookup, sSwitch, setVarint(t, 4, 1<<32, true)},
+		// int.meta opens with the class count, then minor and major.
+		{"minor_version 1<<16", ret, sMeta, setVarint(t, 1, 1<<16, false)},
+		{"major_version 1<<16", ret, sMeta, setVarint(t, 2, 1<<16, false)},
+		{"max_stack 1<<16", ret, sMaxes, setVarint(t, 0, 1<<16, false)},
+		{"max_locals 1<<16", ret, sMaxes, setVarint(t, 1, 1<<16, false)},
+		{"handler start_pc 1<<16", guarded, sHandler, setVarint(t, 0, 1<<16, false)},
+		{"handler end_pc 1<<16", guarded, sHandler, setVarint(t, 1, 1<<16, false)},
+		{"handler handler_pc 1<<16", guarded, sHandler, setVarint(t, 2, 1<<16, false)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			packed := packMethod(t, c.emit)
+			var handlers []classfile.ExceptionHandler
+			if c.stream == sHandler {
+				handlers = append(handlers, handler)
+			}
+			packed := packMethod(t, c.emit, handlers...)
 			same := rewriteStream(t, packed, c.stream, func(raw []byte) []byte { return raw })
 			if _, err := Unpack(same); err != nil {
 				t.Fatalf("unedited rewrite does not unpack: %v", err)

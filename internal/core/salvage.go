@@ -3,7 +3,6 @@ package core
 import (
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
-	"classpack/internal/encoding/varint"
 	"classpack/internal/streams"
 )
 
@@ -79,30 +78,17 @@ type chunkSalvage struct {
 // class that reads damaged or inconsistent data.
 func salvageBody(opts Options, o UnpackOpts, body []byte, checked bool) chunkSalvage {
 	r, quarantined := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
-	cs := chunkSalvage{declared: -1, abortAt: -1, quarantined: quarantined, decoded: r.DecodedBytes()}
-	u := newUnpacker(opts, r)
-	if opts.Preload {
-		preloadUnpacker(u)
-	}
-	count, err := u.meta.Uint()
+	cs := chunkSalvage{abortAt: -1, quarantined: quarantined, decoded: r.DecodedBytes()}
+	var err error
+	cs.declared, err = newUnpacker(opts, r).decodeClasses(o, func(_ int, cf *classfile.ClassFile) error {
+		cs.classes = append(cs.classes, cf)
+		return nil
+	})
 	if err != nil {
 		cs.abort = asCorrupt(sMeta, err)
-		return cs
-	}
-	maxClasses := effectiveMaxClasses(o)
-	if count > uint64(maxClasses) {
-		cs.abort = corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
-		return cs
-	}
-	cs.declared = int(count)
-	for i := uint64(0); i < count; i++ {
-		cf, err := u.class()
-		if err != nil {
-			cs.abort = asCorrupt(sMeta, err)
-			cs.abortAt = int(i)
-			break
+		if cs.declared >= 0 {
+			cs.abortAt = len(cs.classes)
 		}
-		cs.classes = append(cs.classes, cf)
 	}
 	return cs
 }
@@ -126,7 +112,7 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 		return nil, err
 	}
 	if data[4] == Version3 {
-		return salvageV3(data, opts, o), nil
+		return salvageChunks(data, opts, o), nil
 	}
 	cs := salvageBody(opts, o, data[6:], data[4] != Version1)
 	res := &SalvageResult{
@@ -142,53 +128,23 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 	return res, nil
 }
 
-// salvageV3 walks the chunk framing sequentially — the framing, not the
-// index, drives recovery, so a destroyed index costs no classes — and
-// salvages each chunk in isolation. The shared decoded-bytes budget is
-// charged per chunk like Unpack does.
-func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
+// salvageChunks is the chunk walker's salvage policy. The framing, not
+// the index, drives recovery, so a destroyed index costs no classes:
+// each chunk is salvaged in isolation, a framing fault ends the walk as
+// container-level damage, and the index, when it parses, only supplies
+// the class total. The shared decoded-bytes budget and class cap are
+// charged per chunk as Unpack charges them.
+func salvageChunks(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 	res := &SalvageResult{Version: Version3, AbortClass: -1}
 	ix, ixErr := ReadIndex(data, o)
 	if ixErr != nil {
 		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
 	}
-	budget := effectiveBudget(o)
-	maxClasses := effectiveMaxClasses(o)
-	pos := 6
+	maxClasses := EffectiveMaxClasses(o)
 	declaredSum := 0
-	for ci := 0; ; ci++ {
-		v, w, err := varint.Uint(data[pos:])
-		if err != nil {
-			res.V3Damage = append(res.V3Damage,
-				V3Damage{Chunk: -1, Err: corrupt.Errorf(sChunks, int64(pos), "chunk %d length: %v", ci, err)})
-			break
-		}
-		pos += w
-		if v == 0 {
-			break
-		}
-		if v > uint64(len(data)-pos) {
-			res.V3Damage = append(res.V3Damage,
-				V3Damage{Chunk: -1, Err: corrupt.Errorf(sChunks, int64(pos), "chunk %d body truncated", ci)})
-			break
-		}
-		body := data[pos : pos+int(v)]
-		pos += int(v)
-		if budget < 1 {
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
-				Err: corrupt.TooLarge(sChunks, int64(pos), "decoded budget exhausted before chunk %d", ci)})
-			break
-		}
-		if len(res.Classes) >= maxClasses {
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
-				Err: corrupt.TooLarge(sChunks, int64(pos), "class cap %d reached before chunk %d", maxClasses, ci)})
-			break
-		}
-		co := o
-		co.MaxDecodedBytes = budget
-		co.MaxClassCount = maxClasses - len(res.Classes)
+	w := &chunkWalker{data: data, pos: 6}
+	err := w.walk(o, func(ci int, _ int64, body []byte, co UnpackOpts) (int64, int, error) {
 		cs := salvageBody(opts, co, body, true)
-		budget -= cs.decoded
 		for _, q := range cs.quarantined {
 			if q != cs.abort {
 				res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: q})
@@ -205,6 +161,10 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 			}
 			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: cs.abort, ClassesLost: lost})
 		}
+		return cs.decoded, len(cs.classes), nil
+	})
+	if err != nil {
+		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sChunks, err)})
 	}
 	total := declaredSum
 	if total > maxClasses {
@@ -232,7 +192,7 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 			// reads as the sentinel) yet the index counts more classes:
 			// report the premature end itself.
 			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
-				Err: corrupt.Errorf(sChunks, int64(pos), "chunk framing ends early: %d classes unaccounted for", un)})
+				Err: corrupt.Errorf(sChunks, w.pos, "chunk framing ends early: %d classes unaccounted for", un)})
 		}
 		res.V3Damage[len(res.V3Damage)-1].ClassesLost += un
 	}

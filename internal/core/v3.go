@@ -21,11 +21,16 @@
 // the class count followed by every class name (length-prefixed) in
 // archive order. The footer is fixed-width so a reader can find the
 // index from the end of the file with two reads.
+//
+// One chunkWriter writes this layout, for Pack and PackStream alike.
+// One chunkWalker reads the framing back, for strict unpack from memory
+// or from a stream and for salvage; ReadIndexAt alone parses the tail.
 package core
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -60,11 +65,12 @@ const (
 	idxStore byte = 1
 )
 
-// chunkBodySlack bounds how much larger than the remaining decode budget
-// a streamed chunk body may claim to be: encoded streams never exceed
-// their raw size (store is the fallback coding), so a valid body is at
-// most the decoded bytes plus directory overhead (names, varints, CRCs).
-const chunkBodySlack = 1 << 16
+// bodySlack is how much larger than the bytes it decodes to a valid
+// container body or index blob can be. Store is every coding's fallback,
+// and the index blob is stored when DEFLATE does not shrink it, so no
+// payload exceeds its decoded size; what remains is directory and
+// framing overhead (stream names, varints, CRCs, the footer).
+const bodySlack = 1 << 16
 
 // v3CRC is the CRC32C (Castagnoli) table for the index checksum, the
 // same polynomial the checked stream containers use.
@@ -136,39 +142,58 @@ func (ix *Index) Locate(name string) (chunk, ord int, ok bool) {
 	return chunk, g - ix.starts[chunk], true
 }
 
-// effectiveBudget resolves the decoded-bytes cap.
-func effectiveBudget(o UnpackOpts) int64 {
+// CheckChunk reports, as a corrupt error, a chunk that decoded to other
+// classes than the index lists for it: count is how many it held and
+// name(i) the i-th one's name. ci must be one of the index's chunks. It
+// allocates only on failure, so it is cheap enough for every extraction.
+func (ix *Index) CheckChunk(ci, count int, name func(i int) string) error {
+	if want := ix.Chunks[ci].Classes; count != want {
+		return corrupt.Errorf(sIndex, -1, "chunk %d holds %d classes, index says %d", ci, count, want)
+	}
+	first := ix.starts[ci]
+	for i := 0; i < count; i++ {
+		if n := name(i); n != ix.Names[first+i] {
+			return corrupt.Errorf(sIndex, -1, "chunk %d class %d is %q, index says %q", ci, i, n, ix.Names[first+i])
+		}
+	}
+	return nil
+}
+
+// EffectiveBudget resolves the decoded-bytes cap. The delta patch
+// decoder and the lazy archive share the container's limits.
+func EffectiveBudget(o UnpackOpts) int64 {
 	if o.MaxDecodedBytes <= 0 {
 		return streams.DefaultMaxDecodedBytes
 	}
 	return o.MaxDecodedBytes
 }
 
-// effectiveMaxClasses resolves the class-count cap.
-func effectiveMaxClasses(o UnpackOpts) int {
+// EffectiveMaxClasses resolves the class-count cap (see EffectiveBudget).
+func EffectiveMaxClasses(o UnpackOpts) int {
 	if o.MaxClassCount <= 0 {
 		return DefaultMaxClassCount
 	}
 	return o.MaxClassCount
 }
 
-// EffectiveBudget resolves the decoded-bytes cap for callers outside
-// the package; the delta patch decoder shares the container's limits.
-func EffectiveBudget(o UnpackOpts) int64 { return effectiveBudget(o) }
-
-// EffectiveMaxClasses resolves the class-count cap (see EffectiveBudget).
-func EffectiveMaxClasses(o UnpackOpts) int { return effectiveMaxClasses(o) }
+// chunkSize is the classes per version-3 chunk: ChunkClasses, or
+// DefaultChunkClasses when that is unset.
+func (o Options) chunkSize() int {
+	if o.ChunkClasses <= 0 {
+		return DefaultChunkClasses
+	}
+	return o.ChunkClasses
+}
 
 // packV3 encodes the version-3 layout. Chunks are mutually independent
 // (each starts from reset models), so chunk encoding itself fans out
-// over Options.Concurrency workers; the assembly order is fixed, so the
-// output is byte-identical for every worker count.
+// over Options.Concurrency workers; the chunk writer then frames the
+// bodies in archive order, so the output is byte-identical for every
+// worker count.
 func packV3(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
-	chunkN := opts.ChunkClasses
-	if chunkN <= 0 {
-		chunkN = DefaultChunkClasses
-	}
+	chunkN := opts.chunkSize()
 	numChunks := (len(cfs) + chunkN - 1) / chunkN
+	classes := func(i int) []*classfile.ClassFile { return cfs[i*chunkN : min((i+1)*chunkN, len(cfs))] }
 	// With several chunks in flight the per-chunk stream trial coding
 	// runs serial — nesting worker pools would oversubscribe — while a
 	// single-chunk archive keeps the full worker budget inside it.
@@ -180,61 +205,132 @@ func packV3(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	if err := par.Do(opts.Concurrency, numChunks, func(i int) error {
 		copts := opts
 		copts.Concurrency = inner
-		body, err := encodeMonolith(cfs[i*chunkN:min((i+1)*chunkN, len(cfs))], copts, Version2)
-		if err != nil {
-			return err
-		}
-		bodies[i] = body
-		return nil
+		var err error
+		bodies[i], err = encodeMonolith(classes(i), copts, Version2)
+		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	total := 6 + 1 + footerSize + 4
+	// Reserve the whole archive, tail included, so assembly never
+	// reallocates: each chunk adds a length prefix and an index entry of
+	// three varints, each class its name and the name's length.
+	size := 6 + 1 + 1 + 4*varint.MaxLen64 + 4 + footerSize
 	for _, b := range bodies {
-		total += len(b) + varint.MaxLen64
+		size += len(b) + 4*varint.MaxLen64
 	}
-	out := make([]byte, 0, total)
-	out = append(out, Magic[:]...)
-	out = append(out, Version3, encodeOptions(opts))
-	ix := &Index{ChunkClasses: chunkN, Chunks: make([]ChunkInfo, 0, numChunks)}
+	for _, cf := range cfs {
+		size += len(cf.ThisClassName()) + varint.MaxLen64
+	}
+	var out bytes.Buffer
+	out.Grow(size)
+	cw := newChunkWriter(&out, opts)
 	for i, body := range bodies {
-		out = varint.AppendUint(out, uint64(len(body)))
-		ix.Chunks = append(ix.Chunks, ChunkInfo{
-			Off:     int64(len(out)),
-			Len:     int64(len(body)),
-			Classes: min((i+1)*chunkN, len(cfs)) - i*chunkN,
-		})
-		out = append(out, body...)
+		cw.chunk(body, classes(i))
 	}
-	out = varint.AppendUint(out, 0)
-	ix.Names = make([]string, len(cfs))
-	for i, cf := range cfs {
-		ix.Names[i] = cf.ThisClassName()
+	if err := cw.close(); err != nil {
+		return nil, err
 	}
-	blob := encodeIndex(ix)
-	out = append(out, blob...)
-	out = appendCRC32(out, crc32.Checksum(blob, v3CRC))
-	out = appendU64BE(out, uint64(len(blob)))
-	return append(out, indexMagic[:]...), nil
+	return out.Bytes(), nil
 }
 
-func appendCRC32(out []byte, c uint32) []byte {
-	return append(out, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
+// PackStream encodes classfiles supplied one at a time by next (which
+// signals the end with io.EOF) into a version-3 archive written to w,
+// holding at most one chunk of classes in memory — the streaming
+// counterpart of Pack for inputs too large to materialize. The output
+// is byte-identical to Pack of the same classfiles with the same
+// ChunkClasses, for every Concurrency value.
+func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Options) error {
+	if !opts.Scheme.Decodable() {
+		return fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
+	}
+	cw := newChunkWriter(w, opts)
+	if cw.err != nil {
+		return cw.err
+	}
+	buf := make([]*classfile.ClassFile, 0, opts.chunkSize())
+	flush := func() error {
+		body, err := encodeMonolith(buf, opts, Version2)
+		if err != nil {
+			return err
+		}
+		err = cw.chunk(body, buf)
+		buf = buf[:0]
+		return err
+	}
+	for {
+		cf, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		buf = append(buf, cf)
+		if len(buf) == cap(buf) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	if len(buf) > 0 {
+		if err := flush(); err != nil {
+			return err
+		}
+	}
+	return cw.close()
 }
 
-func appendU64BE(out []byte, v uint64) []byte {
-	return append(out, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+// chunkWriter writes a version-3 archive: the header, then each chunk
+// framed as uvarint(len) ‖ body while its index entry is recorded, then
+// the tail. Like bufio.Writer it keeps the first write error: later
+// writes are skipped and every call returns it.
+type chunkWriter struct {
+	w      io.Writer
+	pos    int64 // bytes written so far: the next chunk's offset
+	ix     Index
+	prefix []byte // length-prefix scratch
+	err    error
 }
 
-func readU32BE(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+// newChunkWriter writes the 6-byte header to w.
+func newChunkWriter(w io.Writer, opts Options) *chunkWriter {
+	cw := &chunkWriter{w: w, ix: Index{ChunkClasses: opts.chunkSize()}}
+	cw.write(append(Magic[:], Version3, encodeOptions(opts)))
+	return cw
 }
 
-func readU64BE(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
+func (cw *chunkWriter) write(b []byte) {
+	if cw.err == nil {
+		_, cw.err = cw.w.Write(b)
+		cw.pos += int64(len(b))
+	}
+}
+
+// chunk writes one encoded chunk body and records its index entry and
+// the names of the classes it holds.
+func (cw *chunkWriter) chunk(body []byte, cfs []*classfile.ClassFile) error {
+	cw.prefix = varint.AppendUint(cw.prefix[:0], uint64(len(body)))
+	cw.write(cw.prefix)
+	cw.ix.Chunks = append(cw.ix.Chunks, ChunkInfo{Off: cw.pos, Len: int64(len(body)), Classes: len(cfs)})
+	cw.write(body)
+	for _, cf := range cfs {
+		cw.ix.Names = append(cw.ix.Names, cf.ThisClassName())
+	}
+	return cw.err
+}
+
+// close writes the tail: the end-of-chunks sentinel, the index blob,
+// its CRC32C, the blob length and the footer magic.
+func (cw *chunkWriter) close() error {
+	blob := encodeIndex(&cw.ix)
+	tail := make([]byte, 0, 1+len(blob)+4+footerSize)
+	tail = varint.AppendUint(tail, 0)
+	tail = append(tail, blob...)
+	tail = binary.BigEndian.AppendUint32(tail, crc32.Checksum(blob, v3CRC))
+	tail = binary.BigEndian.AppendUint64(tail, uint64(len(blob)))
+	cw.write(append(tail, indexMagic[:]...))
+	return cw.err
 }
 
 // encodeIndex serializes the index and wraps it in the blob framing
@@ -294,11 +390,14 @@ func ReadIndexAt(r io.ReaderAt, size int64, o UnpackOpts) (*Index, error) {
 	if !bytes.Equal(foot[8:12], indexMagic[:]) {
 		return nil, corrupt.Errorf(sFooter, size-4, "bad footer magic %q", foot[8:12])
 	}
-	blobLen := readU64BE(foot[:8])
+	blobLen := binary.BigEndian.Uint64(foot[:8])
 	// The blob sits between the header + at least one sentinel byte and
 	// its own CRC + footer.
 	if blobLen < 2 || blobLen > uint64(size-footerSize-4-7) {
 		return nil, corrupt.Errorf(sFooter, size-footerSize, "implausible index length %d for %d-byte archive", blobLen, size)
+	}
+	if err := CheckBuffered(int64(blobLen), EffectiveBudget(o), sFooter, size-footerSize); err != nil {
+		return nil, err
 	}
 	blobOff := size - footerSize - 4 - int64(blobLen)
 	buf := make([]byte, blobLen+4)
@@ -306,7 +405,7 @@ func ReadIndexAt(r io.ReaderAt, size int64, o UnpackOpts) (*Index, error) {
 		return nil, corrupt.Errorf(sIndex, blobOff, "reading index: %v", err)
 	}
 	blob := buf[:blobLen]
-	if got, want := crc32.Checksum(blob, v3CRC), readU32BE(buf[blobLen:]); got != want {
+	if got, want := crc32.Checksum(blob, v3CRC), binary.BigEndian.Uint32(buf[blobLen:]); got != want {
 		return nil, corrupt.Errorf(sIndex, blobOff, "index checksum %08x, want %08x", got, want)
 	}
 	raw, err := decodeIndexBlob(blob, o)
@@ -330,9 +429,9 @@ func decodeIndexBlob(blob []byte, o UnpackOpts) ([]byte, error) {
 		return nil, corrupt.Errorf(sIndex, 1, "index raw length: %v", err)
 	}
 	payload := blob[1+n:]
-	if rawLen > uint64(effectiveBudget(o)) {
+	if rawLen > uint64(EffectiveBudget(o)) {
 		return nil, corrupt.TooLarge(sIndex, 0,
-			"index declares %d decoded bytes, budget %d", rawLen, effectiveBudget(o))
+			"index declares %d decoded bytes, budget %d", rawLen, EffectiveBudget(o))
 	}
 	switch coding {
 	case idxStore:
@@ -384,7 +483,7 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 		return nil, corrupt.Errorf(sIndex, int64(pos),
 			"implausible chunk count %d for %d index bytes", numChunks, len(raw))
 	}
-	maxClasses := effectiveMaxClasses(o)
+	maxClasses := EffectiveMaxClasses(o)
 	ix := &Index{ChunkClasses: int(chunkClasses), Chunks: make([]ChunkInfo, 0, numChunks)}
 	minOff := int64(7) // header plus at least one length-prefix byte
 	totalClasses := 0
@@ -463,182 +562,174 @@ func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit fu
 	if err != nil {
 		return 0, err
 	}
-	u := newUnpacker(opts, r)
-	if opts.Preload {
-		preloadUnpacker(u)
-	}
-	count, err := u.meta.Uint()
-	if err != nil {
-		return r.DecodedBytes(), fmt.Errorf("core: class count: %w", err)
-	}
-	maxClasses := effectiveMaxClasses(o)
-	if count > uint64(maxClasses) {
-		return r.DecodedBytes(), corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
-	}
-	for i := uint64(0); i < count; i++ {
-		cf, err := u.class()
-		if err != nil {
-			return r.DecodedBytes(), fmt.Errorf("core: unpack class %d: %w", i, err)
-		}
-		if err := visit(int(i), cf); err != nil {
-			return r.DecodedBytes(), err
-		}
-	}
-	return r.DecodedBytes(), nil
+	_, err = newUnpacker(opts, r).decodeClasses(o, visit)
+	return r.DecodedBytes(), err
 }
 
-// unpackV3 sequentially decodes an in-memory version-3 archive: the
-// index is parsed (and so validated) first, then each chunk is decoded
-// in order and cross-checked against it — framing offsets, class counts
-// and class names must all agree. The decoded-bytes budget is shared
-// across chunks.
-func unpackV3(data []byte, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
-	opts, err := header(data)
-	if err != nil {
-		return err
+// chunkWalker reads the version-3 chunk framing, uvarint(len) ‖ body
+// repeated until uvarint(0). It reads either an in-memory archive, whose
+// bodies are sub-slices so nothing is copied, or a stream, whose bodies
+// are read one at a time. Its two policies are unpackChunks (strict) and
+// salvageChunks.
+type chunkWalker struct {
+	data []byte        // the whole archive; unused when br is set
+	br   *bufio.Reader // the stream after the header, or nil
+	pos  int64         // absolute offset of the next unread byte
+}
+
+// ReadByte reads one framing byte from either source and advances pos,
+// so varint.ReadUint can parse the length prefixes.
+func (w *chunkWalker) ReadByte() (byte, error) {
+	if w.br != nil {
+		c, err := w.br.ReadByte()
+		if err == nil {
+			w.pos++
+		}
+		return c, err
 	}
-	ix, err := ReadIndex(data, o)
-	if err != nil {
-		return err
+	if w.pos >= int64(len(w.data)) {
+		return 0, io.EOF
 	}
-	budget := effectiveBudget(o)
-	pos := 6
-	g := 0
-	for ci, ch := range ix.Chunks {
-		n, w, err := varint.Uint(data[pos:])
+	c := w.data[w.pos]
+	w.pos++
+	return c, nil
+}
+
+// walk reads the chunks in archive order and hands each to decode with
+// its ordinal, its absolute body offset, and o narrowed to what the
+// chunks before it left of the MaxDecodedBytes budget and the
+// MaxClassCount cap. decode reports the decoded bytes and classes to
+// charge. walk returns nil after the end-of-chunks sentinel, with pos at
+// the first byte of the tail; a *corrupt.Error at a framing fault or an
+// exhausted limit; and decode's first error as it is.
+func (w *chunkWalker) walk(o UnpackOpts, decode func(ci int, off int64, body []byte, co UnpackOpts) (int64, int, error)) error {
+	budget, classes := EffectiveBudget(o), EffectiveMaxClasses(o)
+	for ci := 0; ; ci++ {
+		at := w.pos
+		n, err := varint.ReadUint(w)
 		if err != nil {
-			return corrupt.Errorf(sChunks, int64(pos), "chunk %d length: %v", ci, err)
+			return corrupt.Errorf(sChunks, at, "chunk %d length: %v", ci, err)
 		}
-		pos += w
-		if int64(pos) != ch.Off || int64(n) != ch.Len {
-			return corrupt.Errorf(sIndex, int64(pos),
-				"index places chunk %d at [%d,+%d), framing says [%d,+%d)", ci, ch.Off, ch.Len, pos, n)
+		if n == 0 {
+			return nil
 		}
-		if n > uint64(len(data)-pos) {
-			return corrupt.Errorf(sChunks, int64(pos), "chunk %d body truncated", ci)
+		off := w.pos
+		var body []byte
+		if w.br == nil {
+			if n > uint64(len(w.data))-uint64(off) {
+				return corrupt.Errorf(sChunks, off, "chunk %d body truncated", ci)
+			}
+			body = w.data[off : off+int64(n)]
+		} else if body, err = ReadBounded(w.br, int64(min(n, math.MaxInt64)), budget, sChunks, off); err != nil {
+			// A streamed body is buffered before it decodes, so its claimed
+			// length is held to what the remaining budget can justify.
+			return fmt.Errorf("core: chunk %d body: %w", ci, err)
 		}
-		body := data[pos : pos+int(n)]
-		pos += int(n)
+		w.pos += int64(n)
 		if budget < 1 {
-			return corrupt.TooLarge(sChunks, int64(pos), "decoded budget exhausted before chunk %d", ci)
+			return corrupt.TooLarge(sChunks, w.pos, "decoded budget exhausted before chunk %d", ci)
+		}
+		if classes < 1 {
+			return corrupt.TooLarge(sChunks, w.pos, "class cap %d reached before chunk %d", EffectiveMaxClasses(o), ci)
 		}
 		co := o
-		co.MaxDecodedBytes = budget
-		decoded := 0
-		db, err := DecodeChunk(opts, body, true, co, func(ord int, cf *classfile.ClassFile) error {
-			if g+ord >= len(ix.Names) {
-				return corrupt.Errorf(sIndex, -1, "chunk %d decodes more classes than the index lists", ci)
-			}
-			if cf.ThisClassName() != ix.Names[g+ord] {
-				return corrupt.Errorf(sIndex, -1,
-					"chunk %d class %d is %q, index says %q", ci, ord, cf.ThisClassName(), ix.Names[g+ord])
-			}
-			decoded++
+		co.MaxDecodedBytes, co.MaxClassCount = budget, classes
+		decoded, count, err := decode(ci, off, body, co)
+		if err != nil {
+			return err
+		}
+		budget -= decoded
+		classes -= count
+	}
+}
+
+// index reads the tail after the end-of-chunks sentinel and parses it
+// with ReadIndexAt, requiring the index blob to start right there.
+func (w *chunkWalker) index(o UnpackOpts) (*Index, error) {
+	var tail []byte
+	if w.br == nil {
+		tail = w.data[w.pos:]
+	} else {
+		var err error
+		if tail, err = ReadBounded(w.br, -1, EffectiveBudget(o), sIndex, w.pos); err != nil {
+			return nil, err
+		}
+	}
+	ix, err := ReadIndexAt(tailReader{tail, w.pos}, w.pos+int64(len(tail)), o)
+	if err != nil {
+		return nil, err
+	}
+	if ix.blobOff != w.pos {
+		return nil, corrupt.Errorf(sChunks, w.pos, "%d stray bytes between chunks and index", ix.blobOff-w.pos)
+	}
+	return ix, nil
+}
+
+// tailReader serves an archive's tail at its absolute offsets, which
+// start at base, so ReadIndexAt parses a walked tail as it would a file.
+type tailReader struct {
+	tail []byte
+	base int64
+}
+
+func (t tailReader) ReadAt(p []byte, off int64) (int, error) {
+	if off < t.base {
+		return 0, corrupt.Errorf(sIndex, off, "index overlaps the chunks, which end at %d", t.base)
+	}
+	return bytes.NewReader(t.tail).ReadAt(p, off-t.base)
+}
+
+// unpackChunks is the walker's strict policy. Every chunk must decode
+// through DecodeChunk; then the tail, parsed by ReadIndexAt, must list
+// exactly the chunks walked — byte ranges, class counts and names — with
+// no stray bytes before the index. visit sees each class as it decodes,
+// before the index is checked.
+func unpackChunks(w *chunkWalker, opts Options, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
+	var walked []ChunkInfo
+	var names []string
+	err := w.walk(o, func(ci int, off int64, body []byte, co UnpackOpts) (int64, int, error) {
+		first := len(names)
+		decoded, err := DecodeChunk(opts, body, true, co, func(_ int, cf *classfile.ClassFile) error {
+			names = append(names, cf.ThisClassName())
 			return visit(cf)
 		})
 		if err != nil {
-			return fmt.Errorf("core: unpack chunk %d: %w", ci, err)
+			return 0, 0, fmt.Errorf("core: unpack chunk %d: %w", ci, err)
 		}
-		if decoded != ch.Classes {
-			return corrupt.Errorf(sIndex, -1, "chunk %d holds %d classes, index says %d", ci, decoded, ch.Classes)
+		walked = append(walked, ChunkInfo{Off: off, Len: int64(len(body)), Classes: len(names) - first})
+		return decoded, len(names) - first, nil
+	})
+	if err != nil {
+		return err
+	}
+	ix, err := w.index(o)
+	if err != nil {
+		return err
+	}
+	if len(ix.Chunks) != len(walked) {
+		return corrupt.Errorf(sIndex, -1, "index lists %d chunks, archive holds %d", len(ix.Chunks), len(walked))
+	}
+	for ci, ch := range walked {
+		if got := ix.Chunks[ci]; got.Off != ch.Off || got.Len != ch.Len {
+			return corrupt.Errorf(sIndex, -1,
+				"index places chunk %d at [%d,+%d), framing says [%d,+%d)", ci, got.Off, got.Len, ch.Off, ch.Len)
 		}
-		g += decoded
-		budget -= db
-	}
-	n, w, err := varint.Uint(data[pos:])
-	if err != nil || n != 0 {
-		return corrupt.Errorf(sChunks, int64(pos), "missing end-of-chunks sentinel")
-	}
-	pos += w
-	if int64(pos) != ix.blobOff {
-		return corrupt.Errorf(sChunks, int64(pos), "%d stray bytes between chunks and index", ix.blobOff-int64(pos))
+		first := ix.Start(ci)
+		if err := ix.CheckChunk(ci, ch.Classes, func(i int) string { return names[first+i] }); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// PackStream encodes classfiles supplied one at a time by next (which
-// signals the end with io.EOF) into a version-3 archive written to w,
-// holding at most one chunk of classes in memory — the streaming
-// counterpart of Pack for inputs too large to materialize. The output
-// is byte-identical to Pack of the same classfiles with the same
-// ChunkClasses, for every Concurrency value.
-func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Options) error {
-	if !opts.Scheme.Decodable() {
-		return fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
-	}
-	chunkN := opts.ChunkClasses
-	if chunkN <= 0 {
-		chunkN = DefaultChunkClasses
-	}
-	hdr := append(append([]byte{}, Magic[:]...), Version3, encodeOptions(opts))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	ix := &Index{ChunkClasses: chunkN}
-	pos := int64(6)
-	var scratch []byte
-	buf := make([]*classfile.ClassFile, 0, chunkN)
-	flush := func() error {
-		body, err := encodeMonolith(buf, opts, Version2)
-		if err != nil {
-			return err
-		}
-		scratch = varint.AppendUint(scratch[:0], uint64(len(body)))
-		if _, err := w.Write(scratch); err != nil {
-			return err
-		}
-		pos += int64(len(scratch))
-		ix.Chunks = append(ix.Chunks, ChunkInfo{Off: pos, Len: int64(len(body)), Classes: len(buf)})
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-		pos += int64(len(body))
-		for _, cf := range buf {
-			ix.Names = append(ix.Names, cf.ThisClassName())
-		}
-		buf = buf[:0]
-		return nil
-	}
-	for {
-		cf, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		buf = append(buf, cf)
-		if len(buf) == chunkN {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if len(buf) > 0 {
-		if err := flush(); err != nil {
-			return err
-		}
-	}
-	var tail []byte
-	tail = varint.AppendUint(tail, 0)
-	blob := encodeIndex(ix)
-	tail = append(tail, blob...)
-	tail = appendCRC32(tail, crc32.Checksum(blob, v3CRC))
-	tail = appendU64BE(tail, uint64(len(blob)))
-	tail = append(tail, indexMagic[:]...)
-	_, err := w.Write(tail)
-	return err
-}
-
 // UnpackReader decodes an archive from a plain io.Reader, invoking
-// visit as each class completes. For a version-3 archive it works
-// chunk-at-a-time off the length-prefix framing, holding one chunk in
-// memory, and verifies the trailing index (checksum, framing, names)
-// after the last chunk; version-1/2 archives have no internal framing,
-// so they are buffered whole and decoded in place. Failures caused by
-// the archive bytes are *corrupt.Error values; I/O failures of r
-// surface as corruption too, since a short read from an archive source
-// is indistinguishable from truncation.
+// visit as each class completes. A version-3 archive goes through the
+// same strict chunk walk as an in-memory one, holding one chunk in
+// memory at a time; version-1/2 archives have no internal framing, so
+// they are buffered whole and decoded in place. Failures caused by the
+// archive bytes are *corrupt.Error values; I/O failures of r surface as
+// corruption too, since a short read from an archive source is
+// indistinguishable from truncation.
 func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
 	br := bufio.NewReader(r)
 	var hdr [6]byte
@@ -650,131 +741,49 @@ func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) er
 		return err
 	}
 	if hdr[4] != Version3 {
-		rest, err := io.ReadAll(br)
+		data, err := ReadBounded(io.MultiReader(bytes.NewReader(hdr[:]), br), -1, EffectiveBudget(o), sContainer, 0)
 		if err != nil {
-			return corrupt.Errorf(sHeader, 6, "reading archive: %v", err)
+			return err
 		}
-		return UnpackStreamOpts(append(hdr[:], rest...), o, visit)
+		return UnpackStreamOpts(data, o, visit)
 	}
-	budget := effectiveBudget(o)
-	maxClasses := effectiveMaxClasses(o)
-	pos := int64(6)
-	classes := 0
-	var names []string
-	var observed []ChunkInfo
-	for ci := 0; ; ci++ {
-		n, w, err := readUvarint(br)
-		if err != nil {
-			return corrupt.Errorf(sChunks, pos, "chunk %d length: %v", ci, err)
-		}
-		pos += int64(w)
-		if n == 0 {
-			break
-		}
-		if budget < 1 || n > uint64(budget)+chunkBodySlack {
-			return corrupt.TooLarge(sChunks, pos,
-				"chunk %d claims %d bytes against a remaining decode budget of %d", ci, n, budget)
-		}
-		body, err := readBody(br, int64(n))
-		if err != nil {
-			return corrupt.Errorf(sChunks, pos, "chunk %d body: %v", ci, err)
-		}
-		off := pos
-		pos += int64(n)
-		if classes >= maxClasses {
-			return corrupt.TooLarge(sChunks, pos, "class cap %d reached before chunk %d", maxClasses, ci)
-		}
-		co := o
-		co.MaxDecodedBytes = budget
-		co.MaxClassCount = maxClasses - classes
-		count := 0
-		db, err := DecodeChunk(opts, body, true, co, func(ord int, cf *classfile.ClassFile) error {
-			count++
-			names = append(names, cf.ThisClassName())
-			return visit(cf)
-		})
-		if err != nil {
-			return fmt.Errorf("core: unpack chunk %d: %w", ci, err)
-		}
-		classes += count
-		budget -= db
-		observed = append(observed, ChunkInfo{Off: off, Len: int64(n), Classes: count})
-	}
-	tail, err := io.ReadAll(br)
-	if err != nil {
-		return corrupt.Errorf(sIndex, pos, "reading index: %v", err)
-	}
-	if len(tail) < footerSize+4+2 {
-		return corrupt.Errorf(sFooter, pos, "archive ends without a version-3 footer")
-	}
-	foot := tail[len(tail)-footerSize:]
-	if !bytes.Equal(foot[8:12], indexMagic[:]) {
-		return corrupt.Errorf(sFooter, pos+int64(len(tail))-4, "bad footer magic %q", foot[8:12])
-	}
-	if got := readU64BE(foot[:8]); got != uint64(len(tail)-footerSize-4) {
-		return corrupt.Errorf(sFooter, pos, "footer declares a %d-byte index, %d present", got, len(tail)-footerSize-4)
-	}
-	blob := tail[:len(tail)-footerSize-4]
-	if got, want := crc32.Checksum(blob, v3CRC), readU32BE(tail[len(blob):]); got != want {
-		return corrupt.Errorf(sIndex, pos, "index checksum %08x, want %08x", got, want)
-	}
-	raw, err := decodeIndexBlob(blob, o)
-	if err != nil {
-		return err
-	}
-	ix, err := parseIndexRaw(raw, pos-1, o)
-	if err != nil {
-		return err
-	}
-	if len(ix.Chunks) != len(observed) || len(ix.Names) != len(names) {
-		return corrupt.Errorf(sIndex, -1,
-			"index lists %d chunks / %d classes, archive held %d / %d",
-			len(ix.Chunks), len(ix.Names), len(observed), len(names))
-	}
-	for i, ch := range ix.Chunks {
-		if ch != observed[i] {
-			return corrupt.Errorf(sIndex, -1,
-				"index places chunk %d at [%d,+%d) with %d classes, archive held [%d,+%d) with %d",
-				i, ch.Off, ch.Len, ch.Classes, observed[i].Off, observed[i].Len, observed[i].Classes)
-		}
-	}
-	for i, n := range ix.Names {
-		if n != names[i] {
-			return corrupt.Errorf(sIndex, -1, "index names class %d %q, archive decoded %q", i, n, names[i])
-		}
+	return unpackChunks(&chunkWalker{br: br, pos: 6}, opts, o, visit)
+}
+
+// CheckBuffered reports a length n that a reader would have to buffer
+// before decoding, past the decode budget plus bodySlack, as a
+// *corrupt.Error at stream and off that wraps ErrTooLarge.
+func CheckBuffered(n, budget int64, stream string, off int64) error {
+	if n-bodySlack > budget {
+		return corrupt.TooLarge(stream, off, "%d bytes to buffer against a decode budget of %d", n, budget)
 	}
 	return nil
 }
 
-// readUvarint reads an unsigned varint byte-by-byte.
-func readUvarint(br *bufio.Reader) (v uint64, n int, err error) {
-	var shift uint
-	for i := 0; ; i++ {
-		if i >= varint.MaxLen64 {
-			return 0, 0, varint.ErrOverflow
-		}
-		c, err := br.ReadByte()
-		if err != nil {
-			return 0, 0, err
-		}
-		if c < 0x80 {
-			if i == varint.MaxLen64-1 && c > 1 {
-				return 0, 0, varint.ErrOverflow
-			}
-			return v | uint64(c)<<shift, i + 1, nil
-		}
-		v |= uint64(c&0x7f) << shift
-		shift += 7
+// ReadBounded reads n bytes from r, or all of r when n is negative,
+// without buffering more than CheckBuffered allows: a declared n fails
+// it before anything is read, an undeclared read fails it as soon as
+// one byte too many arrives, and the buffer grows with the bytes that
+// arrive, never with a declared length. Failures are *corrupt.Error
+// values at stream and off; a short or failed read is one too, since a
+// source that ends early is indistinguishable from a truncated archive.
+func ReadBounded(r io.Reader, n, budget int64, stream string, off int64) ([]byte, error) {
+	if err := CheckBuffered(n, budget, stream, off); err != nil {
+		return nil, err
 	}
-}
-
-// readBody reads exactly n bytes, growing the buffer with the bytes
-// actually received rather than trusting the declared length with one
-// up-front allocation — a truncated stream fails having allocated only
-// what arrived.
-func readBody(br *bufio.Reader, n int64) ([]byte, error) {
+	want := n
+	if n < 0 {
+		want = budget + min(bodySlack+1, math.MaxInt64-budget)
+	}
 	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br, n); err != nil {
+	got, err := buf.ReadFrom(io.LimitReader(r, want))
+	if err != nil {
+		return nil, corrupt.Errorf(stream, off+got, "reading: %v", err)
+	}
+	if got < n {
+		return nil, corrupt.Errorf(stream, off+got, "%d of %d bytes: %v", got, n, io.ErrUnexpectedEOF)
+	}
+	if err := CheckBuffered(got, budget, stream, off); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"classpack/internal/classfile"
@@ -435,4 +437,224 @@ func TestV3LargeCorpusRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkClasses(t, back, want)
+}
+
+// rewriteIndex re-serializes a version-3 archive's tail around an edited
+// index, with a valid checksum and footer. Extra bytes go just before
+// the end-of-chunks sentinel: a zero there ends the framing early and
+// leaves the real sentinel as a stray byte.
+func rewriteIndex(t *testing.T, packed []byte, edit func(ix *Index), extra []byte) []byte {
+	t.Helper()
+	ix, err := ReadIndex(packed, UnpackOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(ix)
+	var out bytes.Buffer
+	out.Write(packed[:ix.blobOff-1])
+	out.Write(extra)
+	cw := &chunkWriter{w: &out, ix: *ix}
+	if err := cw.close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestV3StrictWalkChecksIndex pins that both strict decode paths, in
+// memory and streaming, check the index against the walked chunks after
+// the walk: an index with a valid checksum that misplaces a chunk,
+// miscounts or misnames classes, or sits behind stray bytes is corrupt.
+func TestV3StrictWalkChecksIndex(t *testing.T) {
+	cfs := buildTestClasses(t)
+	packed, err := Pack(cfs, v3Opts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rewriteIndex(t, packed, func(*Index) {}, nil); !bytes.Equal(got, packed) {
+		t.Fatal("rewriting an unedited index changed the archive")
+	}
+	cases := []struct {
+		name  string
+		edit  func(ix *Index)
+		extra []byte
+	}{
+		{"renamed class", func(ix *Index) { ix.Names[1] = "p/Other" }, nil},
+		{"swapped names", func(ix *Index) { ix.Names[0], ix.Names[2] = ix.Names[2], ix.Names[0] }, nil},
+		{"moved class count", func(ix *Index) { ix.Chunks[0].Classes--; ix.Chunks[1].Classes++ }, nil},
+		{"shifted chunk", func(ix *Index) { ix.Chunks[1].Off++; ix.Chunks[1].Len-- }, nil},
+		{"dropped chunk", func(ix *Index) {
+			last := len(ix.Chunks) - 1
+			ix.Names = ix.Names[:len(ix.Names)-ix.Chunks[last].Classes]
+			ix.Chunks = ix.Chunks[:last]
+		}, nil},
+		{"stray bytes", func(*Index) {}, []byte{0}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := rewriteIndex(t, packed, c.edit, c.extra)
+			if _, err := ReadIndex(b, UnpackOpts{}); err != nil {
+				t.Fatalf("edited index does not parse on its own: %v", err)
+			}
+			nop := func(*classfile.ClassFile) error { return nil }
+			for src, err := range map[string]error{
+				"bytes":  UnpackStreamOpts(b, UnpackOpts{}, nop),
+				"reader": UnpackReader(bytes.NewReader(b), UnpackOpts{}, nop),
+			} {
+				if _, ok := corrupt.As(err); !ok {
+					t.Errorf("%s: err = %v, want a CorruptError", src, err)
+				}
+			}
+		})
+	}
+}
+
+// TestChunkWalkerSlicesInMemoryBodies pins that walking an in-memory
+// archive hands out sub-slices of it: no chunk body is copied.
+func TestChunkWalkerSlicesInMemoryBodies(t *testing.T) {
+	packed, err := Pack(buildTestClasses(t), v3Opts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ReadIndex(packed, UnpackOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &chunkWalker{data: packed, pos: 6}
+	walked := 0
+	err = w.walk(UnpackOpts{}, func(ci int, off int64, body []byte, _ UnpackOpts) (int64, int, error) {
+		if &body[0] != &packed[off] {
+			t.Fatalf("chunk %d body is a copy", ci)
+		}
+		walked++
+		return 0, 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walked != len(ix.Chunks) || w.pos != ix.blobOff {
+		t.Fatalf("walked %d chunks to offset %d, index lists %d with its blob at %d",
+			walked, w.pos, len(ix.Chunks), ix.blobOff)
+	}
+}
+
+// TestCheckChunkAllocs pins that the index cross-check every lazy
+// extraction runs allocates nothing when the chunk matches.
+func TestCheckChunkAllocs(t *testing.T) {
+	packed, err := Pack(buildTestClasses(t), v3Opts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ReadIndex(packed, UnpackOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for ci, ch := range ix.Chunks {
+			first := ix.Start(ci)
+			if err := ix.CheckChunk(ci, ch.Classes, func(i int) string { return ix.Names[first+i] }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CheckChunk allocated %.0f times per run", allocs)
+	}
+}
+
+// junkReader is an endless source of 0xff bytes that counts what it
+// hands out.
+type junkReader struct{ n int64 }
+
+func (j *junkReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 0xff
+	}
+	j.n += int64(len(p))
+	return len(p), nil
+}
+
+// footerBomb is a version-3 archive of the given size whose footer
+// claims the largest index blob the size allows; every other byte is
+// junk, so only a length check stands between ReadIndexAt and a
+// size-sized buffer.
+type footerBomb struct{ size int64 }
+
+func (b footerBomb) ReadAt(p []byte, off int64) (int, error) {
+	head := append(Magic[:], Version3, 0)
+	var tail [4 + footerSize]byte // CRC (junk), blob length, magic
+	binary.BigEndian.PutUint64(tail[4:], uint64(b.size-footerSize-4-7))
+	copy(tail[12:], indexMagic[:])
+	tailOff := b.size - int64(len(tail))
+	for i := range p {
+		switch at := off + int64(i); {
+		case at < int64(len(head)):
+			p[i] = head[at]
+		case at >= tailOff:
+			p[i] = tail[at-tailOff]
+		default:
+			p[i] = 0xff
+		}
+	}
+	return len(p), nil
+}
+
+// TestBufferingBoundedByBudget pins that the container code buffers no
+// more than the decode budget plus bodySlack on behalf of a length it
+// has not checked: a version-1/2 body and a version-3 tail read from a
+// stream, and an index blob whose length the footer declares. Each must
+// fail with ErrTooLarge having read (from a stream) or allocated (for
+// the blob) at most that plus one bufio buffer.
+func TestBufferingBoundedByBudget(t *testing.T) {
+	const budget = 1 << 20
+	const bound = budget + bodySlack + 4096 // plus one bufio.Reader buffer
+	o := UnpackOpts{MaxDecodedBytes: budget}
+	nop := func(*classfile.ClassFile) error { return nil }
+	cfs := buildTestClasses(t)
+
+	v2, err := Pack(cfs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := Pack(cfs, v3Opts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ReadIndex(v3, UnpackOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := v3[:ix.blobOff] // every chunk and the end-of-chunks sentinel
+
+	for _, c := range []struct {
+		name   string
+		prefix []byte // valid bytes ahead of the junk
+	}{
+		{"v2 body", v2[:6]},
+		{"v3 tail", chunks},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			junk := &junkReader{}
+			src := io.MultiReader(bytes.NewReader(c.prefix), io.LimitReader(junk, 64<<20))
+			err := UnpackReader(src, o, nop)
+			if !errors.Is(err, corrupt.ErrTooLarge) {
+				t.Fatalf("err = %v, want ErrTooLarge", err)
+			}
+			if junk.n > bound {
+				t.Fatalf("read %d junk bytes, bound %d", junk.n, bound)
+			}
+		})
+	}
+
+	t.Run("index blob", func(t *testing.T) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadIndexAt(footerBomb{size: 64 << 20}, 64<<20, o)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, corrupt.ErrTooLarge) {
+			t.Fatalf("err = %v, want ErrTooLarge", err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("allocated %d bytes, bound %d", got, bound)
+		}
+	})
 }

@@ -622,11 +622,21 @@ func (s *RStream) Raw(n int) ([]byte, error) {
 	return b, nil
 }
 
-// Uint reads an unsigned varint.
-func (s *RStream) Uint() (uint64, error) { return varint.ReadUint(s) }
+// Uint reads an unsigned varint. Reading past the end and a varint
+// that overflows 64 bits are both damage to this stream.
+func (s *RStream) Uint() (uint64, error) {
+	v, err := varint.ReadUint(s)
+	if err == varint.ErrOverflow {
+		err = corrupt.Errorf(s.name, int64(s.pos), "%v", err)
+	}
+	return v, err
+}
 
-// Int reads a zigzag varint.
-func (s *RStream) Int() (int64, error) { return varint.ReadInt(s) }
+// Int reads a zigzag varint (see Uint).
+func (s *RStream) Int() (int64, error) {
+	v, err := s.Uint()
+	return varint.Unzigzag(v), err
+}
 
 // Remaining reports unread bytes.
 func (s *RStream) Remaining() int { return len(s.buf) - s.pos }

@@ -28,13 +28,6 @@ var ErrClassNotFound = errors.New("classpack: class not found in archive")
 // ExtractOrdinals extracts them, exactly as a full Unpack would.
 var ErrAmbiguousClass = errors.New("classpack: class name occurs more than once in archive")
 
-// eagerBodySlack bounds how much larger than the decode budget an
-// archive opened through the version-1/2 eager fallback may claim to
-// be: encoded streams never exceed their raw size (store is the
-// fallback coding), so a valid archive is at most the decoded bytes
-// plus directory overhead. The same reasoning as core's chunk framing.
-const eagerBodySlack = 1 << 16
-
 // Archive is a random-access view of a packed archive. For a version-3
 // archive it reads only the 6-byte header and the trailing class index
 // at open; class bodies decode lazily, one chunk at a time, when
@@ -105,26 +98,16 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 	if ver != core.Version3 {
 		// No chunk framing to seek over: decode the whole body once. The
 		// caller-supplied size is untrusted until bytes actually arrive,
-		// so charge it against the decode budget before allocating — a
-		// hostile size over a tiny reader must fail in O(1) memory, like
-		// every other declared length on the decode path — and then read
-		// incrementally, growing the buffer with the bytes actually
-		// received rather than trusting size with one up-front make.
+		// so the read holds it to the decode budget before allocating — a
+		// hostile size over a tiny reader fails in O(1) memory, like every
+		// other declared length on the decode path — and then grows the
+		// buffer with the bytes actually received.
 		if size < 6 {
 			return nil, corrupt.Errorf("container", size, "declared size %d is smaller than the header", size)
 		}
-		if budget := core.EffectiveBudget(uo); size-6 > budget+eagerBodySlack {
-			return nil, corrupt.TooLarge("container", 0,
-				"%d-byte archive exceeds the %d-byte decode budget", size, budget)
-		}
-		var buf bytes.Buffer
-		if _, err := io.Copy(&buf, io.NewSectionReader(cr, 0, size)); err != nil {
-			return nil, corrupt.Errorf("container", 0, "reading archive: %v", err)
-		}
-		data := buf.Bytes()
-		if int64(len(data)) != size {
-			return nil, corrupt.Errorf("container", int64(len(data)),
-				"archive is %d bytes, caller declared %d", len(data), size)
+		data, err := core.ReadBounded(io.NewSectionReader(cr, 0, size), size, core.EffectiveBudget(uo), "container", 0)
+		if err != nil {
+			return nil, err
 		}
 		files, decoded, err := decodeBody(copts, data[6:], ver != core.Version1, uo)
 		if err != nil {
@@ -322,6 +305,9 @@ func (a *Archive) chunkFiles(ci int) ([]File, error) {
 		}
 	}
 	ch := a.ix.Chunks[ci]
+	if err := core.CheckBuffered(ch.Len, core.EffectiveBudget(a.uo), "chunks", ch.Off); err != nil {
+		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+	}
 	body := make([]byte, ch.Len)
 	if _, err := a.r.ReadAt(body, ch.Off); err != nil {
 		return nil, corrupt.Errorf("chunks", ch.Off, "reading chunk %d: %v", ci, err)
@@ -340,14 +326,8 @@ func (a *Archive) chunkFiles(ci int) ([]File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
-	if len(files) != ch.Classes {
-		return nil, corrupt.Errorf("index", -1, "chunk %d holds %d classes, index says %d", ci, len(files), ch.Classes)
-	}
-	start := a.ix.Start(ci)
-	for ord, f := range files {
-		if name := strings.TrimSuffix(f.Name, ".class"); name != a.names[start+ord] {
-			return nil, corrupt.Errorf("index", -1, "chunk %d class %d is %q, index disagrees", ci, ord, name)
-		}
+	if err := a.ix.CheckChunk(ci, len(files), func(i int) string { return trimClass(files[i].Name) }); err != nil {
+		return nil, err
 	}
 	a.last.Store(&lastChunk{ci: ci, key: key})
 	return files, nil
@@ -523,12 +503,17 @@ func PackStream(w io.Writer, next func() ([]byte, error), opts *Options) error {
 }
 
 // UnpackStream decodes an archive from an io.Reader, invoking visit
-// with each class file as it completes. A version-3 archive is decoded
-// one chunk at a time off its length-prefix framing — the whole archive
-// is never materialized — with the trailing index verified after the
-// last chunk; version-1/2 archives are buffered and decoded in place.
-// A nil opts uses defaults. A visit error aborts and is returned
-// verbatim.
+// with each class file as it completes. The format is sequential, so an
+// eager class loader (§11 of the paper) can define each class the
+// moment it arrives; pack the input superclass-first (see
+// OrderForEagerLoading) so no definition blocks. A version-3 archive is
+// decoded one chunk at a time off its length-prefix framing — the whole
+// archive is never materialized — with the trailing index verified after
+// the last chunk; version-1/2 archives are buffered, never past the
+// decode budget plus a small slack, and decoded in place. A nil opts
+// uses all cores and the default caps. A visit error
+// aborts decoding and stays in the returned error's chain for
+// errors.Is.
 func UnpackStream(r io.Reader, visit func(File) error, opts *Options) error {
 	uo := opts.unpackOpts()
 	if err := checkConcurrency(uo.Concurrency); err != nil {

@@ -416,7 +416,7 @@ func TestV3RoundTripAllConcurrency(t *testing.T) {
 		} else if !bytes.Equal(first, packed) {
 			t.Fatalf("j=%d produced different v3 bytes", j)
 		}
-		out, err := UnpackN(packed, j)
+		out, err := UnpackOpts(packed, &Options{Concurrency: j})
 		if err != nil {
 			t.Fatalf("j=%d: unpack: %v", j, err)
 		}

@@ -58,16 +58,16 @@ func TestUnpackDeterministicAcrossConcurrency(t *testing.T) {
 		}
 	}
 	for _, j := range concurrencyLevels() {
-		out, err := UnpackN(packed, j)
+		out, err := UnpackOpts(packed, &Options{Concurrency: j})
 		if err != nil {
-			t.Fatalf("UnpackN(j=%d): %v", j, err)
+			t.Fatalf("UnpackOpts(j=%d): %v", j, err)
 		}
 		if len(out) != len(files) {
-			t.Fatalf("UnpackN(j=%d): %d files, want %d", j, len(out), len(files))
+			t.Fatalf("UnpackOpts(j=%d): %d files, want %d", j, len(out), len(files))
 		}
 		for i, f := range out {
 			if !bytes.Equal(f.Data, stripped[i]) {
-				t.Fatalf("UnpackN(j=%d): file %d (%s) differs from Strip(x)", j, i, f.Name)
+				t.Fatalf("UnpackOpts(j=%d): file %d (%s) differs from Strip(x)", j, i, f.Name)
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func TestUnpackToJarNDeterministic(t *testing.T) {
 	}
 	var want []byte
 	for _, j := range []int{1, 3, 0} {
-		jar, err := UnpackToJarN(packed, j)
+		jar, err := UnpackToJarOpts(packed, &Options{Concurrency: j})
 		if err != nil {
 			t.Fatalf("j=%d: %v", j, err)
 		}
@@ -190,7 +190,7 @@ func TestConcurrentPackUnpackSharedInput(t *testing.T) {
 				done <- fmt.Errorf("goroutine %d: archive differs", g)
 				return
 			}
-			if _, err := UnpackN(p, 1+g%3); err != nil {
+			if _, err := UnpackOpts(p, &Options{Concurrency: 1 + g%3}); err != nil {
 				done <- err
 				return
 			}
