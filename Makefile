@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke bench-test bench-compare tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
+.PHONY: build test lint verify bench bench-test tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,15 @@ lint:
 # Expected clean — the parallel pack/unpack pipeline and the bench
 # corpus cache are race-stress-tested. The service and cache layers get
 # an explicit second race pass: their retry/eviction paths are the most
-# concurrency-sensitive in the tree.
+# concurrency-sensitive in the tree. The unpack pipeline, which builds
+# classes on workers while the decoder reads ahead, gets ten: its
+# ordering, error and panic paths depend on scheduling.
 verify: lint delta-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
+	$(GO) test -race -count=10 -run '^TestPipeline' ./internal/par
+	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream)$$' .
 
 # bench runs the throughput benchmarks that track the parallel
 # pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and
@@ -39,32 +43,12 @@ verify: lint delta-smoke
 bench:
 	$(GO) test -run=NONE -bench='^Benchmark(Pack|Unpack|UnpackToJar)Throughput$$' -benchmem .
 
-# bench-smoke keeps the snapshot tooling from rotting: one short
-# iteration of the throughput benchmarks through cmd/benchsnap, then
-# schema validation of the file it produced. Runs in CI.
-bench-smoke:
-	$(GO) run ./cmd/benchsnap -n 1 -benchtime 1x \
-		-bench '^Benchmark(Pack|Unpack|UnpackToJar)Throughput$$' -out /tmp/benchsnap-smoke.json
-	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-smoke.json
-	$(GO) run ./cmd/benchsnap -ratio -ratio-scale 0.25 -out /tmp/benchsnap-ratio-smoke.json
-	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-ratio-smoke.json
-	$(GO) run ./cmd/benchsnap -delta -delta-scale 0.25 -out /tmp/benchsnap-delta-smoke.json
-	$(GO) run ./cmd/benchsnap -check /tmp/benchsnap-delta-smoke.json
-
 # bench-test runs the tests of cmd/classpack-bench, the repository's
 # benchmark, which is a Go module of its own and so outside ./...: every
 # workload end to end at scale 0.05 (~7s). It catches an API change that
 # breaks the benchmark before the benchmark itself is run.
 bench-test:
 	cd cmd/classpack-bench && $(GO) test ./...
-
-# bench-compare diffs two recorded snapshots and fails on a >10%
-# throughput regression:
-#   make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-bench-compare:
-	@test -n "$(OLD)" && test -n "$(NEW)" || \
-		{ echo "usage: make bench-compare OLD=BENCH_old.json NEW=BENCH_new.json"; exit 2; }
-	$(GO) run ./cmd/benchsnap -compare $(OLD) $(NEW)
 
 # serve-smoke boots a real jpackd on a loopback port, packs a synthetic
 # corpus through the HTTP client twice, and checks the cache hit and the

@@ -106,10 +106,11 @@ type Options struct {
 	// JDK names (§14 of the paper); helpful mainly for small archives.
 	Preload bool
 	// Concurrency bounds the worker pool used for per-file
-	// parse/canonicalize and per-stream compression, and when unpacking
-	// to a jar for per-member DEFLATE: 0 means all cores, 1 reproduces
-	// the serial path exactly. It is a local performance knob only — the
-	// packed and jar bytes are identical for every value.
+	// parse/canonicalize and per-stream compression, for building
+	// decoded classes when unpacking, and when unpacking to a jar for
+	// per-member DEFLATE: 0 means all cores, 1 reproduces the serial
+	// path exactly. It is a local performance knob only — the packed and
+	// jar bytes are identical for every value.
 	Concurrency int
 	// MaxDecodedBytes caps the total decoded size of all wire streams
 	// during unpacking (0 = a 1 GiB default). The cap is charged against
@@ -230,8 +231,9 @@ func Unpack(data []byte) ([]File, error) { return UnpackOpts(data, nil) }
 // explicit decode options: Concurrency, MaxDecodedBytes and
 // MaxClassCount are honored; the coding fields are ignored because the
 // archive header fixes them. A nil opts uses all cores and the default
-// caps. Stream decompression fans out first; classes are then decoded
-// sequentially (reference pools are stateful) and the final per-file
+// caps. Stream decompression fans out first. The wire streams are then
+// read on one goroutine (reference pools are stateful) while the
+// workers build the decoded classes, and the final per-file
 // serialization fans out again, re-sequenced by index. Decompression is
 // deterministic: it reproduces Strip of each input file byte for byte,
 // regardless of worker count. Failures caused by the archive bytes are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"classpack/internal/bench"
 	"classpack/internal/core"
 )
 
@@ -127,5 +128,45 @@ func TestChecksumOverhead(t *testing.T) {
 	if 200*overhead > len(v1) {
 		t.Fatalf("checksum overhead %d bytes is more than 0.5%% of %d packed bytes",
 			overhead, len(v1))
+	}
+}
+
+// maxChunkedOverhead bounds how much larger a version-3 archive at the
+// default 64 classes per chunk may be than the version-2 archive of the
+// same classes. Each chunk resets the reference models and carries its
+// own container. Measured at scale 1.0: 4.5% on 202_jess and 4.9% on
+// 213_javac, the figures of BENCH_2026-08-08_aa3a827_ratio.json. The
+// bound leaves room for drift, not for chunks that cost markedly more.
+const maxChunkedOverhead = 0.06
+
+// TestChunkedOverhead pins the size cost of the version-3 layout
+// against maxChunkedOverhead.
+func TestChunkedOverhead(t *testing.T) {
+	for _, name := range []string{"202_jess", "213_javac"} {
+		c, err := bench.Load(name, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := make([][]byte, len(c.StrippedFiles))
+		for i, f := range c.StrippedFiles {
+			raw[i] = f.Data
+		}
+		opts := DefaultOptions()
+		v2, err := Pack(raw, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.ChunkClasses = core.DefaultChunkClasses
+		v3, err := Pack(raw, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overhead := float64(len(v3)-len(v2)) / float64(len(v2))
+		t.Logf("%s: v2 %d bytes, v3 at %d classes per chunk %d bytes (+%.2f%%)",
+			name, len(v2), core.DefaultChunkClasses, len(v3), 100*overhead)
+		if overhead > maxChunkedOverhead {
+			t.Errorf("%s: version 3 is %.2f%% larger than version 2, bound %.0f%%",
+				name, 100*overhead, 100*maxChunkedOverhead)
+		}
 	}
 }

@@ -137,15 +137,16 @@ func buildTestClasses(t testing.TB) []*classfile.ClassFile {
 			t.Fatal(err)
 		}
 		attr := &classfile.CodeAttr{MaxStack: 6, MaxLocals: 3, Code: code}
-		// Handler range over the front of the method.
+		// Handler ranges over the front of the method, ending on
+		// instruction boundaries as JVMS §4.7.3 requires.
 		insns, err := bytecode.Decode(code)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lastOff := insns[len(insns)-1].Offset
 		attr.Handlers = []classfile.ExceptionHandler{
-			{StartPC: 0, EndPC: uint16(lastOff / 2), HandlerPC: uint16(lastOff), CatchType: exc},
-			{StartPC: 0, EndPC: uint16(lastOff / 3), HandlerPC: uint16(lastOff)},
+			{StartPC: 0, EndPC: uint16(insns[len(insns)/2].Offset), HandlerPC: uint16(lastOff), CatchType: exc},
+			{StartPC: 0, EndPC: uint16(insns[len(insns)/3].Offset), HandlerPC: uint16(lastOff)},
 		}
 		b.AttachCode(run, attr)
 		b.AttachExceptions(run, []string{"java/io/IOException", "java/lang/InterruptedException"})

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"math"
 
-	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
 	"classpack/internal/ir"
+	"classpack/internal/par"
 	"classpack/internal/refs"
 	"classpack/internal/stackstate"
 	"classpack/internal/streams"
-	"classpack/internal/strip"
 )
 
 // Section names of the fixed archive header, and of an archive read
@@ -32,7 +31,8 @@ const DefaultMaxClassCount = 1 << 20
 // resource bounds for untrusted input and a worker count.
 type UnpackOpts struct {
 	// Concurrency bounds the workers for the up-front stream
-	// decompression (0 = all cores, 1 = serial).
+	// decompression and for building decoded classes (0 = all cores,
+	// 1 = serial, with no goroutines in the class loop).
 	Concurrency int
 	// MaxDecodedBytes caps the total decoded size of all wire streams
 	// (0 = streams.DefaultMaxDecodedBytes). The cap is enforced before
@@ -60,14 +60,18 @@ func Unpack(data []byte) ([]*classfile.ClassFile, error) {
 	return out, nil
 }
 
-// UnpackStreamOpts decodes the archive sequentially, invoking visit as
-// each class becomes complete — the wire format is sequential (§2), so
-// an eager class loader (§11) can define classes as they arrive instead
-// of caching the archive. Stream decompression fans out over
-// o.Concurrency workers first; class decoding itself stays sequential,
-// because reference pools are stateful. A visit error aborts decoding
-// and stays in the returned error's chain for errors.Is; any failure
-// caused by the archive bytes is a *corrupt.Error or wraps one.
+// UnpackStreamOpts decodes the archive, invoking visit as each class
+// becomes complete — the wire format is sequential (§2), so an eager
+// class loader (§11) can define classes as they arrive instead of
+// caching the archive. Stream decompression fans out over o.Concurrency
+// workers first. Reading the wire streams stays on the calling
+// goroutine, because reference pools are stateful, but each decoded
+// class is built on those workers while the decoder reads the next
+// ones. visit runs on the calling goroutine in archive order, and the
+// classes and errors are the same at every worker count. A visit error
+// aborts decoding and stays in the returned error's chain for
+// errors.Is; any failure caused by the archive bytes is a
+// *corrupt.Error or wraps one.
 func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
 	opts, err := header(data)
 	if err != nil {
@@ -114,36 +118,53 @@ func ParseHeader(hdr []byte) (version byte, opts Options, err error) {
 	return hdr[4], opts, nil
 }
 
+// unpacker is the decode stage of one container body: it reads the wire
+// streams in order and holds the reference models, so it runs on one
+// goroutine. What it leaves per class (a dClass) is built on the worker
+// pool; see decodeClasses.
 type unpacker struct {
 	opts Options
-	r    *streams.Reader
-	meta *streams.RStream
 	decs [numPools]refs.Decoder
 
-	classKeys map[string]ir.ClassKey
+	// Stream handles, resolved once rather than looked up by name for
+	// every operand.
+	meta, maxes, intCV, intLdc, intImm, opcodes, regs, branch, switches,
+	handlers, floats, doubles, longs, classDef, miscOp *streams.RStream
+	refStreams     [numPools]*streams.RStream
+	strLen, strChr [numStrCats]*streams.RStream
+
+	// Reference caches, keyed by the reference models' keys. Entries are
+	// created by the decode stage and never changed afterwards, so the
+	// build workers read them through a dClass without locking.
+	classKeys map[string]*classEntry
 	sigs      map[string]ir.Signature
-	members   [numPools]map[string]ir.MemberRef
+	members   [numPools]map[string]*memberEntry
 
-	// Derived-value caches and scratch reused across every class in the
-	// archive. References repeat heavily (that is the whole premise of
-	// the format), so each derived form is computed once per distinct
-	// input rather than once per use site.
-	classNames map[ir.ClassKey]string
-	msigs      map[string]*msigEntry
-	ftypes     map[string]classfile.Type
-	sim        *stackstate.Sim
-	hoffs      []int
-	scratch    strip.Scratch
-	decoded    map[*classfile.CodeAttr][]bytecode.Instruction
+	// Derived-value caches and scratch of the decode stage, reused across
+	// every class in the body. References repeat heavily (that is the
+	// whole premise of the format), so each derived form is computed
+	// once per distinct input rather than once per use site.
+	msigs  map[string]*msigEntry
+	ftypes map[string]classfile.Type
+	sim    *stackstate.Sim
+	hoffs  []int
+}
 
-	// Per-class instruction arenas, reset by class: insnArena holds the
-	// decoded dInsns of every method, codeArena the resolved instructions
-	// build hands to renumber. Methods take capped views (a[start:end:end])
-	// so a later append never writes into a finished method. Nothing
-	// outlives the class: renumber re-encodes the code without keeping a
-	// reference, and the returned ClassFile aliases neither arena.
-	insnArena []dInsn
-	codeArena []bytecode.Instruction
+// classEntry is a decoded class reference: its key and the internal
+// name build interns for it, derived once when the reference is defined.
+type classEntry struct {
+	key  ir.ClassKey
+	name string
+}
+
+// memberEntry is a decoded field or method reference with what decoding
+// and build derive from it: the owner's internal name, and the method
+// signature or field type the stack simulation consumes.
+type memberEntry struct {
+	ref   ir.MemberRef
+	owner string
+	msig  *msigEntry     // method references
+	ftype classfile.Type // field references
 }
 
 // msigEntry caches everything derived from one method descriptor: the
@@ -159,18 +180,34 @@ type msigEntry struct {
 
 func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 	u := &unpacker{
-		opts:       opts,
-		r:          r,
-		meta:       r.Stream(sMeta),
-		classKeys:  make(map[string]ir.ClassKey),
-		sigs:       make(map[string]ir.Signature),
-		classNames: make(map[ir.ClassKey]string),
-		msigs:      make(map[string]*msigEntry),
-		ftypes:     make(map[string]classfile.Type),
+		opts:      opts,
+		meta:      r.Stream(sMeta),
+		maxes:     r.Stream(sMaxes),
+		intCV:     r.Stream(sIntCV),
+		intLdc:    r.Stream(sIntLdc),
+		intImm:    r.Stream(sIntImm),
+		opcodes:   r.Stream(sOpcodes),
+		regs:      r.Stream(sRegs),
+		branch:    r.Stream(sBranch),
+		switches:  r.Stream(sSwitch),
+		handlers:  r.Stream(sHandler),
+		floats:    r.Stream(sFloat),
+		doubles:   r.Stream(sDouble),
+		longs:     r.Stream(sLong),
+		classDef:  r.Stream(sClassDef),
+		miscOp:    r.Stream(sMiscOp),
+		classKeys: make(map[string]*classEntry),
+		sigs:      make(map[string]ir.Signature),
+		msigs:     make(map[string]*msigEntry),
+		ftypes:    make(map[string]classfile.Type),
 	}
 	for i := range u.decs {
 		u.decs[i], _ = refs.NewDecoder(opts.Scheme)
-		u.members[i] = make(map[string]ir.MemberRef)
+		u.members[i] = make(map[string]*memberEntry)
+		u.refStreams[i] = r.Stream(refStream(poolID(i)))
+	}
+	for c := range u.strLen {
+		u.strLen[c], u.strChr[c] = r.Stream(strLenName[c]), r.Stream(strChrName[c])
 	}
 	if opts.Preload {
 		preloadUnpacker(u)
@@ -182,8 +219,15 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 // declared class count, holds it to the class cap, then decodes the
 // classes in order and hands each to visit with its ordinal. It returns
 // the declared count, or -1 when the count was unreadable or over the
-// cap. A decode failure comes back as a corrupt error naming the class
-// it hit; a visit error stops the loop and comes back as it is.
+// cap. A decode or build failure comes back as a corrupt error naming
+// the class it hit; a visit error stops the loop and comes back as it is.
+//
+// Decoding stays on the calling goroutine, because the reference models
+// are stateful. Building, which reads only its own dClass and the
+// immutable cache entries it points to, runs on o.Concurrency workers
+// while the decoder reads ahead. visit is called on the calling
+// goroutine, in ordinal order, and the outcome is the serial loop's at
+// every worker count.
 func (u *unpacker) decodeClasses(o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int, error) {
 	count, err := u.meta.Uint()
 	if err != nil {
@@ -192,34 +236,43 @@ func (u *unpacker) decodeClasses(o UnpackOpts, visit func(ord int, cf *classfile
 	if maxClasses := EffectiveMaxClasses(o); count > uint64(maxClasses) {
 		return -1, corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
 	}
-	for i := 0; i < int(count); i++ {
-		cf, err := u.class()
-		if err != nil {
-			err = fmt.Errorf("core: unpack class %d: %w", i, err)
-			if _, ok := corrupt.As(err); !ok {
-				// Failures that no one stream carries, such as a decoded
-				// descriptor that does not parse, are charged to int.meta,
-				// as salvage charges them.
-				err = corrupt.New(sMeta, -1, err)
-			}
-			return int(count), err
-		}
-		if err := visit(i, cf); err != nil {
-			return int(count), err
-		}
-	}
-	return int(count), nil
+	n := int(count)
+	workers := par.Workers(o.Concurrency, n)
+	slots := make([]dClass, workers+1)
+	builders := make([]builder, workers)
+	err = par.Pipeline(o.Concurrency, n,
+		func(slot, i int) error {
+			d := &slots[slot]
+			d.ord = i
+			return classError(i, u.class(d))
+		},
+		func(worker, slot int) error {
+			d := &slots[slot]
+			cf, err := builders[worker].build(d)
+			d.cf = cf
+			return classError(d.ord, err)
+		},
+		func(slot, i int) error {
+			cf := slots[slot].cf
+			slots[slot].cf = nil
+			return visit(i, cf)
+		})
+	return n, err
 }
 
-// className memoizes ir.KeyToClassName, which joins package and simple
-// name into a fresh string on every call.
-func (u *unpacker) className(k ir.ClassKey) string {
-	if s, ok := u.classNames[k]; ok {
-		return s
+// classError places a failure to decode or build class i, nil for none.
+func classError(i int, err error) error {
+	if err == nil {
+		return nil
 	}
-	s := ir.KeyToClassName(k)
-	u.classNames[k] = s
-	return s
+	err = fmt.Errorf("core: unpack class %d: %w", i, err)
+	if _, ok := corrupt.As(err); !ok {
+		// Failures that no one stream carries, such as a decoded
+		// descriptor that does not parse, are charged to int.meta, as
+		// salvage charges them.
+		err = corrupt.New(sMeta, -1, err)
+	}
+	return err
 }
 
 // methodSig memoizes descriptor parsing for method references. Only
@@ -259,7 +312,7 @@ func (u *unpacker) fieldInfoType(desc string) (classfile.Type, error) {
 // code inside one that does not parse comes back as a plain error; it is
 // damage to that stream.
 func (u *unpacker) decodeRef(pool poolID, ctx int) (key string, isNew, transient bool, err error) {
-	s := u.r.Stream(refStream(pool))
+	s := u.refStreams[pool]
 	key, isNew, transient, err = u.decs[pool].Decode(s, ctx)
 	if err != nil {
 		if _, ok := corrupt.As(err); !ok {
@@ -280,11 +333,11 @@ func (u *unpacker) strRef(pool poolID, cat strCat) (string, error) {
 	if !isNew {
 		return key, nil
 	}
-	n, err := u.r.Stream(strLenName[cat]).Uint()
+	n, err := u.strLen[cat].Uint()
 	if err != nil {
 		return "", err
 	}
-	raw, err := u.r.Stream(strChrName[cat]).Raw(int(n))
+	raw, err := u.strChr[cat].Raw(int(n))
 	if err != nil {
 		return "", err
 	}
@@ -304,45 +357,57 @@ func (u *unpacker) stringConstRef() (string, error) {
 }
 
 // classRef decodes a class/primitive/array type reference.
-func (u *unpacker) classRef() (ir.ClassKey, error) {
+func (u *unpacker) classRef() (*classEntry, error) {
 	key, isNew, transient, err := u.decodeRef(poolClass, 0)
 	if err != nil {
-		return ir.ClassKey{}, err
+		return nil, err
 	}
 	if !isNew {
-		k, ok := u.classKeys[key]
+		e, ok := u.classKeys[key]
 		if !ok {
-			return ir.ClassKey{}, corrupt.Errorf(refStream(poolClass), -1, "unknown class key %q", key)
+			return nil, corrupt.Errorf(refStream(poolClass), -1, "unknown class key %q", key)
 		}
-		return k, nil
+		return e, nil
 	}
-	d := u.r.Stream(sClassDef)
-	dims, err := d.Uint()
+	dims, err := u.classDef.Uint()
 	if err != nil {
-		return ir.ClassKey{}, err
+		return nil, err
 	}
 	// The JVM caps array dimensions at 255; anything larger is corrupt
 	// and would otherwise size a strings.Repeat allocation.
 	if dims > 255 {
-		return ir.ClassKey{}, corrupt.Errorf(sClassDef, -1, "array dimensions %d out of range", dims)
+		return nil, corrupt.Errorf(sClassDef, -1, "array dimensions %d out of range", dims)
 	}
-	prim, err := d.ReadByte()
+	prim, err := u.classDef.ReadByte()
 	if err != nil {
-		return ir.ClassKey{}, err
+		return nil, err
 	}
 	k := ir.ClassKey{Dims: int(dims), Prim: prim}
 	if prim == 0 {
 		if k.Pkg, err = u.pkgRef(); err != nil {
-			return ir.ClassKey{}, err
+			return nil, err
 		}
 		if k.Simple, err = u.simpleRef(); err != nil {
-			return ir.ClassKey{}, err
+			return nil, err
 		}
 	}
 	ck := classKeyStr(k)
-	u.classKeys[ck] = k
+	e := u.defineClass(ck, k)
 	u.decs[poolClass].Define(0, ck, transient)
-	return k, nil
+	return e, nil
+}
+
+// defineClass makes k the class that model key ck names and returns its
+// cache entry. A key defined again (a transient one, or a key that two
+// crafted classes share) replaces the entry; workers holding the old one
+// are unaffected, because entries never change.
+func (u *unpacker) defineClass(ck string, k ir.ClassKey) *classEntry {
+	if e, ok := u.classKeys[ck]; ok && e.key == k {
+		return e
+	}
+	e := &classEntry{key: k, name: ir.KeyToClassName(k)}
+	u.classKeys[ck] = e
+	return e
 }
 
 // sigRef decodes a signature reference.
@@ -367,9 +432,11 @@ func (u *unpacker) sigRef() (ir.Signature, error) {
 	}
 	sig := make(ir.Signature, n)
 	for i := range sig {
-		if sig[i], err = u.classRef(); err != nil {
+		e, err := u.classRef()
+		if err != nil {
 			return nil, err
 		}
+		sig[i] = e.key
 	}
 	sk := sig.SigString()
 	u.sigs[sk] = sig
@@ -379,7 +446,7 @@ func (u *unpacker) sigRef() (ir.Signature, error) {
 
 // memberRef decodes a field or method reference from the pool implied by
 // the instruction's use.
-func (u *unpacker) memberRef(use opUse, ctx int) (ir.MemberRef, error) {
+func (u *unpacker) memberRef(use opUse, ctx int) (*memberEntry, error) {
 	var pool poolID
 	var kind classfile.ConstKind
 	switch use {
@@ -398,46 +465,72 @@ func (u *unpacker) memberRef(use opUse, ctx int) (ir.MemberRef, error) {
 	}
 	key, isNew, transient, err := u.decodeRef(pool, ctx)
 	if err != nil {
-		return ir.MemberRef{}, err
+		return nil, err
 	}
 	if !isNew {
-		m, ok := u.members[pool][key]
+		e, ok := u.members[pool][key]
 		if !ok {
-			return ir.MemberRef{}, corrupt.Errorf(refStream(pool), -1, "unknown member key %q", key)
+			return nil, corrupt.Errorf(refStream(pool), -1, "unknown member key %q", key)
 		}
-		return m, nil
+		return e, nil
 	}
 	m := ir.MemberRef{Kind: kind}
-	if m.Owner, err = u.classRef(); err != nil {
-		return ir.MemberRef{}, err
+	owner, err := u.classRef()
+	if err != nil {
+		return nil, err
 	}
+	m.Owner = owner.key
 	if kind == classfile.KindFieldref {
 		if m.Name, err = u.fieldNameRef(); err != nil {
-			return ir.MemberRef{}, err
+			return nil, err
 		}
 		t, err := u.classRef()
 		if err != nil {
-			return ir.MemberRef{}, err
+			return nil, err
 		}
-		m.Desc = ir.KeyToType(t).String()
+		m.Desc = ir.KeyToType(t.key).String()
 	} else {
 		if m.Name, err = u.methodNameRef(); err != nil {
-			return ir.MemberRef{}, err
+			return nil, err
 		}
 		sig, err := u.sigRef()
 		if err != nil {
-			return ir.MemberRef{}, err
+			return nil, err
 		}
 		m.Desc = ir.SignatureToDescriptor(sig)
 	}
 	mk := memberKeyStr(m)
-	u.members[pool][mk] = m
+	e, err := u.defineMember(pool, mk, m)
+	if err != nil {
+		return nil, err
+	}
 	u.decs[pool].Define(ctx, mk, transient)
-	return m, nil
+	return e, nil
+}
+
+// defineMember is defineClass for member reference m in pool. Creating
+// an entry parses m's descriptor, which fails for a descriptor that the
+// decoded keys spell but that does not parse back.
+func (u *unpacker) defineMember(pool poolID, mk string, m ir.MemberRef) (*memberEntry, error) {
+	if e, ok := u.members[pool][mk]; ok && e.ref == m {
+		return e, nil
+	}
+	e := &memberEntry{ref: m, owner: ir.KeyToClassName(m.Owner)}
+	var err error
+	if m.Kind == classfile.KindFieldref {
+		e.ftype, err = u.fieldInfoType(m.Desc)
+	} else {
+		e.msig, err = u.methodSig(m.Desc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	u.members[pool][mk] = e
+	return e, nil
 }
 
 func (u *unpacker) readF32() (float32, error) {
-	raw, err := u.r.Stream(sFloat).Raw(4)
+	raw, err := u.floats.Raw(4)
 	if err != nil {
 		return 0, err
 	}
@@ -445,7 +538,7 @@ func (u *unpacker) readF32() (float32, error) {
 }
 
 func (u *unpacker) readF64() (float64, error) {
-	raw, err := u.r.Stream(sDouble).Raw(8)
+	raw, err := u.doubles.Raw(8)
 	if err != nil {
 		return 0, err
 	}

@@ -13,9 +13,12 @@ import (
 	"classpack/internal/strip"
 )
 
-// Intermediate decoded structures; constant-pool indices are assigned only
-// after the whole class is decoded, then canonicalized by the strip
-// renumbering so output matches the encoder's input byte-for-byte.
+// Intermediate decoded structures. The decode stage fills a dClass with
+// symbolic operands; build then interns them into a constant pool,
+// canonicalized by the strip renumbering so output matches the encoder's
+// input byte-for-byte. Class and member operands point to the
+// unpacker's immutable cache entries, so a dClass can be built on
+// another goroutine while the decoder reads on.
 
 type dConst struct {
 	kind classfile.ConstKind
@@ -27,42 +30,39 @@ type dConst struct {
 }
 
 type dInner struct {
-	inner    ir.ClassKey
-	hasOuter bool
-	outer    ir.ClassKey
-	hasName  bool
-	name     string
-	access   uint16
+	inner   *classEntry
+	outer   *classEntry // nil when the entry has no outer class
+	hasName bool
+	name    string
+	access  uint16
 }
 
 type dField struct {
 	flags    uint64
 	name     string
-	typ      ir.ClassKey
+	typ      *classEntry
 	hasConst bool
 	cv       dConst
 }
 
 type dHandler struct {
 	start, end, handler int
-	hasCatch            bool
-	catch               ir.ClassKey
+	catch               *classEntry // nil for a catch-all handler
 }
 
+// dInsn is one decoded instruction and its symbolic operand. It is kept
+// small because the decode stage holds every instruction of a class in
+// each pipeline slot's arena.
 type dInsn struct {
 	in     bytecode.Instruction
-	hasUse bool
-	use    opUse
-	member ir.MemberRef
-	class  ir.ClassKey // for new/anewarray/checkcast/instanceof/multianewarray
-	isLdc  bool
-	cv     dConst
+	member *memberEntry // field and method instructions
+	class  *classEntry  // new, anewarray, checkcast, instanceof, multianewarray
+	ldc    int32        // ldc family: 1 + the constant's index in dClass.consts
 }
 
 type dCode struct {
 	maxStack, maxLocals uint16
 	handlers            []dHandler
-	codeLen             int
 	insns               []dInsn
 }
 
@@ -70,105 +70,120 @@ type dMethod struct {
 	flags      uint64
 	name       string
 	sig        ir.Signature
-	exceptions []ir.ClassKey
-	code       *dCode
+	exceptions []*classEntry
+	hasCode    bool
+	code       dCode
+}
+
+// dClass is one decoded class, held in a pipeline slot from decode until
+// visit. Its slices are arenas the slot reuses for every class it
+// carries. Methods take capped views (a[start:end:end]) of the shared
+// ones, so a later append never writes into a finished method.
+type dClass struct {
+	ord          int // the class's ordinal in its container body
+	minor, major uint16
+	flags        uint64
+	this, super  *classEntry
+	ifaces       []*classEntry
+	inner        []dInner
+	fields       []dField
+	methods      []dMethod
+
+	// Arenas shared by the methods.
+	classes  []*classEntry // exception lists
+	handlers []dHandler
+	insns    []dInsn
+	consts   []dConst // ldc operands
+
+	cf *classfile.ClassFile // build's result, until visit takes it
 }
 
 // maxCount bounds decoded element counts; anything larger is a corrupt
-// archive, caught before allocation.
+// archive.
 const maxCount = 1 << 20
 
-func checkCount(n uint64, what string) (int, error) {
+// count reads one element count from int.meta and holds it to maxCount.
+func (u *unpacker) count(what string) (int, error) {
+	n, err := u.meta.Uint()
+	if err != nil {
+		return 0, err
+	}
 	if n > maxCount {
 		return 0, corrupt.TooLarge(sMeta, -1, "implausible %s count %d", what, n)
 	}
 	return int(n), nil
 }
 
-func (u *unpacker) class() (*classfile.ClassFile, error) {
-	u.insnArena, u.codeArena = u.insnArena[:0], u.codeArena[:0]
-	minor, err := u2(u.meta, "minor_version")
-	if err != nil {
-		return nil, err
+// class decodes the next class into d, reusing d's arenas.
+func (u *unpacker) class(d *dClass) error {
+	d.super = nil
+	d.ifaces, d.inner, d.fields, d.methods = d.ifaces[:0], d.inner[:0], d.fields[:0], d.methods[:0]
+	d.classes, d.handlers, d.insns, d.consts = d.classes[:0], d.handlers[:0], d.insns[:0], d.consts[:0]
+	var err error
+	if d.minor, err = u2(u.meta, "minor_version"); err != nil {
+		return err
 	}
-	major, err := u2(u.meta, "major_version")
-	if err != nil {
-		return nil, err
+	if d.major, err = u2(u.meta, "major_version"); err != nil {
+		return err
 	}
-	flags, err := u.meta.Uint()
-	if err != nil {
-		return nil, err
+	if d.flags, err = u.meta.Uint(); err != nil {
+		return err
 	}
-	this, err := u.classRef()
-	if err != nil {
-		return nil, err
+	if d.this, err = u.classRef(); err != nil {
+		return err
 	}
-	var super ir.ClassKey
-	if flags&flagHasSuper != 0 {
-		if super, err = u.classRef(); err != nil {
-			return nil, err
+	if d.flags&flagHasSuper != 0 {
+		if d.super, err = u.classRef(); err != nil {
+			return err
 		}
 	}
-	nIfacesRaw, err := u.meta.Uint()
+	nIfaces, err := u.count("interface")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nIfaces, err := checkCount(nIfacesRaw, "interface")
-	if err != nil {
-		return nil, err
-	}
-	ifaces := make([]ir.ClassKey, nIfaces)
-	for i := range ifaces {
-		if ifaces[i], err = u.classRef(); err != nil {
-			return nil, err
-		}
-	}
-	var inner []dInner
-	if flags&flagHasInner != 0 {
-		nRaw, err := u.meta.Uint()
+	for i := 0; i < nIfaces; i++ {
+		e, err := u.classRef()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		n, err := checkCount(nRaw, "inner class")
+		d.ifaces = append(d.ifaces, e)
+	}
+	if d.flags&flagHasInner != 0 {
+		n, err := u.count("inner class")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		inner = make([]dInner, n)
-		for i := range inner {
-			if inner[i], err = u.innerEntry(); err != nil {
-				return nil, err
+		for i := 0; i < n; i++ {
+			e, err := u.innerEntry()
+			if err != nil {
+				return err
 			}
+			d.inner = append(d.inner, e)
 		}
 	}
-	nFieldsRaw, err := u.meta.Uint()
+	nFields, err := u.count("field")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nFields, err := checkCount(nFieldsRaw, "field")
-	if err != nil {
-		return nil, err
-	}
-	fields := make([]dField, nFields)
-	for i := range fields {
-		if fields[i], err = u.field(); err != nil {
-			return nil, err
+	for i := 0; i < nFields; i++ {
+		f, err := u.field()
+		if err != nil {
+			return err
 		}
+		d.fields = append(d.fields, f)
 	}
-	nMethodsRaw, err := u.meta.Uint()
+	nMethods, err := u.count("method")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nMethods, err := checkCount(nMethodsRaw, "method")
-	if err != nil {
-		return nil, err
-	}
-	methods := make([]dMethod, nMethods)
-	for i := range methods {
-		if methods[i], err = u.method(); err != nil {
-			return nil, err
+	for i := 0; i < nMethods; i++ {
+		m, err := u.method(d)
+		if err != nil {
+			return err
 		}
+		d.methods = append(d.methods, m)
 	}
-	return u.build(minor, major, flags, this, super, ifaces, inner, fields, methods)
+	return nil
 }
 
 func (u *unpacker) innerEntry() (dInner, error) {
@@ -182,7 +197,6 @@ func (u *unpacker) innerEntry() (dInner, error) {
 		return e, err
 	}
 	if flags&flagInnerHasOuter != 0 {
-		e.hasOuter = true
 		if e.outer, err = u.classRef(); err != nil {
 			return e, err
 		}
@@ -210,7 +224,7 @@ func (u *unpacker) field() (dField, error) {
 	}
 	if f.flags&flagHasConst != 0 {
 		f.hasConst = true
-		if f.cv, err = u.constValue(ir.KeyToType(f.typ)); err != nil {
+		if f.cv, err = u.constValue(ir.KeyToType(f.typ.key)); err != nil {
 			return f, err
 		}
 	}
@@ -224,13 +238,13 @@ func (u *unpacker) constValue(t classfile.Type) (dConst, error) {
 	switch c.kind {
 	case classfile.KindInteger:
 		var v int64
-		if v, err = u.r.Stream(sIntCV).Int(); err == nil {
+		if v, err = u.intCV.Int(); err == nil {
 			c.i = int32(v)
 		}
 	case classfile.KindFloat:
 		c.f, err = u.readF32()
 	case classfile.KindLong:
-		c.l, err = u.r.Stream(sLong).Int()
+		c.l, err = u.longs.Int()
 	case classfile.KindDouble:
 		c.d, err = u.readF64()
 	case classfile.KindString:
@@ -241,7 +255,7 @@ func (u *unpacker) constValue(t classfile.Type) (dConst, error) {
 	return c, err
 }
 
-func (u *unpacker) method() (dMethod, error) {
+func (u *unpacker) method(d *dClass) (dMethod, error) {
 	var m dMethod
 	var err error
 	if m.flags, err = u.meta.Uint(); err != nil {
@@ -253,80 +267,76 @@ func (u *unpacker) method() (dMethod, error) {
 	if m.sig, err = u.sigRef(); err != nil {
 		return m, err
 	}
-	nExcRaw, err := u.meta.Uint()
+	nExc, err := u.count("exception")
 	if err != nil {
 		return m, err
 	}
-	nExc, err := checkCount(nExcRaw, "exception")
-	if err != nil {
-		return m, err
-	}
-	m.exceptions = make([]ir.ClassKey, nExc)
-	for i := range m.exceptions {
-		if m.exceptions[i], err = u.classRef(); err != nil {
+	start := len(d.classes)
+	for i := 0; i < nExc; i++ {
+		e, err := u.classRef()
+		if err != nil {
 			return m, err
 		}
+		d.classes = append(d.classes, e)
 	}
+	end := len(d.classes)
+	m.exceptions = d.classes[start:end:end]
 	if m.flags&flagHasCode != 0 {
-		if m.code, err = u.code(); err != nil {
+		m.hasCode = true
+		if err = u.code(d, &m.code); err != nil {
 			return m, fmt.Errorf("method %s: %w", m.name, err)
 		}
 	}
 	return m, nil
 }
 
-func (u *unpacker) code() (*dCode, error) {
-	c := &dCode{}
-	maxes := u.r.Stream(sMaxes)
+func (u *unpacker) code(d *dClass, c *dCode) error {
 	var err error
-	if c.maxStack, err = u2(maxes, "max_stack"); err != nil {
-		return nil, err
+	if c.maxStack, err = u2(u.maxes, "max_stack"); err != nil {
+		return err
 	}
-	if c.maxLocals, err = u2(maxes, "max_locals"); err != nil {
-		return nil, err
+	if c.maxLocals, err = u2(u.maxes, "max_locals"); err != nil {
+		return err
 	}
-	nHandlersRaw, err := u.meta.Uint()
+	nHandlers, err := u.count("handler")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nHandlers, err := checkCount(nHandlersRaw, "handler")
-	if err != nil {
-		return nil, err
-	}
-	hs := u.r.Stream(sHandler)
-	c.handlers = make([]dHandler, nHandlers)
+	hstart := len(d.handlers)
 	handlerOffsets := u.hoffs[:0]
-	for i := range c.handlers {
-		h := &c.handlers[i]
+	for i := 0; i < nHandlers; i++ {
+		var h dHandler
 		for _, p := range []*int{&h.start, &h.end, &h.handler} {
-			v, err := u2(hs, "handler pc")
+			v, err := u2(u.handlers, "handler pc")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			*p = int(v)
 		}
-		flag, err := hs.ReadByte()
+		flag, err := u.handlers.ReadByte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if flag == 1 {
-			h.hasCatch = true
 			if h.catch, err = u.classRef(); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		d.handlers = append(d.handlers, h)
 		handlerOffsets = append(handlerOffsets, h.handler)
 	}
+	hend := len(d.handlers)
+	c.handlers = d.handlers[hstart:hend:hend]
 	v, err := u.meta.Uint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Bound before narrowing to int, so a 64-bit length can neither
 	// wrap negative nor size the decode loop.
 	if v > 1<<26 {
-		return nil, corrupt.TooLarge(sMeta, -1, "code length %d implausible", v)
+		return corrupt.TooLarge(sMeta, -1, "code length %d implausible", v)
 	}
-	c.codeLen = int(v)
+	codeLen := int(v)
 	u.hoffs = handlerOffsets
 	var sim *stackstate.Sim
 	if u.opts.StackState {
@@ -339,22 +349,29 @@ func (u *unpacker) code() (*dCode, error) {
 		}
 		sim = u.sim
 	}
-	start := len(u.insnArena)
+	start := len(d.insns)
 	pos := 0
-	for pos < c.codeLen {
-		di, next, err := u.insn(pos, sim)
+	for pos < codeLen {
+		d.insns = append(d.insns, dInsn{})
+		next, err := u.insn(d, &d.insns[len(d.insns)-1], pos, sim)
 		if err != nil {
-			return nil, fmt.Errorf("at offset %d: %w", pos, err)
+			return fmt.Errorf("at offset %d: %w", pos, err)
 		}
-		u.insnArena = append(u.insnArena, di)
 		pos = next
 	}
-	if pos != c.codeLen {
-		return nil, corrupt.Errorf(sOpcodes, -1, "instructions end at %d, code length %d", pos, c.codeLen)
+	if pos != codeLen {
+		return corrupt.Errorf(sOpcodes, -1, "instructions end at %d, code length %d", pos, codeLen)
 	}
-	end := len(u.insnArena)
-	c.insns = u.insnArena[start:end:end]
-	return c, nil
+	end := len(d.insns)
+	c.insns = d.insns[start:end:end]
+	for i, h := range c.handlers {
+		err := checkHandler(h.start, h.end, h.handler, codeLen, len(c.insns),
+			func(k int) int { return c.insns[k].in.Offset })
+		if err != nil {
+			return corrupt.New(sHandler, -1, fmt.Errorf("exception handler %d: %w", i, err))
+		}
+	}
+	return nil
 }
 
 // ldcFromPseudo maps a typed wire opcode back to the source instruction
@@ -381,24 +398,26 @@ func ldcFromPseudo(wire bytecode.Op) (op bytecode.Op, kind classfile.ConstKind, 
 	return 0, 0, false
 }
 
-func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
+// insn decodes the instruction at pos into di, a zeroed slot of d's
+// instruction arena, and returns the offset of the next one.
+func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int, error) {
 	if sim != nil {
 		sim.Begin(pos)
 	}
-	var di dInsn
 	di.in.Offset = pos
-	wireByte, err := u.r.Stream(sOpcodes).ReadByte()
+	wireByte, err := u.opcodes.ReadByte()
 	if err != nil {
-		return di, 0, err
+		return 0, err
 	}
 	wire := bytecode.Op(wireByte)
+	isLdc := false
 	var ldcKind classfile.ConstKind
 	if op, kind, ok := ldcFromPseudo(wire); ok {
-		di.isLdc = true
+		isLdc = true
 		di.in.Op = op
 		ldcKind = kind
 	} else if int(wire) >= numWireOps {
-		return di, 0, corrupt.Errorf(sOpcodes, -1, "invalid wire opcode 0x%02x", wireByte)
+		return 0, corrupt.Errorf(sOpcodes, -1, "invalid wire opcode 0x%02x", wireByte)
 	} else if sim != nil {
 		di.in.Op = sim.SourceOp(wire)
 	} else {
@@ -414,58 +433,56 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 	case bytecode.FmtNone:
 	case bytecode.FmtLocal:
 		if err := u.readReg(&di.in, false); err != nil {
-			return di, 0, err
+			return 0, err
 		}
 	case bytecode.FmtIinc:
 		if err := u.readReg(&di.in, true); err != nil {
-			return di, 0, err
+			return 0, err
 		}
 	case bytecode.FmtSByte:
-		if di.in.A, err = signed(u.r.Stream(sIntImm), 8); err != nil {
-			return di, 0, err
+		if di.in.A, err = signed(u.intImm, 8); err != nil {
+			return 0, err
 		}
 	case bytecode.FmtSShort:
-		if di.in.A, err = signed(u.r.Stream(sIntImm), 16); err != nil {
-			return di, 0, err
+		if di.in.A, err = signed(u.intImm, 16); err != nil {
+			return 0, err
 		}
 	case bytecode.FmtCP1, bytecode.FmtCP2:
-		if di.isLdc {
-			if err := u.ldcValue(&di, ldcKind); err != nil {
-				return di, 0, err
+		if isLdc {
+			c, err := u.ldcValue(ldcKind)
+			if err != nil {
+				return 0, err
 			}
+			d.consts = append(d.consts, c)
+			di.ldc = int32(len(d.consts))
 			info.HasConst = true
 			info.Const = constStackKind(ldcKind)
 			break
 		}
-		if err := u.cpOperand(&di, ctx, &info); err != nil {
-			return di, 0, err
+		if err := u.cpOperand(di, ctx, &info); err != nil {
+			return 0, err
 		}
 	case bytecode.FmtInvokeInterface:
-		di.hasUse = true
-		di.use = useInterface
 		if di.member, err = u.memberRef(useInterface, ctx); err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		e, err := u.methodSig(di.member.Desc)
-		if err != nil {
-			return di, 0, err
-		}
+		e := di.member.msig
 		di.in.B = e.argSlots + 1
 		info.HasMethod = true
 		info.Params, info.Ret = e.params, e.ret
 	case bytecode.FmtMultiANewArray:
 		if di.class, err = u.classRef(); err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		dims, err := u.r.Stream(sMiscOp).ReadByte()
+		dims, err := u.miscOp.ReadByte()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		di.in.B = int(dims)
 	case bytecode.FmtNewArray:
-		atype, err := u.r.Stream(sMiscOp).ReadByte()
+		atype, err := u.miscOp.ReadByte()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		di.in.A = int(atype)
 	case bytecode.FmtBranch2, bytecode.FmtBranch4:
@@ -473,32 +490,32 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		if bytecode.FormatOf(di.in.Op) == bytecode.FmtBranch4 {
 			bits = 32
 		}
-		rel, err := signed(u.r.Stream(sBranch), bits)
+		rel, err := signed(u.branch, bits)
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		di.in.A = pos + rel
 	case bytecode.FmtTableSwitch:
-		sw := u.r.Stream(sSwitch)
+		sw := u.switches
 		def, err := signed(sw, 32)
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		low, err := signed(sw, 32)
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		n, err := sw.Uint()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		if n > 1<<20 {
-			return di, 0, corrupt.TooLarge(sSwitch, -1, "tableswitch with %d targets", n)
+			return 0, corrupt.TooLarge(sSwitch, -1, "tableswitch with %d targets", n)
 		}
 		// The class file stores low and high = low+n-1 as s4s, and the
 		// JVM requires low <= high.
 		if n == 0 || int64(low)+int64(n)-1 > math.MaxInt32 {
-			return di, 0, corrupt.Errorf(sSwitch, -1, "tableswitch low %d with %d targets", low, n)
+			return 0, corrupt.Errorf(sSwitch, -1, "tableswitch low %d with %d targets", low, n)
 		}
 		di.in.Default = pos + def
 		di.in.Low = int32(low)
@@ -507,22 +524,22 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		for i := range di.in.Targets {
 			rel, err := signed(sw, 32)
 			if err != nil {
-				return di, 0, err
+				return 0, err
 			}
 			di.in.Targets[i] = pos + rel
 		}
 	case bytecode.FmtLookupSwitch:
-		sw := u.r.Stream(sSwitch)
+		sw := u.switches
 		def, err := signed(sw, 32)
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		n, err := sw.Uint()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		if n > 1<<20 {
-			return di, 0, corrupt.TooLarge(sSwitch, -1, "lookupswitch with %d pairs", n)
+			return 0, corrupt.TooLarge(sSwitch, -1, "lookupswitch with %d pairs", n)
 		}
 		di.in.Default = pos + def
 		di.in.Keys = make([]int32, n)
@@ -530,7 +547,7 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 			if i == 0 {
 				k, err := signed(sw, 32)
 				if err != nil {
-					return di, 0, err
+					return 0, err
 				}
 				di.in.Keys[0] = int32(k)
 				continue
@@ -540,11 +557,11 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 			// an unsorted (and so unverifiable) lookupswitch.
 			diff, err := sw.Uint()
 			if err != nil {
-				return di, 0, err
+				return 0, err
 			}
 			prev := int64(di.in.Keys[i-1])
 			if diff == 0 || diff > uint64(math.MaxInt32-prev) {
-				return di, 0, corrupt.Errorf(sSwitch, -1, "lookupswitch key delta %d after key %d", diff, prev)
+				return 0, corrupt.Errorf(sSwitch, -1, "lookupswitch key delta %d after key %d", diff, prev)
 			}
 			di.in.Keys[i] = int32(prev + int64(diff))
 		}
@@ -552,18 +569,18 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		for i := range di.in.Targets {
 			rel, err := signed(sw, 32)
 			if err != nil {
-				return di, 0, err
+				return 0, err
 			}
 			di.in.Targets[i] = pos + rel
 		}
 	default:
-		return di, 0, corrupt.Errorf(sOpcodes, -1, "cannot unpack opcode %s", di.in.Op)
+		return 0, corrupt.Errorf(sOpcodes, -1, "cannot unpack opcode %s", di.in.Op)
 	}
 
 	if sim != nil {
 		sim.StepInfo(&di.in, info)
 	}
-	return di, pos + di.in.Size(), nil
+	return pos + di.in.Size(), nil
 }
 
 // u2 reads an unsigned value that the class file stores as a u2 field.
@@ -623,7 +640,7 @@ func methodTypes(sig ir.Signature) (params []classfile.Type, ret classfile.Type,
 }
 
 func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
-	v, err := u.r.Stream(sRegs).Uint()
+	v, err := u.regs.Uint()
 	if err != nil {
 		return err
 	}
@@ -634,11 +651,11 @@ func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
 	in.A = int(v >> 1)
 	redundantWide := v&1 != 0
 	if iinc {
-		d, err := signed(u.r.Stream(sIntImm), 16)
+		delta, err := signed(u.intImm, 16)
 		if err != nil {
 			return err
 		}
-		in.B = d
+		in.B = delta
 		in.Wide = redundantWide || in.A > 0xff || in.B < -128 || in.B > 127
 		return nil
 	}
@@ -646,102 +663,96 @@ func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
 	return nil
 }
 
-func (u *unpacker) ldcValue(di *dInsn, kind classfile.ConstKind) error {
-	di.cv.kind = kind
+func (u *unpacker) ldcValue(kind classfile.ConstKind) (dConst, error) {
+	c := dConst{kind: kind}
 	var err error
 	switch kind {
 	case classfile.KindInteger:
 		var v int64
-		if v, err = u.r.Stream(sIntLdc).Int(); err == nil {
-			di.cv.i = int32(v)
+		if v, err = u.intLdc.Int(); err == nil {
+			c.i = int32(v)
 		}
 	case classfile.KindFloat:
-		di.cv.f, err = u.readF32()
+		c.f, err = u.readF32()
 	case classfile.KindString:
-		di.cv.s, err = u.stringConstRef()
+		c.s, err = u.stringConstRef()
 	case classfile.KindLong:
-		di.cv.l, err = u.r.Stream(sLong).Int()
+		c.l, err = u.longs.Int()
 	case classfile.KindDouble:
-		di.cv.d, err = u.readF64()
+		c.d, err = u.readF64()
 	}
-	return err
+	return c, err
 }
 
 func (u *unpacker) cpOperand(di *dInsn, ctx int, info *stackstate.OpInfo) error {
-	var err error
+	var use opUse
 	switch di.in.Op {
 	case bytecode.Getfield, bytecode.Putfield:
-		di.hasUse = true
-		di.use = useGetfield
-		di.member, err = u.memberRef(useGetfield, ctx)
+		use = useGetfield
 	case bytecode.Getstatic, bytecode.Putstatic:
-		di.hasUse = true
-		di.use = useGetstatic
-		di.member, err = u.memberRef(useGetstatic, ctx)
+		use = useGetstatic
 	case bytecode.Invokevirtual:
-		di.hasUse = true
-		di.use = useVirtual
-		di.member, err = u.memberRef(useVirtual, ctx)
+		use = useVirtual
 	case bytecode.Invokespecial:
-		di.hasUse = true
-		di.use = useSpecial
-		di.member, err = u.memberRef(useSpecial, ctx)
+		use = useSpecial
 	case bytecode.Invokestatic:
-		di.hasUse = true
-		di.use = useStatic
-		di.member, err = u.memberRef(useStatic, ctx)
+		use = useStatic
 	case bytecode.New, bytecode.Anewarray, bytecode.Checkcast, bytecode.Instanceof:
+		var err error
 		di.class, err = u.classRef()
 		return err
 	default:
 		return corrupt.Errorf(sOpcodes, -1, "unexpected constant-pool instruction %s", di.in.Op)
 	}
-	if err != nil {
+	var err error
+	if di.member, err = u.memberRef(use, ctx); err != nil {
 		return err
 	}
-	switch di.use {
-	case useGetfield, useGetstatic:
-		t, terr := u.fieldInfoType(di.member.Desc)
-		if terr != nil {
-			return terr
-		}
-		info.HasField = true
-		info.Field = t
-	default:
-		e, serr := u.methodSig(di.member.Desc)
-		if serr != nil {
-			return serr
-		}
+	if e := di.member.msig; e != nil {
 		info.HasMethod = true
 		info.Params, info.Ret = e.params, e.ret
+	} else {
+		info.HasField = true
+		info.Field = di.member.ftype
 	}
 	return nil
 }
 
-// build converts the decoded class into a canonical classfile.
-func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.ClassKey,
-	ifaces []ir.ClassKey, inner []dInner, fields []dField, methods []dMethod) (*classfile.ClassFile, error) {
+// builder is one build worker's scratch, reused across the classes it
+// builds: code holds the resolved instructions of every method of the
+// class, handed to renumber through decoded. Nothing outlives the class:
+// renumber re-encodes the code without keeping a reference, and the
+// returned ClassFile aliases neither this scratch nor the dClass.
+type builder struct {
+	code    []bytecode.Instruction
+	decoded map[*classfile.CodeAttr][]bytecode.Instruction
+	scratch strip.Scratch
+}
 
-	b := classfile.NewEmptyBuilder(uint16(flags))
-	b.SetThisClass(u.className(this))
-	if flags&flagHasSuper != 0 {
-		b.SetSuperClass(u.className(super))
+// build converts a decoded class into a canonical classfile. It reads
+// only d and the immutable cache entries d points to.
+func (w *builder) build(d *dClass) (*classfile.ClassFile, error) {
+	w.code = w.code[:0]
+	b := classfile.NewEmptyBuilder(uint16(d.flags))
+	b.SetThisClass(d.this.name)
+	if d.flags&flagHasSuper != 0 {
+		b.SetSuperClass(d.super.name)
 	}
-	b.CF.MinorVersion = minor
-	b.CF.MajorVersion = major
-	for _, k := range ifaces {
-		b.AddInterface(u.className(k))
+	b.CF.MinorVersion = d.minor
+	b.CF.MajorVersion = d.major
+	for _, e := range d.ifaces {
+		b.AddInterface(e.name)
 	}
-	if len(inner) > 0 {
+	if len(d.inner) > 0 {
 		ic := &classfile.InnerClassesAttr{}
 		ic.NameIndex = b.Utf8("InnerClasses")
-		for _, e := range inner {
+		for _, e := range d.inner {
 			entry := classfile.InnerClass{
-				Inner:       b.Class(u.className(e.inner)),
+				Inner:       b.Class(e.inner.name),
 				AccessFlags: e.access,
 			}
-			if e.hasOuter {
-				entry.Outer = b.Class(u.className(e.outer))
+			if e.outer != nil {
+				entry.Outer = b.Class(e.outer.name)
 			}
 			if e.hasName {
 				entry.InnerName = b.Utf8(e.name)
@@ -750,72 +761,52 @@ func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.Class
 		}
 		b.CF.Attrs = append(b.CF.Attrs, ic)
 	}
-	addFlagAttrs(b, &b.CF.Attrs, flags)
+	addFlagAttrs(b, &b.CF.Attrs, d.flags)
 
-	for _, f := range fields {
-		member := b.AddField(uint16(f.flags), f.name, ir.KeyToType(f.typ).String())
+	for _, f := range d.fields {
+		member := b.AddField(uint16(f.flags), f.name, ir.KeyToType(f.typ.key).String())
 		if f.hasConst {
-			var idx uint16
-			switch f.cv.kind {
-			case classfile.KindInteger:
-				idx = b.Int(f.cv.i)
-			case classfile.KindFloat:
-				idx = b.Float(f.cv.f)
-			case classfile.KindLong:
-				idx = b.Long(f.cv.l)
-			case classfile.KindDouble:
-				idx = b.Double(f.cv.d)
-			case classfile.KindString:
-				idx = b.String(f.cv.s)
-			}
-			b.AttachConstantValue(member, idx)
+			b.AttachConstantValue(member, internConst(b, &f.cv))
 		}
 		addFlagAttrs(b, &member.Attrs, f.flags)
 	}
 
-	decoded := u.decoded
-	if decoded == nil {
-		decoded = make(map[*classfile.CodeAttr][]bytecode.Instruction)
-		u.decoded = decoded
+	if w.decoded == nil {
+		w.decoded = make(map[*classfile.CodeAttr][]bytecode.Instruction)
 	} else {
-		clear(decoded)
+		clear(w.decoded)
 	}
-	for _, m := range methods {
+	for i := range d.methods {
+		m := &d.methods[i]
 		member := b.AddMethod(uint16(m.flags), m.name, ir.SignatureToDescriptor(m.sig))
-		if m.code != nil {
+		if m.hasCode {
 			attr := &classfile.CodeAttr{
 				MaxStack:  m.code.maxStack,
 				MaxLocals: m.code.maxLocals,
 			}
-			start := len(u.codeArena)
-			for i := range m.code.insns {
-				di := &m.code.insns[i]
-				in := di.in
-				if err := u.resolveOperand(b, di, &in); err != nil {
-					return nil, err
-				}
-				u.codeArena = append(u.codeArena, in)
+			start := len(w.code)
+			for k := range m.code.insns {
+				w.code = append(w.code, resolveOperand(b, d, &m.code.insns[k]))
 			}
-			end := len(u.codeArena)
-			insns := u.codeArena[start:end:end]
+			end := len(w.code)
 			for _, h := range m.code.handlers {
 				eh := classfile.ExceptionHandler{
 					StartPC:   uint16(h.start),
 					EndPC:     uint16(h.end),
 					HandlerPC: uint16(h.handler),
 				}
-				if h.hasCatch {
-					eh.CatchType = b.Class(u.className(h.catch))
+				if h.catch != nil {
+					eh.CatchType = b.Class(h.catch.name)
 				}
 				attr.Handlers = append(attr.Handlers, eh)
 			}
 			b.AttachCode(member, attr)
-			decoded[attr] = insns
+			w.decoded[attr] = w.code[start:end:end]
 		}
 		if len(m.exceptions) > 0 {
 			names := make([]string, len(m.exceptions))
-			for i, k := range m.exceptions {
-				names[i] = u.className(k)
+			for k, e := range m.exceptions {
+				names[k] = e.name
 			}
 			b.AttachExceptions(member, names)
 		}
@@ -826,7 +817,7 @@ func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.Class
 	if err != nil {
 		return nil, err
 	}
-	if err := strip.RenumberWithCodeScratch(cf, decoded, &u.scratch); err != nil {
+	if err := strip.RenumberWithCodeScratch(cf, w.decoded, &w.scratch); err != nil {
 		return nil, err
 	}
 	return cf, nil
@@ -847,37 +838,42 @@ func addFlagAttrs(b *classfile.Builder, attrs *[]classfile.Attribute, flags uint
 	}
 }
 
-// resolveOperand interns the decoded symbolic operand and patches the
-// instruction's constant-pool index.
-func (u *unpacker) resolveOperand(b *classfile.Builder, di *dInsn, in *bytecode.Instruction) error {
-	switch {
-	case di.isLdc:
-		var idx uint16
-		switch di.cv.kind {
-		case classfile.KindInteger:
-			idx = b.Int(di.cv.i)
-		case classfile.KindFloat:
-			idx = b.Float(di.cv.f)
-		case classfile.KindString:
-			idx = b.String(di.cv.s)
-		case classfile.KindLong:
-			idx = b.Long(di.cv.l)
-		case classfile.KindDouble:
-			idx = b.Double(di.cv.d)
-		}
-		in.A = int(idx)
-	case di.hasUse:
-		owner := u.className(di.member.Owner)
-		switch di.member.Kind {
-		case classfile.KindFieldref:
-			in.A = int(b.Fieldref(owner, di.member.Name, di.member.Desc))
-		case classfile.KindInterfaceMethodref:
-			in.A = int(b.InterfaceMethodref(owner, di.member.Name, di.member.Desc))
-		default:
-			in.A = int(b.Methodref(owner, di.member.Name, di.member.Desc))
-		}
-	case bytecode.IsCPRef(in.Op):
-		in.A = int(b.Class(u.className(di.class)))
+// internConst interns a constant value and returns its pool index.
+func internConst(b *classfile.Builder, c *dConst) uint16 {
+	switch c.kind {
+	case classfile.KindInteger:
+		return b.Int(c.i)
+	case classfile.KindFloat:
+		return b.Float(c.f)
+	case classfile.KindLong:
+		return b.Long(c.l)
+	case classfile.KindDouble:
+		return b.Double(c.d)
+	case classfile.KindString:
+		return b.String(c.s)
 	}
-	return nil
+	return 0
+}
+
+// resolveOperand interns a decoded instruction's symbolic operand and
+// returns the instruction with its constant-pool index patched in.
+func resolveOperand(b *classfile.Builder, d *dClass, di *dInsn) bytecode.Instruction {
+	in := di.in
+	switch {
+	case di.ldc != 0:
+		in.A = int(internConst(b, &d.consts[di.ldc-1]))
+	case di.member != nil:
+		m := &di.member.ref
+		switch m.Kind {
+		case classfile.KindFieldref:
+			in.A = int(b.Fieldref(di.member.owner, m.Name, m.Desc))
+		case classfile.KindInterfaceMethodref:
+			in.A = int(b.InterfaceMethodref(di.member.owner, m.Name, m.Desc))
+		default:
+			in.A = int(b.Methodref(di.member.owner, m.Name, m.Desc))
+		}
+	case di.class != nil:
+		in.A = int(b.Class(di.class.name))
+	}
+	return in
 }

@@ -419,6 +419,13 @@ func (p *packer) code(cf *classfile.ClassFile, code *classfile.CodeAttr) error {
 		return err
 	}
 	p.insns = insns
+	for i, h := range code.Handlers {
+		err := checkHandler(int(h.StartPC), int(h.EndPC), int(h.HandlerPC), len(code.Code), len(insns),
+			func(k int) int { return insns[k].Offset })
+		if err != nil {
+			return fmt.Errorf("exception handler %d: %w", i, err)
+		}
+	}
 	if p.res == nil {
 		p.res = stackstate.NewClassFileResolver(cf)
 	} else {

@@ -10,6 +10,9 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+
 	"classpack/internal/bytecode"
 	"classpack/internal/refs"
 )
@@ -203,3 +206,28 @@ const (
 	flagInnerHasOuter = 1 << 16
 	flagInnerHasName  = 1 << 17
 )
+
+// checkHandler holds one exception handler to its method's code, as
+// JVMS §4.7.3 does: start_pc < end_pc <= code_length, start_pc and
+// handler_pc lie on instruction boundaries, and end_pc lies on one or
+// equals code_length. The method's n instructions start at the
+// ascending offsets offset(0), …, offset(n-1). Pack refuses a handler
+// that fails, and the decoder reports one as damage to msc.handler, so
+// Unpack never reproduces a handler the JVM would reject.
+func checkHandler(start, end, handler, codeLen, n int, offset func(i int) int) error {
+	boundary := func(pc int) bool {
+		i := sort.Search(n, func(i int) bool { return offset(i) >= pc })
+		return i < n && offset(i) == pc
+	}
+	switch {
+	case start >= end || end > codeLen:
+		return fmt.Errorf("range [%d, %d) is not within code of length %d", start, end, codeLen)
+	case !boundary(start):
+		return fmt.Errorf("start_pc %d is not on an instruction boundary", start)
+	case end < codeLen && !boundary(end):
+		return fmt.Errorf("end_pc %d is not on an instruction boundary", end)
+	case !boundary(handler):
+		return fmt.Errorf("handler_pc %d is not on an instruction boundary of code of length %d", handler, codeLen)
+	}
+	return nil
+}

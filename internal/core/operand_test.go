@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"classpack/internal/bytecode"
@@ -14,6 +15,17 @@ import (
 // packMethod packs a one-class archive whose only method is emit's code,
 // with the given exception handlers.
 func packMethod(t *testing.T, emit func(a *bytecode.Assembler), handlers ...classfile.ExceptionHandler) []byte {
+	t.Helper()
+	packed, err := Pack(methodClass(t, emit, handlers...), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return packed
+}
+
+// methodClass builds and strips a class p/C whose only method, m, is
+// emit's code with the given exception handlers.
+func methodClass(t *testing.T, emit func(a *bytecode.Assembler), handlers ...classfile.ExceptionHandler) []*classfile.ClassFile {
 	t.Helper()
 	b := classfile.NewBuilder("p/C", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
 	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "(I)V")
@@ -30,11 +42,7 @@ func packMethod(t *testing.T, emit func(a *bytecode.Assembler), handlers ...clas
 	}
 	cfs := []*classfile.ClassFile{cf}
 	strippedBytes(t, cfs)
-	packed, err := Pack(cfs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return packed
+	return cfs
 }
 
 // rewriteStream re-serializes a version-2 archive with the raw bytes of
@@ -133,6 +141,17 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 	// stream pack it with a handler covering [0,1) that starts at 2.
 	guarded := func(a *bytecode.Assembler) { a.Op(bytecode.Nop); a.Op(bytecode.Return); a.Op(bytecode.Athrow) }
 	handler := classfile.ExceptionHandler{StartPC: 0, EndPC: 1, HandlerPC: 2}
+	// The same with a 2-byte bipush at pc 0, so pc 1 is inside an
+	// instruction: nop, bipush, pop, return, athrow at pcs 0, 1, 3, 4, 5,
+	// and the handler covers [0,3) and starts at 5.
+	guardedWide := func(a *bytecode.Assembler) {
+		a.Op(bytecode.Nop)
+		a.SByte(5)
+		a.Op(bytecode.Pop)
+		a.Op(bytecode.Return)
+		a.Op(bytecode.Athrow)
+	}
+	wideHandler := classfile.ExceptionHandler{StartPC: 0, EndPC: 3, HandlerPC: 5}
 	cases := []struct {
 		name   string
 		emit   func(*bytecode.Assembler)
@@ -162,11 +181,25 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 		{"handler start_pc 1<<16", guarded, sHandler, setVarint(t, 0, 1<<16, false)},
 		{"handler end_pc 1<<16", guarded, sHandler, setVarint(t, 1, 1<<16, false)},
 		{"handler handler_pc 1<<16", guarded, sHandler, setVarint(t, 2, 1<<16, false)},
+		// JVMS §4.7.3: start_pc < end_pc <= code_length, with start_pc
+		// and handler_pc on instruction boundaries and end_pc on one or
+		// at code_length.
+		{"handler start_pc past code", guarded, sHandler, setVarint(t, 0, 100, false)},
+		{"handler end_pc equals start_pc", guarded, sHandler, setVarint(t, 1, 0, false)},
+		{"handler end_pc past code", guarded, sHandler, setVarint(t, 1, 4, false)},
+		{"handler handler_pc past code", guarded, sHandler, setVarint(t, 2, 3, false)},
+		{"handler start_pc inside bipush", guardedWide, sHandler, setVarint(t, 0, 2, false)},
+		{"handler end_pc inside bipush", guardedWide, sHandler, setVarint(t, 1, 2, false)},
+		{"handler handler_pc inside bipush", guardedWide, sHandler, setVarint(t, 2, 2, false)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var handlers []classfile.ExceptionHandler
-			if c.stream == sHandler {
+			switch {
+			case c.stream != sHandler:
+			case strings.Contains(c.name, "bipush"):
+				handlers = append(handlers, wideHandler)
+			default:
 				handlers = append(handlers, handler)
 			}
 			packed := packMethod(t, c.emit, handlers...)
@@ -183,5 +216,48 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 				t.Fatalf("CorruptError names stream %q, want %q: %v", ce.Stream, c.stream, err)
 			}
 		})
+	}
+}
+
+// TestPackRefusesHandlersOutsideTheirCode is the encoder's side of the
+// handler rule: Pack fails, naming the class, the method and the pc,
+// rather than pack a handler that Unpack would report as corrupt.
+func TestPackRefusesHandlersOutsideTheirCode(t *testing.T) {
+	// nop, bipush 5, pop, return, athrow at pcs 0, 1, 3, 4, 5.
+	emit := func(a *bytecode.Assembler) {
+		a.Op(bytecode.Nop)
+		a.SByte(5)
+		a.Op(bytecode.Pop)
+		a.Op(bytecode.Return)
+		a.Op(bytecode.Athrow)
+	}
+	cases := []struct {
+		start, end, handler uint16
+		want                string
+	}{
+		{100, 101, 5, "range [100, 101)"},
+		{3, 3, 5, "range [3, 3)"},
+		{0, 7, 5, "range [0, 7)"},
+		{2, 4, 5, "start_pc 2"},
+		{0, 2, 5, "end_pc 2"},
+		{0, 3, 6, "handler_pc 6"},
+		{0, 3, 2, "handler_pc 2"},
+	}
+	for _, c := range cases {
+		h := classfile.ExceptionHandler{StartPC: c.start, EndPC: c.end, HandlerPC: c.handler}
+		_, err := Pack(methodClass(t, emit, h), DefaultOptions())
+		if err == nil {
+			t.Fatalf("Pack accepted handler %+v", h)
+		}
+		for _, want := range []string{"p/C", "method m(I)V", c.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("handler %+v: error %q does not name %q", h, err, want)
+			}
+		}
+	}
+	// A handler may end at code_length.
+	h := classfile.ExceptionHandler{StartPC: 1, EndPC: 6, HandlerPC: 0}
+	if _, err := Pack(methodClass(t, emit, h), DefaultOptions()); err != nil {
+		t.Fatalf("Pack refused handler %+v: %v", h, err)
 	}
 }

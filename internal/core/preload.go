@@ -131,9 +131,14 @@ func forEachPreload(visit func(pool poolID, key string)) {
 
 func preloadMemberRef(m preloadMember) ir.MemberRef {
 	owner, err := ir.ClassNameToKey(m.cls)
+	if err == nil && m.kind == classfile.KindFieldref {
+		_, err = classfile.ParseFieldDescriptor(m.desc)
+	} else if err == nil {
+		_, err = ir.DescriptorToSignature(m.desc)
+	}
 	if err != nil {
 		//classpack:vet-allow nopanic preload tables are compile-time constants; any test run catches a bad entry
-		panic("core: bad preload member class " + m.cls)
+		panic("core: bad preload member " + m.cls + "." + m.name + m.desc)
 	}
 	return ir.MemberRef{Kind: m.kind, Owner: owner, Name: m.name, Desc: m.desc}
 }
@@ -157,13 +162,15 @@ func preloadUnpacker(u *unpacker) {
 		u.decs[pool].(refs.Preloadable).Preload(key)
 	})
 	for _, k := range preloadClassKeys() {
-		u.classKeys[classKeyStr(k)] = k
+		u.defineClass(classKeyStr(k), k)
 	}
 	for _, sig := range preloadSignatures() {
 		u.sigs[sig.SigString()] = sig
 	}
 	for _, m := range preloadMembers {
+		// preloadMemberRef has parsed the descriptor, the one step of
+		// defining a member that can fail.
 		ref := preloadMemberRef(m)
-		u.members[memberPool(ref, m.use)][memberKeyStr(ref)] = ref
+		_, _ = u.defineMember(memberPool(ref, m.use), memberKeyStr(ref), ref)
 	}
 }

@@ -1,7 +1,8 @@
 // Package par provides the bounded, order-preserving worker pool the
 // codec fans independent per-item work across: per-file parse/strip and
 // write-out in the public API, per-stream compression and decompression
-// in the container, and whole-archive verification. Work is indexed,
+// in the container, building decoded classes while the decoder reads
+// ahead, and whole-archive verification. Work is indexed,
 // results are written by index, and the error reported is always the
 // lowest-index failure — so output content, output order, and error
 // selection never depend on the worker count.
@@ -99,4 +100,127 @@ func DoWorkers(concurrency, n int, f func(worker, i int) error) error {
 		}
 	}
 	return nil
+}
+
+// Pipeline runs n items through three stages: produce(slot, i) on the
+// calling goroutine in index order, work(worker, slot) on up to
+// Workers(concurrency, n) goroutines, and consume(slot, i) back on the
+// calling goroutine in index order, as soon as item i and every item
+// before it have been worked. It is for a stateful, sequential producer
+// whose items then need independent work, such as a decoder whose
+// output classes each still need building.
+//
+// An item occupies its slot from produce until consume returns, and at
+// most workers+1 items are in flight, so slot is in [0, workers+1) and
+// whatever the caller keeps per slot is reused rather than grown. worker
+// is in [0, workers) and, as in DoWorkers, never runs two items at once.
+//
+// The result is what a serial loop returns: the lowest-index failure,
+// and for one item a produce error before its work error before its
+// consume error. Every item before the failing one is consumed; none
+// after it is. With one worker, Pipeline is that loop, inline on the
+// calling goroutine. Otherwise it returns only after every worker has
+// exited, and a panic in work is raised again, with the same value, on
+// the calling goroutine when that item's turn to be consumed comes.
+func Pipeline(concurrency, n int, produce func(slot, i int) error,
+	work func(worker, slot int) error, consume func(slot, i int) error) error {
+	workers := Workers(concurrency, n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			if err := produce(0, i); err != nil {
+				return err
+			}
+			if err := work(0, 0); err != nil {
+				return err
+			}
+			if err := consume(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	type result struct {
+		err      error
+		panicked bool
+		value    any
+	}
+	slots := workers + 1
+	// Both buffers hold every item in flight, so no send blocks: jobs
+	// at most slots of them, done[s] the one item slot s holds.
+	jobs := make(chan int, slots)
+	done := make([]chan result, slots)
+	for s := range done {
+		done[s] = make(chan result, 1)
+	}
+	var (
+		stop atomic.Bool // set once the caller stops consuming
+		wg   sync.WaitGroup
+	)
+	run := func(worker, slot int) (r result) {
+		defer func() {
+			if v := recover(); v != nil {
+				r = result{panicked: true, value: v}
+			}
+		}()
+		return result{err: work(worker, slot)}
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			for slot := range jobs {
+				if stop.Load() {
+					done[slot] <- result{}
+					continue
+				}
+				done[slot] <- run(worker, slot)
+			}
+		}(w)
+	}
+	defer func() {
+		stop.Store(true)
+		close(jobs)
+		wg.Wait()
+	}()
+
+	end, next, head := n, 0, 0 // produce [next, end); consume [head, next)
+	var endErr error           // why production stopped before n
+	finish := func() error {
+		r := <-done[head%slots]
+		if r.panicked {
+			panic(r.value)
+		}
+		if r.err != nil {
+			return r.err
+		}
+		if err := consume(head%slots, head); err != nil {
+			return err
+		}
+		head++
+		return nil
+	}
+	for head < end {
+		if next == end || next-head == slots {
+			// Nothing left to produce, or the window is full: wait for
+			// the oldest item.
+			if err := finish(); err != nil {
+				return err
+			}
+			continue
+		}
+		if head < next && len(done[head%slots]) > 0 {
+			if err := finish(); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := produce(next%slots, next); err != nil {
+			end, endErr = next, err
+			continue
+		}
+		jobs <- next % slots
+		next++
+	}
+	return endErr
 }

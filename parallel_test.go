@@ -3,8 +3,13 @@ package classpack
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"classpack/internal/classfile"
+	"classpack/internal/faultinject"
+	"classpack/internal/synth"
 )
 
 // concurrencyLevels is the ladder the determinism tests sweep: the
@@ -200,6 +205,106 @@ func TestConcurrentPackUnpackSharedInput(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// mutantOutcome is everything a caller can observe of decoding one
+// damaged archive.
+type mutantOutcome struct {
+	UnpackErr     string
+	UnpackCorrupt bool
+	Files         int      // files UnpackOpts returned
+	Visited       []string // classes UnpackStream visited, in order
+	StreamErr     string
+	Salvage       SalvageResult
+	Recovered     []string // names of the classes Salvage recovered
+}
+
+func decodeMutant(data []byte, j int) mutantOutcome {
+	var o mutantOutcome
+	opts := &Options{Concurrency: j}
+	files, err := UnpackOpts(data, opts)
+	o.Files = len(files)
+	if err != nil {
+		o.UnpackErr = err.Error()
+		_, o.UnpackCorrupt = AsCorrupt(err)
+	}
+	err = UnpackStream(bytes.NewReader(data), func(f File) error {
+		o.Visited = append(o.Visited, f.Name)
+		return nil
+	}, opts)
+	if err != nil {
+		o.StreamErr = err.Error()
+	}
+	if res, err := Salvage(data, opts); err != nil {
+		o.Salvage.Damage = []DamageRegion{{Cause: err.Error()}}
+	} else {
+		for _, f := range res.Files {
+			o.Recovered = append(o.Recovered, f.Name)
+		}
+		o.Salvage = *res
+		o.Salvage.Files, o.Salvage.concurrency = nil, 0
+	}
+	return o
+}
+
+// TestMutantOutcomesMatchAcrossWorkers decodes faultinject mutants of
+// version-1, version-2 and version-3 (2 classes per chunk) archives at
+// one worker, two and NumCPU. Building classes on workers while the
+// decoder reads ahead must not change what a caller sees: the error
+// text and its corrupt-ness, the classes visited before it, and
+// Salvage's totals and damage regions.
+func TestMutantOutcomesMatchAcrossWorkers(t *testing.T) {
+	// 16 classes: enough to keep every pipeline slot busy, and v1
+	// mutants fail in the middle of the class loop.
+	p, err := synth.ProfileByName("202_jess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs, err := synth.Generate(p, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([][]byte, len(cfs))
+	for i, cf := range cfs {
+		if files[i], err = classfile.Write(cf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v2, err := Pack(files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Unpack(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := DefaultOptions()
+	chunked.ChunkClasses = 2
+	v3, err := Pack(files, &chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archives := []struct {
+		name string
+		data []byte
+	}{{"v1", packLegacy(t, clean)}, {"v2", v2}, {"v3", v3}}
+	levels := []int{2}
+	if n := runtime.NumCPU(); n > 2 {
+		levels = append(levels, n)
+	}
+	for _, a := range archives {
+		plan := faultinject.NewPlan(int64(len(a.data)))
+		for k := 0; k < 16; k++ {
+			fault := plan.Next(len(a.data))
+			mutant := fault.Apply(a.data)
+			want := decodeMutant(mutant, 1)
+			for _, j := range levels {
+				if got := decodeMutant(mutant, j); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s: at -j %d\n%+v\nat -j 1\n%+v", a.name, fault.Name(), j, got, want)
+				}
+			}
 		}
 	}
 }
