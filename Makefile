@@ -29,13 +29,14 @@ lint:
 # an explicit second race pass: their retry/eviction paths are the most
 # concurrency-sensitive in the tree. The unpack pipeline, which builds
 # classes on workers while the decoder reads ahead, gets ten: its
-# ordering, error and panic paths depend on scheduling.
+# ordering, error and panic paths depend on scheduling. So does pack,
+# which codes the reference pools on workers after its class walk.
 verify: lint delta-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
 	$(GO) test -race -count=10 -run '^TestPipeline' ./internal/par
-	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream)$$' .
+	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream|TestPackDeterministicAcrossConcurrency|TestPackStatsDeterministicAcrossConcurrency|TestPackParallelErrorMatchesSerial)$$' .
 
 # bench runs the throughput benchmarks that track the parallel
 # pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and

@@ -1,6 +1,7 @@
 package classpack
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -24,13 +25,17 @@ import (
 // instruction arenas across classes. Once the decoder's instructions
 // pointed to their operands instead of holding them, a serial unpack
 // measured ≈ 7.8 MB (version 3: ≈ 19.0 MB) and one with two build
-// workers ≈ 9.0 MB (≈ 20.8 MB).
+// workers ≈ 9.0 MB (≈ 20.8 MB). Pack at bytesScale, which walks the
+// classes once and records each reference, measured 7.5–7.9 MB serial
+// and 7.7–8.3 MB with two workers; with the former counting pass both
+// measured ≈ 7.0 MB.
 
 const (
 	packAllocCeiling   = 8000  // measured ~4.0k; ceiling ≈ 2x
 	unpackAllocCeiling = 11000 // measured ~5.1k; ceiling ≈ 2x
 
 	bytesScale         = 0.3
+	packBytesCeiling   = 15 << 20 // measured ~7.7 MB (-j 2: ~8.0 MB); ceiling ≈ 2x
 	unpackBytesCeiling = 18 << 20 // measured ~8.9 MB; ceiling ≈ 2x
 
 	// Version 3 at 2 classes per chunk: the corpus spans 3 chunks at
@@ -114,6 +119,39 @@ func TestUnpackAllocs(t *testing.T) {
 			t.Logf("unpack: %.0f allocs per run (%d packed bytes)", allocs, len(packed))
 			if allocs > row.allocs {
 				t.Errorf("Unpack allocated %.0f times per run, ceiling %.0f", allocs, row.allocs)
+			}
+		})
+	}
+}
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestPackAllocBytes pins the heap bytes one pack allocates, serial and
+// with two workers coding the reference pools and trial-coding streams.
+func TestPackAllocBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement on full corpus")
+	}
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a quarter of the
+		// values put back, so Pack reallocates pooled DEFLATE
+		// compressors and the bytes measure the detector, not Pack.
+		t.Skip("heap bytes are not Pack's under the race detector")
+	}
+	files, _ := allocCorpus(t, bytesScale, 0)
+	for _, j := range []int{1, 2} {
+		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Concurrency = j
+			bytes := bytesPerRun(5, func() {
+				if _, err := Pack(files, &opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("pack: %.0f bytes allocated per run (%d files)", bytes, len(files))
+			if bytes > packBytesCeiling {
+				t.Errorf("Pack allocated %.0f bytes per run, ceiling %d", bytes, packBytesCeiling)
 			}
 		})
 	}

@@ -158,8 +158,12 @@ func TestErrors(t *testing.T) {
 		t.Error("Verify of junk succeeded")
 	}
 	bad := Options{Scheme: 2 /* Freq: not decodable */, StackState: true, Compress: true}
-	if _, err := Pack(sample(t), &bad); err == nil {
-		t.Error("Pack with undecodable scheme succeeded")
+	_, err := Pack(sample(t), &bad)
+	if err == nil {
+		t.Fatal("Pack with undecodable scheme succeeded")
+	}
+	if _, statsErr := PackStats(sample(t), &bad); statsErr == nil || statsErr.Error() != err.Error() {
+		t.Errorf("PackStats with undecodable scheme: error %v, want Pack's %q", statsErr, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"classpack/internal/bytecode"
@@ -267,9 +268,61 @@ func TestPackRejectsUndecodableScheme(t *testing.T) {
 	cfs := buildTestClasses(t)
 	strippedBytes(t, cfs)
 	for _, s := range []refs.Scheme{refs.Freq, refs.Cache} {
-		if _, err := Pack(cfs, Options{Scheme: s, Compress: true}); err == nil {
-			t.Errorf("Pack with %v succeeded", s)
+		opts := Options{Scheme: s, Compress: true}
+		_, err := Pack(cfs, opts)
+		if err == nil {
+			t.Fatalf("Pack with %v succeeded", s)
 		}
+		if _, statsErr := PackStats(cfs, opts); statsErr == nil || statsErr.Error() != err.Error() {
+			t.Errorf("PackStats with %v: error %v, want Pack's %q", s, statsErr, err)
+		}
+	}
+}
+
+// TestFinishRefsRejectsWrongCount gives one pool's record a wrong count:
+// a key that occurs twice is counted once, so MTF-Full codes it as a
+// transient and reports its second occurrence as a first one. The walk
+// has already written no definition there, so finishRefs must fail
+// rather than produce an archive that does not decode.
+func TestFinishRefsRejectsWrongCount(t *testing.T) {
+	cfs := buildTestClasses(t)
+	strippedBytes(t, cfs)
+	p, err := walk(cfs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, key := -1, -1
+	for id := range p.pools {
+		for k, c := range p.pools[id].counts {
+			if c == 2 {
+				pool, key = id, k
+				break
+			}
+		}
+		if pool >= 0 {
+			break
+		}
+	}
+	if pool < 0 {
+		t.Fatal("no key occurs exactly twice")
+	}
+	r := &p.pools[pool]
+	second, seen := -1, 0
+	for i, ev := range r.events {
+		if int(ev.key) == key {
+			if seen++; seen == 2 {
+				second = i
+			}
+		}
+	}
+	r.counts[key] = 1
+	err = p.finishRefs()
+	if err == nil {
+		t.Fatal("finishRefs accepted a wrong count")
+	}
+	want := fmt.Sprintf("%s event %d:", refStream(poolID(pool)), second)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
 	}
 }
 

@@ -34,8 +34,8 @@ func PackVersion(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, er
 	if ver != Version1 && ver != Version2 && ver != Version3 {
 		return nil, fmt.Errorf("core: unknown pack version %d", ver)
 	}
-	if !opts.Scheme.Decodable() {
-		return nil, fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
+	if err := checkScheme(opts); err != nil {
+		return nil, err
 	}
 	if ver == Version3 {
 		return packV3(cfs, opts)
@@ -50,61 +50,72 @@ func PackVersion(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, er
 	return append(out, body...), nil
 }
 
-// encodeMonolith runs the two-pass encoder over the whole collection and
-// serializes the streams as one container body (no archive header).
+// encodeMonolith walks the whole collection once, codes the reference
+// pools, and serializes the streams as one container body (no archive
+// header).
 func encodeMonolith(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, error) {
-	// Pass 1 counts occurrences per pool so transient objects (§5.1.5)
-	// are known in advance; pass 2 emits.
-	counter := newCountingPacker(opts)
-	if opts.Preload {
-		preloadPacker(counter)
-	}
-	if err := counter.archive(cfs); err != nil {
+	p, err := walk(cfs, opts)
+	if err != nil {
 		return nil, err
 	}
-	emitter := newEmittingPacker(opts, counter.counts, counter.keys)
-	if opts.Preload {
-		preloadPacker(emitter)
-	}
-	if err := emitter.archive(cfs); err != nil {
+	if err := p.finishRefs(); err != nil {
 		return nil, err
 	}
 	if ver == Version1 {
-		return emitter.w.FinishN(opts.Compress, opts.Concurrency)
+		return p.w.FinishN(opts.Compress, opts.Concurrency)
 	}
-	return emitter.w.FinishChecked(opts.Compress, opts.Concurrency)
+	return p.w.FinishChecked(opts.Compress, opts.Concurrency)
 }
 
 // PackStats reports per-stream sizes for the archive that Pack would
-// produce; the Table 6 breakdown derives from it.
+// produce; the Table 6 breakdown derives from it. Like Pack, it refuses
+// a scheme without a decoder.
 func PackStats(cfs []*classfile.ClassFile, opts Options) (map[string][2]int, error) {
-	counter := newCountingPacker(opts)
-	if opts.Preload {
-		preloadPacker(counter)
-	}
-	if err := counter.archive(cfs); err != nil {
+	if err := checkScheme(opts); err != nil {
 		return nil, err
 	}
-	emitter := newEmittingPacker(opts, counter.counts, counter.keys)
-	if opts.Preload {
-		preloadPacker(emitter)
-	}
-	if err := emitter.archive(cfs); err != nil {
+	p, err := walk(cfs, opts)
+	if err != nil {
 		return nil, err
 	}
-	return emitter.w.SizesN(opts.Compress, opts.Concurrency), nil
+	if err := p.finishRefs(); err != nil {
+		return nil, err
+	}
+	return p.w.SizesN(opts.Compress, opts.Concurrency), nil
 }
 
 // Traces records the reference event stream of every pool in encode order
 // (contexts included), for the Table 3 scheme-comparison experiments.
 // Keys of the returned map are the pool names used in the "ref.*" streams.
+// The events do not depend on the scheme, and no pool is preloaded.
 func Traces(cfs []*classfile.ClassFile, opts Options) (map[string][]refs.Event, error) {
-	p := newCountingPacker(opts)
-	p.traces = make(map[string][]refs.Event)
-	if err := p.archive(cfs); err != nil {
+	opts.Preload = false
+	p, err := walk(cfs, opts)
+	if err != nil {
 		return nil, err
 	}
-	return p.traces, nil
+	traces := make(map[string][]refs.Event)
+	for id := range p.pools {
+		r := &p.pools[id]
+		if len(r.events) == 0 {
+			continue
+		}
+		events := make([]refs.Event, len(r.events))
+		for i, ev := range r.events {
+			events[i] = refs.Event{Ctx: int(ev.ctx), Key: r.keys[ev.key]}
+		}
+		traces[poolName[id]] = events
+	}
+	return traces, nil
+}
+
+// checkScheme refuses a measurement-only scheme: with no decoder, its
+// encoder never reports a first occurrence.
+func checkScheme(opts Options) error {
+	if !opts.Scheme.Decodable() {
+		return fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
+	}
+	return nil
 }
 
 func encodeOptions(opts Options) byte {

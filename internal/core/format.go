@@ -166,16 +166,6 @@ var poolName = [numPools]string{
 	"field.i", "field.s", "meth.v", "meth.sp", "meth.st", "meth.if", "strc",
 }
 
-// contextual reports whether the pool's references use stack-state
-// contexts (§5.1.6: method references only).
-func (p poolID) contextual() bool {
-	switch p {
-	case poolMethodVirtual, poolMethodSpecial, poolMethodStatic, poolMethodInterface:
-		return true
-	}
-	return false
-}
-
 // Pseudo-opcodes replacing the constant-loading instructions in the wire
 // opcode stream; they name the constant's type so the decoder knows which
 // value stream to read (§3 footnote 1) and preserve the ldc/ldc_w width.

@@ -1,19 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"unicode/utf8"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/ir"
+	"classpack/internal/par"
 	"classpack/internal/refs"
 	"classpack/internal/stackstate"
 	"classpack/internal/streams"
 )
 
 // Canonical pool keys. Keys only need to be unique within their pool and
-// identical between passes and directions. The append builders replicate
+// identical in both directions. The append builders replicate
 // the historical fmt verb output byte-for-byte: the keys are move-to-front
 // identities, so any drift would change packed archives.
 
@@ -43,10 +45,9 @@ func classKeyStr(k ir.ClassKey) string { return string(appendClassKey(nil, k)) }
 
 func memberKeyStr(m ir.MemberRef) string { return string(appendMemberKey(nil, m)) }
 
-// keyCache memoizes pool keys and descriptor parses for one Pack. The
-// counting and emitting passes traverse the same classes in the same
-// order, so sharing one cache makes every emit-pass computation a map
-// hit. The comparable IR structs (ClassKey, MemberRef) key directly.
+// keyCache memoizes pool keys and descriptor parses for one walk, which
+// meets the same classes, members and descriptors many times. The
+// comparable IR structs (ClassKey, MemberRef) key directly.
 type keyCache struct {
 	classKeys  map[ir.ClassKey]string
 	memberKeys map[ir.MemberRef]string
@@ -153,91 +154,144 @@ const (
 	useInterface
 )
 
-// sink is the subset of streams.Stream the walkers write through; the
-// counting pass swaps in a discard implementation.
-type sink interface {
-	WriteByte(byte) error
-	Write([]byte) (int, error)
-	WriteString(string) (int, error)
-	Uint(uint64)
-	Int(int64)
-}
-
-type discard struct{}
-
-func (discard) WriteByte(byte) error              { return nil }
-func (discard) Write(p []byte) (int, error)       { return len(p), nil }
-func (discard) WriteString(s string) (int, error) { return len(s), nil }
-func (discard) Uint(uint64)                       {}
-func (discard) Int(int64)                         {}
-
-// packer holds the encoder state for one pass (counting or emitting).
+// packer walks the classes once. It writes every non-reference stream
+// as it goes and records each reference in its pool's record;
+// finishRefs then codes the records into the ref streams.
 type packer struct {
-	opts     Options
-	w        *streams.Writer
-	counting bool
-	counts   [numPools]map[string]int
-	seen     [numPools]map[string]bool
-	encs     [numPools]refs.Encoder
-	scratch  []byte
-	keys     *keyCache
-	traces   map[string][]refs.Event // non-nil: record events per pool name
+	opts  Options
+	w     *streams.Writer
+	pools [numPools]poolRecord
+	keys  *keyCache
 
-	// Per-method scratch reused across the whole pass.
+	// Per-method scratch reused across the whole walk.
 	insns []bytecode.Instruction
 	hoffs []int
 	sim   *stackstate.Sim
 	res   *stackstate.ClassFileResolver
 }
 
-func newCountingPacker(opts Options) *packer {
-	p := &packer{opts: opts, counting: true, keys: newKeyCache()}
-	for i := range p.counts {
-		p.counts[i] = make(map[string]int)
-		p.seen[i] = make(map[string]bool)
-	}
-	return p
+// poolRecord is what the walk keeps of one pool's references: every key
+// in first-occurrence order with its total count, and one event per
+// reference. The reference encoders of §5.1.5 need each key's total
+// count before its first reference is coded, so the events are coded
+// only once the walk has seen them all.
+type poolRecord struct {
+	index     map[string]int32 // key -> its position in keys
+	keys      []string
+	counts    []int32
+	preloaded int // keys[:preloaded] are the preload table's, in table order
+	events    []refEvent
 }
 
-func newEmittingPacker(opts Options, counts [numPools]map[string]int, keys *keyCache) *packer {
-	p := &packer{opts: opts, w: streams.NewWriter(), counts: counts, keys: keys}
-	for i := range p.encs {
-		p.encs[i] = refs.NewEncoder(opts.Scheme, counts[i])
-	}
-	return p
+// refEvent is one reference: the key's index in its pool's record and
+// the stack-state context, a ContextID below stackstate.NumContexts. A
+// reference is the key's first occurrence exactly when its index equals
+// the number of keys defined before it, so no flag is stored.
+type refEvent struct {
+	key uint32
+	ctx uint8
 }
 
-// st returns the sink for a named stream.
-func (p *packer) st(name string) sink {
-	if p.counting {
-		return discard{}
+// walk runs the packer over cfs, leaving every stream but the ref
+// streams written and every pool's references recorded.
+func walk(cfs []*classfile.ClassFile, opts Options) (*packer, error) {
+	p := &packer{opts: opts, w: streams.NewWriter(), keys: newKeyCache()}
+	for i := range p.pools {
+		p.pools[i].index = make(map[string]int32)
 	}
-	return p.w.Stream(name)
+	if opts.Preload {
+		preloadPacker(p)
+	}
+	if err := p.archive(cfs); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// ref encodes one reference event; def is invoked exactly when the
-// object's definition must follow (first occurrence).
+// st returns a named stream.
+func (p *packer) st(name string) *streams.Stream { return p.w.Stream(name) }
+
+// ref records one reference event; def is invoked exactly when the
+// object's definition must follow (first occurrence in its pool).
 func (p *packer) ref(pool poolID, ctx int, key string, def func()) {
-	if p.counting {
-		if p.traces != nil {
-			p.traces[poolName[pool]] = append(p.traces[poolName[pool]], refs.Event{Ctx: ctx, Key: key})
-		}
-		p.counts[pool][key]++
-		if !p.seen[pool][key] {
-			p.seen[pool][key] = true
-			def()
-		}
-		return
+	r := &p.pools[pool]
+	i, seen := r.index[key]
+	if !seen {
+		i = r.add(key)
 	}
-	var isNew bool
-	p.scratch, isNew = p.encs[pool].Encode(p.scratch[:0], refs.Event{Ctx: ctx, Key: key})
-	if _, err := p.w.Stream(refStream(pool)).Write(p.scratch); err != nil {
-		//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-		panic(err) // bytes.Buffer writes cannot fail
-	}
-	if isNew {
+	r.counts[i]++
+	r.events = append(r.events, refEvent{key: uint32(i), ctx: uint8(ctx)})
+	if !seen {
 		def()
 	}
+}
+
+// add indexes a key not yet in the record.
+func (r *poolRecord) add(key string) int32 {
+	i := int32(len(r.keys))
+	r.index[key] = i
+	r.keys = append(r.keys, key)
+	r.counts = append(r.counts, 0)
+	return i
+}
+
+// finishRefs codes every pool's recorded events into its ref stream.
+// Pools share nothing, so they code on up to Options.Concurrency
+// workers; each stream is written once, on the calling goroutine.
+func (p *packer) finishRefs() error {
+	var pools []poolID
+	for id := range p.pools {
+		if len(p.pools[id].events) > 0 {
+			pools = append(pools, poolID(id))
+		}
+	}
+	coded := make([][]byte, len(pools))
+	if err := par.Do(p.opts.Concurrency, len(pools), func(i int) error {
+		var err error
+		coded[i], err = p.pools[pools[i]].encode(p.opts.Scheme)
+		if err != nil {
+			return fmt.Errorf("core: %s %w", refStream(pools[i]), err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for i, id := range pools {
+		p.st(refStream(id)).Write(coded[i])
+	}
+	return nil
+}
+
+// encode codes the record's events with a fresh encoder of the scheme,
+// built from the record's final counts and preloaded as the decoder's
+// pool is. The encoder must report a first occurrence exactly where the
+// walk defined the object; anywhere else the definition streams and the
+// ref stream would disagree and the archive would not decode.
+func (r *poolRecord) encode(scheme refs.Scheme) ([]byte, error) {
+	counts := make(map[string]int, len(r.keys))
+	for i, c := range r.counts {
+		if c > 0 {
+			counts[r.keys[i]] = int(c)
+		}
+	}
+	enc := refs.NewEncoder(scheme, counts)
+	for _, key := range r.keys[:r.preloaded] {
+		//classpack:vet-allow nopanic codec tables are built from Preloadable implementations only
+		enc.(refs.Preloadable).Preload(key)
+	}
+	buf := make([]byte, 0, len(r.events)+len(r.events)/2)
+	defined := uint32(r.preloaded)
+	for i, ev := range r.events {
+		var isNew bool
+		buf, isNew = enc.Encode(buf, refs.Event{Ctx: int(ev.ctx), Key: r.keys[ev.key]})
+		if first := ev.key == defined; isNew != first {
+			return nil, fmt.Errorf("event %d: encoder reports first occurrence %v, walk %v", i, isNew, first)
+		}
+		if isNew {
+			defined++
+		}
+	}
+	return buf, nil
 }
 
 // strDef emits a string definition into the category's length and

@@ -143,15 +143,12 @@ func preloadMemberRef(m preloadMember) ir.MemberRef {
 	return ir.MemberRef{Kind: m.kind, Owner: owner, Name: m.name, Desc: m.desc}
 }
 
-// preloadPacker seeds an encoder-side packer (both passes).
+// preloadPacker enters the table into the packer's pool records first,
+// in table order, as already defined.
 func preloadPacker(p *packer) {
 	forEachPreload(func(pool poolID, key string) {
-		if p.counting {
-			p.seen[pool][key] = true
-			return
-		}
-		//classpack:vet-allow nopanic codec tables are built from Preloadable implementations only
-		p.encs[pool].(refs.Preloadable).Preload(key)
+		p.pools[pool].add(key)
+		p.pools[pool].preloaded++
 	})
 }
 

@@ -241,8 +241,8 @@ func packV3(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 // is byte-identical to Pack of the same classfiles with the same
 // ChunkClasses, for every Concurrency value.
 func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Options) error {
-	if !opts.Scheme.Decodable() {
-		return fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
+	if err := checkScheme(opts); err != nil {
+		return err
 	}
 	cw := newChunkWriter(w, opts)
 	if cw.err != nil {

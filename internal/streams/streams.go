@@ -144,20 +144,7 @@ func (w *Writer) FinishChecked(compress bool, concurrency int) ([]byte, error) {
 }
 
 func (w *Writer) finish(compress bool, concurrency int, checked bool) ([]byte, error) {
-	names := append([]string(nil), w.order...)
-	sort.Strings(names)
-	type coded struct {
-		coding  byte
-		payload []byte
-	}
-	encs := make([]coded, len(names))
-	if err := par.Do(concurrency, len(names), func(i int) error {
-		coding, payload := encodeStream(w.streams[names[i]].buf.Bytes(), compress)
-		encs[i] = coded{coding, payload}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	names, encs := w.code(compress, concurrency)
 	var out []byte
 	out = varint.AppendUint(out, uint64(len(names)))
 	for i, name := range names {
@@ -178,6 +165,37 @@ func (w *Writer) finish(compress bool, concurrency int, checked bool) ([]byte, e
 	return out, nil
 }
 
+// coded is one stream's chosen coding and payload.
+type coded struct {
+	coding  byte
+	payload []byte
+}
+
+// code trial-codes every stream on up to concurrency workers. It
+// returns the stream names in container order, which is sorted, and
+// their codings in the same order. Workers take the longest raw stream
+// first, ties by name: the costliest codings start first, so at the end
+// no worker sits idle while another codes one large stream.
+func (w *Writer) code(compress bool, concurrency int) ([]string, []coded) {
+	names := append([]string(nil), w.order...)
+	sort.Strings(names)
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return w.streams[names[order[a]]].Len() > w.streams[names[order[b]]].Len()
+	})
+	encs := make([]coded, len(names))
+	_ = par.Do(concurrency, len(order), func(k int) error {
+		i := order[k]
+		coding, payload := encodeStream(w.streams[names[i]].buf.Bytes(), compress)
+		encs[i] = coded{coding, payload}
+		return nil
+	})
+	return names, encs
+}
+
 // Sizes reports per-stream raw and encoded sizes as they would serialize
 // with the given compression setting. It is SizesN with one worker.
 func (w *Writer) Sizes(compress bool) map[string][2]int {
@@ -187,16 +205,10 @@ func (w *Writer) Sizes(compress bool) map[string][2]int {
 // SizesN is Sizes with the trial codings run on up to concurrency
 // workers (<= 0 meaning all cores).
 func (w *Writer) SizesN(compress bool, concurrency int) map[string][2]int {
-	names := append([]string(nil), w.order...)
-	encoded := make([]int, len(names))
-	_ = par.Do(concurrency, len(names), func(i int) error {
-		_, payload := encodeStream(w.streams[names[i]].buf.Bytes(), compress)
-		encoded[i] = len(payload)
-		return nil
-	})
+	names, encs := w.code(compress, concurrency)
 	out := make(map[string][2]int, len(names))
 	for i, name := range names {
-		out[name] = [2]int{w.streams[name].buf.Len(), encoded[i]}
+		out[name] = [2]int{w.streams[name].buf.Len(), len(encs[i].payload)}
 	}
 	return out
 }
