@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs go vet plus classpack-vet, the custom nine-analyzer suite:
+# lint fails first if gofmt would reformat any tracked Go file, then
+# runs go vet plus classpack-vet, the custom nine-analyzer suite:
 # the decoder-safety proofs (decodebound, nopanic, corrupterr,
 # poolbalance) and the daemon-layer concurrency checks (ctxflow,
 # guardedfield, goroutineleak, vfsdirect, balancegen). Any finding
@@ -18,6 +19,8 @@ test:
 # (measured in-tool, so go-run compile time is not charged) exceeds
 # 30s — the lint gate must stay cheap enough for a pre-push hook.
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/classpack-vet -timing -budget 30s ./...
 

@@ -59,6 +59,25 @@ func (k ConstKind) String() string {
 // Wide reports whether the tag occupies two constant-pool slots.
 func (k ConstKind) Wide() bool { return k == KindLong || k == KindDouble }
 
+// LdcType returns the type of the value that ldc, ldc_w or ldc2_w pushes
+// for a constant of kind k, and false for the kinds no 1.2 ldc loads.
+// ldc2_w loads the wide types and the other two the rest.
+func (k ConstKind) LdcType() (Type, bool) {
+	switch k {
+	case KindInteger:
+		return Type{Base: 'I'}, true
+	case KindFloat:
+		return Type{Base: 'F'}, true
+	case KindString:
+		return ObjectType("java/lang/String"), true
+	case KindLong:
+		return Type{Base: 'J'}, true
+	case KindDouble:
+		return Type{Base: 'D'}, true
+	}
+	return Type{}, false
+}
+
 // Constant is one constant-pool entry. Only the fields relevant to Kind
 // are meaningful.
 type Constant struct {

@@ -5,11 +5,14 @@ import (
 
 	"classpack/internal/classfile"
 	"classpack/internal/synth"
+	"classpack/internal/verifier"
 )
 
 // FuzzReadClassFile throws arbitrary bytes at the class-file parser.
 // Parsing may fail with an error, never a panic; a class that parses
-// must survive Verify and Write without panicking either.
+// must survive Verify and Write without panicking either. A class that
+// passes Verify, as a user's class files do before `jpack verify -deep`
+// runs the dataflow verifier on them, must survive that verifier too.
 func FuzzReadClassFile(f *testing.F) {
 	p, err := synth.ProfileByName("209_db")
 	if err != nil {
@@ -38,7 +41,9 @@ func FuzzReadClassFile(f *testing.F) {
 		}
 		// Verify may reject a structurally parsed but inconsistent pool;
 		// Write re-serializes whatever parsed. Neither may panic.
-		_ = classfile.Verify(cf)
+		if classfile.Verify(cf) == nil {
+			_ = verifier.ClassVerdicts(cf)
+		}
 		_, _ = classfile.Write(cf)
 	})
 }

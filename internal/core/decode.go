@@ -144,10 +144,9 @@ type unpacker struct {
 	// every class in the body. References repeat heavily (that is the
 	// whole premise of the format), so each derived form is computed
 	// once per distinct input rather than once per use site.
-	msigs  map[string]*msigEntry
-	ftypes map[string]classfile.Type
-	sim    *stackstate.Sim
-	hoffs  []int
+	descs descs
+	sim   *stackstate.Sim
+	hoffs []int
 }
 
 // classEntry is a decoded class reference: its key and the internal
@@ -158,24 +157,12 @@ type classEntry struct {
 }
 
 // memberEntry is a decoded field or method reference with what decoding
-// and build derive from it: the owner's internal name, and the method
-// signature or field type the stack simulation consumes.
+// and build derive from it: the owner's internal name, and the parsed
+// descriptor, which holds the facts the stack simulation consumes.
 type memberEntry struct {
 	ref   ir.MemberRef
 	owner string
-	msig  *msigEntry     // method references
-	ftype classfile.Type // field references
-}
-
-// msigEntry caches everything derived from one method descriptor: the
-// factored signature, its argument-slot count, and the parameter/return
-// types the stack simulation consumes. The type slices are shared across
-// instructions; stackstate treats OpInfo.Params as read-only.
-type msigEntry struct {
-	sig      ir.Signature
-	argSlots int
-	params   []classfile.Type
-	ret      classfile.Type
+	desc  memberDesc
 }
 
 func newUnpacker(opts Options, r *streams.Reader) *unpacker {
@@ -198,8 +185,7 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 		miscOp:    r.Stream(sMiscOp),
 		classKeys: make(map[string]*classEntry),
 		sigs:      make(map[string]ir.Signature),
-		msigs:     make(map[string]*msigEntry),
-		ftypes:    make(map[string]classfile.Type),
+		descs:     newDescs(),
 	}
 	for i := range u.decs {
 		u.decs[i], _ = refs.NewDecoder(opts.Scheme)
@@ -273,38 +259,6 @@ func classError(i int, err error) error {
 		err = corrupt.New(sMeta, -1, err)
 	}
 	return err
-}
-
-// methodSig memoizes descriptor parsing for method references. Only
-// successful parses are cached; a malformed descriptor aborts decoding
-// anyway.
-func (u *unpacker) methodSig(desc string) (*msigEntry, error) {
-	if e, ok := u.msigs[desc]; ok {
-		return e, nil
-	}
-	sig, err := ir.DescriptorToSignature(desc)
-	if err != nil {
-		return nil, err
-	}
-	e := &msigEntry{sig: sig, argSlots: sig.ArgSlots()}
-	e.params, e.ret, _ = methodTypes(sig)
-	u.msigs[desc] = e
-	return e, nil
-}
-
-// fieldInfoType memoizes the classfile type a field descriptor denotes,
-// as consumed by the stack simulation.
-func (u *unpacker) fieldInfoType(desc string) (classfile.Type, error) {
-	if t, ok := u.ftypes[desc]; ok {
-		return t, nil
-	}
-	k, err := ir.MemberRef{Kind: classfile.KindFieldref, Desc: desc}.FieldTypeKey()
-	if err != nil {
-		return classfile.Type{}, err
-	}
-	t := ir.KeyToType(k)
-	u.ftypes[desc] = t
-	return t, nil
 }
 
 // decodeRef decodes one reference from pool's stream. The reference
@@ -447,22 +401,7 @@ func (u *unpacker) sigRef() (ir.Signature, error) {
 // memberRef decodes a field or method reference from the pool implied by
 // the instruction's use.
 func (u *unpacker) memberRef(use opUse, ctx int) (*memberEntry, error) {
-	var pool poolID
-	var kind classfile.ConstKind
-	switch use {
-	case useGetfield:
-		pool, kind = poolFieldInstance, classfile.KindFieldref
-	case useGetstatic:
-		pool, kind = poolFieldStatic, classfile.KindFieldref
-	case useVirtual:
-		pool, kind = poolMethodVirtual, classfile.KindMethodref
-	case useSpecial:
-		pool, kind = poolMethodSpecial, classfile.KindMethodref
-	case useStatic:
-		pool, kind = poolMethodStatic, classfile.KindMethodref
-	case useInterface:
-		pool, kind = poolMethodInterface, classfile.KindInterfaceMethodref
-	}
+	pool, kind := memberUses[use].pool, memberUses[use].kind
 	key, isNew, transient, err := u.decodeRef(pool, ctx)
 	if err != nil {
 		return nil, err
@@ -515,16 +454,11 @@ func (u *unpacker) defineMember(pool poolID, mk string, m ir.MemberRef) (*member
 	if e, ok := u.members[pool][mk]; ok && e.ref == m {
 		return e, nil
 	}
-	e := &memberEntry{ref: m, owner: ir.KeyToClassName(m.Owner)}
-	var err error
-	if m.Kind == classfile.KindFieldref {
-		e.ftype, err = u.fieldInfoType(m.Desc)
-	} else {
-		e.msig, err = u.methodSig(m.Desc)
-	}
+	d, err := u.descs.member(m)
 	if err != nil {
 		return nil, err
 	}
+	e := &memberEntry{ref: m, owner: ir.KeyToClassName(m.Owner), desc: d}
 	u.members[pool][mk] = e
 	return e, nil
 }

@@ -343,9 +343,9 @@ func (u *unpacker) code(d *dClass, c *dCode) error {
 		// Reset copies handlerOffsets, so the u.hoffs scratch can be
 		// reused by the next method without corrupting the simulation.
 		if u.sim == nil {
-			u.sim = stackstate.New(nil, handlerOffsets)
+			u.sim = stackstate.New(handlerOffsets)
 		} else {
-			u.sim.Reset(nil, handlerOffsets)
+			u.sim.Reset(handlerOffsets)
 		}
 		sim = u.sim
 	}
@@ -455,8 +455,7 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			}
 			d.consts = append(d.consts, c)
 			di.ldc = int32(len(d.consts))
-			info.HasConst = true
-			info.Const = constStackKind(ldcKind)
+			info = stackstate.ConstInfo(ldcKind)
 			break
 		}
 		if err := u.cpOperand(di, ctx, &info); err != nil {
@@ -466,10 +465,8 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 		if di.member, err = u.memberRef(useInterface, ctx); err != nil {
 			return 0, err
 		}
-		e := di.member.msig
-		di.in.B = e.argSlots + 1
-		info.HasMethod = true
-		info.Params, info.Ret = e.params, e.ret
+		di.in.B = di.member.desc.method.argSlots + 1
+		info = di.member.desc.info()
 	case bytecode.FmtMultiANewArray:
 		if di.class, err = u.classRef(); err != nil {
 			return 0, err
@@ -611,34 +608,6 @@ func signed(s *streams.RStream, bits uint) (int, error) {
 	return int(v), nil
 }
 
-// constStackKind maps a pool kind to the stack kind ldc pushes.
-func constStackKind(k classfile.ConstKind) stackstate.Kind {
-	switch k {
-	case classfile.KindInteger:
-		return stackstate.Int
-	case classfile.KindFloat:
-		return stackstate.Float
-	case classfile.KindString:
-		return stackstate.Ref
-	case classfile.KindLong:
-		return stackstate.Long
-	case classfile.KindDouble:
-		return stackstate.Double
-	}
-	return stackstate.Unknown
-}
-
-// methodTypes converts a factored signature to the classfile types the
-// stack simulation consumes.
-func methodTypes(sig ir.Signature) (params []classfile.Type, ret classfile.Type, ok bool) {
-	ret = ir.KeyToType(sig[0])
-	params = make([]classfile.Type, 0, len(sig)-1)
-	for _, k := range sig[1:] {
-		params = append(params, ir.KeyToType(k))
-	}
-	return params, ret, true
-}
-
 func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
 	v, err := u.regs.Uint()
 	if err != nil {
@@ -685,36 +654,20 @@ func (u *unpacker) ldcValue(kind classfile.ConstKind) (dConst, error) {
 }
 
 func (u *unpacker) cpOperand(di *dInsn, ctx int, info *stackstate.OpInfo) error {
-	var use opUse
+	var err error
 	switch di.in.Op {
-	case bytecode.Getfield, bytecode.Putfield:
-		use = useGetfield
-	case bytecode.Getstatic, bytecode.Putstatic:
-		use = useGetstatic
-	case bytecode.Invokevirtual:
-		use = useVirtual
-	case bytecode.Invokespecial:
-		use = useSpecial
-	case bytecode.Invokestatic:
-		use = useStatic
 	case bytecode.New, bytecode.Anewarray, bytecode.Checkcast, bytecode.Instanceof:
-		var err error
 		di.class, err = u.classRef()
 		return err
-	default:
+	}
+	use, ok := useOf(di.in.Op)
+	if !ok {
 		return corrupt.Errorf(sOpcodes, -1, "unexpected constant-pool instruction %s", di.in.Op)
 	}
-	var err error
 	if di.member, err = u.memberRef(use, ctx); err != nil {
 		return err
 	}
-	if e := di.member.msig; e != nil {
-		info.HasMethod = true
-		info.Params, info.Ret = e.params, e.ret
-	} else {
-		info.HasField = true
-		info.Field = di.member.ftype
-	}
+	*info = di.member.desc.info()
 	return nil
 }
 

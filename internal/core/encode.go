@@ -354,7 +354,7 @@ func (p *packer) writeF64(v float64) {
 }
 
 func (p *packer) method(cf *classfile.ClassFile, m *classfile.Member) error {
-	sig, err := p.keys.sigEntry(cf.MemberDesc(m))
+	sig, err := p.descs.method(cf.MemberDesc(m))
 	if err != nil {
 		return err
 	}
@@ -437,23 +437,17 @@ func (p *packer) code(cf *classfile.ClassFile, code *classfile.CodeAttr) error {
 			return fmt.Errorf("exception handler %d: %w", i, err)
 		}
 	}
-	if p.res == nil {
-		p.res = stackstate.NewClassFileResolver(cf)
-	} else {
-		p.res.Reset(cf)
-	}
-	res := p.res
 	var sim *stackstate.Sim
 	if p.opts.StackState {
 		if p.sim == nil {
-			p.sim = stackstate.New(res, handlerOffsets)
+			p.sim = stackstate.New(handlerOffsets)
 		} else {
-			p.sim.Reset(res, handlerOffsets)
+			p.sim.Reset(handlerOffsets)
 		}
 		sim = p.sim
 	}
 	for i := range insns {
-		if err := p.insn(cf, &insns[i], sim, res); err != nil {
+		if err := p.insn(cf, &insns[i], sim); err != nil {
 			return fmt.Errorf("at offset %d (%s): %w", insns[i].Offset, insns[i].Op, err)
 		}
 	}
@@ -487,7 +481,7 @@ func ldcPseudo(op bytecode.Op, kind classfile.ConstKind) (bytecode.Op, error) {
 	return 0, fmt.Errorf("%s of constant kind %v is not loadable", op, kind)
 }
 
-func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *stackstate.Sim, res stackstate.Resolver) error {
+func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *stackstate.Sim) error {
 	if sim != nil {
 		sim.Begin(in.Offset)
 	}
@@ -514,6 +508,7 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 	if sim != nil {
 		ctx = sim.ContextID()
 	}
+	var info stackstate.OpInfo
 	switch bytecode.FormatOf(in.Op) {
 	case bytecode.FmtNone:
 		// no operands
@@ -526,13 +521,14 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 	case bytecode.FmtSByte, bytecode.FmtSShort:
 		p.st(sIntImm).Int(int64(in.A))
 	case bytecode.FmtCP1, bytecode.FmtCP2:
+		var err error
 		if isLdc {
-			if err := p.ldcValue(cf, in.A); err != nil {
-				return err
-			}
-			break
+			err = p.ldcValue(cf, in.A)
+			info = stackstate.ConstInfo(cf.Pool[in.A].Kind)
+		} else {
+			info, err = p.cpOperand(cf, in, ctx)
 		}
-		if err := p.cpOperand(cf, in, ctx); err != nil {
+		if err != nil {
 			return err
 		}
 	case bytecode.FmtInvokeInterface:
@@ -540,16 +536,14 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 		if err != nil {
 			return err
 		}
-		e, err := p.keys.sigEntry(m.Desc)
+		d, err := p.memberRef(in.Op, m, ctx)
 		if err != nil {
 			return err
 		}
-		if want := e.sig.ArgSlots() + 1; in.B != want {
+		if want := d.method.argSlots + 1; in.B != want {
 			return fmt.Errorf("invokeinterface count %d, descriptor implies %d", in.B, want)
 		}
-		if err := p.memberRef(m, useInterface, ctx); err != nil {
-			return err
-		}
+		info = d.info()
 	case bytecode.FmtMultiANewArray:
 		k, err := ir.ResolveClass(cf, uint16(in.A))
 		if err != nil {
@@ -598,7 +592,7 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 	}
 
 	if sim != nil {
-		sim.StepInfo(in, stackstate.InfoFor(res, in))
+		sim.StepInfo(in, info)
 	}
 	return nil
 }
@@ -634,43 +628,25 @@ func (p *packer) ldcValue(cf *classfile.ClassFile, idx int) error {
 	return nil
 }
 
-// cpOperand encodes the constant-pool operand of a non-ldc instruction.
-func (p *packer) cpOperand(cf *classfile.ClassFile, in *bytecode.Instruction, ctx int) error {
+// cpOperand encodes the constant-pool operand of a non-ldc instruction,
+// returning its facts for the stack simulation.
+func (p *packer) cpOperand(cf *classfile.ClassFile, in *bytecode.Instruction, ctx int) (stackstate.OpInfo, error) {
 	switch in.Op {
-	case bytecode.Getfield, bytecode.Putfield:
-		m, err := ir.ResolveMember(cf, uint16(in.A))
-		if err != nil {
-			return err
-		}
-		return p.memberRef(m, useGetfield, ctx)
-	case bytecode.Getstatic, bytecode.Putstatic:
-		m, err := ir.ResolveMember(cf, uint16(in.A))
-		if err != nil {
-			return err
-		}
-		return p.memberRef(m, useGetstatic, ctx)
-	case bytecode.Invokevirtual:
-		return p.resolveAndRef(cf, in, useVirtual, ctx)
-	case bytecode.Invokespecial:
-		return p.resolveAndRef(cf, in, useSpecial, ctx)
-	case bytecode.Invokestatic:
-		return p.resolveAndRef(cf, in, useStatic, ctx)
 	case bytecode.New, bytecode.Anewarray, bytecode.Checkcast, bytecode.Instanceof:
 		k, err := ir.ResolveClass(cf, uint16(in.A))
 		if err != nil {
-			return err
+			return stackstate.OpInfo{}, err
 		}
 		p.classRef(k)
-		return nil
-	default:
-		return fmt.Errorf("unexpected constant-pool instruction %s", in.Op)
+		return stackstate.OpInfo{}, nil
 	}
-}
-
-func (p *packer) resolveAndRef(cf *classfile.ClassFile, in *bytecode.Instruction, use opUse, ctx int) error {
 	m, err := ir.ResolveMember(cf, uint16(in.A))
 	if err != nil {
-		return err
+		return stackstate.OpInfo{}, err
 	}
-	return p.memberRef(m, use, ctx)
+	d, err := p.memberRef(in.Op, m, ctx)
+	if err != nil {
+		return stackstate.OpInfo{}, err
+	}
+	return d.info(), nil
 }

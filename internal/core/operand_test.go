@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -259,5 +260,62 @@ func TestPackRefusesHandlersOutsideTheirCode(t *testing.T) {
 	h := classfile.ExceptionHandler{StartPC: 1, EndPC: 6, HandlerPC: 0}
 	if _, err := Pack(methodClass(t, emit, h), DefaultOptions()); err != nil {
 		t.Fatalf("Pack refused handler %+v: %v", h, err)
+	}
+}
+
+// TestPackRefusesMismatchedMemberKind checks that Pack refuses a member
+// operand whose constant kind is not the one its instruction takes. The
+// decoder rebuilds a Fieldref for field uses, an InterfaceMethodref for
+// invokeinterface and a Methodref for the other invokes, so such a class
+// would fail to unpack or come back with the constant's kind changed.
+func TestPackRefusesMismatchedMemberKind(t *testing.T) {
+	for _, c := range []struct {
+		op         bytecode.Op
+		kind, want classfile.ConstKind
+	}{
+		{bytecode.Getfield, classfile.KindMethodref, classfile.KindFieldref},
+		{bytecode.Invokestatic, classfile.KindFieldref, classfile.KindMethodref},
+		{bytecode.Invokevirtual, classfile.KindInterfaceMethodref, classfile.KindMethodref},
+		{bytecode.Invokestatic, classfile.KindInterfaceMethodref, classfile.KindMethodref},
+		{bytecode.Invokeinterface, classfile.KindMethodref, classfile.KindInterfaceMethodref},
+	} {
+		t.Run(fmt.Sprintf("%s on %v", c.op, c.kind), func(t *testing.T) {
+			b := classfile.NewBuilder("p/C", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+			m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+			var ref uint16
+			switch c.kind {
+			case classfile.KindFieldref:
+				ref = b.Fieldref("p/C", "x", "I")
+			case classfile.KindMethodref:
+				ref = b.Methodref("p/C", "f", "()V")
+			default:
+				ref = b.InterfaceMethodref("p/I", "f", "()V")
+			}
+			a := bytecode.NewAssembler()
+			if c.op == bytecode.Invokeinterface {
+				a.InvokeInterface(ref, 1)
+			} else {
+				a.CP(c.op, ref)
+			}
+			a.Op(bytecode.Return)
+			code, err := a.Assemble()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code})
+			cf, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfs := []*classfile.ClassFile{cf}
+			strippedBytes(t, cfs)
+			_, err = Pack(cfs, DefaultOptions())
+			if err == nil {
+				t.Fatalf("Pack accepted %s on %v", c.op, c.kind)
+			}
+			if want := fmt.Sprintf("%s operand is %v, want %v", c.op, c.kind, c.want); !strings.Contains(err.Error(), want) {
+				t.Fatalf("Pack error %q does not say %q", err, want)
+			}
+		})
 	}
 }

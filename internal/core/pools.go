@@ -45,30 +45,19 @@ func classKeyStr(k ir.ClassKey) string { return string(appendClassKey(nil, k)) }
 
 func memberKeyStr(m ir.MemberRef) string { return string(appendMemberKey(nil, m)) }
 
-// keyCache memoizes pool keys and descriptor parses for one walk, which
-// meets the same classes, members and descriptors many times. The
-// comparable IR structs (ClassKey, MemberRef) key directly.
+// keyCache memoizes pool keys for one walk, which meets the same
+// classes and members many times. The comparable IR structs (ClassKey,
+// MemberRef) key directly.
 type keyCache struct {
 	classKeys  map[ir.ClassKey]string
 	memberKeys map[ir.MemberRef]string
-	sigs       map[string]sigEntry    // method descriptor -> signature + pool key
-	fieldKeys  map[string]ir.ClassKey // field descriptor -> type key
-	kbuf       []byte                 // scratch for key building
-}
-
-// sigEntry is a parsed method descriptor: the factored signature and
-// its canonical pool key.
-type sigEntry struct {
-	sig ir.Signature
-	key string
+	kbuf       []byte // scratch for key building
 }
 
 func newKeyCache() *keyCache {
 	return &keyCache{
 		classKeys:  make(map[ir.ClassKey]string),
 		memberKeys: make(map[ir.MemberRef]string),
-		sigs:       make(map[string]sigEntry),
-		fieldKeys:  make(map[string]ir.ClassKey),
 	}
 }
 
@@ -92,57 +81,95 @@ func (c *keyCache) memberKey(m ir.MemberRef) string {
 	return s
 }
 
-// sigEntry parses a method descriptor once, memoizing the signature and
-// its pool key.
-func (c *keyCache) sigEntry(desc string) (sigEntry, error) {
-	if e, ok := c.sigs[desc]; ok {
-		return e, nil
+// descs memoizes descriptor parses for one pass over an archive, which
+// meets the same descriptors many times. The packer and the decoder both
+// take a member's stack facts from it, so their stack simulations read
+// the same facts by construction. Entries never change once made.
+type descs struct {
+	methods map[string]*methodDesc
+	fields  map[string]*fieldDesc
+}
+
+// methodDesc is a parsed method descriptor: the factored signature, its
+// pool key and argument-slot count, and the facts of a call to it.
+type methodDesc struct {
+	sig      ir.Signature
+	key      string
+	argSlots int
+	info     stackstate.OpInfo
+}
+
+// fieldDesc is a parsed field descriptor: the type's class key and the
+// facts of an access to it.
+type fieldDesc struct {
+	key  ir.ClassKey
+	info stackstate.OpInfo
+}
+
+// memberDesc is a member reference's parsed descriptor: field for a
+// Fieldref, method otherwise.
+type memberDesc struct {
+	field  *fieldDesc
+	method *methodDesc
+}
+
+func newDescs() descs {
+	return descs{methods: make(map[string]*methodDesc), fields: make(map[string]*fieldDesc)}
+}
+
+func (c *descs) method(desc string) (*methodDesc, error) {
+	if d, ok := c.methods[desc]; ok {
+		return d, nil
 	}
 	sig, err := ir.DescriptorToSignature(desc)
 	if err != nil {
-		return sigEntry{}, err
+		return nil, err
 	}
-	e := sigEntry{sig: sig, key: sig.SigString()}
-	c.sigs[desc] = e
-	return e, nil
+	d := &methodDesc{sig: sig, key: sig.SigString(), argSlots: sig.ArgSlots()}
+	d.info.HasMethod, d.info.Ret = true, ir.KeyToType(sig[0])
+	d.info.Params = make([]classfile.Type, 0, len(sig)-1)
+	for _, k := range sig[1:] {
+		d.info.Params = append(d.info.Params, ir.KeyToType(k))
+	}
+	c.methods[desc] = d
+	return d, nil
 }
 
-// fieldKey parses a field descriptor once, memoizing the type key.
-func (c *keyCache) fieldKey(desc string) (ir.ClassKey, error) {
-	if k, ok := c.fieldKeys[desc]; ok {
-		return k, nil
+func (c *descs) field(desc string) (*fieldDesc, error) {
+	if d, ok := c.fields[desc]; ok {
+		return d, nil
 	}
 	t, err := classfile.ParseFieldDescriptor(desc)
 	if err != nil {
-		return ir.ClassKey{}, err
+		return nil, err
 	}
 	k := ir.TypeToKey(t)
-	c.fieldKeys[desc] = k
-	return k, nil
+	d := &fieldDesc{key: k, info: stackstate.OpInfo{HasField: true, Field: ir.KeyToType(k)}}
+	c.fields[desc] = d
+	return d, nil
 }
 
-// memberPool maps a member reference and its use site to its pool:
-// instance vs static fields, and virtual/special/static/interface methods
-// are kept apart (§5.1).
-func memberPool(m ir.MemberRef, op opUse) poolID {
-	switch op {
-	case useGetfield:
-		return poolFieldInstance
-	case useGetstatic:
-		return poolFieldStatic
-	case useVirtual:
-		return poolMethodVirtual
-	case useSpecial:
-		return poolMethodSpecial
-	case useStatic:
-		return poolMethodStatic
-	case useInterface:
-		return poolMethodInterface
+// member parses m's descriptor as its kind requires.
+func (c *descs) member(m ir.MemberRef) (d memberDesc, err error) {
+	if m.Kind == classfile.KindFieldref {
+		d.field, err = c.field(m.Desc)
+	} else {
+		d.method, err = c.method(m.Desc)
 	}
-	//classpack:vet-allow nopanic use kinds come from internal op tables, never raw decoded ints
-	panic("core: bad member use")
+	return d, err
 }
 
+// info returns the facts of an instruction that uses the member.
+func (d memberDesc) info() stackstate.OpInfo {
+	if d.method != nil {
+		return d.method.info
+	}
+	return d.field.info
+}
+
+// opUse is how an instruction uses a member reference. Uses select the
+// member's pool: instance vs static fields, and virtual, special, static
+// and interface methods, are kept apart (§5.1).
 type opUse int
 
 const (
@@ -154,6 +181,40 @@ const (
 	useInterface
 )
 
+// memberUses gives each use its pool and the constant kind it takes,
+// which is the kind the decoder rebuilds.
+var memberUses = [...]struct {
+	pool poolID
+	kind classfile.ConstKind
+}{
+	useGetfield:  {poolFieldInstance, classfile.KindFieldref},
+	useGetstatic: {poolFieldStatic, classfile.KindFieldref},
+	useVirtual:   {poolMethodVirtual, classfile.KindMethodref},
+	useSpecial:   {poolMethodSpecial, classfile.KindMethodref},
+	useStatic:    {poolMethodStatic, classfile.KindMethodref},
+	useInterface: {poolMethodInterface, classfile.KindInterfaceMethodref},
+}
+
+// useOf returns how op uses its member operand, and false for opcodes
+// without one.
+func useOf(op bytecode.Op) (opUse, bool) {
+	switch op {
+	case bytecode.Getfield, bytecode.Putfield:
+		return useGetfield, true
+	case bytecode.Getstatic, bytecode.Putstatic:
+		return useGetstatic, true
+	case bytecode.Invokevirtual:
+		return useVirtual, true
+	case bytecode.Invokespecial:
+		return useSpecial, true
+	case bytecode.Invokestatic:
+		return useStatic, true
+	case bytecode.Invokeinterface:
+		return useInterface, true
+	}
+	return 0, false
+}
+
 // packer walks the classes once. It writes every non-reference stream
 // as it goes and records each reference in its pool's record;
 // finishRefs then codes the records into the ref streams.
@@ -163,11 +224,12 @@ type packer struct {
 	pools [numPools]poolRecord
 	keys  *keyCache
 
+	descs descs
+
 	// Per-method scratch reused across the whole walk.
 	insns []bytecode.Instruction
 	hoffs []int
 	sim   *stackstate.Sim
-	res   *stackstate.ClassFileResolver
 }
 
 // poolRecord is what the walk keeps of one pool's references: every key
@@ -195,7 +257,7 @@ type refEvent struct {
 // walk runs the packer over cfs, leaving every stream but the ref
 // streams written and every pool's references recorded.
 func walk(cfs []*classfile.ClassFile, opts Options) (*packer, error) {
-	p := &packer{opts: opts, w: streams.NewWriter(), keys: newKeyCache()}
+	p := &packer{opts: opts, w: streams.NewWriter(), keys: newKeyCache(), descs: newDescs()}
 	for i := range p.pools {
 		p.pools[i].index = make(map[string]int32)
 	}
@@ -349,39 +411,41 @@ func (p *packer) classRef(k ir.ClassKey) {
 
 // sigRef encodes a reference to a method signature; new signatures define
 // their return and parameter types as class references (§4).
-func (p *packer) sigRef(e sigEntry) {
-	p.ref(poolSig, 0, e.key, func() {
-		p.st(sMeta).Uint(uint64(len(e.sig)))
-		for _, k := range e.sig {
+func (p *packer) sigRef(d *methodDesc) {
+	p.ref(poolSig, 0, d.key, func() {
+		p.st(sMeta).Uint(uint64(len(d.sig)))
+		for _, k := range d.sig {
 			p.classRef(k)
 		}
 	})
 }
 
-// memberRef encodes a field or method reference in the pool selected by
-// its use; new members define owner, name, and type.
-func (p *packer) memberRef(m ir.MemberRef, use opUse, ctx int) error {
-	pool := memberPool(m, use)
-	var defErr error
-	p.ref(pool, ctx, p.keys.memberKey(m), func() {
+// memberRef encodes op's member operand m in the pool its use selects;
+// new members define owner, name, and type. It returns m's parsed
+// descriptor. A member of another constant kind than the use takes is
+// refused, because the decoder would rebuild it as that kind.
+func (p *packer) memberRef(op bytecode.Op, m ir.MemberRef, ctx int) (memberDesc, error) {
+	use, ok := useOf(op)
+	if !ok {
+		return memberDesc{}, fmt.Errorf("unexpected constant-pool instruction %s", op)
+	}
+	u := memberUses[use]
+	if m.Kind != u.kind {
+		return memberDesc{}, fmt.Errorf("%s operand is %v, want %v", op, m.Kind, u.kind)
+	}
+	d, err := p.descs.member(m)
+	if err != nil {
+		return memberDesc{}, err
+	}
+	p.ref(u.pool, ctx, p.keys.memberKey(m), func() {
 		p.classRef(m.Owner)
-		if m.Kind == classfile.KindFieldref {
+		if d.field != nil {
 			p.fieldNameRef(m.Name)
-			t, err := p.keys.fieldKey(m.Desc)
-			if err != nil {
-				defErr = err
-				return
-			}
-			p.classRef(t)
+			p.classRef(d.field.key)
 			return
 		}
 		p.methodNameRef(m.Name)
-		e, err := p.keys.sigEntry(m.Desc)
-		if err != nil {
-			defErr = err
-			return
-		}
-		p.sigRef(e)
+		p.sigRef(d.method)
 	})
-	return defErr
+	return d, nil
 }

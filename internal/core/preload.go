@@ -48,30 +48,30 @@ var preloadDescriptors = []string{
 	"(Ljava/lang/String;)V", "()I", "(I)V", "()V",
 }
 
-// preloadMember pairs a member reference with the pool its uses draw from.
+// preloadMember pairs a member reference with the use whose pool it
+// preloads; the use also gives the member's constant kind.
 type preloadMember struct {
 	use  opUse
-	kind classfile.ConstKind
 	cls  string
 	name string
 	desc string
 }
 
 var preloadMembers = []preloadMember{
-	{useGetfield, classfile.KindFieldref, "java/lang/System", "err", "Ljava/io/PrintStream;"},
-	{useGetstatic, classfile.KindFieldref, "java/lang/System", "err", "Ljava/io/PrintStream;"},
-	{useGetstatic, classfile.KindFieldref, "java/lang/System", "out", "Ljava/io/PrintStream;"},
-	{useStatic, classfile.KindMethodref, "java/lang/String", "valueOf", "(I)Ljava/lang/String;"},
-	{useStatic, classfile.KindMethodref, "java/lang/Math", "max", "(II)I"},
-	{useInterface, classfile.KindInterfaceMethodref, "java/lang/Runnable", "run", "()V"},
-	{useVirtual, classfile.KindMethodref, "java/lang/Object", "toString", "()Ljava/lang/String;"},
-	{useVirtual, classfile.KindMethodref, "java/lang/StringBuffer", "toString", "()Ljava/lang/String;"},
-	{useVirtual, classfile.KindMethodref, "java/lang/StringBuffer", "append",
+	{useGetfield, "java/lang/System", "err", "Ljava/io/PrintStream;"},
+	{useGetstatic, "java/lang/System", "err", "Ljava/io/PrintStream;"},
+	{useGetstatic, "java/lang/System", "out", "Ljava/io/PrintStream;"},
+	{useStatic, "java/lang/String", "valueOf", "(I)Ljava/lang/String;"},
+	{useStatic, "java/lang/Math", "max", "(II)I"},
+	{useInterface, "java/lang/Runnable", "run", "()V"},
+	{useVirtual, "java/lang/Object", "toString", "()Ljava/lang/String;"},
+	{useVirtual, "java/lang/StringBuffer", "toString", "()Ljava/lang/String;"},
+	{useVirtual, "java/lang/StringBuffer", "append",
 		"(Ljava/lang/String;)Ljava/lang/StringBuffer;"},
-	{useVirtual, classfile.KindMethodref, "java/io/PrintStream", "println", "(I)V"},
-	{useVirtual, classfile.KindMethodref, "java/io/PrintStream", "println", "(Ljava/lang/String;)V"},
-	{useSpecial, classfile.KindMethodref, "java/lang/StringBuffer", "<init>", "()V"},
-	{useSpecial, classfile.KindMethodref, "java/lang/Object", "<init>", "()V"},
+	{useVirtual, "java/io/PrintStream", "println", "(I)V"},
+	{useVirtual, "java/io/PrintStream", "println", "(Ljava/lang/String;)V"},
+	{useSpecial, "java/lang/StringBuffer", "<init>", "()V"},
+	{useSpecial, "java/lang/Object", "<init>", "()V"},
 }
 
 // preloadClassKeys resolves the class-name table once.
@@ -125,13 +125,14 @@ func forEachPreload(visit func(pool poolID, key string)) {
 	}
 	for _, m := range preloadMembers {
 		ref := preloadMemberRef(m)
-		visit(memberPool(ref, m.use), memberKeyStr(ref))
+		visit(memberUses[m.use].pool, memberKeyStr(ref))
 	}
 }
 
 func preloadMemberRef(m preloadMember) ir.MemberRef {
+	kind := memberUses[m.use].kind
 	owner, err := ir.ClassNameToKey(m.cls)
-	if err == nil && m.kind == classfile.KindFieldref {
+	if err == nil && kind == classfile.KindFieldref {
 		_, err = classfile.ParseFieldDescriptor(m.desc)
 	} else if err == nil {
 		_, err = ir.DescriptorToSignature(m.desc)
@@ -140,7 +141,7 @@ func preloadMemberRef(m preloadMember) ir.MemberRef {
 		//classpack:vet-allow nopanic preload tables are compile-time constants; any test run catches a bad entry
 		panic("core: bad preload member " + m.cls + "." + m.name + m.desc)
 	}
-	return ir.MemberRef{Kind: m.kind, Owner: owner, Name: m.name, Desc: m.desc}
+	return ir.MemberRef{Kind: kind, Owner: owner, Name: m.name, Desc: m.desc}
 }
 
 // preloadPacker enters the table into the packer's pool records first,
@@ -168,6 +169,6 @@ func preloadUnpacker(u *unpacker) {
 		// preloadMemberRef has parsed the descriptor, the one step of
 		// defining a member that can fail.
 		ref := preloadMemberRef(m)
-		_, _ = u.defineMember(memberPool(ref, m.use), memberKeyStr(ref), ref)
+		_, _ = u.defineMember(memberUses[m.use].pool, memberKeyStr(ref), ref)
 	}
 }

@@ -19,7 +19,7 @@ func TestParseRetryAfterSeconds(t *testing.T) {
 		{"0", 0},
 		{"-3", 0},
 		{"garbage", 0},
-		{"1.5", 0}, // RFC 9110 delay-seconds is an integer
+		{"1.5", 0},                           // RFC 9110 delay-seconds is an integer
 		{"Wed, 99 Foo 2026 00:00:00 GMT", 0}, // date-shaped but malformed
 	}
 	for _, c := range cases {

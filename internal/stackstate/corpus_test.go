@@ -9,11 +9,14 @@ import (
 	"classpack/internal/synth"
 )
 
-// TestSimSymmetryOverCorpus drives two independent simulations — one fed
-// resolver info (the compressor side), one fed reconstructed info (the
-// decompressor side) — over every method of a generated corpus, asserting
-// that the collapse transposition inverts and the contexts never diverge.
-// This exercises essentially every Step arm on realistic opcode mixes.
+// TestSimSymmetryOverCorpus drives two simulations over every method of
+// a generated corpus: one maps each source opcode to the wire (the
+// compressor side), the other maps the wire opcode back (the decompressor
+// side). Both are fed the same operand facts, derived from the class's
+// constant pool by infoFor, and the test asserts that the collapse
+// transposition inverts and the contexts never diverge. That the packer
+// and the decoder derive the same facts is left to core's round trips.
+// This exercises essentially every opcode on realistic mixes.
 func TestSimSymmetryOverCorpus(t *testing.T) {
 	for _, name := range []string{"jmark20", "222_mpegaudio", "213_javac"} {
 		t.Run(name, func(t *testing.T) {
@@ -27,7 +30,6 @@ func TestSimSymmetryOverCorpus(t *testing.T) {
 			}
 			collapsed, total := 0, 0
 			for _, cf := range cfs {
-				res := stackstate.NewClassFileResolver(cf)
 				for mi := range cf.Methods {
 					code := classfile.CodeOf(&cf.Methods[mi])
 					if code == nil {
@@ -41,8 +43,8 @@ func TestSimSymmetryOverCorpus(t *testing.T) {
 					for _, h := range code.Handlers {
 						handlers = append(handlers, int(h.HandlerPC))
 					}
-					enc := stackstate.New(res, handlers)
-					dec := stackstate.New(res, handlers)
+					enc := stackstate.New(handlers)
+					dec := stackstate.New(handlers)
 					for i := range insns {
 						in := &insns[i]
 						enc.Begin(in.Offset)
@@ -60,7 +62,7 @@ func TestSimSymmetryOverCorpus(t *testing.T) {
 							t.Fatalf("%s method %d offset %d: %s -> %s -> %s",
 								cf.ThisClassName(), mi, in.Offset, in.Op, wire, back)
 						}
-						info := stackstate.InfoFor(res, in)
+						info := infoFor(cf, in)
 						enc.StepInfo(in, info)
 						dec.StepInfo(in, info)
 					}
@@ -73,4 +75,24 @@ func TestSimSymmetryOverCorpus(t *testing.T) {
 				100*float64(collapsed)/float64(total))
 		})
 	}
+}
+
+// infoFor derives the operand facts of in from cf's constant pool.
+func infoFor(cf *classfile.ClassFile, in *bytecode.Instruction) stackstate.OpInfo {
+	switch bytecode.FormatOf(in.Op) {
+	case bytecode.FmtCP1, bytecode.FmtCP2, bytecode.FmtInvokeInterface:
+	default:
+		return stackstate.OpInfo{}
+	}
+	c := cf.Pool[in.A]
+	desc := cf.Utf8At(cf.Pool[c.NameAndType].Desc)
+	switch c.Kind {
+	case classfile.KindFieldref:
+		t, err := classfile.ParseFieldDescriptor(desc)
+		return stackstate.OpInfo{HasField: err == nil, Field: t}
+	case classfile.KindMethodref, classfile.KindInterfaceMethodref:
+		params, ret, err := classfile.ParseMethodDescriptor(desc)
+		return stackstate.OpInfo{HasMethod: err == nil, Params: params, Ret: ret}
+	}
+	return stackstate.ConstInfo(c.Kind)
 }

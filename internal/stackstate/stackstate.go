@@ -17,7 +17,6 @@ package stackstate
 
 import (
 	"classpack/internal/bytecode"
-	"classpack/internal/classfile"
 )
 
 // Kind is the abstract type of one operand-stack slot.
@@ -31,32 +30,17 @@ const (
 	Ref
 	Long
 	Double
-	Hi   // second slot of a Long or Double
-	Addr // returnAddress pushed by jsr
+	Hi // second slot of a Long or Double
 )
 
 // NumContexts is the number of distinct ContextID values.
 const NumContexts = 36
 
-// Resolver supplies the constant-pool information the simulation needs to
-// model field accesses, method calls, and constant loads.
-type Resolver interface {
-	// FieldType returns the declared type of the field reference at the
-	// given constant-pool index.
-	FieldType(cpIndex int) (classfile.Type, bool)
-	// MethodType returns the parameter and return types of the method
-	// reference at the given constant-pool index.
-	MethodType(cpIndex int) (params []classfile.Type, ret classfile.Type, ok bool)
-	// ConstKind returns the kind pushed by ldc/ldc_w/ldc2_w for the
-	// constant at the given index.
-	ConstKind(cpIndex int) (Kind, bool)
-}
-
 // Sim is the shared compressor/decompressor stack simulation for one
 // method body. Create one per method with New, then for each instruction
-// call WireOp (compressor) or SourceOp (decompressor) followed by Step.
+// call Begin, WireOp (compressor) or SourceOp (decompressor), and
+// StepInfo with the instruction's operand facts.
 type Sim struct {
-	res      Resolver
 	handlers []int // exception-handler entry offsets (few per method)
 
 	stack []Kind
@@ -76,17 +60,16 @@ type Sim struct {
 
 // New returns a simulation for a method whose exception handlers begin at
 // the given code offsets. The stack starts empty (method entry).
-func New(res Resolver, handlerOffsets []int) *Sim {
+func New(handlerOffsets []int) *Sim {
 	s := &Sim{}
-	s.Reset(res, handlerOffsets)
+	s.Reset(handlerOffsets)
 	return s
 }
 
 // Reset reinitializes the simulation for a new method body, reusing the
-// existing allocations. Equivalent to New(res, handlerOffsets) except for
+// existing allocations. Equivalent to New(handlerOffsets) except for
 // the identity of the receiver.
-func (s *Sim) Reset(res Resolver, handlerOffsets []int) {
-	s.res = res
+func (s *Sim) Reset(handlerOffsets []int) {
 	s.handlers = append(s.handlers[:0], handlerOffsets...)
 	s.stack = s.stack[:0]
 	s.known = true

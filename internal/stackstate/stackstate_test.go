@@ -7,60 +7,61 @@ import (
 	"classpack/internal/classfile"
 )
 
-// buildClass assembles a classfile with one method exercising typed
-// opcode families, returning the classfile and the method's instructions.
-func buildClass(t *testing.T) (*classfile.ClassFile, []bytecode.Instruction, []int) {
+// typedMethod assembles a method body exercising typed opcode families,
+// returning its instructions and the operand facts of each.
+func typedMethod(t *testing.T) ([]bytecode.Instruction, []OpInfo) {
 	t.Helper()
-	b := classfile.NewBuilder("T", "java/lang/Object", classfile.AccPublic)
-	fI := b.Fieldref("T", "i", "I")
-	fD := b.Fieldref("T", "d", "D")
-	mLong := b.Methodref("T", "lng", "()J")
-	mStr := b.Methodref("T", "s", "(I)Ljava/lang/String;")
-	cFloat := b.Float(1.5)
-	cStr := b.String("x")
-
 	a := bytecode.NewAssembler()
+	var infos []OpInfo
+	op := func(o bytecode.Op) { a.Op(o); infos = append(infos, OpInfo{}) }
+	local := func(o bytecode.Op, slot int) { a.Local(o, slot); infos = append(infos, OpInfo{}) }
+	ref := func(o bytecode.Op, info OpInfo) { a.CP(o, 1); infos = append(infos, info) }
+	ldc := func(k classfile.ConstKind) { a.Ldc(1); infos = append(infos, ConstInfo(k)) }
+	field := func(base byte) OpInfo { return OpInfo{HasField: true, Field: classfile.Type{Base: base}} }
+
 	skip := a.NewLabel()
 	// Float arithmetic: fadd should collapse.
-	a.Op(bytecode.Fconst1)
-	a.Op(bytecode.Fconst2)
-	a.Op(bytecode.Fadd)
-	a.Local(bytecode.Fstore, 1)
-	// Double via getstatic.
-	a.Local(bytecode.Aload, 0)
-	a.CP(bytecode.Getfield, fD)
-	a.Op(bytecode.Dconst1)
-	a.Op(bytecode.Dmul)
-	a.Local(bytecode.Dstore, 2)
+	op(bytecode.Fconst1)
+	op(bytecode.Fconst2)
+	op(bytecode.Fadd)
+	local(bytecode.Fstore, 1)
+	// Double via getfield.
+	local(bytecode.Aload, 0)
+	ref(bytecode.Getfield, field('D'))
+	op(bytecode.Dconst1)
+	op(bytecode.Dmul)
+	local(bytecode.Dstore, 2)
 	// Long from a call, shifted.
-	a.Local(bytecode.Aload, 0)
-	a.CP(bytecode.Invokevirtual, mLong)
-	a.Op(bytecode.Iconst2)
-	a.Op(bytecode.Lshl)
-	a.Op(bytecode.Lneg)
-	a.Local(bytecode.Lstore, 4)
+	local(bytecode.Aload, 0)
+	ref(bytecode.Invokevirtual, OpInfo{HasMethod: true, Ret: classfile.Type{Base: 'J'}})
+	op(bytecode.Iconst2)
+	op(bytecode.Lshl)
+	op(bytecode.Lneg)
+	local(bytecode.Lstore, 4)
 	// Int work with a forward branch.
-	a.Local(bytecode.Aload, 0)
-	a.CP(bytecode.Getfield, fI)
-	a.Op(bytecode.Iconst3)
-	a.Op(bytecode.Iadd)
+	local(bytecode.Aload, 0)
+	ref(bytecode.Getfield, field('I'))
+	op(bytecode.Iconst3)
+	op(bytecode.Iadd)
 	a.Branch(bytecode.Ifeq, skip)
-	a.Ldc(uint16(cFloat))
-	a.Op(bytecode.Pop)
+	infos = append(infos, OpInfo{})
+	ldc(classfile.KindFloat)
+	op(bytecode.Pop)
 	a.Bind(skip)
-	a.Ldc(uint16(cStr))
-	a.Op(bytecode.Pop)
+	ldc(classfile.KindString)
+	op(bytecode.Pop)
 	// Conversions.
-	a.Op(bytecode.Iconst1)
-	a.Op(bytecode.I2d)
-	a.Op(bytecode.D2l)
-	a.Op(bytecode.L2i)
-	a.Local(bytecode.Aload, 0)
-	a.Op(bytecode.Swap)
-	a.Op(bytecode.Pop)
-	a.CP(bytecode.Invokevirtual, mStr)
-	a.Op(bytecode.Pop)
-	a.Op(bytecode.Return)
+	op(bytecode.Iconst1)
+	op(bytecode.I2d)
+	op(bytecode.D2l)
+	op(bytecode.L2i)
+	local(bytecode.Aload, 0)
+	op(bytecode.Swap)
+	op(bytecode.Pop)
+	ref(bytecode.Invokevirtual, OpInfo{HasMethod: true,
+		Params: []classfile.Type{{Base: 'I'}}, Ret: classfile.ObjectType("java/lang/String")})
+	op(bytecode.Pop)
+	op(bytecode.Return)
 
 	code, err := a.Assemble()
 	if err != nil {
@@ -70,19 +71,19 @@ func buildClass(t *testing.T) (*classfile.ClassFile, []bytecode.Instruction, []i
 	if err != nil {
 		t.Fatal(err)
 	}
-	// mStr takes (this, int): fix the stack by loading this before the int.
-	cf, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	if len(insns) != len(infos) {
+		t.Fatalf("%d instructions, %d operand facts", len(insns), len(infos))
 	}
-	return cf, insns, nil
+	return insns, infos
 }
 
+// stepOp steps s over an instruction that needs no operand facts.
+func stepOp(s *Sim, in bytecode.Instruction) { s.StepInfo(&in, OpInfo{}) }
+
 func TestCollapseRoundTrip(t *testing.T) {
-	cf, insns, handlers := buildClass(t)
-	res := NewClassFileResolver(cf)
-	enc := New(res, handlers)
-	dec := New(res, handlers)
+	insns, infos := typedMethod(t)
+	enc := New(nil)
+	dec := New(nil)
 	collapsed := 0
 	for i := range insns {
 		in := &insns[i]
@@ -99,10 +100,10 @@ func TestCollapseRoundTrip(t *testing.T) {
 		if e, d := enc.ContextID(), dec.ContextID(); e != d {
 			t.Fatalf("offset %d: context diverged %d vs %d", in.Offset, e, d)
 		}
-		enc.Step(in)
+		enc.StepInfo(in, infos[i])
 		din := *in
 		din.Op = back
-		dec.Step(&din)
+		dec.StepInfo(&din, infos[i])
 	}
 	if collapsed == 0 {
 		t.Fatal("no opcode was collapsed; the simulation is not engaging")
@@ -110,13 +111,11 @@ func TestCollapseRoundTrip(t *testing.T) {
 }
 
 func TestSpecificCollapses(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	res := NewClassFileResolver(cf)
-	s := New(res, nil)
+	s := New(nil)
 	s.Begin(0)
 	// Two floats on the stack: fadd must code as the family rep iadd.
-	s.Step(&bytecode.Instruction{Op: bytecode.Fconst1})
-	s.Step(&bytecode.Instruction{Op: bytecode.Fconst2})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Fconst1})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Fconst2})
 	if got := s.WireOp(bytecode.Fadd); got != bytecode.Iadd {
 		t.Errorf("WireOp(fadd) = %s, want iadd", got)
 	}
@@ -125,7 +124,7 @@ func TestSpecificCollapses(t *testing.T) {
 		t.Errorf("WireOp(iadd) = %s, want fadd", got)
 	}
 	// freturn collapses to ireturn.
-	s.Step(&bytecode.Instruction{Op: bytecode.Fadd})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Fadd})
 	if got := s.WireOp(bytecode.Freturn); got != bytecode.Ireturn {
 		t.Errorf("WireOp(freturn) = %s, want ireturn", got)
 	}
@@ -136,11 +135,10 @@ func TestSpecificCollapses(t *testing.T) {
 }
 
 func TestShiftUsesSecondValue(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), nil)
+	s := New(nil)
 	s.Begin(0)
-	s.Step(&bytecode.Instruction{Op: bytecode.Lconst1})
-	s.Step(&bytecode.Instruction{Op: bytecode.Iconst2})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Lconst1})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Iconst2})
 	// Top is int (shift amount), second is long: lshl is predicted.
 	if got := s.WireOp(bytecode.Lshl); got != bytecode.Ishl {
 		t.Errorf("WireOp(lshl) = %s, want ishl", got)
@@ -148,10 +146,9 @@ func TestShiftUsesSecondValue(t *testing.T) {
 }
 
 func TestUnknownStatePassesThrough(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), nil)
+	s := New(nil)
 	s.Begin(0)
-	s.Step(&bytecode.Instruction{Op: bytecode.Goto, A: 10}) // terminates flow
+	stepOp(s, bytecode.Instruction{Op: bytecode.Goto, A: 10}) // terminates flow
 	s.Begin(3)
 	// State unknown: every family member codes as itself.
 	for _, op := range []bytecode.Op{bytecode.Fadd, bytecode.Iadd, bytecode.Dmul, bytecode.Lreturn} {
@@ -162,10 +159,9 @@ func TestUnknownStatePassesThrough(t *testing.T) {
 }
 
 func TestHandlerEntryState(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), []int{8})
+	s := New([]int{8})
 	s.Begin(0)
-	s.Step(&bytecode.Instruction{Op: bytecode.Goto, Offset: 0, A: 8})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Goto, Offset: 0, A: 8})
 	s.Begin(8)
 	// Handler entry holds exactly the thrown exception: areturn collapses.
 	if got := s.WireOp(bytecode.Areturn); got != bytecode.Ireturn {
@@ -177,15 +173,14 @@ func TestHandlerEntryState(t *testing.T) {
 }
 
 func TestForwardBranchStateRestored(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), nil)
+	s := New(nil)
 	// iconst_1; ifeq +6; (fall-through) fconst_0; freturn | target at 6.
 	s.Begin(0)
-	s.Step(&bytecode.Instruction{Op: bytecode.Iconst1, Offset: 0})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Iconst1, Offset: 0})
 	s.Begin(1)
-	s.Step(&bytecode.Instruction{Op: bytecode.Ifeq, Offset: 1, A: 6})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Ifeq, Offset: 1, A: 6})
 	s.Begin(4)
-	s.Step(&bytecode.Instruction{Op: bytecode.Return, Offset: 4})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Return, Offset: 4})
 	// At offset 6 the saved (empty, known) state is restored.
 	s.Begin(6)
 	if !s.known || len(s.stack) != 0 {
@@ -193,26 +188,26 @@ func TestForwardBranchStateRestored(t *testing.T) {
 	}
 }
 
+// TestResolverFailuresLoseState checks that an instruction whose operand
+// facts the caller could not resolve loses the state.
 func TestResolverFailuresLoseState(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), nil)
+	s := New(nil)
 	s.Begin(0)
-	s.Step(&bytecode.Instruction{Op: bytecode.Getstatic, A: 9999})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Getstatic, A: 9999})
 	if s.known {
 		t.Fatal("state still known after unresolvable getstatic")
 	}
 }
 
 func TestContextIDRange(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), nil)
+	s := New(nil)
 	ops := []bytecode.Op{
 		bytecode.Iconst1, bytecode.Fconst1, bytecode.Lconst1,
 		bytecode.Dconst1, bytecode.AconstNull,
 	}
 	s.Begin(0)
 	for _, op := range ops {
-		s.Step(&bytecode.Instruction{Op: op})
+		stepOp(s, bytecode.Instruction{Op: op})
 		if id := s.ContextID(); id < 0 || id >= NumContexts {
 			t.Fatalf("ContextID %d out of range", id)
 		}
@@ -224,22 +219,21 @@ func TestContextIDRange(t *testing.T) {
 }
 
 func TestDupShuffles(t *testing.T) {
-	cf, _, _ := buildClass(t)
-	s := New(NewClassFileResolver(cf), nil)
+	s := New(nil)
 	s.Begin(0)
-	s.Step(&bytecode.Instruction{Op: bytecode.Iconst1})
-	s.Step(&bytecode.Instruction{Op: bytecode.AconstNull})
-	s.Step(&bytecode.Instruction{Op: bytecode.Dup})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Iconst1})
+	stepOp(s, bytecode.Instruction{Op: bytecode.AconstNull})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Dup})
 	want := []Kind{Int, Ref, Ref}
 	if !kindsEqual(s.stack, want) {
 		t.Fatalf("after dup: %v, want %v", s.stack, want)
 	}
-	s.Step(&bytecode.Instruction{Op: bytecode.DupX2})
+	stepOp(s, bytecode.Instruction{Op: bytecode.DupX2})
 	want = []Kind{Ref, Int, Ref, Ref}
 	if !kindsEqual(s.stack, want) {
 		t.Fatalf("after dup_x2: %v, want %v", s.stack, want)
 	}
-	s.Step(&bytecode.Instruction{Op: bytecode.Dup2X2})
+	stepOp(s, bytecode.Instruction{Op: bytecode.Dup2X2})
 	want = []Kind{Ref, Ref, Ref, Int, Ref, Ref}
 	if !kindsEqual(s.stack, want) {
 		t.Fatalf("after dup2_x2: %v, want %v", s.stack, want)

@@ -5,27 +5,57 @@ import (
 	"classpack/internal/classfile"
 )
 
-// typeKinds returns the stack slots a value of type t occupies.
+// slotKinds holds the stack slots of a value of each descriptor base
+// letter, L standing for any reference; unlisted bases are Unknown.
+var slotKinds = func() (k [256][]Kind) {
+	for c := range k {
+		k[c] = []Kind{Unknown}
+	}
+	for _, c := range "BCSZI" {
+		k[c] = []Kind{Int}
+	}
+	k['F'] = []Kind{Float}
+	k['J'] = []Kind{Long, Hi}
+	k['D'] = []Kind{Double, Hi}
+	k['L'] = []Kind{Ref}
+	k['V'] = nil
+	return k
+}()
+
+// step is an opcode's effect on the simulation, expanded once from the
+// bytecode table so that StepInfo reads no string.
+type step struct {
+	valid           bool
+	pop             int    // slots popped, besides the operand's
+	push            []Kind // kinds pushed, besides the operand's
+	popDyn, pushDyn bool   // the operand decides part of the popped or pushed values
+	flow            bytecode.Flow
+	shuffle         *bytecode.Shuffle
+}
+
+var steps = func() (table [256]step) {
+	for op := range table {
+		e, ok := bytecode.EffectOf(bytecode.Op(op))
+		if !ok {
+			continue
+		}
+		st := &table[op]
+		st.valid, st.flow, st.shuffle = true, e.Flow, e.Shuffle
+		kinds := func(c byte) []Kind { return slotKinds[c] }
+		pop, popDyn := bytecode.Slots(e.Pop, kinds)
+		st.pop, st.popDyn = len(pop), popDyn
+		st.push, st.pushDyn = bytecode.Slots(e.Push, kinds)
+	}
+	return table
+}()
+
+// typeKinds returns the stack slots a value of type t occupies. The
+// slice is shared and must not be modified.
 func typeKinds(t classfile.Type) []Kind {
 	if t.Dims > 0 {
-		return []Kind{Ref}
+		return slotKinds['L']
 	}
-	switch t.Base {
-	case 'B', 'C', 'S', 'Z', 'I':
-		return []Kind{Int}
-	case 'F':
-		return []Kind{Float}
-	case 'J':
-		return []Kind{Long, Hi}
-	case 'D':
-		return []Kind{Double, Hi}
-	case 'L':
-		return []Kind{Ref}
-	case 'V':
-		return nil
-	default:
-		return []Kind{Unknown}
-	}
+	return slotKinds[t.Base]
 }
 
 func (s *Sim) lose() {
@@ -66,353 +96,110 @@ func (s *Sim) save(offset, target int) {
 	s.savedKnown = s.known
 }
 
-// OpInfo carries the constant-pool facts an instruction needs for the
-// simulation. The compressor fills it from the source classfile's pool;
-// the decompressor fills it from the decoded reference — both sides derive
-// it from the same logical data, keeping the simulations in lockstep.
+// OpInfo carries the operand facts the simulation needs of one
+// instruction: the type of the field it accesses, the parameter and
+// return types of the method it calls, or the kind of the constant it
+// loads. The packer fills it from the member or constant it resolved in
+// the class file to write the operand, and the decoder from the member
+// or constant it decoded from the wire. Both derive a member's facts
+// from its descriptor through the same core cache, and a constant's
+// through ConstInfo, so the two simulations stay in lockstep.
 type OpInfo struct {
 	HasField bool
 	Field    classfile.Type
 
 	HasMethod bool
-	Params    []classfile.Type
+	Params    []classfile.Type // read-only: callers may share it
 	Ret       classfile.Type
 
 	HasConst bool
 	Const    Kind
 }
 
-// InfoFor builds the OpInfo for in using a Resolver.
-func InfoFor(res Resolver, in *bytecode.Instruction) OpInfo {
-	var info OpInfo
-	switch in.Op {
-	case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
-		info.Field, info.HasField = res.FieldType(in.A)
-	case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic, bytecode.Invokeinterface:
-		info.Params, info.Ret, info.HasMethod = res.MethodType(in.A)
-	case bytecode.Ldc, bytecode.LdcW, bytecode.Ldc2W:
-		info.Const, info.HasConst = res.ConstKind(in.A)
-	}
-	return info
+// ConstInfo returns the OpInfo of an ldc, ldc_w or ldc2_w that loads a
+// constant of kind k.
+func ConstInfo(k classfile.ConstKind) OpInfo {
+	t, ok := k.LdcType()
+	return OpInfo{HasConst: ok, Const: typeKinds(t)[0]}
 }
 
-// Step advances the simulation over the actual (source) instruction,
-// resolving operand information through the Resolver passed to New.
-// Begin must have been called with in.Offset first.
-func (s *Sim) Step(in *bytecode.Instruction) {
-	s.StepInfo(in, InfoFor(s.res, in))
-}
-
-// StepInfo advances the simulation using caller-supplied operand
-// information instead of the Resolver.
+// StepInfo advances the simulation over the actual (source) instruction,
+// whose operand facts are info. Begin must have been called with
+// in.Offset first.
 func (s *Sim) StepInfo(in *bytecode.Instruction, info OpInfo) {
-	op := in.Op
+	st := &steps[in.Op]
 	switch {
-	case op >= bytecode.Iconst0 && op <= bytecode.Iconst5 || op == bytecode.IconstM1 ||
-		op == bytecode.Bipush || op == bytecode.Sipush:
-		s.push(Int)
-	case op == bytecode.AconstNull:
-		s.push(Ref)
-	case op == bytecode.Lconst0 || op == bytecode.Lconst1:
-		s.push(Long, Hi)
-	case op >= bytecode.Fconst0 && op <= bytecode.Fconst2:
-		s.push(Float)
-	case op == bytecode.Dconst0 || op == bytecode.Dconst1:
-		s.push(Double, Hi)
-	case op == bytecode.Ldc || op == bytecode.LdcW:
-		if info.HasConst {
-			s.push(info.Const)
-		} else {
-			s.push(Unknown)
+	case !st.valid || st.flow == bytecode.FlowJsr:
+		// jsr pushes a return address at its target, too irregular for
+		// the single-save model, so give up on both paths.
+		s.lose()
+		return
+	case st.shuffle != nil:
+		if s.known {
+			var ok bool
+			if s.stack, ok = bytecode.ShuffleSlots(s.stack, st.shuffle); !ok {
+				s.lose()
+			}
 		}
-	case op == bytecode.Ldc2W:
+		return
+	}
+	s.pop(st.pop)
+	if (st.popDyn || st.pushDyn) && !s.operand(in, info, st.popDyn) {
+		s.lose()
+		return
+	}
+	s.push(st.push...)
+	switch st.flow {
+	case bytecode.FlowBranch:
+		s.save(in.Offset, in.A)
+	case bytecode.FlowGoto:
+		s.save(in.Offset, in.A)
+		s.terminated = true
+	case bytecode.FlowSwitch, bytecode.FlowReturn, bytecode.FlowThrow:
+		s.terminated = true
+	}
+}
+
+// operand pops and pushes the part of in's effect that its operand
+// decides, popping a field's value when pop is set. It reports false
+// when info lacks the facts.
+func (s *Sim) operand(in *bytecode.Instruction, info OpInfo, pop bool) bool {
+	switch in.Op {
+	case bytecode.Ldc, bytecode.LdcW:
+		k := Unknown
+		if info.HasConst {
+			k = info.Const
+		}
+		s.push(k)
+	case bytecode.Ldc2W:
 		if info.HasConst && (info.Const == Long || info.Const == Double) {
 			s.push(info.Const, Hi)
 		} else {
 			s.push(Unknown, Unknown)
 		}
-	case op == bytecode.Iload || op >= bytecode.Iload0 && op <= bytecode.Iload3:
-		s.push(Int)
-	case op == bytecode.Lload || op >= bytecode.Lload0 && op <= bytecode.Lload3:
-		s.push(Long, Hi)
-	case op == bytecode.Fload || op >= bytecode.Fload0 && op <= bytecode.Fload3:
-		s.push(Float)
-	case op == bytecode.Dload || op >= bytecode.Dload0 && op <= bytecode.Dload3:
-		s.push(Double, Hi)
-	case op == bytecode.Aload || op >= bytecode.Aload0 && op <= bytecode.Aload3:
-		s.push(Ref)
-	case op == bytecode.Iaload || op == bytecode.Baload || op == bytecode.Caload || op == bytecode.Saload:
-		s.pop(2)
-		s.push(Int)
-	case op == bytecode.Laload:
-		s.pop(2)
-		s.push(Long, Hi)
-	case op == bytecode.Faload:
-		s.pop(2)
-		s.push(Float)
-	case op == bytecode.Daload:
-		s.pop(2)
-		s.push(Double, Hi)
-	case op == bytecode.Aaload:
-		s.pop(2)
-		s.push(Ref)
-	case op == bytecode.Istore || op == bytecode.Fstore || op == bytecode.Astore ||
-		op >= bytecode.Istore0 && op <= bytecode.Istore3 ||
-		op >= bytecode.Fstore0 && op <= bytecode.Fstore3 ||
-		op >= bytecode.Astore0 && op <= bytecode.Astore3:
-		s.pop(1)
-	case op == bytecode.Lstore || op == bytecode.Dstore ||
-		op >= bytecode.Lstore0 && op <= bytecode.Lstore3 ||
-		op >= bytecode.Dstore0 && op <= bytecode.Dstore3:
-		s.pop(2)
-	case op == bytecode.Iastore || op == bytecode.Fastore || op == bytecode.Aastore ||
-		op == bytecode.Bastore || op == bytecode.Castore || op == bytecode.Sastore:
-		s.pop(3)
-	case op == bytecode.Lastore || op == bytecode.Dastore:
-		s.pop(4)
-	case op == bytecode.Pop:
-		s.pop(1)
-	case op == bytecode.Pop2:
-		s.pop(2)
-	case op == bytecode.Dup:
-		if s.known && len(s.stack) >= 1 {
-			s.push(s.stack[len(s.stack)-1])
-		} else {
-			s.lose()
+	case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
+		if !info.HasField {
+			return false
 		}
-	case op == bytecode.DupX1, op == bytecode.DupX2, op == bytecode.Dup2,
-		op == bytecode.Dup2X1, op == bytecode.Dup2X2:
-		s.dupVariant(op)
-	case op == bytecode.Swap:
-		if s.known && len(s.stack) >= 2 {
-			n := len(s.stack)
-			s.stack[n-1], s.stack[n-2] = s.stack[n-2], s.stack[n-1]
+		if k := typeKinds(info.Field); pop {
+			s.pop(len(k))
 		} else {
-			s.lose()
+			s.push(k...)
 		}
-	case op == bytecode.Iadd || op == bytecode.Isub || op == bytecode.Imul ||
-		op == bytecode.Idiv || op == bytecode.Irem || op == bytecode.Iand ||
-		op == bytecode.Ior || op == bytecode.Ixor ||
-		op == bytecode.Ishl || op == bytecode.Ishr || op == bytecode.Iushr:
-		s.pop(2)
-		s.push(Int)
-	case op == bytecode.Ladd || op == bytecode.Lsub || op == bytecode.Lmul ||
-		op == bytecode.Ldiv || op == bytecode.Lrem || op == bytecode.Land ||
-		op == bytecode.Lor || op == bytecode.Lxor:
-		s.pop(4)
-		s.push(Long, Hi)
-	case op == bytecode.Lshl || op == bytecode.Lshr || op == bytecode.Lushr:
-		s.pop(3) // long + int shift amount
-		s.push(Long, Hi)
-	case op == bytecode.Fadd || op == bytecode.Fsub || op == bytecode.Fmul ||
-		op == bytecode.Fdiv || op == bytecode.Frem:
-		s.pop(2)
-		s.push(Float)
-	case op == bytecode.Dadd || op == bytecode.Dsub || op == bytecode.Dmul ||
-		op == bytecode.Ddiv || op == bytecode.Drem:
-		s.pop(4)
-		s.push(Double, Hi)
-	case op == bytecode.Ineg:
-		s.pop(1)
-		s.push(Int)
-	case op == bytecode.Lneg:
-		s.pop(2)
-		s.push(Long, Hi)
-	case op == bytecode.Fneg:
-		s.pop(1)
-		s.push(Float)
-	case op == bytecode.Dneg:
-		s.pop(2)
-		s.push(Double, Hi)
-	case op == bytecode.Iinc:
-		// no stack effect
-	case op == bytecode.I2l:
-		s.pop(1)
-		s.push(Long, Hi)
-	case op == bytecode.I2f:
-		s.pop(1)
-		s.push(Float)
-	case op == bytecode.I2d:
-		s.pop(1)
-		s.push(Double, Hi)
-	case op == bytecode.L2i:
-		s.pop(2)
-		s.push(Int)
-	case op == bytecode.L2f:
-		s.pop(2)
-		s.push(Float)
-	case op == bytecode.L2d:
-		s.pop(2)
-		s.push(Double, Hi)
-	case op == bytecode.F2i:
-		s.pop(1)
-		s.push(Int)
-	case op == bytecode.F2l:
-		s.pop(1)
-		s.push(Long, Hi)
-	case op == bytecode.F2d:
-		s.pop(1)
-		s.push(Double, Hi)
-	case op == bytecode.D2i:
-		s.pop(2)
-		s.push(Int)
-	case op == bytecode.D2l:
-		s.pop(2)
-		s.push(Long, Hi)
-	case op == bytecode.D2f:
-		s.pop(2)
-		s.push(Float)
-	case op == bytecode.I2b || op == bytecode.I2c || op == bytecode.I2s:
-		s.pop(1)
-		s.push(Int)
-	case op == bytecode.Lcmp:
-		s.pop(4)
-		s.push(Int)
-	case op == bytecode.Fcmpl || op == bytecode.Fcmpg:
-		s.pop(2)
-		s.push(Int)
-	case op == bytecode.Dcmpl || op == bytecode.Dcmpg:
-		s.pop(4)
-		s.push(Int)
-	case op >= bytecode.Ifeq && op <= bytecode.Ifle ||
-		op == bytecode.Ifnull || op == bytecode.Ifnonnull:
-		s.pop(1)
-		s.save(in.Offset, in.A)
-	case op >= bytecode.IfIcmpeq && op <= bytecode.IfAcmpne:
-		s.pop(2)
-		s.save(in.Offset, in.A)
-	case op == bytecode.Goto || op == bytecode.GotoW:
-		s.save(in.Offset, in.A)
-		s.terminated = true
-	case op == bytecode.Jsr || op == bytecode.JsrW:
-		// jsr pushes a return address at the target; too irregular for the
-		// single-save model, so give up on both paths.
-		s.lose()
-		s.terminated = true
-	case op == bytecode.Ret:
-		s.lose()
-		s.terminated = true
-	case op == bytecode.Tableswitch || op == bytecode.Lookupswitch:
-		s.pop(1)
-		s.terminated = true
-	case op == bytecode.Ireturn || op == bytecode.Freturn || op == bytecode.Areturn ||
-		op == bytecode.Lreturn || op == bytecode.Dreturn || op == bytecode.Return ||
-		op == bytecode.Athrow:
-		s.terminated = true
-	case op == bytecode.Getstatic:
-		if info.HasField {
-			s.push(typeKinds(info.Field)...)
-		} else {
-			s.lose()
-		}
-	case op == bytecode.Putstatic:
-		if info.HasField {
-			s.pop(len(typeKinds(info.Field)))
-		} else {
-			s.lose()
-		}
-	case op == bytecode.Getfield:
-		if info.HasField {
-			s.pop(1)
-			s.push(typeKinds(info.Field)...)
-		} else {
-			s.lose()
-		}
-	case op == bytecode.Putfield:
-		if info.HasField {
-			s.pop(1 + len(typeKinds(info.Field)))
-		} else {
-			s.lose()
-		}
-	case op == bytecode.Invokevirtual || op == bytecode.Invokespecial ||
-		op == bytecode.Invokestatic || op == bytecode.Invokeinterface:
+	case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic, bytecode.Invokeinterface:
 		if !info.HasMethod {
-			s.lose()
-			return
+			return false
 		}
 		slots := 0
 		for _, p := range info.Params {
 			slots += len(typeKinds(p))
 		}
-		if op != bytecode.Invokestatic {
-			slots++ // receiver
-		}
 		s.pop(slots)
 		s.push(typeKinds(info.Ret)...)
-	case op == bytecode.New:
-		s.push(Ref)
-	case op == bytecode.Newarray || op == bytecode.Anewarray:
-		s.pop(1)
-		s.push(Ref)
-	case op == bytecode.Arraylength:
-		s.pop(1)
-		s.push(Int)
-	case op == bytecode.Checkcast:
-		s.pop(1)
-		s.push(Ref)
-	case op == bytecode.Instanceof:
-		s.pop(1)
-		s.push(Int)
-	case op == bytecode.Monitorenter || op == bytecode.Monitorexit:
-		s.pop(1)
-	case op == bytecode.Multianewarray:
+	case bytecode.Multianewarray:
 		s.pop(in.B)
-		s.push(Ref)
-	case op == bytecode.Nop:
-		// nothing
 	default:
-		s.lose()
+		return false
 	}
-}
-
-// dupVariant models the dup_x and dup2 family as slot shuffles.
-func (s *Sim) dupVariant(op bytecode.Op) {
-	if !s.known {
-		return
-	}
-	n := len(s.stack)
-	switch op {
-	case bytecode.DupX1:
-		if n < 2 {
-			s.lose()
-			return
-		}
-		v := s.stack[n-1]
-		s.stack = append(s.stack, 0)
-		copy(s.stack[n-1:], s.stack[n-2:n])
-		s.stack[n-2] = v
-	case bytecode.DupX2:
-		if n < 3 {
-			s.lose()
-			return
-		}
-		v := s.stack[n-1]
-		s.stack = append(s.stack, 0)
-		copy(s.stack[n-2:], s.stack[n-3:n])
-		s.stack[n-3] = v
-	case bytecode.Dup2:
-		if n < 2 {
-			s.lose()
-			return
-		}
-		s.stack = append(s.stack, s.stack[n-2], s.stack[n-1])
-	case bytecode.Dup2X1:
-		if n < 3 {
-			s.lose()
-			return
-		}
-		a, b := s.stack[n-2], s.stack[n-1]
-		s.stack = append(s.stack, 0, 0)
-		copy(s.stack[n-1:], s.stack[n-3:n])
-		s.stack[n-3], s.stack[n-2] = a, b
-	case bytecode.Dup2X2:
-		if n < 4 {
-			s.lose()
-			return
-		}
-		a, b := s.stack[n-2], s.stack[n-1]
-		s.stack = append(s.stack, 0, 0)
-		copy(s.stack[n-2:], s.stack[n-4:n])
-		s.stack[n-4], s.stack[n-3] = a, b
-	}
+	return true
 }

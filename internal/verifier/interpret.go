@@ -2,14 +2,43 @@ package verifier
 
 import (
 	"fmt"
+	"slices"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 )
 
-// Frame manipulation with type checking.
+// row is an opcode's effect in verification types, expanded once from
+// the bytecode table.
+type row struct {
+	valid           bool
+	pop, push       []vtype // besides the operand's part
+	popDyn, pushDyn bool    // the operand decides part of the popped or pushed values
+	local           []vtype // the slots of the local a load, store or iinc uses
+	flow            bytecode.Flow
+	shuffle         *bytecode.Shuffle
+}
 
-func (v *mverifier) push(f *frame, ts ...vtype) error {
+var rows = func() (table [256]row) {
+	slots := func(c byte) []vtype { return baseSlots[c] }
+	for op := range table {
+		e, ok := bytecode.EffectOf(bytecode.Op(op))
+		if !ok {
+			continue
+		}
+		r := &table[op]
+		r.valid, r.flow, r.shuffle = true, e.Flow, e.Shuffle
+		r.pop, r.popDyn = bytecode.Slots(e.Pop, slots)
+		r.push, r.pushDyn = bytecode.Slots(e.Push, slots)
+		if e.Local != 0 {
+			r.local = baseSlots[e.Local]
+		}
+	}
+	return table
+}()
+
+// push pushes ts onto the stack, within max_stack.
+func (v *mverifier) push(f *frame, ts []vtype) error {
 	if len(f.stack)+len(ts) > int(v.code.MaxStack) {
 		return fmt.Errorf("push exceeds max_stack %d", v.code.MaxStack)
 	}
@@ -17,54 +46,38 @@ func (v *mverifier) push(f *frame, ts ...vtype) error {
 	return nil
 }
 
-func pop(f *frame, want vtype) error {
-	if len(f.stack) == 0 {
-		return fmt.Errorf("stack underflow, wanted %v", want)
-	}
-	got := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	if got != want {
-		return fmt.Errorf("popped %v, wanted %v", got, want)
+// pop pops want, listed bottom first, off the stack.
+func pop(f *frame, want []vtype) error {
+	for i := len(want) - 1; i >= 0; i-- {
+		if len(f.stack) == 0 {
+			return fmt.Errorf("stack underflow, wanted %v", want[i])
+		}
+		got := f.stack[len(f.stack)-1]
+		f.stack = f.stack[:len(f.stack)-1]
+		if got != want[i] {
+			return fmt.Errorf("popped %v, wanted %v", got, want[i])
+		}
 	}
 	return nil
 }
 
-// popAny pops one category-1 slot of any concrete type.
-func popAny(f *frame) (vtype, error) {
-	if len(f.stack) == 0 {
-		return tTop, fmt.Errorf("stack underflow")
-	}
-	got := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	switch got {
-	case tInt, tFloat, tRef:
-		return got, nil
-	default:
-		return got, fmt.Errorf("popped %v where a category-1 value was needed", got)
-	}
-}
+// upper reports whether t is the second slot of a category-2 value.
+func upper(t vtype) bool { return t == tLong2 || t == tDouble2 }
 
-func popLong(f *frame) error {
-	if err := pop(f, tLong2); err != nil {
-		return err
+// shuffle applies one of the typeless stack shuffles. Its window may not
+// start inside a category-2 value, and its cut may not split one: the
+// one rule that gives every category check of JVMS §6.5 pop to swap.
+func (v *mverifier) shuffle(f *frame, op bytecode.Op, sh *bytecode.Shuffle) error {
+	n := len(f.stack)
+	if n < sh.Take {
+		return fmt.Errorf("%s with stack depth %d", op, n)
 	}
-	return pop(f, tLong)
-}
-
-func popDouble(f *frame) error {
-	if err := pop(f, tDouble2); err != nil {
-		return err
+	if upper(f.stack[n-sh.Take]) || upper(f.stack[n-sh.Cut]) {
+		return fmt.Errorf("%s splitting a category-2 value", op)
 	}
-	return pop(f, tDouble)
-}
-
-// popType pops slots for a descriptor type.
-func (v *mverifier) popType(f *frame, t classfile.Type) error {
-	slots := typeSlots(t)
-	for i := len(slots) - 1; i >= 0; i-- {
-		if err := pop(f, slots[i]); err != nil {
-			return err
-		}
+	f.stack, _ = bytecode.ShuffleSlots(f.stack, sh)
+	if len(f.stack) > int(v.code.MaxStack) {
+		return fmt.Errorf("%s exceeds max_stack %d", op, v.code.MaxStack)
 	}
 	return nil
 }
@@ -79,7 +92,7 @@ func killSlot(f *frame, slot int) {
 	}
 }
 
-func (v *mverifier) store(f *frame, slot int, ts ...vtype) error {
+func (v *mverifier) store(f *frame, slot int, ts []vtype) error {
 	if slot+len(ts) > len(f.locals) {
 		return fmt.Errorf("store to local %d exceeds max_locals %d", slot, len(f.locals))
 	}
@@ -93,19 +106,26 @@ func (v *mverifier) store(f *frame, slot int, ts ...vtype) error {
 	return nil
 }
 
-func (v *mverifier) load(f *frame, slot int, want vtype) error {
-	if slot >= len(f.locals) {
+func (v *mverifier) load(f *frame, slot int, want []vtype) error {
+	if slot+len(want) > len(f.locals) {
 		return fmt.Errorf("load of local %d exceeds max_locals %d", slot, len(f.locals))
 	}
-	if f.locals[slot] != want {
-		return fmt.Errorf("local %d holds %v, wanted %v", slot, f.locals[slot], want)
-	}
-	if want == tLong || want == tDouble {
-		if slot+1 >= len(f.locals) || f.locals[slot+1] != want+1 {
-			return fmt.Errorf("local %d missing second slot of %v", slot, want)
-		}
+	if got := f.locals[slot : slot+len(want)]; !slices.Equal(got, want) {
+		return fmt.Errorf("local %d holds %v, wanted %v", slot, got, want)
 	}
 	return nil
+}
+
+// localSlot returns the local variable that in reads or writes: its
+// operand, or the slot an xload_n or xstore_n opcode names.
+func localSlot(in *bytecode.Instruction) int {
+	switch op := in.Op; {
+	case op >= bytecode.Iload0 && op <= bytecode.Aload3:
+		return int(op-bytecode.Iload0) % 4
+	case op >= bytecode.Istore0 && op <= bytecode.Astore3:
+		return int(op-bytecode.Istore0) % 4
+	}
+	return in.A
 }
 
 // Constant-pool lookups.
@@ -135,568 +155,6 @@ func (v *mverifier) methodType(idx int, wantIface bool) ([]classfile.Type, class
 	return classfile.ParseMethodDescriptor(cf.Utf8At(nat.Desc))
 }
 
-// interpret processes the single instruction at off, flowing the result to
-// its successors.
-func (v *mverifier) interpret(off int) error {
-	idx := v.byOffset[off]
-	in := &v.insns[idx]
-	f := v.states[off].clone()
-	// Locals at this point are visible to every covering handler.
-	if err := v.handlersCovering(off, &f); err != nil {
-		return err
-	}
-	terminal := false
-	var extraTargets []int
-
-	op := in.Op
-	switch {
-	case op == bytecode.Nop:
-	case op == bytecode.AconstNull:
-		if err := v.push(&f, tRef); err != nil {
-			return err
-		}
-	case op >= bytecode.IconstM1 && op <= bytecode.Iconst5 ||
-		op == bytecode.Bipush || op == bytecode.Sipush:
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Lconst0 || op == bytecode.Lconst1:
-		if err := v.push(&f, tLong, tLong2); err != nil {
-			return err
-		}
-	case op >= bytecode.Fconst0 && op <= bytecode.Fconst2:
-		if err := v.push(&f, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Dconst0 || op == bytecode.Dconst1:
-		if err := v.push(&f, tDouble, tDouble2); err != nil {
-			return err
-		}
-	case op == bytecode.Ldc || op == bytecode.LdcW:
-		if in.A <= 0 || in.A >= len(v.cf.Pool) {
-			return fmt.Errorf("ldc index %d out of range", in.A)
-		}
-		switch v.cf.Pool[in.A].Kind {
-		case classfile.KindInteger:
-			return v.finish(in, &f, terminal, extraTargets, v.push(&f, tInt))
-		case classfile.KindFloat:
-			return v.finish(in, &f, terminal, extraTargets, v.push(&f, tFloat))
-		case classfile.KindString:
-			return v.finish(in, &f, terminal, extraTargets, v.push(&f, tRef))
-		default:
-			return fmt.Errorf("ldc of %v", v.cf.Pool[in.A].Kind)
-		}
-	case op == bytecode.Ldc2W:
-		if in.A <= 0 || in.A >= len(v.cf.Pool) {
-			return fmt.Errorf("ldc2_w index %d out of range", in.A)
-		}
-		switch v.cf.Pool[in.A].Kind {
-		case classfile.KindLong:
-			return v.finish(in, &f, terminal, extraTargets, v.push(&f, tLong, tLong2))
-		case classfile.KindDouble:
-			return v.finish(in, &f, terminal, extraTargets, v.push(&f, tDouble, tDouble2))
-		default:
-			return fmt.Errorf("ldc2_w of %v", v.cf.Pool[in.A].Kind)
-		}
-	case op == bytecode.Iload || op >= bytecode.Iload0 && op <= bytecode.Iload3:
-		if err := v.loadPush(&f, in, bytecode.Iload0, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Lload || op >= bytecode.Lload0 && op <= bytecode.Lload3:
-		if err := v.loadPush(&f, in, bytecode.Lload0, tLong); err != nil {
-			return err
-		}
-	case op == bytecode.Fload || op >= bytecode.Fload0 && op <= bytecode.Fload3:
-		if err := v.loadPush(&f, in, bytecode.Fload0, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Dload || op >= bytecode.Dload0 && op <= bytecode.Dload3:
-		if err := v.loadPush(&f, in, bytecode.Dload0, tDouble); err != nil {
-			return err
-		}
-	case op == bytecode.Aload || op >= bytecode.Aload0 && op <= bytecode.Aload3:
-		if err := v.loadPush(&f, in, bytecode.Aload0, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Istore || op >= bytecode.Istore0 && op <= bytecode.Istore3:
-		if err := v.popStore(&f, in, bytecode.Istore0, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Lstore || op >= bytecode.Lstore0 && op <= bytecode.Lstore3:
-		if err := v.popStore(&f, in, bytecode.Lstore0, tLong); err != nil {
-			return err
-		}
-	case op == bytecode.Fstore || op >= bytecode.Fstore0 && op <= bytecode.Fstore3:
-		if err := v.popStore(&f, in, bytecode.Fstore0, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Dstore || op >= bytecode.Dstore0 && op <= bytecode.Dstore3:
-		if err := v.popStore(&f, in, bytecode.Dstore0, tDouble); err != nil {
-			return err
-		}
-	case op == bytecode.Astore || op >= bytecode.Astore0 && op <= bytecode.Astore3:
-		if err := v.popStore(&f, in, bytecode.Astore0, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Iaload || op == bytecode.Baload || op == bytecode.Caload || op == bytecode.Saload:
-		if err := v.arrayLoad(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Faload:
-		if err := v.arrayLoad(&f, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Aaload:
-		if err := v.arrayLoad(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Laload:
-		if err := v.arrayLoadWide(&f, tLong); err != nil {
-			return err
-		}
-	case op == bytecode.Daload:
-		if err := v.arrayLoadWide(&f, tDouble); err != nil {
-			return err
-		}
-	case op == bytecode.Iastore || op == bytecode.Bastore || op == bytecode.Castore || op == bytecode.Sastore:
-		if err := v.arrayStore(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Fastore:
-		if err := v.arrayStore(&f, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Aastore:
-		if err := v.arrayStore(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Lastore:
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Dastore:
-		if err := popDouble(&f); err != nil {
-			return err
-		}
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Pop:
-		if _, err := popAny(&f); err != nil {
-			return err
-		}
-	case op == bytecode.Pop2:
-		// Either one category-2 value or two category-1 values.
-		if len(f.stack) >= 1 && (f.stack[len(f.stack)-1] == tLong2 || f.stack[len(f.stack)-1] == tDouble2) {
-			if f.stack[len(f.stack)-1] == tLong2 {
-				if err := popLong(&f); err != nil {
-					return err
-				}
-			} else if err := popDouble(&f); err != nil {
-				return err
-			}
-		} else {
-			if _, err := popAny(&f); err != nil {
-				return err
-			}
-			if _, err := popAny(&f); err != nil {
-				return err
-			}
-		}
-	case op == bytecode.Dup:
-		if len(f.stack) == 0 {
-			return fmt.Errorf("dup on empty stack")
-		}
-		top := f.stack[len(f.stack)-1]
-		if top == tLong2 || top == tDouble2 {
-			return fmt.Errorf("dup of a category-2 value")
-		}
-		if err := v.push(&f, top); err != nil {
-			return err
-		}
-	case op == bytecode.DupX1, op == bytecode.DupX2, op == bytecode.Dup2,
-		op == bytecode.Dup2X1, op == bytecode.Dup2X2, op == bytecode.Swap:
-		if err := v.dupSwap(&f, op); err != nil {
-			return err
-		}
-	case op == bytecode.Iadd || op == bytecode.Isub || op == bytecode.Imul ||
-		op == bytecode.Idiv || op == bytecode.Irem || op == bytecode.Iand ||
-		op == bytecode.Ior || op == bytecode.Ixor || op == bytecode.Ishl ||
-		op == bytecode.Ishr || op == bytecode.Iushr:
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Ladd || op == bytecode.Lsub || op == bytecode.Lmul ||
-		op == bytecode.Ldiv || op == bytecode.Lrem || op == bytecode.Land ||
-		op == bytecode.Lor || op == bytecode.Lxor:
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tLong, tLong2); err != nil {
-			return err
-		}
-	case op == bytecode.Lshl || op == bytecode.Lshr || op == bytecode.Lushr:
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tLong, tLong2); err != nil {
-			return err
-		}
-	case op == bytecode.Fadd || op == bytecode.Fsub || op == bytecode.Fmul ||
-		op == bytecode.Fdiv || op == bytecode.Frem:
-		if err := pop(&f, tFloat); err != nil {
-			return err
-		}
-		if err := pop(&f, tFloat); err != nil {
-			return err
-		}
-		if err := v.push(&f, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Dadd || op == bytecode.Dsub || op == bytecode.Dmul ||
-		op == bytecode.Ddiv || op == bytecode.Drem:
-		if err := popDouble(&f); err != nil {
-			return err
-		}
-		if err := popDouble(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tDouble, tDouble2); err != nil {
-			return err
-		}
-	case op == bytecode.Ineg:
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Lneg:
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tLong, tLong2); err != nil {
-			return err
-		}
-	case op == bytecode.Fneg:
-		if err := pop(&f, tFloat); err != nil {
-			return err
-		}
-		if err := v.push(&f, tFloat); err != nil {
-			return err
-		}
-	case op == bytecode.Dneg:
-		if err := popDouble(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tDouble, tDouble2); err != nil {
-			return err
-		}
-	case op == bytecode.Iinc:
-		if err := v.load(&f, in.A, tInt); err != nil {
-			return err
-		}
-	case op >= bytecode.I2l && op <= bytecode.I2s:
-		if err := v.convert(&f, op); err != nil {
-			return err
-		}
-	case op == bytecode.Lcmp:
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := popLong(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Fcmpl || op == bytecode.Fcmpg:
-		if err := pop(&f, tFloat); err != nil {
-			return err
-		}
-		if err := pop(&f, tFloat); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Dcmpl || op == bytecode.Dcmpg:
-		if err := popDouble(&f); err != nil {
-			return err
-		}
-		if err := popDouble(&f); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op >= bytecode.Ifeq && op <= bytecode.Ifle:
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		extraTargets = append(extraTargets, in.A)
-	case op >= bytecode.IfIcmpeq && op <= bytecode.IfIcmple:
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		extraTargets = append(extraTargets, in.A)
-	case op == bytecode.IfAcmpeq || op == bytecode.IfAcmpne:
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		extraTargets = append(extraTargets, in.A)
-	case op == bytecode.Ifnull || op == bytecode.Ifnonnull:
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		extraTargets = append(extraTargets, in.A)
-	case op == bytecode.Goto || op == bytecode.GotoW:
-		terminal = true
-		extraTargets = append(extraTargets, in.A)
-	case op == bytecode.Jsr || op == bytecode.JsrW || op == bytecode.Ret:
-		// Subroutines carry return addresses and split verification state;
-		// the 1.2-era verifier handled them with substantial machinery.
-		// Nothing in this repository emits them, so reject outright.
-		return fmt.Errorf("jsr/ret subroutines unsupported by this verifier")
-	case op == bytecode.Tableswitch || op == bytecode.Lookupswitch:
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		terminal = true
-		extraTargets = append(extraTargets, in.Default)
-		extraTargets = append(extraTargets, in.Targets...)
-	case op == bytecode.Ireturn:
-		// boolean/byte/char/short returns also use ireturn.
-		switch {
-		case v.ret.Dims == 0 && (v.ret.Base == 'I' || v.ret.Base == 'Z' ||
-			v.ret.Base == 'B' || v.ret.Base == 'C' || v.ret.Base == 'S'):
-			return pop(&f, tInt)
-		default:
-			return fmt.Errorf("ireturn from method returning %s", v.ret)
-		}
-	case op == bytecode.Lreturn:
-		return v.checkReturn(&f, in, classfile.Type{Base: 'J'})
-	case op == bytecode.Freturn:
-		return v.checkReturn(&f, in, classfile.Type{Base: 'F'})
-	case op == bytecode.Dreturn:
-		return v.checkReturn(&f, in, classfile.Type{Base: 'D'})
-	case op == bytecode.Areturn:
-		if !v.ret.IsRef() {
-			return fmt.Errorf("areturn from method returning %s", v.ret)
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		return nil
-	case op == bytecode.Return:
-		if v.ret.Slots() != 0 {
-			return fmt.Errorf("return from method returning %s", v.ret)
-		}
-		return nil
-	case op == bytecode.Athrow:
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		return nil
-	case op == bytecode.Getstatic:
-		t, err := v.fieldType(in.A)
-		if err != nil {
-			return err
-		}
-		if err := v.push(&f, typeSlots(t)...); err != nil {
-			return err
-		}
-	case op == bytecode.Putstatic:
-		t, err := v.fieldType(in.A)
-		if err != nil {
-			return err
-		}
-		if err := v.popType(&f, t); err != nil {
-			return err
-		}
-	case op == bytecode.Getfield:
-		t, err := v.fieldType(in.A)
-		if err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		if err := v.push(&f, typeSlots(t)...); err != nil {
-			return err
-		}
-	case op == bytecode.Putfield:
-		t, err := v.fieldType(in.A)
-		if err != nil {
-			return err
-		}
-		if err := v.popType(&f, t); err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Invokevirtual || op == bytecode.Invokespecial ||
-		op == bytecode.Invokestatic || op == bytecode.Invokeinterface:
-		params, ret, err := v.methodType(in.A, op == bytecode.Invokeinterface)
-		if err != nil {
-			return err
-		}
-		for i := len(params) - 1; i >= 0; i-- {
-			if err := v.popType(&f, params[i]); err != nil {
-				return fmt.Errorf("argument %d: %w", i+1, err)
-			}
-		}
-		if op != bytecode.Invokestatic {
-			if err := pop(&f, tRef); err != nil {
-				return fmt.Errorf("receiver: %w", err)
-			}
-		}
-		if op == bytecode.Invokeinterface {
-			slots := 1
-			for _, p := range params {
-				slots += len(typeSlots(p))
-			}
-			if in.B != slots {
-				return fmt.Errorf("invokeinterface count %d, descriptor implies %d", in.B, slots)
-			}
-		}
-		if err := v.push(&f, typeSlots(ret)...); err != nil {
-			return err
-		}
-	case op == bytecode.New:
-		if err := v.checkClassRef(in.A); err != nil {
-			return err
-		}
-		if err := v.push(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Newarray:
-		if in.A < 4 || in.A > 11 {
-			return fmt.Errorf("newarray type %d invalid", in.A)
-		}
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := v.push(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Anewarray:
-		if err := v.checkClassRef(in.A); err != nil {
-			return err
-		}
-		if err := pop(&f, tInt); err != nil {
-			return err
-		}
-		if err := v.push(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Arraylength:
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Checkcast:
-		if err := v.checkClassRef(in.A); err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		if err := v.push(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Instanceof:
-		if err := v.checkClassRef(in.A); err != nil {
-			return err
-		}
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-		if err := v.push(&f, tInt); err != nil {
-			return err
-		}
-	case op == bytecode.Monitorenter || op == bytecode.Monitorexit:
-		if err := pop(&f, tRef); err != nil {
-			return err
-		}
-	case op == bytecode.Multianewarray:
-		if err := v.checkClassRef(in.A); err != nil {
-			return err
-		}
-		if in.B < 1 {
-			return fmt.Errorf("multianewarray with %d dimensions", in.B)
-		}
-		for i := 0; i < in.B; i++ {
-			if err := pop(&f, tInt); err != nil {
-				return err
-			}
-		}
-		if err := v.push(&f, tRef); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unsupported opcode %s", op)
-	}
-	return v.finish(in, &f, terminal, extraTargets, nil)
-}
-
-// finish flows the post-state to all successors.
-func (v *mverifier) finish(in *bytecode.Instruction, f *frame, terminal bool, targets []int, err error) error {
-	if err != nil {
-		return err
-	}
-	for _, t := range targets {
-		if err := v.flowTo(t, f); err != nil {
-			return err
-		}
-	}
-	if terminal {
-		return nil
-	}
-	next := in.Offset + in.Size()
-	if next >= len(v.code.Code) {
-		return fmt.Errorf("control flow falls off the end of the code")
-	}
-	return v.flowTo(next, f)
-}
-
-func (v *mverifier) checkReturn(f *frame, in *bytecode.Instruction, want classfile.Type) error {
-	if v.ret.Dims != 0 || v.ret.Base != want.Base {
-		return fmt.Errorf("%s from method returning %s", in.Op, v.ret)
-	}
-	return v.popType(f, want)
-}
-
 func (v *mverifier) checkClassRef(idx int) error {
 	if idx <= 0 || idx >= len(v.cf.Pool) || v.cf.Pool[idx].Kind != classfile.KindClass {
 		return fmt.Errorf("index %d is not a Class", idx)
@@ -704,188 +162,141 @@ func (v *mverifier) checkClassRef(idx int) error {
 	return nil
 }
 
-func (v *mverifier) loadPush(f *frame, in *bytecode.Instruction, base bytecode.Op, t vtype) error {
-	slot := in.A
-	if in.Op >= base && in.Op <= base+3 {
-		slot = int(in.Op - base)
-	}
-	if err := v.load(f, slot, t); err != nil {
-		return err
-	}
-	if t == tLong || t == tDouble {
-		return v.push(f, t, t+1)
-	}
-	return v.push(f, t)
-}
-
-func (v *mverifier) popStore(f *frame, in *bytecode.Instruction, base bytecode.Op, t vtype) error {
-	slot := in.A
-	if in.Op >= base && in.Op <= base+3 {
-		slot = int(in.Op - base)
-	}
-	if t == tLong {
-		if err := popLong(f); err != nil {
-			return err
+// operand checks in's constant-pool or immediate operand and returns
+// what the table's '*' stands for: args among the popped values, res
+// among the pushed ones.
+func (v *mverifier) operand(in *bytecode.Instruction) (args, res []vtype, err error) {
+	switch in.Op {
+	case bytecode.Ldc, bytecode.LdcW, bytecode.Ldc2W:
+		if in.A <= 0 || in.A >= len(v.cf.Pool) {
+			return nil, nil, fmt.Errorf("%s index %d out of range", in.Op, in.A)
 		}
-		return v.store(f, slot, tLong, tLong2)
-	}
-	if t == tDouble {
-		if err := popDouble(f); err != nil {
-			return err
+		k := v.cf.Pool[in.A].Kind
+		t, ok := k.LdcType()
+		if !ok || t.IsWide() != (in.Op == bytecode.Ldc2W) {
+			return nil, nil, fmt.Errorf("%s of %v", in.Op, k)
 		}
-		return v.store(f, slot, tDouble, tDouble2)
-	}
-	if err := pop(f, t); err != nil {
-		return err
-	}
-	return v.store(f, slot, t)
-}
-
-func (v *mverifier) arrayLoad(f *frame, elem vtype) error {
-	if err := pop(f, tInt); err != nil {
-		return err
-	}
-	if err := pop(f, tRef); err != nil {
-		return err
-	}
-	return v.push(f, elem)
-}
-
-func (v *mverifier) arrayLoadWide(f *frame, elem vtype) error {
-	if err := pop(f, tInt); err != nil {
-		return err
-	}
-	if err := pop(f, tRef); err != nil {
-		return err
-	}
-	return v.push(f, elem, elem+1)
-}
-
-func (v *mverifier) arrayStore(f *frame, elem vtype) error {
-	if err := pop(f, elem); err != nil {
-		return err
-	}
-	if err := pop(f, tInt); err != nil {
-		return err
-	}
-	return pop(f, tRef)
-}
-
-// convert handles the 15 primitive conversion opcodes.
-func (v *mverifier) convert(f *frame, op bytecode.Op) error {
-	type conv struct {
-		from, to vtype
-	}
-	table := map[bytecode.Op]conv{
-		bytecode.I2l: {tInt, tLong}, bytecode.I2f: {tInt, tFloat}, bytecode.I2d: {tInt, tDouble},
-		bytecode.L2i: {tLong, tInt}, bytecode.L2f: {tLong, tFloat}, bytecode.L2d: {tLong, tDouble},
-		bytecode.F2i: {tFloat, tInt}, bytecode.F2l: {tFloat, tLong}, bytecode.F2d: {tFloat, tDouble},
-		bytecode.D2i: {tDouble, tInt}, bytecode.D2l: {tDouble, tLong}, bytecode.D2f: {tDouble, tFloat},
-		bytecode.I2b: {tInt, tInt}, bytecode.I2c: {tInt, tInt}, bytecode.I2s: {tInt, tInt},
-	}
-	c, ok := table[op]
-	if !ok {
-		return fmt.Errorf("unknown conversion %s", op)
-	}
-	switch c.from {
-	case tLong:
-		if err := popLong(f); err != nil {
-			return err
+		return nil, typeSlots(t), nil
+	case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
+		t, err := v.fieldType(in.A)
+		return typeSlots(t), typeSlots(t), err
+	case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic, bytecode.Invokeinterface:
+		params, ret, err := v.methodType(in.A, in.Op == bytecode.Invokeinterface)
+		if err != nil {
+			return nil, nil, err
 		}
-	case tDouble:
-		if err := popDouble(f); err != nil {
+		for _, p := range params {
+			args = append(args, typeSlots(p)...)
+		}
+		if in.Op == bytecode.Invokeinterface && in.B != len(args)+1 {
+			return nil, nil, fmt.Errorf("invokeinterface count %d, descriptor implies %d", in.B, len(args)+1)
+		}
+		return args, typeSlots(ret), nil
+	case bytecode.New, bytecode.Anewarray, bytecode.Checkcast, bytecode.Instanceof:
+		return nil, nil, v.checkClassRef(in.A)
+	case bytecode.Multianewarray:
+		if in.B < 1 {
+			return nil, nil, fmt.Errorf("multianewarray with %d dimensions", in.B)
+		}
+		dims := make([]vtype, in.B)
+		for i := range dims {
+			dims[i] = tInt
+		}
+		return dims, nil, v.checkClassRef(in.A)
+	case bytecode.Newarray:
+		if in.A < 4 || in.A > 11 {
+			return nil, nil, fmt.Errorf("newarray type %d invalid", in.A)
+		}
+	}
+	return nil, nil, nil
+}
+
+// interpret processes the single instruction at off, flowing the result to
+// its successors.
+func (v *mverifier) interpret(off int) error {
+	in := &v.insns[v.byOffset[off]]
+	f := v.states[off].clone()
+	// Locals at this point are visible to every covering handler.
+	if err := v.handlersCovering(off, &f); err != nil {
+		return err
+	}
+	r := &rows[in.Op]
+	switch {
+	case !r.valid:
+		return fmt.Errorf("unsupported opcode %s", in.Op)
+	case r.flow == bytecode.FlowJsr:
+		// Subroutines carry return addresses and split verification state;
+		// the 1.2-era verifier handled them with substantial machinery.
+		// Nothing in this repository emits them, so reject outright.
+		return fmt.Errorf("jsr/ret subroutines unsupported by this verifier")
+	case r.shuffle != nil:
+		if err := v.shuffle(&f, in.Op, r.shuffle); err != nil {
 			return err
 		}
 	default:
-		if err := pop(f, c.from); err != nil {
+		if err := v.apply(&f, in, r); err != nil {
 			return err
 		}
 	}
-	if c.to == tLong || c.to == tDouble {
-		return v.push(f, c.to, c.to+1)
+
+	switch r.flow {
+	case bytecode.FlowReturn, bytecode.FlowThrow:
+		return nil
+	case bytecode.FlowGoto:
+		return v.flowTo(in.A, &f)
+	case bytecode.FlowSwitch:
+		if err := v.flowTo(in.Default, &f); err != nil {
+			return err
+		}
+		for _, t := range in.Targets {
+			if err := v.flowTo(t, &f); err != nil {
+				return err
+			}
+		}
+		return nil
+	case bytecode.FlowBranch:
+		if err := v.flowTo(in.A, &f); err != nil {
+			return err
+		}
 	}
-	return v.push(f, c.to)
+	next := in.Offset + in.Size()
+	if next >= len(v.code.Code) {
+		return fmt.Errorf("control flow falls off the end of the code")
+	}
+	return v.flowTo(next, &f)
 }
 
-// dupSwap implements the stack-shuffle family with category checks.
-func (v *mverifier) dupSwap(f *frame, op bytecode.Op) error {
-	n := len(f.stack)
-	need := map[bytecode.Op]int{
-		bytecode.DupX1: 2, bytecode.DupX2: 3, bytecode.Dup2: 2,
-		bytecode.Dup2X1: 3, bytecode.Dup2X2: 4, bytecode.Swap: 2,
-	}[op]
-	if n < need {
-		return fmt.Errorf("%s with stack depth %d", op, n)
+// apply checks and applies the stack and local effect of in, which is
+// not a shuffle.
+func (v *mverifier) apply(f *frame, in *bytecode.Instruction, r *row) error {
+	args, res, err := v.operand(in)
+	if err != nil {
+		return err
 	}
-	cat1 := func(t vtype) bool { return t == tInt || t == tFloat || t == tRef }
-	validUnit := func(a, b vtype) bool {
-		return (a == tLong && b == tLong2) || (a == tDouble && b == tDouble2) ||
-			(cat1(a) && cat1(b))
+	if r.flow == bytecode.FlowReturn && !slices.Equal(r.pop, typeSlots(v.ret)) {
+		return fmt.Errorf("%s from method returning %s", in.Op, v.ret)
 	}
-	s := f.stack
-	switch op {
-	case bytecode.Swap:
-		if !cat1(s[n-1]) || !cat1(s[n-2]) {
-			return fmt.Errorf("swap of category-2 values")
-		}
-		s[n-1], s[n-2] = s[n-2], s[n-1]
-		return nil
-	case bytecode.DupX1:
-		if !cat1(s[n-1]) || !cat1(s[n-2]) {
-			return fmt.Errorf("dup_x1 over category-2 values")
-		}
-		top := s[n-1]
-		if err := v.push(f, tTop); err != nil {
+	if r.popDyn {
+		if err := pop(f, args); err != nil {
 			return err
 		}
-		s = f.stack
-		copy(s[n-1:], s[n-2:n])
-		s[n-2] = top
-		return nil
-	case bytecode.DupX2:
-		if !cat1(s[n-1]) {
-			return fmt.Errorf("dup_x2 of a category-2 value")
-		}
-		if s[n-2] == tLong || s[n-2] == tDouble {
-			return fmt.Errorf("dup_x2 splitting a category-2 value")
-		}
-		top := s[n-1]
-		if err := v.push(f, tTop); err != nil {
-			return err
-		}
-		s = f.stack
-		copy(s[n-2:], s[n-3:n])
-		s[n-3] = top
-		return nil
-	case bytecode.Dup2:
-		if !validUnit(s[n-2], s[n-1]) {
-			return fmt.Errorf("dup2 splitting a category-2 value")
-		}
-		return v.push(f, s[n-2], s[n-1])
-	case bytecode.Dup2X1:
-		if !validUnit(s[n-2], s[n-1]) || !cat1(s[n-3]) {
-			return fmt.Errorf("dup2_x1 over invalid units")
-		}
-		a, b := s[n-2], s[n-1]
-		if err := v.push(f, tTop, tTop); err != nil {
-			return err
-		}
-		s = f.stack
-		copy(s[n-1:], s[n-3:n])
-		s[n-3], s[n-2] = a, b
-		return nil
-	case bytecode.Dup2X2:
-		if !validUnit(s[n-2], s[n-1]) || !validUnit(s[n-4], s[n-3]) {
-			return fmt.Errorf("dup2_x2 over invalid units")
-		}
-		a, b := s[n-2], s[n-1]
-		if err := v.push(f, tTop, tTop); err != nil {
-			return err
-		}
-		s = f.stack
-		copy(s[n-2:], s[n-4:n])
-		s[n-4], s[n-3] = a, b
-		return nil
 	}
-	return fmt.Errorf("unhandled shuffle %s", op)
+	if err := pop(f, r.pop); err != nil {
+		return err
+	}
+	switch {
+	case r.local == nil:
+	case len(r.pop) == 0: // a load or iinc reads the local
+		if err := v.load(f, localSlot(in), r.local); err != nil {
+			return err
+		}
+	default: // a store writes it
+		if err := v.store(f, localSlot(in), r.local); err != nil {
+			return err
+		}
+	}
+	if r.pushDyn {
+		return v.push(f, res)
+	}
+	return v.push(f, r.push)
 }

@@ -73,27 +73,30 @@ func (f *frame) merge(other *frame) (changed bool, err error) {
 	return changed, nil
 }
 
-// typeSlots maps a descriptor type to its frame slots.
+// baseSlots holds the frame slots of a value of each descriptor base
+// letter, L standing for any reference; unlisted bases are top.
+var baseSlots = func() (b [256][]vtype) {
+	for c := range b {
+		b[c] = []vtype{tTop}
+	}
+	for _, c := range "BCSZI" {
+		b[c] = []vtype{tInt}
+	}
+	b['F'] = []vtype{tFloat}
+	b['J'] = []vtype{tLong, tLong2}
+	b['D'] = []vtype{tDouble, tDouble2}
+	b['L'] = []vtype{tRef}
+	b['V'] = nil
+	return b
+}()
+
+// typeSlots maps a descriptor type to its frame slots. The slice is
+// shared and must not be modified.
 func typeSlots(t classfile.Type) []vtype {
 	if t.Dims > 0 {
-		return []vtype{tRef}
+		return baseSlots['L']
 	}
-	switch t.Base {
-	case 'B', 'C', 'S', 'Z', 'I':
-		return []vtype{tInt}
-	case 'F':
-		return []vtype{tFloat}
-	case 'J':
-		return []vtype{tLong, tLong2}
-	case 'D':
-		return []vtype{tDouble, tDouble2}
-	case 'L':
-		return []vtype{tRef}
-	case 'V':
-		return nil
-	default:
-		return []vtype{tTop}
-	}
+	return baseSlots[t.Base]
 }
 
 // MethodError locates a verification failure: the class and method it

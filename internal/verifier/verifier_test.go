@@ -1,6 +1,12 @@
 package verifier
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"classpack/internal/bytecode"
@@ -11,10 +17,8 @@ import (
 	"classpack/internal/synth"
 )
 
-// TestMiniJavaOutputVerifies runs the dataflow verifier over compiler
-// output for a program exercising every MiniJava construct.
-func TestMiniJavaOutputVerifies(t *testing.T) {
-	cfs, err := minijava.Compile(`
+// miniJavaProgram exercises every MiniJava construct.
+const miniJavaProgram = `
 class Main { public static void main(String[] a) {
     int[] xs;
     int i;
@@ -33,7 +37,12 @@ class Alg {
         return r;
     }
 }
-`, minijava.CompileOptions{})
+`
+
+// TestMiniJavaOutputVerifies runs the dataflow verifier over compiler
+// output for miniJavaProgram.
+func TestMiniJavaOutputVerifies(t *testing.T) {
+	cfs, err := minijava.Compile(miniJavaProgram, minijava.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,25 +53,133 @@ class Alg {
 	}
 }
 
+// verdictDigest is the SHA-256 of the verdicts TestCorporaVerify pins.
+// It was generated before the verifier read its stack effects from the
+// bytecode opcode table, and pins that the table reproduces them.
+const verdictDigest = "93e12a09892745356af3e455c9aa7decaaec27d76a496045e2a5e2686b70eea7"
+
 // TestCorporaVerify runs the verifier over generated corpora — the
 // strongest check that the synthesizer emits type-correct bytecode.
+//
+// It then pins the verifier's verdicts. Every method of the corpora, of
+// miniJavaProgram and of kitchenSink is verified as it is and as seeded
+// mutants: each instruction in turn with its opcode replaced by another
+// of the same operand format, max_stack one lower, and max_locals one
+// lower. The digest covers each verdict's class, method, descriptor,
+// and the pc and opcode of a rejection, but not its message. Every
+// opcode of the 1.2 instruction set occurs in the verified code.
 func TestCorporaVerify(t *testing.T) {
+	var cfs []*classfile.ClassFile
 	for _, name := range []string{"Hanoi", "222_mpegaudio", "213_javac", "jmark20"} {
 		t.Run(name, func(t *testing.T) {
 			p, err := synth.ProfileByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfs, err := synth.GenerateStripped(p, 0.03)
+			gen, err := synth.GenerateStripped(p, 0.03)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cf := range cfs {
+			for _, cf := range gen {
 				if err := Class(cf); err != nil {
 					t.Fatal(err)
 				}
 			}
+			cfs = append(cfs, gen...)
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	mj, err := minijava.Compile(miniJavaProgram, minijava.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs = append(append(cfs, mj...), kitchenSink(t))
+
+	// sameFormat lists, per operand format, the opcodes that have it.
+	var sameFormat [bytecode.FmtInvalid + 1][]bytecode.Op
+	for op := bytecode.Op(0); op < bytecode.NumOpcodes; op++ {
+		if f := bytecode.FormatOf(op); f != bytecode.FmtInvalid && f != bytecode.FmtWidePrefix {
+			sameFormat[f] = append(sameFormat[f], op)
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	h := sha256.New()
+	var seen [bytecode.NumOpcodes]bool
+	verdicts, rejected := 0, 0
+	verdict := func(cf *classfile.ClassFile, m *classfile.Member, code *classfile.CodeAttr) {
+		if insns, err := bytecode.Decode(code.Code); err == nil {
+			for _, in := range insns {
+				seen[in.Op] = true
+			}
+		}
+		fmt.Fprintf(h, "%s.%s%s", cf.ThisClassName(), cf.MemberName(m), cf.MemberDesc(m))
+		verdicts++
+		if err := Method(cf, m); err != nil {
+			var me *MethodError
+			if !errors.As(err, &me) {
+				t.Fatalf("Method returned %T, want *MethodError", err)
+			}
+			fmt.Fprintf(h, " rejected at %d %q\n", me.PC, me.Op)
+			rejected++
+			return
+		}
+		fmt.Fprintf(h, " ok\n")
+	}
+	for _, cf := range cfs {
+		for mi := range cf.Methods {
+			m := &cf.Methods[mi]
+			code := classfile.CodeOf(m)
+			if code == nil {
+				continue
+			}
+			verdict(cf, m, code)
+			insns, err := bytecode.Decode(code.Code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := code.Code
+			for _, in := range insns {
+				alts := sameFormat[bytecode.FormatOf(in.Op)]
+				if len(alts) < 2 {
+					continue
+				}
+				sub := alts[rng.Intn(len(alts)-1)]
+				if sub >= in.Op {
+					sub = alts[slices.Index(alts, sub)+1]
+				}
+				code.Code = slices.Clone(orig)
+				pos := in.Offset
+				if in.Wide {
+					pos++
+				}
+				code.Code[pos] = byte(sub)
+				verdict(cf, m, code)
+			}
+			code.Code = orig
+			if code.MaxStack > 0 {
+				code.MaxStack--
+				verdict(cf, m, code)
+				code.MaxStack++
+			}
+			if code.MaxLocals > 0 {
+				code.MaxLocals--
+				verdict(cf, m, code)
+				code.MaxLocals++
+			}
+		}
+	}
+	for _, ops := range sameFormat {
+		for _, op := range ops {
+			if !seen[op] {
+				t.Errorf("%s occurs in no verified method", op)
+			}
+		}
+	}
+	t.Logf("%d verdicts, %d rejections", verdicts, rejected)
+	if got := hex.EncodeToString(h.Sum(nil)); got != verdictDigest {
+		t.Fatalf("verdict digest %s, want %s", got, verdictDigest)
 	}
 }
 
@@ -305,6 +422,35 @@ func TestAcceptsValidConstructs(t *testing.T) {
 			a.Op(bytecode.Ladd)
 			a.Op(bytecode.Lreturn)
 		}},
+		"category-2 shuffle forms": {"()V", 6, func(b *classfile.Builder, a *bytecode.Assembler) {
+			a.Op(bytecode.Lconst0)
+			a.Op(bytecode.Iconst1)
+			a.Op(bytecode.DupX2) // form 2: value2 is a long
+			a.Op(bytecode.Pop)
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Pop)
+			a.Op(bytecode.Iconst1)
+			a.Op(bytecode.Lconst0)
+			a.Op(bytecode.Dup2X1) // form 2: value1 is a long
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Pop)
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Iconst1)
+			a.Op(bytecode.Iconst2)
+			a.Op(bytecode.Lconst0)
+			a.Op(bytecode.Dup2X2) // form 2: value1 is a long
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Lconst0)
+			a.Op(bytecode.Iconst1)
+			a.Op(bytecode.Iconst2)
+			a.Op(bytecode.Dup2X2) // form 3: value3 is a long
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Pop2)
+			a.Op(bytecode.Return)
+		}},
 		"switch": {"(I)I", 2, func(b *classfile.Builder, a *bytecode.Assembler) {
 			c0, c1, def := a.NewLabel(), a.NewLabel(), a.NewLabel()
 			a.Local(bytecode.Iload, 0)
@@ -387,10 +533,19 @@ func TestStrippedCorporaStillVerifyAfterStrip(t *testing.T) {
 	}
 }
 
-// TestKitchenSinkMethod verifies a single method exercising the opcode
-// arms the generators rarely emit: monitors, casts, multianewarray, every
-// dup/swap form, float and double comparisons, conversions, and athrow.
+// TestKitchenSinkMethod verifies kitchenSink.
 func TestKitchenSinkMethod(t *testing.T) {
+	if err := Class(kitchenSink(t)); err != nil {
+		t.Fatalf("kitchen sink rejected: %v", err)
+	}
+}
+
+// kitchenSink builds a class with a single method exercising the opcode
+// arms the generators rarely emit: monitors, casts, multianewarray, every
+// dup/swap form, float and double comparisons, conversions, goto_w and
+// athrow.
+func kitchenSink(t *testing.T) *classfile.ClassFile {
+	t.Helper()
 	b := classfile.NewBuilder("K", "java/lang/Object", classfile.AccPublic)
 	obj := b.Class("java/lang/Object")
 	arr2 := b.Class("[[I")
@@ -444,6 +599,16 @@ func TestKitchenSinkMethod(t *testing.T) {
 	a.Op(bytecode.I2s)
 	a.Op(bytecode.Ineg)
 	a.Op(bytecode.Pop)
+
+	// lsub, l2f and a wide goto.
+	a.Op(bytecode.Lconst1)
+	a.Op(bytecode.Lconst0)
+	a.Op(bytecode.Lsub)
+	a.Op(bytecode.L2f)
+	a.Op(bytecode.Pop)
+	over := a.NewLabel()
+	a.Branch(bytecode.GotoW, over)
+	a.Bind(over)
 
 	// Shifts, lcmp, iushr/lushr.
 	a.Op(bytecode.Lconst1)
@@ -526,13 +691,18 @@ func TestKitchenSinkMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Class(cf); err != nil {
-		t.Fatalf("kitchen sink rejected: %v", err)
-	}
+	return cf
 }
 
 func TestMoreRejections(t *testing.T) {
 	cases := map[string]func(b *classfile.Builder, a *bytecode.Assembler){
+		"dup_x2 splitting a long": func(b *classfile.Builder, a *bytecode.Assembler) {
+			a.Op(bytecode.Lconst0)
+			a.Op(bytecode.Iconst1)
+			a.Op(bytecode.Iconst2)
+			a.Op(bytecode.DupX2) // value3 would be the long's upper half
+			a.Op(bytecode.Return)
+		},
 		"swap long": func(b *classfile.Builder, a *bytecode.Assembler) {
 			a.Op(bytecode.Lconst0)
 			a.Op(bytecode.Swap)
@@ -586,7 +756,11 @@ func TestMoreRejections(t *testing.T) {
 	}
 	for name, emit := range cases {
 		t.Run(name, func(t *testing.T) {
-			cf := buildMethod(t, "()V", 4, 4, emit)
+			maxStack := 4
+			if name == "dup_x2 splitting a long" {
+				maxStack = 5 // room for the duplicate: only the split can reject
+			}
+			cf := buildMethod(t, "()V", maxStack, 4, emit)
 			if err := Class(cf); err == nil {
 				t.Fatalf("verifier accepted %s", name)
 			}
