@@ -32,13 +32,14 @@ lint:
 # an explicit second race pass: their retry/eviction paths are the most
 # concurrency-sensitive in the tree. The unpack pipeline, which builds
 # classes on workers while the decoder reads ahead, gets ten: its
-# ordering, error and panic paths depend on scheduling. So does pack,
+# ordering, error and panic paths depend on scheduling, and so does
+# how DoWorkers raises a worker's panic on its caller. So does pack,
 # which codes the reference pools on workers after its class walk.
 verify: lint delta-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
-	$(GO) test -race -count=10 -run '^TestPipeline' ./internal/par
+	$(GO) test -race -count=10 -run '^(TestPipeline|TestDoWorkersPanicSurfaces)' ./internal/par
 	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream|TestPackDeterministicAcrossConcurrency|TestPackStatsDeterministicAcrossConcurrency|TestPackParallelErrorMatchesSerial)$$' .
 
 # bench runs the throughput benchmarks that track the parallel
@@ -70,8 +71,8 @@ chaos-smoke:
 # at every filesystem operation of a cache write (restart + Fsck must
 # recover byte-identical objects and zero debris), disk-full degraded
 # operation and auto-recovery, a 100-request thundering herd coalescing
-# onto one encode, overload shedding with 429 + Retry-After, and SIGTERM
-# drain under load.
+# onto one encode, a panicking encode retiring its flight, overload
+# shedding with 429 + Retry-After, and SIGTERM drain under load.
 drill-smoke:
 	$(GO) test -count=1 -run '^TestCrashDrill|^TestFsckSweeps|^TestPutDiskFull' ./internal/castore
 	$(GO) test -count=1 -run '^TestDrill' ./internal/serve
@@ -94,6 +95,7 @@ delta-smoke:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzUnpack$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzPack$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
 	$(GO) test -run=NONE -fuzz='^FuzzUnpackStream$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
 	$(GO) test -run=NONE -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
 	$(GO) test -run=NONE -fuzz='^FuzzChunkIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .

@@ -37,7 +37,7 @@ func main() {
 		}
 		rawFiles = append(rawFiles, data)
 	}
-	if err := strip.ApplyAll(cfs, strip.Options{}); err != nil {
+	if err := strip.ApplyAllN(cfs, strip.Options{}, 1); err != nil {
 		log.Fatal(err)
 	}
 	var files []archive.File

@@ -145,12 +145,12 @@ type Member struct {
 type Attribute interface {
 	// AttrName returns the JVM attribute name ("Code", "Exceptions", ...).
 	AttrName() string
-	nameIndex() uint16
+	nameRef() *uint16
 }
 
 type attrBase struct{ NameIndex uint16 }
 
-func (a attrBase) nameIndex() uint16 { return a.NameIndex }
+func (a *attrBase) nameRef() *uint16 { return &a.NameIndex }
 
 // CodeAttr is the Code attribute of a non-abstract method.
 type CodeAttr struct {

@@ -9,163 +9,72 @@ func float32Bits(v float32) uint32 { return math.Float32bits(v) }
 func float64Bits(v float64) uint64 { return math.Float64bits(v) }
 
 // Verify performs structural verification of the classfile: every
-// constant-pool cross reference must point at an entry of the right kind,
-// member descriptors must parse, and attributes must reference valid
-// entries. It does not decode bytecode; see the bytecode package.
+// constant-pool index the class holds must name an entry of a kind its
+// field may hold, member descriptors must parse, attribute names must
+// match their types, and exception handlers must lie within their code.
+// It does not decode bytecode; see the bytecode package.
 func Verify(cf *ClassFile) error {
-	ck := func(idx uint16, kinds ...ConstKind) error {
-		if int(idx) >= len(cf.Pool) || idx == 0 {
-			return fmt.Errorf("classfile: pool index %d out of range [1,%d)", idx, len(cf.Pool))
+	var err error
+	check := func(idx *uint16, want KindSet, what string) {
+		if err == nil {
+			err = cf.CheckRef(*idx, want, what)
 		}
-		got := cf.Pool[idx].Kind
-		for _, k := range kinds {
-			if got == k {
-				return nil
-			}
-		}
-		return fmt.Errorf("classfile: pool index %d is %v, want %v", idx, got, kinds)
 	}
 	for i := 1; i < len(cf.Pool); i++ {
 		c := &cf.Pool[i]
-		var err error
-		switch c.Kind {
-		case KindClass:
-			err = ck(c.Name, KindUtf8)
-		case KindString:
-			err = ck(c.Str, KindUtf8)
-		case KindFieldref, KindMethodref, KindInterfaceMethodref:
-			if err = ck(c.Class, KindClass); err == nil {
-				err = ck(c.NameAndType, KindNameAndType)
-			}
-		case KindNameAndType:
-			if err = ck(c.Name, KindUtf8); err == nil {
-				err = ck(c.Desc, KindUtf8)
-			}
-		case KindInvalid:
-			// Must be the phantom slot of a preceding wide constant.
-			if i == 0 || !cf.Pool[i-1].Kind.Wide() {
-				err = fmt.Errorf("classfile: stray invalid constant at %d", i)
-			}
+		if c.Kind == KindInvalid && !cf.Pool[i-1].Kind.Wide() {
+			// Only the phantom slot after a wide constant may be invalid.
+			return fmt.Errorf("constant %d: classfile: stray invalid constant", i)
 		}
-		if err != nil {
+		if c.Refs(check); err != nil {
 			return fmt.Errorf("constant %d: %w", i, err)
 		}
 		if c.Kind.Wide() {
 			i++
 		}
 	}
-	if err := ck(cf.ThisClass, KindClass); err != nil {
-		return fmt.Errorf("this_class: %w", err)
-	}
-	if cf.SuperClass != 0 {
-		if err := ck(cf.SuperClass, KindClass); err != nil {
-			return fmt.Errorf("super_class: %w", err)
-		}
-	}
-	for _, i := range cf.Interfaces {
-		if err := ck(i, KindClass); err != nil {
-			return fmt.Errorf("interface: %w", err)
-		}
+	if cf.Refs(check); err != nil {
+		return err
 	}
 	for mi := range cf.Fields {
-		if err := verifyMember(cf, &cf.Fields[mi], true, ck); err != nil {
+		if _, err := ParseFieldDescriptor(cf.MemberDesc(&cf.Fields[mi])); err != nil {
+			return fmt.Errorf("field %d: %w", mi, err)
+		}
+		if err := verifyAttrs(cf, cf.Fields[mi].Attrs); err != nil {
 			return fmt.Errorf("field %d: %w", mi, err)
 		}
 	}
 	for mi := range cf.Methods {
-		if err := verifyMember(cf, &cf.Methods[mi], false, ck); err != nil {
+		if _, _, err := ParseMethodDescriptor(cf.MemberDesc(&cf.Methods[mi])); err != nil {
+			return fmt.Errorf("method %d: %w", mi, err)
+		}
+		if err := verifyAttrs(cf, cf.Methods[mi].Attrs); err != nil {
 			return fmt.Errorf("method %d: %w", mi, err)
 		}
 	}
-	return verifyAttrs(cf, cf.Attrs, ck)
+	return verifyAttrs(cf, cf.Attrs)
 }
 
-func verifyMember(cf *ClassFile, m *Member, isField bool, ck func(uint16, ...ConstKind) error) error {
-	if err := ck(m.Name, KindUtf8); err != nil {
-		return err
-	}
-	if err := ck(m.Desc, KindUtf8); err != nil {
-		return err
-	}
-	desc := cf.Utf8At(m.Desc)
-	if isField {
-		if _, err := ParseFieldDescriptor(desc); err != nil {
-			return err
-		}
-	} else {
-		if _, _, err := ParseMethodDescriptor(desc); err != nil {
-			return err
-		}
-	}
-	return verifyAttrs(cf, m.Attrs, ck)
-}
-
-func verifyAttrs(cf *ClassFile, attrs []Attribute, ck func(uint16, ...ConstKind) error) error {
+// verifyAttrs checks what the reference walk does not: that an
+// attribute's name, where it has one, matches its type, and that every
+// exception handler lies within its code.
+func verifyAttrs(cf *ClassFile, attrs []Attribute) error {
 	for _, a := range attrs {
-		if idx := a.nameIndex(); idx != 0 {
-			if err := ck(idx, KindUtf8); err != nil {
-				return fmt.Errorf("attribute name: %w", err)
-			}
-			if got := cf.Utf8At(idx); got != a.AttrName() {
-				return fmt.Errorf("classfile: attribute name index says %q, type says %q", got, a.AttrName())
+		if idx := *a.nameRef(); idx != 0 && cf.Utf8At(idx) != a.AttrName() {
+			return fmt.Errorf("classfile: attribute name index says %q, type says %q", cf.Utf8At(idx), a.AttrName())
+		}
+		code, ok := a.(*CodeAttr)
+		if !ok {
+			continue
+		}
+		for _, h := range code.Handlers {
+			if int(h.StartPC) > len(code.Code) || int(h.EndPC) > len(code.Code) || int(h.HandlerPC) >= len(code.Code) {
+				return fmt.Errorf("attribute Code: classfile: handler range [%d,%d)->%d outside code of length %d",
+					h.StartPC, h.EndPC, h.HandlerPC, len(code.Code))
 			}
 		}
-		var err error
-		switch a := a.(type) {
-		case *CodeAttr:
-			for _, h := range a.Handlers {
-				if h.CatchType != 0 {
-					if err = ck(h.CatchType, KindClass); err != nil {
-						break
-					}
-				}
-				if int(h.StartPC) > len(a.Code) || int(h.EndPC) > len(a.Code) || int(h.HandlerPC) >= len(a.Code) {
-					err = fmt.Errorf("classfile: handler range [%d,%d)->%d outside code of length %d",
-						h.StartPC, h.EndPC, h.HandlerPC, len(a.Code))
-					break
-				}
-			}
-			if err == nil {
-				err = verifyAttrs(cf, a.Attrs, ck)
-			}
-		case *ConstantValueAttr:
-			err = ck(a.Index, KindInteger, KindFloat, KindLong, KindDouble, KindString)
-		case *ExceptionsAttr:
-			for _, c := range a.Classes {
-				if err = ck(c, KindClass); err != nil {
-					break
-				}
-			}
-		case *SourceFileAttr:
-			err = ck(a.Index, KindUtf8)
-		case *LocalVariableTableAttr:
-			for _, e := range a.Entries {
-				if err = ck(e.Name, KindUtf8); err != nil {
-					break
-				}
-				if err = ck(e.Desc, KindUtf8); err != nil {
-					break
-				}
-			}
-		case *InnerClassesAttr:
-			for _, e := range a.Entries {
-				if err = ck(e.Inner, KindClass); err != nil {
-					break
-				}
-				if e.Outer != 0 {
-					if err = ck(e.Outer, KindClass); err != nil {
-						break
-					}
-				}
-				if e.InnerName != 0 {
-					if err = ck(e.InnerName, KindUtf8); err != nil {
-						break
-					}
-				}
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("attribute %s: %w", a.AttrName(), err)
+		if err := verifyAttrs(cf, code.Attrs); err != nil {
+			return fmt.Errorf("attribute Code: %w", err)
 		}
 	}
 	return nil

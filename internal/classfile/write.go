@@ -121,7 +121,7 @@ func writeAttrs(w *writer, attrs []Attribute) {
 // the index recorded at parse time and falling back to a content lookup for
 // programmatically built attributes.
 func (w *writer) attrNameIndex(a Attribute) uint16 {
-	if idx := a.nameIndex(); idx != 0 {
+	if idx := *a.nameRef(); idx != 0 {
 		return idx
 	}
 	name := a.AttrName()

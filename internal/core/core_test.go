@@ -204,7 +204,7 @@ func buildTestClasses(t testing.TB) []*classfile.ClassFile {
 // strippedBytes strips and serializes the classfiles.
 func strippedBytes(t testing.TB, cfs []*classfile.ClassFile) [][]byte {
 	t.Helper()
-	if err := strip.ApplyAll(cfs, strip.Options{}); err != nil {
+	if err := strip.ApplyAllN(cfs, strip.Options{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]byte, len(cfs))

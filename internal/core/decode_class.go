@@ -770,7 +770,7 @@ func (w *builder) build(d *dClass) (*classfile.ClassFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := strip.RenumberWithCodeScratch(cf, w.decoded, &w.scratch); err != nil {
+	if err := strip.Renumber(cf, w.decoded, &w.scratch); err != nil {
 		return nil, err
 	}
 	return cf, nil

@@ -94,34 +94,20 @@ type Index struct {
 	// Names are all class binary names in archive order.
 	Names []string
 
-	starts  []int          // starts[i] = archive ordinal of chunk i's first class
-	byName  map[string]int // name -> archive ordinal (first occurrence)
-	blobOff int64          // absolute offset of the index blob
+	starts  []int // starts[i] = archive ordinal of chunk i's first class
+	blobOff int64 // absolute offset of the index blob
 }
 
-// finalize builds the derived lookup tables after Chunks/Names are set.
+// finalize builds the chunk start table after Chunks/Names are set.
 func (ix *Index) finalize() {
 	ix.starts = make([]int, len(ix.Chunks)+1)
 	for i, ch := range ix.Chunks {
 		ix.starts[i+1] = ix.starts[i] + ch.Classes
 	}
-	ix.byName = make(map[string]int, len(ix.Names))
-	for i, n := range ix.Names {
-		if _, ok := ix.byName[n]; !ok {
-			ix.byName[n] = i
-		}
-	}
 }
 
 // NumClasses is the total class count across all chunks.
 func (ix *Index) NumClasses() int { return len(ix.Names) }
-
-// Ordinal returns the archive ordinal of the named class (its first
-// occurrence, should an archive carry duplicates).
-func (ix *Index) Ordinal(name string) (int, bool) {
-	g, ok := ix.byName[name]
-	return g, ok
-}
 
 // ChunkOf maps an archive ordinal to the chunk holding it.
 func (ix *Index) ChunkOf(ordinal int) int {
@@ -130,17 +116,6 @@ func (ix *Index) ChunkOf(ordinal int) int {
 
 // Start is the archive ordinal of the chunk's first class.
 func (ix *Index) Start(chunk int) int { return ix.starts[chunk] }
-
-// Locate resolves a class name to its chunk and ordinal within that
-// chunk.
-func (ix *Index) Locate(name string) (chunk, ord int, ok bool) {
-	g, ok := ix.byName[name]
-	if !ok {
-		return 0, 0, false
-	}
-	chunk = ix.ChunkOf(g)
-	return chunk, g - ix.starts[chunk], true
-}
 
 // CheckChunk reports, as a corrupt error, a chunk that decoded to other
 // classes than the index lists for it: count is how many it held and

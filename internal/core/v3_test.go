@@ -211,16 +211,10 @@ func TestV3Index(t *testing.T) {
 		if ix.Names[i] != name {
 			t.Fatalf("index name %d = %q, want %q", i, ix.Names[i], name)
 		}
-		chunk, ord, ok := ix.Locate(name)
-		if !ok {
-			t.Fatalf("Locate(%q) not found", name)
+		chunk := ix.ChunkOf(i)
+		if ord := i - ix.Start(chunk); chunk != i/2 || ord != i%2 {
+			t.Fatalf("class %d (%s) is at (%d,%d), want (%d,%d)", i, name, chunk, ord, i/2, i%2)
 		}
-		if chunk != i/2 || ord != i%2 {
-			t.Fatalf("Locate(%q) = (%d,%d), want (%d,%d)", name, chunk, ord, i/2, i%2)
-		}
-	}
-	if _, _, ok := ix.Locate("no/such/Class"); ok {
-		t.Fatal("Locate found a class that does not exist")
 	}
 }
 

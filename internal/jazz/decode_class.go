@@ -131,7 +131,7 @@ func (r *jzReader) class() (*classfile.ClassFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := strip.RenumberWithCode(cf, decoded); err != nil {
+	if err := strip.Renumber(cf, decoded, nil); err != nil {
 		return nil, err
 	}
 	return cf, nil

@@ -237,7 +237,7 @@ func TestCompiledProgramSurvivesPacking(t *testing.T) {
 	if err := NewInterp(before, cfs).RunMain("Main"); err != nil {
 		t.Fatal(err)
 	}
-	if err := strip.ApplyAll(cfs, strip.Options{}); err != nil {
+	if err := strip.ApplyAllN(cfs, strip.Options{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	packed, err := core.Pack(cfs, core.DefaultOptions())

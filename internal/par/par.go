@@ -9,6 +9,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,9 +33,10 @@ func Workers(concurrency, n int) int {
 
 // Do runs f(i) for every i in [0, n) on at most Workers(concurrency, n)
 // goroutines and returns the lowest-index error — the same error a
-// serial loop would stop at. With one worker it runs every call inline
-// on the calling goroutine, reproducing the serial path exactly
-// (including stopping at the first failure).
+// serial loop would stop at; a panic in f counts as its item's failure
+// and is raised again on the calling goroutine (see DoWorkers). With one
+// worker it runs every call inline on the calling goroutine, reproducing
+// the serial path exactly (including stopping at the first failure).
 //
 // Under parallel execution an index after a failing one may still have
 // been processed by the time Do returns; callers must treat the result
@@ -51,6 +53,10 @@ func Do(concurrency, n int, f func(i int) error) error {
 // load-dependent; anything that must not vary with scheduling (output
 // content, order, error selection) carries the item index, exactly as in
 // Do.
+//
+// A panic in f is a failure of its item: once every worker has exited,
+// if it is the lowest-index failure, it is raised again, with the same
+// value, on the calling goroutine, as a serial loop would raise it.
 func DoWorkers(concurrency, n int, f func(worker, i int) error) error {
 	workers := Workers(concurrency, n)
 	if workers == 1 {
@@ -68,6 +74,14 @@ func DoWorkers(concurrency, n int, f func(worker, i int) error) error {
 	)
 	errs := make([]error, n)
 	failed.Store(int64(n))
+	call := func(worker, i int) (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = workPanic{v}
+			}
+		}()
+		return f(worker, i)
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
@@ -81,7 +95,7 @@ func DoWorkers(concurrency, n int, f func(worker, i int) error) error {
 				if i >= n || int64(i) > failed.Load() {
 					return
 				}
-				if err := f(worker, i); err != nil {
+				if err := call(worker, i); err != nil {
 					errs[i] = err
 					for {
 						cur := failed.Load()
@@ -95,12 +109,21 @@ func DoWorkers(concurrency, n int, f func(worker, i int) error) error {
 	}
 	wg.Wait()
 	for _, err := range errs {
+		if p, ok := err.(workPanic); ok {
+			panic(p.value)
+		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// workPanic records a panic in a DoWorkers callback as its item's
+// failure, for DoWorkers to raise again on the calling goroutine.
+type workPanic struct{ value any }
+
+func (p workPanic) Error() string { return fmt.Sprint("par: work panicked: ", p.value) }
 
 // Pipeline runs n items through three stages: produce(slot, i) on the
 // calling goroutine in index order, work(worker, slot) on up to

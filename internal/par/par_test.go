@@ -78,6 +78,44 @@ func TestDoZeroItems(t *testing.T) {
 	}
 }
 
+// TestDoWorkersPanicSurfaces checks that a panic in a DoWorkers callback
+// reaches the caller with its value, as in a serial loop: only once no
+// worker is still running, and only when no lower item failed first.
+func TestDoWorkersPanicSurfaces(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var running atomic.Int32
+		run := func(errAt int) error {
+			return DoWorkers(workers, 100, func(_, i int) error {
+				running.Add(1)
+				defer running.Add(-1)
+				time.Sleep(time.Duration(i*7%5) * 100 * time.Microsecond)
+				switch i {
+				case errAt:
+					return fmt.Errorf("work %d", i)
+				case 12:
+					panic(fmt.Sprintf("panic %d", i))
+				}
+				return nil
+			})
+		}
+		func() {
+			defer func() {
+				if v := recover(); v != "panic 12" {
+					t.Fatalf("workers=%d: recovered %v, want panic 12", workers, v)
+				}
+				if r := running.Load(); r != 0 {
+					t.Fatalf("workers=%d: %d calls still running after the panic surfaced", workers, r)
+				}
+			}()
+			err := run(30)
+			t.Fatalf("workers=%d: DoWorkers returned %v instead of panicking", workers, err)
+		}()
+		if err := run(9); err == nil || err.Error() != "work 9" {
+			t.Fatalf("workers=%d: DoWorkers returned %v, want work 9 from before the panic", workers, err)
+		}
+	}
+}
+
 func TestDoResultsAreOrdered(t *testing.T) {
 	const n = 2000
 	out := make([]int, n)

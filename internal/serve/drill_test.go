@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -164,6 +165,84 @@ func TestDrillHerdCoalesces(t *testing.T) {
 	}
 	if res.Cache != "hit" {
 		t.Fatalf("post-herd pack cache = %q, want hit", res.Cache)
+	}
+}
+
+// TestDrillPanickedEncodeRetiresFlight is the panicking-leader drill: a
+// leader whose encode panics must still retire its flight, so the
+// follower coalesced behind it gets a prompt internal error instead of
+// waiting out its deadline, and the next identical pack encodes afresh.
+func TestDrillPanickedEncodeRetiresFlight(t *testing.T) {
+	const timeout = 5 * time.Second
+	jar, _ := testJar(t)
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	var calls atomic.Int32
+	cfg := Config{
+		MaxJobs:        1,
+		RequestTimeout: timeout,
+		packStarted: func() {
+			if calls.Add(1) == 1 {
+				close(started)
+				<-gate
+				panic("drill: encode panicked")
+			}
+		},
+	}
+	s, base, _ := startDrillServer(t, cfg)
+	digest := s.cacheKey(jar)
+
+	type outcome struct {
+		status  int
+		code    string
+		elapsed time.Duration
+		err     error
+	}
+	post := func(out chan<- outcome) {
+		start := time.Now()
+		resp, err := http.Post(base+"/pack", "application/octet-stream", bytes.NewReader(jar))
+		if err != nil {
+			out <- outcome{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var envelope struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&envelope)
+		out <- outcome{status: resp.StatusCode, code: envelope.Error.Code, elapsed: time.Since(start)}
+	}
+	// net/http recovers the leader's panic and drops its connection.
+	leader, follower := make(chan outcome, 1), make(chan outcome, 1)
+	go post(leader)
+	<-started
+	go post(follower)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.flight.waiting(digest) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never coalesced onto the leader's flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+
+	o := <-follower
+	if o.err != nil {
+		t.Fatalf("follower: %v", o.err)
+	}
+	if o.status != http.StatusInternalServerError || o.code != "internal" || o.elapsed >= timeout {
+		t.Fatalf("follower got %d %q after %v, want a prompt 500 internal", o.status, o.code, o.elapsed)
+	}
+	if o := <-leader; o.err == nil {
+		t.Fatalf("panicking leader answered %d %q, want a dropped connection", o.status, o.code)
+	}
+	if n := s.flight.waiting(digest); n != 0 {
+		t.Fatalf("%d followers still waiting on the retired flight", n)
+	}
+	if status, _, code := rawPack(t, base, jar); status != http.StatusOK {
+		t.Fatalf("pack after the panic: %d %q, want 200", status, code)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"classpack"
 	"classpack/internal/archive"
+	"classpack/internal/bytecode"
 	"classpack/internal/castore"
 	"classpack/internal/classfile"
 	"classpack/internal/faultinject"
@@ -456,6 +457,74 @@ func TestPackOfGarbageJar(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Code != "encode_failed" || apiErr.Status != 422 {
 		t.Fatalf("pack of garbage: %v, want encode_failed/422", err)
 	}
+}
+
+// TestPackRefusesOperandPastPool posts a jar of two classes, one with a
+// bytecode operand past its constant pool, to a daemon packing on two
+// workers. The pack is refused as 422 encode_failed, and the daemon goes
+// on serving: the next pack succeeds.
+func TestPackRefusesOperandPastPool(t *testing.T) {
+	jar, classes := testJar(t)
+	var members []archive.File
+	for _, name := range []string{"Box.class", "Main.class"} {
+		data := classes[name]
+		if name == "Main.class" {
+			data = operandPastPool(t, data)
+		}
+		members = append(members, archive.File{Name: name, Data: data})
+	}
+	bad, err := archive.WriteJar(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := classpack.DefaultOptions()
+	opts.Concurrency = 2
+	_, c, _ := startServer(t, Config{Options: opts})
+	ctx := context.Background()
+	_, err = c.Pack(ctx, bad)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "encode_failed" || apiErr.Status != 422 {
+		t.Fatalf("pack of a class with an operand past its pool: %v, want encode_failed/422", err)
+	}
+	if _, err := c.Pack(ctx, jar); err != nil {
+		t.Fatalf("pack after the refusal: %v", err)
+	}
+}
+
+// operandPastPool returns the class with its first two-byte pool operand
+// pointing past the end of the constant pool.
+func operandPastPool(t *testing.T, data []byte) []byte {
+	t.Helper()
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi := range cf.Methods {
+		code := classfile.CodeOf(&cf.Methods[mi])
+		if code == nil {
+			continue
+		}
+		insns, err := bytecode.Decode(code.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range insns {
+			if bytecode.FormatOf(insns[k].Op) != bytecode.FmtCP2 {
+				continue
+			}
+			insns[k].A = len(cf.Pool) + 7
+			if code.Code, err = bytecode.Encode(insns); err != nil {
+				t.Fatal(err)
+			}
+			out, err := classfile.Write(cf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	t.Fatal("no two-byte pool operand to break")
+	return nil
 }
 
 // TestUnpackMalformedArchives uploads truncated and bit-flipped archives

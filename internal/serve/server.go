@@ -431,13 +431,26 @@ func (s *Server) handlePack(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res := s.encodePack(r, input, digest)
-	s.flight.finish(digest, call, res)
+	res := s.lead(r, input, digest, call)
 	if res.apiErr != nil {
 		s.writeError(w, res.apiErr)
 		return
 	}
 	s.packResponse(w, digest, res.cache, res.packed, res.skipped)
+}
+
+// errEncodePanicked is what the followers of a panicking encode get.
+var errEncodePanicked = errf(http.StatusInternalServerError, "internal", "pack: the encode for this digest panicked")
+
+// lead runs the leader's encode and retires its flight. The flight is
+// retired in a defer, so a panicking encode retires it too: the
+// followers get an internal error at once, and the next request for the
+// digest starts afresh, instead of every one waiting out its deadline
+// on a flight that never finishes.
+func (s *Server) lead(r *http.Request, input []byte, digest string, call *packCall) (res packResult) {
+	res.apiErr = errEncodePanicked
+	defer func() { s.flight.finish(digest, call, res) }()
+	return s.encodePack(r, input, digest)
 }
 
 // encodePack runs the leader's half of a /pack: admission, encode,

@@ -34,8 +34,8 @@ type packResult struct {
 }
 
 // join registers interest in digest: the first caller becomes the
-// leader (leader == true) and must call finish exactly once; later
-// callers get the same call to wait on.
+// leader (leader == true) and must call finish exactly once, even if
+// its encode panics; later callers get the same call to wait on.
 func (g *packFlight) join(digest string) (c *packCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -15,8 +15,10 @@ package strip
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
@@ -31,31 +33,42 @@ type Options struct {
 	KeepDebug bool
 }
 
-// Apply transforms cf in place and reports an error if the classfile's
-// bytecode cannot be decoded.
+// Apply transforms cf in place. It reports an error if the classfile's
+// bytecode cannot be decoded, or if a pool index the class keeps is zero,
+// past the pool, or names a constant of a kind its field cannot hold.
 func Apply(cf *classfile.ClassFile, opts Options) error {
 	return ApplyScratch(cf, opts, nil)
 }
 
 // Scratch holds the reusable working memory of one renumber pass:
-// the decoded-instruction arena, mark tables, and content-key buffers.
+// the decoded-instruction arena and the per-slot and content-key tables.
 // One Scratch serves one goroutine; passing the same Scratch to
 // successive Apply calls eliminates nearly all per-file allocation.
 // The zero value is ready for use.
 type Scratch struct {
-	arena  []bytecode.Instruction
-	codes  []decodedCode
-	used   []bool
-	ldcRef []bool
-	keys   []string
-	kbuf   []byte
+	arena   []bytecode.Instruction
+	codes   []decodedCode
+	used    []bool
+	ldcRef  []bool
+	rep     []uint16          // slot -> first used slot with the same content
+	newIdx  []uint16          // slot -> its index in the renumbered pool
+	entries []entry           // one per distinct constant, in new pool order
+	first   map[string]uint16 // content key -> first used slot holding it
+	kbuf    []byte
 }
 
-// boolTable returns buf resized to n and cleared, reallocating only when
+// entry is one distinct constant of the renumbered pool.
+type entry struct {
+	key   string
+	group int
+	slot  uint16 // the first used slot holding it
+}
+
+// table returns buf resized to n and cleared, reallocating only when
 // it has grown.
-func boolTable(buf []bool, n int) []bool {
+func table[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
 	clear(buf)
@@ -69,25 +82,14 @@ func ApplyScratch(cf *classfile.ClassFile, opts Options, sc *Scratch) error {
 	return renumber(cf, nil, sc)
 }
 
-// RenumberWithCode performs the garbage-collect/sort/renumber step using
-// pre-decoded instruction lists for Code attributes whose byte arrays do
-// not exist yet; the unpacker uses it to build canonical classfiles
-// without first encoding code with out-of-range ldc indices.
-func RenumberWithCode(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecode.Instruction) error {
-	return RenumberWithCodeScratch(cf, decoded, nil)
-}
-
-// RenumberWithCodeScratch is RenumberWithCode with caller-owned scratch
-// memory (nil behaves like RenumberWithCode).
-func RenumberWithCodeScratch(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecode.Instruction, sc *Scratch) error {
+// Renumber performs the garbage-collect/sort/renumber step on a class
+// whose Code attributes are given as decoded instruction lists, because
+// their byte arrays do not exist yet; the unpackers use it to build
+// canonical classfiles without first encoding code with out-of-range
+// ldc indices. sc may be nil.
+func Renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecode.Instruction, sc *Scratch) error {
 	dropAttrs(cf, Options{})
 	return renumber(cf, decoded, sc)
-}
-
-// ApplyAll strips every classfile in the slice serially. It is
-// ApplyAllN with one worker.
-func ApplyAll(cfs []*classfile.ClassFile, opts Options) error {
-	return ApplyAllN(cfs, opts, 1)
 }
 
 // ApplyAllN strips the classfiles on up to concurrency workers (<= 0
@@ -222,15 +224,11 @@ func sortGroup(kind classfile.ConstKind, ldcRef bool) int {
 	}
 }
 
-// contentKey returns a string that identifies a constant by value, used
-// both to merge duplicates and as the deterministic sort key.
-func contentKey(pool []classfile.Constant, idx uint16, depth int) string {
-	return string(appendContentKey(nil, pool, idx, depth))
-}
-
-// appendContentKey is contentKey into a caller-owned buffer. The bytes
-// replicate the historical fmt verbs exactly ("%d", "%08x", "%016x"):
-// the keys order the renumbered pool, so any drift changes packed output.
+// appendContentKey appends a key that identifies the constant at idx by
+// value, used both to merge duplicates and as the deterministic sort key.
+// The bytes replicate the historical fmt verbs exactly ("%d", "%08x",
+// "%016x"): the keys order the renumbered pool, so any drift changes
+// packed output.
 func appendContentKey(dst []byte, pool []classfile.Constant, idx uint16, depth int) []byte {
 	if idx == 0 || int(idx) >= len(pool) || depth > 4 {
 		return strconv.AppendUint(append(dst, '!'), uint64(idx), 10)
@@ -296,52 +294,37 @@ func renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecod
 		cf.Methods[i].Attrs = normalizeAttrs(cf.Methods[i].Attrs)
 	}
 	pool := cf.Pool
-	sc.used = boolTable(sc.used, len(pool))
-	sc.ldcRef = boolTable(sc.ldcRef, len(pool))
+	sc.used = table(sc.used, len(pool))
+	sc.ldcRef = table(sc.ldcRef, len(pool))
 	used, ldcRef := sc.used, sc.ldcRef
 
-	var mark func(idx uint16)
-	mark = func(idx uint16) {
-		if idx == 0 || int(idx) >= len(pool) || used[idx] {
+	// Mark every constant the class reaches, checking each index on the
+	// way: one that is zero, past the pool, or of a kind its field
+	// cannot hold fails the class, and err keeps the first such index.
+	var err error
+	var check func(i uint16, want classfile.KindSet, what string)
+	visit := func(p *uint16, want classfile.KindSet, what string) { check(*p, want, what) }
+	check = func(i uint16, want classfile.KindSet, what string) {
+		if err != nil {
 			return
 		}
-		used[idx] = true
-		c := &pool[idx]
-		switch c.Kind {
-		case classfile.KindClass:
-			mark(c.Name)
-		case classfile.KindString:
-			mark(c.Str)
-		case classfile.KindNameAndType:
-			mark(c.Name)
-			mark(c.Desc)
-		case classfile.KindFieldref, classfile.KindMethodref, classfile.KindInterfaceMethodref:
-			mark(c.Class)
-			mark(c.NameAndType)
+		if err = cf.CheckRef(i, want, what); err != nil || used[i] {
+			return
+		}
+		used[i] = true
+		if pool[i].Refs(visit); err != nil {
+			err = fmt.Errorf("constant %d: %w", i, err)
 		}
 	}
-
-	// Roots: header, members, attributes, and bytecode operands.
-	mark(cf.ThisClass)
-	mark(cf.SuperClass)
-	for _, i := range cf.Interfaces {
-		mark(i)
+	if cf.Refs(visit); err != nil {
+		return err
 	}
-	markMembers := func(members []classfile.Member) {
-		for i := range members {
-			mark(members[i].Name)
-			mark(members[i].Desc)
-			markAttrs(members[i].Attrs, mark)
-		}
-	}
-	markMembers(cf.Fields)
-	markMembers(cf.Methods)
-	markAttrs(cf.Attrs, mark)
 
 	codes := sc.codes[:0]
 	arena := sc.arena[:0]
 	for mi := range cf.Methods {
-		code := classfile.CodeOf(&cf.Methods[mi])
+		m := &cf.Methods[mi]
+		code := classfile.CodeOf(m)
 		if code == nil {
 			continue
 		}
@@ -351,8 +334,7 @@ func renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecod
 			start := len(arena)
 			grown, err := bytecode.DecodeAppend(arena, code.Code)
 			if err != nil {
-				return fmt.Errorf("method %s%s: %w",
-					cf.MemberName(&cf.Methods[mi]), cf.MemberDesc(&cf.Methods[mi]), err)
+				return fmt.Errorf("method %s%s: %w", cf.MemberName(m), cf.MemberDesc(m), err)
 			}
 			arena = grown
 			dc.start, dc.end = start, len(arena)
@@ -362,130 +344,90 @@ func renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecod
 		}
 		for i := range insns {
 			in := &insns[i]
-			if bytecode.IsCPRef(in.Op) {
-				mark(uint16(in.A))
-				if in.Op == bytecode.Ldc {
-					ldcRef[in.A] = true
-				}
+			if !bytecode.IsCPRef(in.Op) {
+				continue
+			}
+			if check(uint16(in.A), classfile.OperandKinds, in.Op.String()); err != nil {
+				return fmt.Errorf("method %s%s: %w", cf.MemberName(m), cf.MemberDesc(m), err)
+			}
+			if in.Op == bytecode.Ldc {
+				ldcRef[in.A] = true
 			}
 		}
 		codes = append(codes, dc)
 	}
 	sc.arena, sc.codes = arena, codes
 
-	// Merge duplicates and order survivors.
-	keys := sc.keys
-	if cap(keys) < len(pool) {
-		keys = make([]string, len(pool))
-	} else {
-		keys = keys[:len(pool)]
-		clear(keys)
+	// Merge duplicates: each used slot's representative is the first
+	// used slot with the same content, and a constant is ldc-referenced
+	// if any duplicate of it is.
+	sc.rep = table(sc.rep, len(pool))
+	sc.newIdx = table(sc.newIdx, len(pool))
+	rep, newIdx := sc.rep, sc.newIdx
+	if sc.first == nil {
+		sc.first = make(map[string]uint16)
 	}
-	sc.keys = keys
+	clear(sc.first)
+	entries := sc.entries[:0]
 	for i := 1; i < len(pool); i++ {
-		if used[i] {
-			sc.kbuf = appendContentKey(sc.kbuf[:0], pool, uint16(i), 0)
-			keys[i] = string(sc.kbuf)
-		}
-	}
-	// A constant is ldc-referenced if any duplicate of it is.
-	ldcByKey := make(map[string]bool)
-	for i := 1; i < len(pool); i++ {
-		if used[i] && ldcRef[i] {
-			ldcByKey[keys[i]] = true
-		}
-	}
-	type entry struct {
-		key   string
-		group int
-		first int // original index of the first occurrence
-	}
-	var entries []entry
-	seen := make(map[string]bool)
-	for i := 1; i < len(pool); i++ {
-		if !used[i] || seen[keys[i]] {
+		if !used[i] {
 			continue
 		}
-		seen[keys[i]] = true
-		entries = append(entries, entry{
-			key:   keys[i],
-			group: sortGroup(pool[i].Kind, ldcByKey[keys[i]]),
-			first: i,
-		})
+		sc.kbuf = appendContentKey(sc.kbuf[:0], pool, uint16(i), 0)
+		r, ok := sc.first[string(sc.kbuf)]
+		if !ok {
+			r = uint16(i)
+			key := string(sc.kbuf)
+			sc.first[key] = r
+			entries = append(entries, entry{key: key, slot: r})
+		}
+		rep[i] = r
+		if ldcRef[i] {
+			ldcRef[r] = true
+		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].group != entries[b].group {
-			return entries[a].group < entries[b].group
+	// Order the survivors. Their keys are distinct, so the order is total.
+	for k := range entries {
+		e := &entries[k]
+		e.group = sortGroup(pool[e.slot].Kind, ldcRef[e.slot])
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.group != b.group {
+			return a.group - b.group
 		}
-		if entries[a].key != entries[b].key {
-			return entries[a].key < entries[b].key
-		}
-		return entries[a].first < entries[b].first
+		return strings.Compare(a.key, b.key)
 	})
+	sc.entries = entries
 
-	// Lay out the new pool and build the translation map.
+	// Lay out the new pool and build the translation table.
 	newPool := make([]classfile.Constant, 1, len(pool))
-	newIndexByKey := make(map[string]uint16, len(entries))
 	for _, e := range entries {
-		idx := uint16(len(newPool))
-		newPool = append(newPool, pool[e.first])
-		if pool[e.first].Kind.Wide() {
+		newIdx[e.slot] = uint16(len(newPool))
+		newPool = append(newPool, pool[e.slot])
+		if pool[e.slot].Kind.Wide() {
 			newPool = append(newPool, classfile.Constant{})
 		}
-		newIndexByKey[e.key] = idx
 	}
 	if len(newPool) > 0xFFFF {
 		return fmt.Errorf("strip: renumbered pool overflows (%d entries)", len(newPool))
 	}
-	remap := func(idx uint16) uint16 {
-		if idx == 0 {
-			return 0
-		}
-		return newIndexByKey[keys[idx]]
-	}
-	// Verify the §9 guarantee before rewriting any code.
 	for i := 1; i < len(pool); i++ {
-		if used[i] && ldcRef[i] && remap(uint16(i)) > 0xff {
-			return fmt.Errorf("strip: ldc constant remapped to index %d > 255", remap(uint16(i)))
+		if used[i] {
+			newIdx[i] = newIdx[rep[i]]
+			// Verify the §9 guarantee before rewriting any code.
+			if ldcRef[i] && newIdx[i] > 0xff {
+				return fmt.Errorf("strip: ldc constant remapped to index %d > 255", newIdx[i])
+			}
 		}
 	}
 
-	// Rewrite internal pool references.
-	for i := 1; i < len(newPool); i++ {
-		c := &newPool[i]
-		switch c.Kind {
-		case classfile.KindClass:
-			c.Name = remap(c.Name)
-		case classfile.KindString:
-			c.Str = remap(c.Str)
-		case classfile.KindNameAndType:
-			c.Name = remap(c.Name)
-			c.Desc = remap(c.Desc)
-		case classfile.KindFieldref, classfile.KindMethodref, classfile.KindInterfaceMethodref:
-			c.Class = remap(c.Class)
-			c.NameAndType = remap(c.NameAndType)
-		}
-		if c.Kind.Wide() {
-			i++
-		}
+	// Rewrite every reference: in the pool, the header, members and
+	// attributes, then bytecode operands, re-encoding the code.
+	remap := func(p *uint16, _ classfile.KindSet, _ string) { *p = newIdx[*p] }
+	for i := range newPool {
+		newPool[i].Refs(remap)
 	}
-	// Rewrite structural references.
-	cf.ThisClass = remap(cf.ThisClass)
-	cf.SuperClass = remap(cf.SuperClass)
-	for i := range cf.Interfaces {
-		cf.Interfaces[i] = remap(cf.Interfaces[i])
-	}
-	remapMembers := func(members []classfile.Member) {
-		for i := range members {
-			members[i].Name = remap(members[i].Name)
-			members[i].Desc = remap(members[i].Desc)
-			remapAttrs(members[i].Attrs, remap)
-		}
-	}
-	remapMembers(cf.Fields)
-	remapMembers(cf.Methods)
-	remapAttrs(cf.Attrs, remap)
-	// Rewrite bytecode operands and re-encode.
+	cf.Refs(remap)
 	for _, dc := range codes {
 		insns := dc.insns
 		if insns == nil {
@@ -494,7 +436,7 @@ func renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecod
 		for i := range insns {
 			in := &insns[i]
 			if bytecode.IsCPRef(in.Op) {
-				in.A = int(remap(uint16(in.A)))
+				in.A = int(newIdx[in.A])
 			}
 		}
 		code, err := bytecode.Encode(insns)
@@ -508,124 +450,6 @@ func renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecod
 	}
 	cf.Pool = newPool
 	return nil
-}
-
-func markAttrs(attrs []classfile.Attribute, mark func(uint16)) {
-	for _, a := range attrs {
-		mark(a2nameIndex(a))
-		switch a := a.(type) {
-		case *classfile.CodeAttr:
-			for _, h := range a.Handlers {
-				mark(h.CatchType)
-			}
-			markAttrs(a.Attrs, mark)
-		case *classfile.ConstantValueAttr:
-			mark(a.Index)
-		case *classfile.ExceptionsAttr:
-			for _, c := range a.Classes {
-				mark(c)
-			}
-		case *classfile.SourceFileAttr:
-			mark(a.Index)
-		case *classfile.LocalVariableTableAttr:
-			for _, e := range a.Entries {
-				mark(e.Name)
-				mark(e.Desc)
-			}
-		case *classfile.InnerClassesAttr:
-			for _, e := range a.Entries {
-				mark(e.Inner)
-				mark(e.Outer)
-				mark(e.InnerName)
-			}
-		}
-	}
-}
-
-func remapAttrs(attrs []classfile.Attribute, remap func(uint16) uint16) {
-	for _, a := range attrs {
-		setNameIndex(a, remap(a2nameIndex(a)))
-		switch a := a.(type) {
-		case *classfile.CodeAttr:
-			for i := range a.Handlers {
-				a.Handlers[i].CatchType = remap(a.Handlers[i].CatchType)
-			}
-			remapAttrs(a.Attrs, remap)
-		case *classfile.ConstantValueAttr:
-			a.Index = remap(a.Index)
-		case *classfile.ExceptionsAttr:
-			for i := range a.Classes {
-				a.Classes[i] = remap(a.Classes[i])
-			}
-		case *classfile.SourceFileAttr:
-			a.Index = remap(a.Index)
-		case *classfile.LocalVariableTableAttr:
-			for i := range a.Entries {
-				a.Entries[i].Name = remap(a.Entries[i].Name)
-				a.Entries[i].Desc = remap(a.Entries[i].Desc)
-			}
-		case *classfile.InnerClassesAttr:
-			for i := range a.Entries {
-				a.Entries[i].Inner = remap(a.Entries[i].Inner)
-				a.Entries[i].Outer = remap(a.Entries[i].Outer)
-				a.Entries[i].InnerName = remap(a.Entries[i].InnerName)
-			}
-		}
-	}
-}
-
-// a2nameIndex reads an attribute's name index via its interface; the field
-// itself is promoted but the accessor on the interface is unexported.
-func a2nameIndex(a classfile.Attribute) uint16 {
-	switch a := a.(type) {
-	case *classfile.CodeAttr:
-		return a.NameIndex
-	case *classfile.ConstantValueAttr:
-		return a.NameIndex
-	case *classfile.ExceptionsAttr:
-		return a.NameIndex
-	case *classfile.SourceFileAttr:
-		return a.NameIndex
-	case *classfile.LineNumberTableAttr:
-		return a.NameIndex
-	case *classfile.LocalVariableTableAttr:
-		return a.NameIndex
-	case *classfile.SyntheticAttr:
-		return a.NameIndex
-	case *classfile.DeprecatedAttr:
-		return a.NameIndex
-	case *classfile.InnerClassesAttr:
-		return a.NameIndex
-	case *classfile.UnknownAttr:
-		return a.NameIndex
-	default:
-		return 0
-	}
-}
-
-func setNameIndex(a classfile.Attribute, idx uint16) {
-	switch a := a.(type) {
-	case *classfile.CodeAttr:
-		a.NameIndex = idx
-	case *classfile.ConstantValueAttr:
-		a.NameIndex = idx
-	case *classfile.ExceptionsAttr:
-		a.NameIndex = idx
-	case *classfile.SourceFileAttr:
-		a.NameIndex = idx
-	case *classfile.LineNumberTableAttr:
-		a.NameIndex = idx
-	case *classfile.LocalVariableTableAttr:
-		a.NameIndex = idx
-	case *classfile.SyntheticAttr:
-		a.NameIndex = idx
-	case *classfile.DeprecatedAttr:
-		a.NameIndex = idx
-	case *classfile.InnerClassesAttr:
-		a.NameIndex = idx
-	case *classfile.UnknownAttr:
-		a.NameIndex = idx
-	}
 }
 
 func float32Bits(v float32) uint32 { return math.Float32bits(v) }

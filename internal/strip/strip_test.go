@@ -1,6 +1,7 @@
 package strip
 
 import (
+	"strings"
 	"testing"
 
 	"classpack/internal/bytecode"
@@ -370,4 +371,77 @@ func TestAttrOrderCanonical(t *testing.T) {
 	if _, ok := cf.Methods[0].Attrs[1].(*classfile.ExceptionsAttr); !ok {
 		t.Fatalf("second attribute is %T, want Exceptions", cf.Methods[0].Attrs[1])
 	}
+}
+
+// TestApplyRefusesBadIndices breaks one pool index of the victim at a
+// time. Apply must refuse an index the class reaches that is zero, past
+// the pool, or of a kind its field cannot hold, naming the field; a bad
+// constant nothing reaches is collected as before.
+func TestApplyRefusesBadIndices(t *testing.T) {
+	setOperand := func(cf *classfile.ClassFile, op bytecode.Op, a int) {
+		code := classfile.CodeOf(&cf.Methods[0])
+		insns, err := bytecode.Decode(code.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range insns {
+			if insns[k].Op == op {
+				insns[k].A = a
+				if code.Code, err = bytecode.Encode(insns); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+		t.Fatalf("victim has no %v", op)
+	}
+	cases := []struct {
+		name   string
+		mangle func(cf *classfile.ClassFile)
+		want   string // a substring of the error; "" means Apply succeeds
+	}{
+		{"zero this_class", func(cf *classfile.ClassFile) { cf.ThisClass = 0 },
+			"this_class: pool index 0 out of range"},
+		{"super_class past the pool", func(cf *classfile.ClassFile) { cf.SuperClass = uint16(len(cf.Pool)) },
+			"super_class: pool index"},
+		{"String string_index 0", func(cf *classfile.ClassFile) { cf.Pool[firstOf(cf, classfile.KindString)].Str = 0 },
+			"String string_index: pool index 0 out of range"},
+		{"Fieldref class_index names a Utf8", func(cf *classfile.ClassFile) {
+			cf.Pool[firstOf(cf, classfile.KindFieldref)].Class = firstOf(cf, classfile.KindUtf8)
+		}, "class_index: pool index"},
+		{"field descriptor names an Integer", func(cf *classfile.ClassFile) {
+			cf.Fields[0].Desc = firstOf(cf, classfile.KindInteger)
+		}, "field descriptor_index: pool index"},
+		{"ldc operand past the pool", func(cf *classfile.ClassFile) { setOperand(cf, bytecode.Ldc, len(cf.Pool)) },
+			"ldc: pool index"},
+		{"getfield operand past the pool", func(cf *classfile.ClassFile) { setOperand(cf, bytecode.Getfield, len(cf.Pool)+7) },
+			"getfield: pool index"},
+		{"getfield operand names a Utf8", func(cf *classfile.ClassFile) {
+			setOperand(cf, bytecode.Getfield, int(firstOf(cf, classfile.KindUtf8)))
+		}, "getfield: pool index"},
+		{"unreachable String with string_index 0", func(cf *classfile.ClassFile) {
+			cf.Pool = append(cf.Pool, classfile.Constant{Kind: classfile.KindString})
+		}, ""},
+	}
+	for _, c := range cases {
+		cf := buildVictim(t)
+		c.mangle(cf)
+		err := Apply(cf, Options{})
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: Apply: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: Apply returned %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// firstOf returns the index of the victim's first constant of a kind.
+func firstOf(cf *classfile.ClassFile, kind classfile.ConstKind) uint16 {
+	for i := range cf.Pool {
+		if cf.Pool[i].Kind == kind {
+			return uint16(i)
+		}
+	}
+	panic("no " + kind.String() + " constant")
 }

@@ -98,7 +98,7 @@ func GenerateStripped(p Profile, scale float64) ([]*classfile.ClassFile, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := strip.ApplyAll(cfs, strip.Options{}); err != nil {
+	if err := strip.ApplyAllN(cfs, strip.Options{}, 1); err != nil {
 		return nil, err
 	}
 	return cfs, nil

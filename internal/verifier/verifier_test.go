@@ -523,7 +523,7 @@ func TestStrippedCorporaStillVerifyAfterStrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := strip.ApplyAll(cfs, strip.Options{}); err != nil {
+	if err := strip.ApplyAllN(cfs, strip.Options{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, cf := range cfs {
