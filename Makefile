@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-test tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
+.PHONY: build test lint verify bench bench-test tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus fuzz-corpus-check
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,14 @@ fuzz-smoke:
 # from internal/synth packs (run after wire-format changes).
 fuzz-corpus:
 	$(GO) run ./cmd/fuzzcorpus
+
+# fuzz-corpus-check regenerates the seed corpora and fails if git then
+# lists any change under a testdata/fuzz directory: the corpora must
+# regenerate byte-identically. It catches a nondeterministic generator
+# and a wire-format change whose seeds were not regenerated.
+fuzz-corpus-check: fuzz-corpus
+	@changed=$$(git status --porcelain | grep 'testdata/fuzz/'); \
+	if [ -n "$$changed" ]; then echo "fuzz-corpus changed the checked-in seeds:"; echo "$$changed"; exit 1; fi
 
 # tables regenerates the paper's Tables 1-8 and Figure 2.
 tables:

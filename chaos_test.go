@@ -2,6 +2,8 @@ package classpack
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -415,5 +417,71 @@ func TestChaosV3IndexDestroyed(t *testing.T) {
 	}
 	if len(res.Damage) == 0 {
 		t.Fatal("destroyed index produced no damage report")
+	}
+}
+
+// TestChaosAbortRegionLast pins the damage order within one body: its
+// quarantined streams in container order, then the failure that ended
+// decoding. Two streams of one body are damaged, and decoding aborts on
+// the one earlier in container order: ref.class, which class 0 reads for
+// its this_class right after int.meta. The last stream in container
+// order is never read once decoding has stopped. The aborting region
+// must come last, carrying every class of the body.
+func TestChaosAbortRegionLast(t *testing.T) {
+	v2, clean := chaosCorpus(t)
+	v3, _ := chaosCorpusV3(t)
+	ix, err := core.ReadIndex(v3, core.UnpackOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := ix.Chunks[1]
+	cases := []struct {
+		name      string
+		packed    []byte
+		off, size int64  // the damaged body
+		prefix    string // the body's region prefix
+		classes   int    // the body's classes
+	}{
+		{"v2", v2, 6, int64(len(v2)) - 6, "", len(clean)},
+		{"v3", v3, ch.Off, ch.Len, "chunk1/", ch.Classes},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sections, err := streams.Sections(c.packed[c.off:c.off+c.size], true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			abort, other := "ref.class", sections[len(sections)-1].Name
+			damaged := bytes.Clone(c.packed)
+			hit := 0
+			for _, s := range sections {
+				if (s.Name == abort || s.Name == other) && s.Len > 0 {
+					damaged[c.off+s.Off+s.Len/2] ^= 1
+					hit++
+				}
+			}
+			if hit != 2 || abort >= other {
+				t.Fatalf("want two payloads, %s before %s; damaged %d", abort, other, hit)
+			}
+			res, err := Salvage(damaged, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, d := range res.Damage {
+				got = append(got, fmt.Sprintf("%s lost %d", d.Stream, d.ClassesLost))
+			}
+			want := []string{
+				c.prefix + "trailer lost 0",
+				c.prefix + other + " lost 0",
+				fmt.Sprintf("%s%s lost %d", c.prefix, abort, c.classes),
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("damage report\n  %q\nwant\n  %q", got, want)
+			}
+			if res.Lost != c.classes {
+				t.Fatalf("lost %d classes, the body holds %d", res.Lost, c.classes)
+			}
+		})
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"classpack/internal/archive"
+	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/core"
 	"classpack/internal/corrupt"
@@ -340,14 +341,35 @@ func Strip(data []byte) ([]byte, error) {
 	return classfile.Write(cf)
 }
 
-// Verify structurally validates a class file (constant-pool cross
-// references and member descriptors).
+// Verify structurally validates a class file: constant-pool cross
+// references, member descriptors, and each method's code, which must
+// decode and whose constant-pool operands must each name a constant an
+// operand may name — the rule Strip and Pack apply.
 func Verify(data []byte) error {
 	cf, err := classfile.Parse(data)
 	if err != nil {
 		return err
 	}
-	return classfile.Verify(cf)
+	if err := classfile.Verify(cf); err != nil {
+		return err
+	}
+	for mi := range cf.Methods {
+		m := &cf.Methods[mi]
+		code := classfile.CodeOf(m)
+		if code == nil {
+			continue
+		}
+		insns, err := bytecode.Decode(code.Code)
+		for i := 0; err == nil && i < len(insns); i++ {
+			if in := &insns[i]; bytecode.IsCPRef(in.Op) {
+				err = cf.CheckRef(uint16(in.A), classfile.OperandKinds, in.Op.String())
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("method %s%s: %w", cf.MemberName(m), cf.MemberDesc(m), err)
+		}
+	}
+	return nil
 }
 
 // VerifyAll verifies a collection of class files on up to concurrency

@@ -3,9 +3,11 @@ package classpack
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"classpack/internal/archive"
+	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/minijava"
 	"classpack/internal/synth"
@@ -293,6 +295,84 @@ func TestVerifyDeep(t *testing.T) {
 	}
 	if err := VerifyDeep(bad); err == nil {
 		t.Fatal("VerifyDeep accepted stack underflow")
+	}
+}
+
+// TestVerifyRefusesBadOperands: Verify holds each method's code to the
+// rule Strip and Pack apply, so a class it accepts is not refused by
+// them for its bytecode. The class is otherwise valid.
+func TestVerifyRefusesBadOperands(t *testing.T) {
+	files := sample(t)
+	// mangle rewrites the first two-byte constant-pool operand in the
+	// sample or, with a nil operand, replaces its method's code with one
+	// cut off mid-instruction.
+	mangle := func(operand func(cf *classfile.ClassFile) int) []byte {
+		for _, data := range files {
+			cf, err := classfile.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for mi := range cf.Methods {
+				code := classfile.CodeOf(&cf.Methods[mi])
+				if code == nil {
+					continue
+				}
+				insns, err := bytecode.Decode(code.Code)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range insns {
+					if bytecode.FormatOf(insns[k].Op) != bytecode.FmtCP2 {
+						continue
+					}
+					if operand == nil {
+						code.Code, code.Handlers = []byte{byte(bytecode.Sipush), 0}, nil
+					} else {
+						insns[k].A = operand(cf)
+						if code.Code, err = bytecode.Encode(insns); err != nil {
+							t.Fatal(err)
+						}
+					}
+					out, err := classfile.Write(cf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+			}
+		}
+		t.Fatal("no two-byte constant-pool operand in the sample")
+		return nil
+	}
+	first := func(kind classfile.ConstKind) func(cf *classfile.ClassFile) int {
+		return func(cf *classfile.ClassFile) int {
+			for i := range cf.Pool {
+				if cf.Pool[i].Kind == kind {
+					return i
+				}
+			}
+			t.Fatalf("no %v in the sample", kind)
+			return 0
+		}
+	}
+	cases := []struct {
+		name    string
+		operand func(cf *classfile.ClassFile) int
+		want    string
+	}{
+		{"past the pool", func(cf *classfile.ClassFile) int { return len(cf.Pool) }, "out of range"},
+		{"names a Utf8", first(classfile.KindUtf8), "is Utf8"},
+		{"names a NameAndType", first(classfile.KindNameAndType), "is NameAndType"},
+		{"code cut mid-instruction", nil, "truncated"},
+	}
+	for _, c := range cases {
+		bad := mangle(c.operand)
+		if err := Verify(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify returned %v, want an error containing %q", c.name, err, c.want)
+		}
+		if _, err := Strip(bad); err == nil {
+			t.Errorf("%s: Strip accepted the class", c.name)
+		}
 	}
 }
 

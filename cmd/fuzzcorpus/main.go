@@ -256,7 +256,7 @@ func run() error {
 	w := streams.NewWriter()
 	w.Stream("seed.ints").Uint(1 << 20)
 	w.Stream("seed.raw").Write([]byte("seed"))
-	small, err := w.Finish(false)
+	small, err := w.FinishN(false, 1)
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,6 @@ import (
 // SalvageResult is what Salvage recovered from a (possibly damaged)
 // archive.
 type SalvageResult struct {
-	// Version is the archive's container version byte.
-	Version byte
 	// TotalClasses is the class count the archive declares, or 0 when
 	// the count itself was unreadable or failed a resource cap. For
 	// version-3 archives the trailing index is authoritative when it
@@ -25,72 +23,69 @@ type SalvageResult struct {
 	// version-1/2 archives Classes is always an intact prefix of the
 	// archive. Version-3 chunks reset all model state, so decoding
 	// resumes at the next chunk boundary and Classes may have gaps —
-	// consult V3Damage for which chunks lost classes.
+	// consult Damage for which chunks lost classes.
 	Classes []*classfile.ClassFile
-	// Quarantined lists container-level damage in detection order:
-	// streams whose checksum mismatched or whose payload failed to
-	// decode, trailer damage, and directory damage. A quarantined stream
-	// only costs classes if decoding actually reads it (see Abort).
-	// Version-3 archives report per-chunk damage in V3Damage instead.
-	Quarantined []*corrupt.Error
-	// Abort is the failure that ended class decoding, nil when every
-	// declared class decoded. When decoding first touches a quarantined
-	// stream, Abort is that stream's quarantining error. Unused for
-	// version-3 archives (chunk failures don't end decoding).
-	Abort *corrupt.Error
-	// AbortClass is the index of the class being decoded when Abort hit
-	// (-1 when Abort is nil or the class count itself was unreadable).
-	AbortClass int
-	// V3Damage lists version-3 damage in detection order: per-chunk
-	// quarantines and decode aborts, plus container-level failures
-	// (chunk framing, index, footer) attributed to Chunk == -1.
-	V3Damage []V3Damage
+	// Damage lists every piece of damage found, body by body. For each
+	// container body — a version-1/2 archive's one body, or a version-3
+	// chunk — it holds the damage the stream reader found, in the order
+	// streams.NewSalvageReader reports it, then the failure that ended
+	// decoding, which carries the classes it cost. A quarantined stream
+	// only costs classes if decoding reads it; when it ends decoding, it
+	// is listed once, last. Version-3 damage outside any chunk (chunk
+	// framing, index, footer) comes where it is found.
+	Damage []Damage
 }
 
-// V3Damage describes one piece of damage found while salvaging a
-// version-3 archive.
-type V3Damage struct {
-	// Chunk is the damaged chunk's index, or -1 for container-level
-	// damage (chunk framing, the class index, the footer).
+// Damage describes one piece of damage found while salvaging.
+type Damage struct {
+	// Chunk is the damaged version-3 chunk's index, or -1 for damage to
+	// a version-1/2 body and for version-3 damage outside any chunk
+	// (chunk framing, the class index, the footer).
 	Chunk int
 	// Err is the underlying failure.
 	Err *corrupt.Error
-	// ClassesLost is how many classes this damage cost. Classes that
-	// cannot be attributed to a specific failure (chunks hidden behind
-	// framing damage, chunks whose own class count was unreadable) are
-	// charged to the last damage entry.
+	// ClassesLost is how many classes this damage cost: a body's
+	// classes from the one that failed onward, charged to the failure
+	// that ended its decoding. Version-3 classes that cannot be
+	// attributed to a specific failure (chunks hidden behind framing
+	// damage, chunks whose own class count was unreadable) are charged
+	// to the last damage entry.
 	ClassesLost int
 }
 
-// chunkSalvage is the outcome of best-effort decoding one container
-// body (a whole version-1/2 archive body, or one version-3 chunk).
-type chunkSalvage struct {
-	declared    int // body's declared class count, -1 when unreadable
-	classes     []*classfile.ClassFile
-	quarantined []*corrupt.Error
-	abort       *corrupt.Error // failure that ended decoding, nil if complete
-	abortAt     int            // class index when abort hit, -1 otherwise
-	decoded     int64          // decoded wire-stream bytes (budget charge)
-}
-
 // salvageBody decodes as many classes as possible from one container
-// body, quarantining damaged streams up front and stopping at the first
-// class that reads damaged or inconsistent data.
-func salvageBody(opts Options, o UnpackOpts, body []byte, checked bool) chunkSalvage {
-	r, quarantined := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
-	cs := chunkSalvage{abortAt: -1, quarantined: quarantined, decoded: r.DecodedBytes()}
+// body, chunk ci of a version-3 archive or, with ci -1, a version-1/2
+// body. Damaged streams are quarantined up front, and decoding stops at
+// the first class that reads damaged or inconsistent data. It appends
+// the classes and the damage to res and returns the body's declared
+// class count (-1 when unreadable), its decoded wire-stream bytes (the
+// budget charge) and how many classes it recovered.
+func (res *SalvageResult) salvageBody(ci int, opts Options, o UnpackOpts, body []byte, checked bool) (declared int, decoded int64, recovered int) {
+	r, damage := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
+	first := len(res.Classes)
 	var err error
-	cs.declared, err = newUnpacker(opts, r).decodeClasses(o, func(_ int, cf *classfile.ClassFile) error {
-		cs.classes = append(cs.classes, cf)
+	declared, err = newUnpacker(opts, r).decodeClasses(o, func(_ int, cf *classfile.ClassFile) error {
+		res.Classes = append(res.Classes, cf)
 		return nil
 	})
+	recovered = len(res.Classes) - first
+	var abort *corrupt.Error
 	if err != nil {
-		cs.abort = asCorrupt(sMeta, err)
-		if cs.declared >= 0 {
-			cs.abortAt = len(cs.classes)
+		abort = asCorrupt(sMeta, err)
+	}
+	for _, d := range damage {
+		if d != abort {
+			res.Damage = append(res.Damage, Damage{Chunk: ci, Err: d})
 		}
 	}
-	return cs
+	if abort != nil {
+		lost := 0
+		if declared >= 0 {
+			lost = declared - recovered
+		}
+		res.Damage = append(res.Damage, Damage{Chunk: ci, Err: abort, ClassesLost: lost})
+	}
+	return declared, r.DecodedBytes(), recovered
 }
 
 // Salvage decodes as much of a packed archive as the damage allows,
@@ -114,17 +109,9 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 	if data[4] == Version3 {
 		return salvageChunks(data, opts, o), nil
 	}
-	cs := salvageBody(opts, o, data[6:], data[4] != Version1)
-	res := &SalvageResult{
-		Version:     data[4],
-		Classes:     cs.classes,
-		Quarantined: cs.quarantined,
-		Abort:       cs.abort,
-		AbortClass:  cs.abortAt,
-	}
-	if cs.declared >= 0 {
-		res.TotalClasses = cs.declared
-	}
+	res := &SalvageResult{}
+	declared, _, _ := res.salvageBody(-1, opts, o, data[6:], data[4] != Version1)
+	res.TotalClasses = max(declared, 0)
 	return res, nil
 }
 
@@ -135,36 +122,21 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 // the class total. The shared decoded-bytes budget and class cap are
 // charged per chunk as Unpack charges them.
 func salvageChunks(data []byte, opts Options, o UnpackOpts) *SalvageResult {
-	res := &SalvageResult{Version: Version3, AbortClass: -1}
+	res := &SalvageResult{}
 	ix, ixErr := ReadIndex(data, o)
 	if ixErr != nil {
-		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
+		res.Damage = append(res.Damage, Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
 	}
 	maxClasses := EffectiveMaxClasses(o)
 	declaredSum := 0
 	w := &chunkWalker{data: data, pos: 6}
 	err := w.walk(o, func(ci int, _ int64, body []byte, co UnpackOpts) (int64, int, error) {
-		cs := salvageBody(opts, co, body, true)
-		for _, q := range cs.quarantined {
-			if q != cs.abort {
-				res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: q})
-			}
-		}
-		res.Classes = append(res.Classes, cs.classes...)
-		if cs.declared >= 0 {
-			declaredSum += cs.declared
-		}
-		if cs.abort != nil {
-			lost := 0
-			if cs.declared >= 0 {
-				lost = cs.declared - len(cs.classes)
-			}
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: cs.abort, ClassesLost: lost})
-		}
-		return cs.decoded, len(cs.classes), nil
+		declared, decoded, recovered := res.salvageBody(ci, opts, co, body, true)
+		declaredSum += max(declared, 0)
+		return decoded, recovered, nil
 	})
 	if err != nil {
-		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sChunks, err)})
+		res.Damage = append(res.Damage, Damage{Chunk: -1, Err: asCorrupt(sChunks, err)})
 	}
 	total := declaredSum
 	if total > maxClasses {
@@ -183,18 +155,18 @@ func salvageChunks(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 	}
 	res.TotalClasses = total
 	attributed := 0
-	for _, d := range res.V3Damage {
+	for _, d := range res.Damage {
 		attributed += d.ClassesLost
 	}
 	if un := total - len(res.Classes) - attributed; un > 0 {
-		if len(res.V3Damage) == 0 {
+		if len(res.Damage) == 0 {
 			// The framing walk ended cleanly (e.g. a zeroed length uvarint
 			// reads as the sentinel) yet the index counts more classes:
 			// report the premature end itself.
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
+			res.Damage = append(res.Damage, Damage{Chunk: -1,
 				Err: corrupt.Errorf(sChunks, w.pos, "chunk framing ends early: %d classes unaccounted for", un)})
 		}
-		res.V3Damage[len(res.V3Damage)-1].ClassesLost += un
+		res.Damage[len(res.Damage)-1].ClassesLost += un
 	}
 	return res
 }

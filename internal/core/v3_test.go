@@ -342,9 +342,6 @@ func TestV3SalvageChunkIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Salvage: %v", err)
 	}
-	if res.Version != Version3 {
-		t.Fatalf("salvage version = %d, want %d", res.Version, Version3)
-	}
 	if res.TotalClasses != len(cfs) {
 		t.Fatalf("TotalClasses = %d, want %d", res.TotalClasses, len(cfs))
 	}
@@ -371,7 +368,7 @@ func TestV3SalvageChunkIsolation(t *testing.T) {
 	}
 	lost := 0
 	sawVictim := false
-	for _, d := range res.V3Damage {
+	for _, d := range res.Damage {
 		lost += d.ClassesLost
 		if d.Chunk == victim {
 			sawVictim = true
@@ -381,7 +378,7 @@ func TestV3SalvageChunkIsolation(t *testing.T) {
 		}
 	}
 	if !sawVictim {
-		t.Fatalf("no damage attributed to chunk %d: %+v", victim, res.V3Damage)
+		t.Fatalf("no damage attributed to chunk %d: %+v", victim, res.Damage)
 	}
 	if lost != 1 {
 		t.Fatalf("damage accounts for %d lost classes, want 1", lost)
@@ -407,13 +404,13 @@ func TestV3SalvageDestroyedIndex(t *testing.T) {
 		t.Fatalf("recovered %d classes with a destroyed index, want %d", len(res.Classes), len(cfs))
 	}
 	found := false
-	for _, d := range res.V3Damage {
+	for _, d := range res.Damage {
 		if d.Chunk == -1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no container-level damage recorded for the destroyed index: %+v", res.V3Damage)
+		t.Fatalf("no container-level damage recorded for the destroyed index: %+v", res.Damage)
 	}
 }
 

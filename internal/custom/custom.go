@@ -9,6 +9,7 @@ package custom
 
 import (
 	"math"
+	"sort"
 
 	"classpack/internal/corrupt"
 	"classpack/internal/encoding/varint"
@@ -23,17 +24,22 @@ type Pair struct {
 
 // entropyBits estimates the Huffman-coded size of a stream with the given
 // symbol counts: a symbol with probability p costs log2(1/p) bits.
+// It sums in symbol order, so the estimate, and every tie between
+// candidates it decides, is the same on every run.
 func entropyBits(counts map[int]int) float64 {
+	syms := make([]int, 0, len(counts))
 	total := 0
-	for _, c := range counts {
+	for s, c := range counts {
+		syms = append(syms, s)
 		total += c
 	}
 	if total == 0 {
 		return 0
 	}
+	sort.Ints(syms)
 	bits := 0.0
-	for _, c := range counts {
-		if c > 0 {
+	for _, s := range syms {
+		if c := counts[s]; c > 0 {
 			bits += float64(c) * math.Log2(float64(total)/float64(c))
 		}
 	}
@@ -43,6 +49,21 @@ func entropyBits(counts map[int]int) float64 {
 type candidate struct {
 	pair  Pair
 	count int
+}
+
+// before orders candidates by count, highest first, and equal counts by
+// pair, so that ties break the same way on every run.
+func (c candidate) before(d candidate) bool {
+	if c.count != d.count {
+		return c.count > d.count
+	}
+	if c.pair.First != d.pair.First {
+		return c.pair.First < d.pair.First
+	}
+	if c.pair.Second != d.pair.Second {
+		return c.pair.Second < d.pair.Second
+	}
+	return !c.pair.Skip && d.pair.Skip
 }
 
 // gatherCandidates counts adjacent pairs and skip-pairs across sequences.
@@ -189,12 +210,13 @@ func simulateEntropy(counts map[int]int, c candidate, sym int) float64 {
 	return entropyBits(sim)
 }
 
-// partialSortByCount moves the k highest-count candidates to the front.
+// partialSortByCount moves the k highest-count candidates to the front,
+// in the order of candidate.before.
 func partialSortByCount(cands []candidate, k int) {
 	for i := 0; i < k; i++ {
 		maxIdx := i
 		for j := i + 1; j < len(cands); j++ {
-			if cands[j].count > cands[maxIdx].count {
+			if cands[j].before(cands[maxIdx]) {
 				maxIdx = j
 			}
 		}

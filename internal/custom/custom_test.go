@@ -3,6 +3,7 @@ package custom
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"classpack/internal/archive"
@@ -157,5 +158,24 @@ func TestPaperObservationGzipGainIsSmall(t *testing.T) {
 	// way); a huge win would contradict the paper's finding.
 	if newGz > origGz*2 || origGz > newGz*2 {
 		t.Fatalf("gzipped sizes diverge: orig %d vs custom %d", origGz, newGz)
+	}
+}
+
+// TestCompressDeterministic: candidates with equal counts or equal
+// gains break ties the same way on every call, so the dictionary and
+// the rewritten sequences never depend on map iteration order. The
+// input is the one cmd/fuzzcorpus turns into FuzzCustomDecode seeds.
+func TestCompressDeterministic(t *testing.T) {
+	seqs := [][]byte{nil, nil}
+	for i := 0; i < 60; i++ {
+		seqs[0] = append(seqs[0], 1, 2, 3)
+		seqs[1] = append(seqs[1], 9, 9, 4, 7)
+	}
+	work0, dict0 := Compress(seqs, 200, 8)
+	for i := 1; i < 50; i++ {
+		work, dict := Compress(seqs, 200, 8)
+		if !reflect.DeepEqual(dict, dict0) || !reflect.DeepEqual(work, work0) {
+			t.Fatalf("call %d gave dictionary %v, call 0 gave %v", i, dict, dict0)
+		}
 	}
 }

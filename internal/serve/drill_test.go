@@ -172,6 +172,8 @@ func TestDrillHerdCoalesces(t *testing.T) {
 // leader whose encode panics must still retire its flight, so the
 // follower coalesced behind it gets a prompt internal error instead of
 // waiting out its deadline, and the next identical pack encodes afresh.
+// The leader itself gets the same prompt 500 internal, counted in
+// errors_total, instead of a dropped connection.
 func TestDrillPanickedEncodeRetiresFlight(t *testing.T) {
 	const timeout = 5 * time.Second
 	jar, _ := testJar(t)
@@ -214,7 +216,6 @@ func TestDrillPanickedEncodeRetiresFlight(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&envelope)
 		out <- outcome{status: resp.StatusCode, code: envelope.Error.Code, elapsed: time.Since(start)}
 	}
-	// net/http recovers the leader's panic and drops its connection.
 	leader, follower := make(chan outcome, 1), make(chan outcome, 1)
 	go post(leader)
 	<-started
@@ -226,17 +227,23 @@ func TestDrillPanickedEncodeRetiresFlight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	errorsBefore := s.Metrics().Errors.Value()
 	close(gate)
 
-	o := <-follower
-	if o.err != nil {
-		t.Fatalf("follower: %v", o.err)
+	for _, who := range []struct {
+		name string
+		out  chan outcome
+	}{{"follower", follower}, {"leader", leader}} {
+		o := <-who.out
+		if o.err != nil {
+			t.Fatalf("%s: %v", who.name, o.err)
+		}
+		if o.status != http.StatusInternalServerError || o.code != "internal" || o.elapsed >= timeout {
+			t.Fatalf("%s got %d %q after %v, want a prompt 500 internal", who.name, o.status, o.code, o.elapsed)
+		}
 	}
-	if o.status != http.StatusInternalServerError || o.code != "internal" || o.elapsed >= timeout {
-		t.Fatalf("follower got %d %q after %v, want a prompt 500 internal", o.status, o.code, o.elapsed)
-	}
-	if o := <-leader; o.err == nil {
-		t.Fatalf("panicking leader answered %d %q, want a dropped connection", o.status, o.code)
+	if n := s.Metrics().Errors.Value() - errorsBefore; n != 2 {
+		t.Fatalf("errors_total rose by %d, want 2: the leader's and the follower's", n)
 	}
 	if n := s.flight.waiting(digest); n != 0 {
 		t.Fatalf("%d followers still waiting on the retired flight", n)

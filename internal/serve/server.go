@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -439,17 +440,24 @@ func (s *Server) handlePack(w http.ResponseWriter, r *http.Request) {
 	s.packResponse(w, digest, res.cache, res.packed, res.skipped)
 }
 
-// errEncodePanicked is what the followers of a panicking encode get.
+// errEncodePanicked is what a panicking encode's leader and followers
+// get.
 var errEncodePanicked = errf(http.StatusInternalServerError, "internal", "pack: the encode for this digest panicked")
 
-// lead runs the leader's encode and retires its flight. The flight is
-// retired in a defer, so a panicking encode retires it too: the
-// followers get an internal error at once, and the next request for the
-// digest starts afresh, instead of every one waiting out its deadline
-// on a flight that never finishes.
+// lead runs the leader's encode and retires its flight. A panicking
+// encode is recovered and logged once, with its stack: the leader and
+// its followers all get an internal error at once, and the next request
+// for the digest starts afresh, instead of the leader's connection
+// being dropped and every follower waiting out its deadline on a flight
+// that never finishes.
 func (s *Server) lead(r *http.Request, input []byte, digest string, call *packCall) (res packResult) {
-	res.apiErr = errEncodePanicked
-	defer func() { s.flight.finish(digest, call, res) }()
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("jpackd: pack encode for %s panicked: %v\n%s", digest, v, debug.Stack())
+			res = packResult{apiErr: errEncodePanicked}
+		}
+		s.flight.finish(digest, call, res)
+	}()
 	return s.encodePack(r, input, digest)
 }
 

@@ -24,9 +24,12 @@
 // by NewCheckedReaderLimit — follows every stream's encoded payload with
 // a CRC32C (Castagnoli) of those payload bytes and ends the container
 // with a trailer CRC32C over everything that precedes it, so corruption
-// is detected before decoding and localized to one stream. The salvage
-// reader (NewSalvageReader) uses that localization to quarantine damaged
-// streams instead of failing the whole container.
+// is detected before decoding and localized to one stream.
+//
+// One reader parses both layouts: NewSalvageReader records every piece
+// of damage it finds and quarantines the damaged streams instead of
+// failing the whole container. The strict constructors, NewReaderLimit
+// and NewCheckedReaderLimit, fail with the first damage it records.
 package streams
 
 import (
@@ -64,9 +67,9 @@ const (
 	codingArith byte = 2
 )
 
-// DefaultMaxDecodedBytes is the decoded-size budget NewReader and
-// NewReaderN enforce when the caller does not choose one: the sum of all
-// streams' decoded bytes may not exceed it.
+// DefaultMaxDecodedBytes is the decoded-size budget the readers enforce
+// when the caller does not choose one: the sum of all streams' decoded
+// bytes may not exceed it.
 const DefaultMaxDecodedBytes = int64(1) << 30
 
 // Writer accumulates named streams and serializes them into a container.
@@ -119,17 +122,12 @@ func encodeStream(raw []byte, compress bool) (byte, []byte) {
 	return coding, payload
 }
 
-// Finish serializes all streams serially, choosing each stream's coding
-// per §14. It is FinishN with one worker.
-func (w *Writer) Finish(compress bool) ([]byte, error) {
-	return w.FinishN(compress, 1)
-}
-
 // FinishN serializes all streams in the plain (unchecked) layout,
-// trial-coding the mutually independent streams on up to concurrency
-// workers (<= 0 meaning all cores). The container is assembled in sorted
-// name order after all codings are chosen, so the output is
-// byte-identical for every concurrency value.
+// choosing each stream's coding per §14. The mutually independent
+// streams are trial-coded on up to concurrency workers (<= 0 meaning
+// all cores), and the container is assembled in sorted name order after
+// all codings are chosen, so the output is byte-identical for every
+// concurrency value.
 func (w *Writer) FinishN(compress bool, concurrency int) ([]byte, error) {
 	return w.finish(compress, concurrency, false)
 }
@@ -196,14 +194,9 @@ func (w *Writer) code(compress bool, concurrency int) ([]string, []coded) {
 	return names, encs
 }
 
-// Sizes reports per-stream raw and encoded sizes as they would serialize
-// with the given compression setting. It is SizesN with one worker.
-func (w *Writer) Sizes(compress bool) map[string][2]int {
-	return w.SizesN(compress, 1)
-}
-
-// SizesN is Sizes with the trial codings run on up to concurrency
-// workers (<= 0 meaning all cores).
+// SizesN reports per-stream raw and encoded sizes as they would
+// serialize with the given compression setting, trial-coding on up to
+// concurrency workers (<= 0 meaning all cores).
 func (w *Writer) SizesN(compress bool, concurrency int) map[string][2]int {
 	names, encs := w.code(compress, concurrency)
 	out := make(map[string][2]int, len(names))
@@ -248,20 +241,9 @@ type Reader struct {
 // subtract it after each container.
 func (r *Reader) DecodedBytes() int64 { return r.decoded }
 
-// NewReader parses the container, decoding stream payloads serially with
-// the default decoded-size budget. It is NewReaderN with one worker.
-func NewReader(data []byte) (*Reader, error) {
-	return NewReaderN(data, 1)
-}
-
-// NewReaderN is NewReaderLimit with the default decoded-size budget.
-func NewReaderN(data []byte, concurrency int) (*Reader, error) {
-	return NewReaderLimit(data, concurrency, DefaultMaxDecodedBytes)
-}
-
 // entry is one stream's header fields and undecoded payload. payloadOff
 // is the payload's byte offset within the container; quarantine is the
-// damage that poisoned the stream in salvage mode (nil when intact).
+// damage that poisoned the stream (nil when intact).
 type entry struct {
 	name       string
 	rawLen     uint64
@@ -288,8 +270,10 @@ const (
 // the directory — before any payload is inflated or allocated — and each
 // stream's inflation is additionally capped at its declared size, so a
 // bomb archive fails in O(header) work.
+//
+// It fails with the first damage NewSalvageReader would report.
 func NewReaderLimit(data []byte, concurrency int, maxDecoded int64) (*Reader, error) {
-	return newReader(data, concurrency, maxDecoded, false)
+	return firstDamage(NewSalvageReader(data, concurrency, maxDecoded, false))
 }
 
 // NewCheckedReaderLimit is NewReaderLimit for the checked layout: the
@@ -297,155 +281,16 @@ func NewReaderLimit(data []byte, concurrency int, maxDecoded int64) (*Reader, er
 // CRC32C while walking the directory. Any mismatch fails with a
 // *corrupt.Error naming the damaged stream (or "trailer").
 func NewCheckedReaderLimit(data []byte, concurrency int, maxDecoded int64) (*Reader, error) {
-	return newReader(data, concurrency, maxDecoded, true)
+	return firstDamage(NewSalvageReader(data, concurrency, maxDecoded, true))
 }
 
-func newReader(data []byte, concurrency int, maxDecoded int64, checked bool) (*Reader, error) {
-	body := data
-	if checked {
-		var err error
-		if body, err = checkTrailer(data); err != nil {
-			return nil, err
-		}
-	}
-	entries, err := walkEntries(body, maxDecoded, checked, nil)
-	if err != nil {
-		return nil, err
-	}
-	raws := make([][]byte, len(entries))
-	if err := par.Do(concurrency, len(entries), func(i int) error {
-		raw, err := decodeStream(&entries[i])
-		raws[i] = raw
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	r := &Reader{streams: make(map[string]*RStream, len(entries))}
-	for i, e := range entries {
-		r.streams[e.name] = &RStream{name: e.name, buf: raws[i]}
-		r.decoded += int64(len(raws[i]))
+// firstDamage is the strict policy: a container with any damage fails
+// with the first.
+func firstDamage(r *Reader, damage []*corrupt.Error) (*Reader, error) {
+	if len(damage) > 0 {
+		return nil, damage[0]
 	}
 	return r, nil
-}
-
-// checkTrailer verifies the whole-container trailer CRC32C and returns
-// the container body with the trailer stripped.
-func checkTrailer(data []byte) ([]byte, error) {
-	if len(data) < crcSize {
-		return nil, corrupt.Errorf(trailerStream, int64(len(data)),
-			"container too short for trailer checksum")
-	}
-	body := data[:len(data)-crcSize]
-	got := crc32.Checksum(body, castagnoli)
-	if want := readCRC(data[len(body):]); got != want {
-		return nil, corrupt.Errorf(trailerStream, int64(len(body)),
-			"container checksum %08x, want %08x", got, want)
-	}
-	return body, nil
-}
-
-// walkEntries parses the stream directory of body (the trailer, if any,
-// already stripped). In strict mode (damage == nil) the first failure
-// aborts with an error. In salvage mode (damage != nil) directory-level
-// failures are recorded and stop the walk — entries parsed so far are
-// still returned — while per-stream checksum mismatches only quarantine
-// the one stream and the walk continues.
-func walkEntries(body []byte, maxDecoded int64, checked bool, damage *[]*corrupt.Error) ([]entry, error) {
-	if maxDecoded <= 0 {
-		maxDecoded = DefaultMaxDecodedBytes
-	}
-	salvage := damage != nil
-	fail := func(e *corrupt.Error) *corrupt.Error {
-		if salvage {
-			*damage = append(*damage, e)
-			return nil
-		}
-		return e
-	}
-	pos := 0
-	next := func() (uint64, error) {
-		v, n, err := varint.Uint(body[pos:])
-		pos += n
-		return v, err
-	}
-	count, err := next()
-	if err != nil {
-		return nil, fail(corrupt.Errorf(containerStream, int64(pos), "stream count: %v", err))
-	}
-	// Each directory entry needs at least 4 bytes (name length, raw
-	// length, flag, encoded length), so a count beyond that is a lie; the
-	// bound also keeps the preallocation proportional to real input.
-	if count > uint64(len(body))/4+1 {
-		return nil, fail(corrupt.Errorf(containerStream, int64(pos),
-			"implausible stream count %d for %d bytes", count, len(body)))
-	}
-	entries := make([]entry, 0, count)
-	budget := maxDecoded
-	for i := uint64(0); i < count; i++ {
-		nameLen, err := next()
-		if err != nil {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "name length: %v", err))
-		}
-		if nameLen == 0 {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "empty stream name"))
-		}
-		if nameLen > uint64(len(body)-pos) {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "truncated name"))
-		}
-		name := string(body[pos : pos+int(nameLen)])
-		pos += int(nameLen)
-		rawLen, err := next()
-		if err != nil {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%s: raw length: %v", name, err))
-		}
-		if pos >= len(body) {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%s: missing flag", name))
-		}
-		coding := body[pos]
-		pos++
-		encLen, err := next()
-		if err != nil {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%s: encoded length: %v", name, err))
-		}
-		if encLen > uint64(len(body)-pos) {
-			return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%s: truncated payload", name))
-		}
-		payloadOff := int64(pos)
-		payload := body[pos : pos+int(encLen)]
-		pos += int(encLen)
-		e := entry{name: name, rawLen: rawLen, coding: coding, payload: payload, payloadOff: payloadOff}
-		if checked {
-			if len(body)-pos < crcSize {
-				return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%s: missing payload checksum", name))
-			}
-			want := readCRC(body[pos:])
-			pos += crcSize
-			if got := crc32.Checksum(payload, castagnoli); got != want {
-				ce := corrupt.Errorf(name, payloadOff, "payload checksum %08x, want %08x", got, want)
-				if !salvage {
-					return entries, ce
-				}
-				// The stream is damaged but its framing is intact, so the
-				// walk continues; the stream itself is quarantined.
-				*damage = append(*damage, ce)
-				e.quarantine = ce
-			}
-		}
-		if e.quarantine == nil {
-			if rawLen > uint64(budget) {
-				ce := corrupt.TooLarge(containerStream, int64(pos),
-					"%s: declared decoded size %d exceeds remaining budget %d (cap %d)",
-					name, rawLen, budget, maxDecoded)
-				return entries, fail(ce)
-			}
-			budget -= int64(rawLen)
-		}
-		entries = append(entries, e)
-	}
-	if pos != len(body) {
-		return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%d trailing bytes", len(body)-pos))
-	}
-	return entries, nil
 }
 
 // NewSalvageReader parses as much of a container as it can instead of
@@ -453,13 +298,44 @@ func walkEntries(body []byte, maxDecoded int64, checked bool, damage *[]*corrupt
 // whose checksum mismatches (checked layout) or whose payload fails to
 // decode is still present in the Reader, but every read from it fails
 // with the quarantining *corrupt.Error, so consumers discover the damage
-// exactly where the stream is first needed. The returned damage list
-// describes everything quarantined, in container order.
+// exactly where the stream is first needed.
 //
-// checked selects the layout; a trailer mismatch alone (with all
-// per-stream checksums intact) is recorded as damage but quarantines
+// The returned damage list describes, in order: a trailer mismatch
+// (checked layout), the streams whose checksum mismatches, the
+// directory failure that ended the walk, and the streams whose payload
+// fails to decode; each group is in container order. A trailer
+// mismatch alone (with all per-stream checksums intact) quarantines
 // nothing.
 func NewSalvageReader(data []byte, concurrency int, maxDecoded int64, checked bool) (*Reader, []*corrupt.Error) {
+	entries, damage := directory(data, maxDecoded, checked)
+	raws := make([][]byte, len(entries))
+	failed := make([]*corrupt.Error, len(entries))
+	_ = par.Do(concurrency, len(entries), func(i int) error {
+		if entries[i].quarantine == nil {
+			raws[i], failed[i] = decodeStream(&entries[i])
+		}
+		return nil
+	})
+	r := &Reader{streams: make(map[string]*RStream, len(entries))}
+	for i, e := range entries {
+		fail := e.quarantine
+		if failed[i] != nil {
+			fail = failed[i]
+			damage = append(damage, fail)
+		}
+		r.streams[e.name] = &RStream{name: e.name, buf: raws[i], fail: fail}
+		r.decoded += int64(len(raws[i]))
+	}
+	return r, damage
+}
+
+// directory verifies a checked container's trailer and walks the stream
+// directory. It returns the entries it parsed and the damage it found:
+// a trailer mismatch, the streams whose checksum mismatches, in
+// container order, then the failure that ended the walk. A trailer
+// mismatch does not stop the walk, because the per-stream checksums
+// localize the damage.
+func directory(data []byte, maxDecoded int64, checked bool) ([]entry, []*corrupt.Error) {
 	var damage []*corrupt.Error
 	body := data
 	if checked {
@@ -475,39 +351,103 @@ func NewSalvageReader(data []byte, concurrency int, maxDecoded int64, checked bo
 			}
 		}
 	}
-	entries, _ := walkEntries(body, maxDecoded, checked, &damage)
-	raws := make([][]byte, len(entries))
-	quarantines := make([]*corrupt.Error, len(entries))
-	_ = par.Do(concurrency, len(entries), func(i int) error {
-		if entries[i].quarantine != nil {
-			quarantines[i] = entries[i].quarantine
-			return nil
+	entries, end := walkEntries(body, maxDecoded, checked)
+	for _, e := range entries {
+		if e.quarantine != nil {
+			damage = append(damage, e.quarantine)
 		}
-		raw, err := decodeStream(&entries[i])
-		if err != nil {
-			ce, ok := corrupt.As(err)
-			if !ok {
-				ce = corrupt.New(entries[i].name, entries[i].payloadOff, err)
-			}
-			quarantines[i] = ce
-			return nil
-		}
-		raws[i] = raw
-		return nil
-	})
-	r := &Reader{streams: make(map[string]*RStream, len(entries))}
-	for i, e := range entries {
-		if quarantines[i] != nil {
-			if e.quarantine == nil {
-				damage = append(damage, quarantines[i])
-			}
-			r.streams[e.name] = &RStream{name: e.name, fail: quarantines[i]}
-			continue
-		}
-		r.streams[e.name] = &RStream{name: e.name, buf: raws[i]}
-		r.decoded += int64(len(raws[i]))
 	}
-	return r, damage
+	if end != nil {
+		damage = append(damage, end)
+	}
+	return entries, damage
+}
+
+// walkEntries parses the stream directory of body (the trailer, if any,
+// already stripped). A directory failure ends the walk: it returns the
+// entries parsed so far and that failure. A stream whose checksum
+// mismatches is quarantined and the walk continues, because its framing
+// is intact.
+func walkEntries(body []byte, maxDecoded int64, checked bool) ([]entry, *corrupt.Error) {
+	if maxDecoded <= 0 {
+		maxDecoded = DefaultMaxDecodedBytes
+	}
+	pos := 0
+	next := func() (uint64, error) {
+		v, n, err := varint.Uint(body[pos:])
+		pos += n
+		return v, err
+	}
+	count, err := next()
+	if err != nil {
+		return nil, corrupt.Errorf(containerStream, int64(pos), "stream count: %v", err)
+	}
+	// Each directory entry needs at least 4 bytes (name length, raw
+	// length, flag, encoded length), so a count beyond that is a lie; the
+	// bound also keeps the preallocation proportional to real input.
+	if count > uint64(len(body))/4+1 {
+		return nil, corrupt.Errorf(containerStream, int64(pos),
+			"implausible stream count %d for %d bytes", count, len(body))
+	}
+	entries := make([]entry, 0, count)
+	budget := maxDecoded
+	for i := uint64(0); i < count; i++ {
+		nameLen, err := next()
+		if err != nil {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "name length: %v", err)
+		}
+		if nameLen == 0 {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "empty stream name")
+		}
+		if nameLen > uint64(len(body)-pos) {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "truncated name")
+		}
+		name := string(body[pos : pos+int(nameLen)])
+		pos += int(nameLen)
+		rawLen, err := next()
+		if err != nil {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "%s: raw length: %v", name, err)
+		}
+		if pos >= len(body) {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "%s: missing flag", name)
+		}
+		coding := body[pos]
+		pos++
+		encLen, err := next()
+		if err != nil {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "%s: encoded length: %v", name, err)
+		}
+		if encLen > uint64(len(body)-pos) {
+			return entries, corrupt.Errorf(containerStream, int64(pos), "%s: truncated payload", name)
+		}
+		payloadOff := int64(pos)
+		payload := body[pos : pos+int(encLen)]
+		pos += int(encLen)
+		e := entry{name: name, rawLen: rawLen, coding: coding, payload: payload, payloadOff: payloadOff}
+		if checked {
+			if len(body)-pos < crcSize {
+				return entries, corrupt.Errorf(containerStream, int64(pos), "%s: missing payload checksum", name)
+			}
+			want := readCRC(body[pos:])
+			pos += crcSize
+			if got := crc32.Checksum(payload, castagnoli); got != want {
+				e.quarantine = corrupt.Errorf(name, payloadOff, "payload checksum %08x, want %08x", got, want)
+			}
+		}
+		if e.quarantine == nil {
+			if rawLen > uint64(budget) {
+				return entries, corrupt.TooLarge(containerStream, int64(pos),
+					"%s: declared decoded size %d exceeds remaining budget %d (cap %d)",
+					name, rawLen, budget, maxDecoded)
+			}
+			budget -= int64(rawLen)
+		}
+		entries = append(entries, e)
+	}
+	if pos != len(body) {
+		return entries, corrupt.Errorf(containerStream, int64(pos), "%d trailing bytes", len(body)-pos)
+	}
+	return entries, nil
 }
 
 // Section describes one stream's encoded payload location within a
@@ -520,18 +460,12 @@ type Section struct {
 }
 
 // Sections lists the payload regions of a container without decoding
-// any payloads. checked selects the layout.
+// any payloads. checked selects the layout. It fails with the first
+// damage the directory walk finds.
 func Sections(data []byte, checked bool) ([]Section, error) {
-	body := data
-	if checked {
-		var err error
-		if body, err = checkTrailer(data); err != nil {
-			return nil, err
-		}
-	}
-	entries, err := walkEntries(body, 1<<62, checked, nil)
-	if err != nil {
-		return nil, err
+	entries, damage := directory(data, 1<<62, checked)
+	if len(damage) > 0 {
+		return nil, damage[0]
 	}
 	out := make([]Section, len(entries))
 	for i, e := range entries {
@@ -543,7 +477,7 @@ func Sections(data []byte, checked bool) ([]Section, error) {
 // decodeStream reverses one stream's coding. The declared raw length was
 // budget-checked by the caller; inflation is still capped at that length
 // so a payload lying about its size cannot decompress past it.
-func decodeStream(e *entry) ([]byte, error) {
+func decodeStream(e *entry) ([]byte, *corrupt.Error) {
 	var raw []byte
 	switch e.coding {
 	case codingStore:
@@ -588,7 +522,7 @@ func (r *Reader) Stream(name string) *RStream {
 }
 
 // RStream reads one stream. It implements varint.ByteReader. A
-// quarantined stream (salvage mode) carries a non-nil fail error that
+// quarantined stream carries a non-nil fail error that
 // every read returns, so damage surfaces exactly where the stream is
 // first consumed.
 type RStream struct {

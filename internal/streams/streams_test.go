@@ -17,11 +17,11 @@ func TestRoundTrip(t *testing.T) {
 	w.Stream("empty") // created but never written
 
 	for _, compress := range []bool{true, false} {
-		data, err := w.Finish(compress)
+		data, err := w.FinishN(compress, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReader(data)
+		r, err := NewReaderLimit(data, 1, 0)
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
@@ -54,11 +54,11 @@ func TestRoundTrip(t *testing.T) {
 
 func TestAbsentStreamIsEmpty(t *testing.T) {
 	w := NewWriter()
-	data, err := w.Finish(true)
+	data, err := w.FinishN(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(data)
+	r, err := NewReaderLimit(data, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 	noise := make([]byte, 4096)
 	rng.Read(noise)
 	w.Stream("msc.noise").Write(noise)
-	data, err := w.Finish(true)
+	data, err := w.FinishN(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 	if overhead > 64 {
 		t.Fatalf("container overhead %d bytes on incompressible data", overhead)
 	}
-	r, err := NewReader(data)
+	r, err := NewReaderLimit(data, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 func TestCompressibleStreamShrinks(t *testing.T) {
 	w := NewWriter()
 	w.Stream("str.x.chr").Write([]byte(strings.Repeat("the same words again ", 400)))
-	data, err := w.Finish(true)
+	data, err := w.FinishN(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSizes(t *testing.T) {
 	w := NewWriter()
 	w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
 	w.Stream("b").Write([]byte{1, 2, 3})
-	sizes := w.Sizes(true)
+	sizes := w.SizesN(true, 1)
 	if sizes["a"][0] != 1000 || sizes["a"][1] >= 1000 {
 		t.Fatalf("sizes[a] = %v", sizes["a"])
 	}
@@ -130,7 +130,7 @@ func TestSizes(t *testing.T) {
 func TestReaderErrors(t *testing.T) {
 	w := NewWriter()
 	w.Stream("s").Write([]byte("hello world, a stream"))
-	data, err := w.Finish(true)
+	data, err := w.FinishN(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestReaderErrors(t *testing.T) {
 		"trailing":  append(append([]byte{}, data...), 0xff),
 	}
 	for name, d := range cases {
-		if _, err := NewReader(d); err == nil {
-			t.Errorf("%s: NewReader succeeded", name)
+		if _, err := NewReaderLimit(d, 1, 0); err == nil {
+			t.Errorf("%s: NewReaderLimit succeeded", name)
 		}
 	}
 }
@@ -153,7 +153,7 @@ func TestDeterministicOrder(t *testing.T) {
 		for _, n := range order {
 			w.Stream(n).Write([]byte(n))
 		}
-		data, err := w.Finish(true)
+		data, err := w.FinishN(true, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +168,8 @@ func TestDeterministicOrder(t *testing.T) {
 
 func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 	// A container with many streams of different codings must serialize
-	// byte-identically at every worker count, and NewReaderN must decode
-	// it identically too.
+	// byte-identically at every worker count, and NewReaderLimit must
+	// decode it identically too.
 	build := func() *Writer {
 		w := NewWriter()
 		rng := rand.New(rand.NewSource(9))
@@ -201,14 +201,14 @@ func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 		} else if !bytes.Equal(data, want) {
 			t.Fatalf("FinishN(j=%d) differs from serial container", j)
 		}
-		r, err := NewReaderN(data, j)
+		r, err := NewReaderLimit(data, j, 0)
 		if err != nil {
-			t.Fatalf("NewReaderN(j=%d): %v", j, err)
+			t.Fatalf("NewReaderLimit(j=%d): %v", j, err)
 		}
 		for i := 0; i < 40; i++ {
 			name := fmt.Sprintf("s.%02d", i)
 			if r.Stream(name).Remaining() == 0 {
-				t.Fatalf("NewReaderN(j=%d): stream %s empty", j, name)
+				t.Fatalf("NewReaderLimit(j=%d): stream %s empty", j, name)
 			}
 		}
 	}
@@ -219,7 +219,7 @@ func TestSizesNMatchesSerial(t *testing.T) {
 	w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
 	w.Stream("b").Write([]byte{1, 2, 3})
 	w.Stream("c").Write(bytes.Repeat([]byte{7, 8}, 900))
-	serial := w.Sizes(true)
+	serial := w.SizesN(true, 1)
 	for _, j := range []int{2, 0} {
 		got := w.SizesN(true, j)
 		if len(got) != len(serial) {
@@ -248,11 +248,11 @@ func TestArithCodingSelected(t *testing.T) {
 	}
 	w := NewWriter()
 	w.Stream("msc.skewed").Write(raw)
-	data, err := w.Finish(true)
+	data, err := w.FinishN(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(data)
+	r, err := NewReaderLimit(data, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

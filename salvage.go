@@ -5,7 +5,6 @@ import (
 
 	"classpack/internal/classfile"
 	"classpack/internal/core"
-	"classpack/internal/corrupt"
 	"classpack/internal/par"
 )
 
@@ -46,7 +45,14 @@ type SalvageResult struct {
 	Recovered int `json:"recovered"`
 	// Lost = TotalClasses - Recovered.
 	Lost int `json:"lost"`
-	// Damage lists every damaged region found, in detection order.
+	// Damage lists every damaged region found. Each container body (a
+	// version-1/2 archive's one body, or a version-3 chunk in turn)
+	// lists its quarantined streams in container order, with any
+	// trailer or directory damage, then the failure that ended
+	// decoding, which carries the classes it cost. A quarantined stream
+	// that ended decoding is listed once, in that last place. Version-3
+	// damage outside any chunk is listed where it was found, and
+	// classes that failed to reserialize come last.
 	Damage []DamageRegion `json:"damage,omitempty"`
 
 	concurrency int // Salvage's Options.Concurrency, which Jar reuses
@@ -85,46 +91,14 @@ func Salvage(data []byte, opts *Options) (*SalvageResult, error) {
 		return nil, err
 	}
 	res := &SalvageResult{TotalClasses: cres.TotalClasses, concurrency: o.Concurrency}
-	if cres.Version == core.Version3 {
-		// Version-3 damage is chunk-attributed: the stream name gains a
-		// "chunkN/" prefix so a report distinguishes which failure domain
-		// each region lies in (chunk framing, index and footer damage
-		// stay unprefixed).
-		for _, d := range cres.V3Damage {
-			r := region(d.Err)
-			if d.Chunk >= 0 {
-				r.Stream = fmt.Sprintf("chunk%d/%s", d.Chunk, r.Stream)
-			}
-			r.ClassesLost = d.ClassesLost
-			res.Damage = append(res.Damage, r)
+	for _, d := range cres.Damage {
+		r := DamageRegion{Stream: d.Err.Stream, Offset: d.Err.Offset, Cause: d.Err.Cause.Error(), ClassesLost: d.ClassesLost}
+		if d.Chunk >= 0 {
+			// Version-3 damage is chunk-attributed: the "chunkN/" prefix
+			// names the failure domain a region lies in.
+			r.Stream = fmt.Sprintf("chunk%d/%s", d.Chunk, r.Stream)
 		}
-		reserializeInto(res, cres.Classes, o.Concurrency)
-		return res, nil
-	}
-	for _, q := range cres.Quarantined {
-		res.Damage = append(res.Damage, region(q))
-	}
-	if cres.Abort != nil {
-		lost := 0
-		if cres.AbortClass >= 0 {
-			lost = cres.TotalClasses - cres.AbortClass
-		}
-		// When decoding died on a quarantined stream the abort error is
-		// that stream's own quarantine entry: attribute the loss there
-		// instead of reporting the same damage twice.
-		attributed := false
-		for i, q := range cres.Quarantined {
-			if q == cres.Abort {
-				res.Damage[i].ClassesLost = lost
-				attributed = true
-				break
-			}
-		}
-		if !attributed {
-			r := region(cres.Abort)
-			r.ClassesLost = lost
-			res.Damage = append(res.Damage, r)
-		}
+		res.Damage = append(res.Damage, r)
 	}
 	reserializeInto(res, cres.Classes, o.Concurrency)
 	return res, nil
@@ -171,9 +145,4 @@ func reserializeInto(res *SalvageResult, classes []*classfile.ClassFile, concurr
 // with the Concurrency that Salvage was given.
 func (r *SalvageResult) Jar() ([]byte, error) {
 	return jarFromFiles(r.Files, r.concurrency)
-}
-
-// region maps a corrupt.Error to the public damage shape.
-func region(ce *corrupt.Error) DamageRegion {
-	return DamageRegion{Stream: ce.Stream, Offset: ce.Offset, Cause: ce.Cause.Error()}
 }
