@@ -34,13 +34,16 @@ lint:
 # classes on workers while the decoder reads ahead, gets ten: its
 # ordering, error and panic paths depend on scheduling, and so does
 # how DoWorkers raises a worker's panic on its caller. So does pack,
-# which codes the reference pools on workers after its class walk.
+# which codes the reference pools on workers after its class walk, and
+# DEFLATEs each stream past 64 KiB on a coder goroutine while the walk
+# still writes it.
 verify: lint delta-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
 	$(GO) test -race -count=10 -run '^(TestPipeline|TestDoWorkersPanicSurfaces)' ./internal/par
 	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream|TestPackDeterministicAcrossConcurrency|TestPackStatsDeterministicAcrossConcurrency|TestPackParallelErrorMatchesSerial)$$' .
+	$(GO) test -race -count=10 -run '^(TestLargeStreamsCodeAsWhole|TestCoderLifecycle|TestCoderGetsCopies|TestNoCoderOutlivesPack)$$' ./internal/streams ./internal/core
 
 # bench runs the throughput benchmarks that track the parallel
 # pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and

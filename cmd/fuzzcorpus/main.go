@@ -253,10 +253,10 @@ func run() error {
 	}
 
 	// An empty container and a tiny hand-rolled one for the streams walker.
-	w := streams.NewWriter()
+	w := streams.NewWriter(false, 1)
 	w.Stream("seed.ints").Uint(1 << 20)
 	w.Stream("seed.raw").Write([]byte("seed"))
-	small, err := w.FinishN(false, 1)
+	small, err := w.Finish()
 	if err != nil {
 		return err
 	}

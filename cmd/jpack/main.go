@@ -234,7 +234,7 @@ delta writes a CJPD patch carrying only the classes new.cjp adds or
 changes relative to old.cjp; apply rebuilds new.cjp byte-for-byte from
 old.cjp plus the patch, verifying the recorded digest.
 -salvage recovers what a damaged archive still holds, prints a damage
-report to stderr, and exits 1 when any classes were lost.
+report to stderr, and exits 1 when it finds any damage.
 verify -deep adds the dataflow bytecode verifier; -bytecode prints one
 verdict per method instead, locating failures by pc and opcode.
 verify operands may be packed archives: their classes are unpacked and
@@ -715,7 +715,10 @@ func archiveSize(f *os.File) int64 {
 
 // salvageUnpack handles unpack -salvage: recover what a damaged archive
 // still holds, write it out, report the damage, and exit nonzero when
-// anything was lost.
+// the archive was damaged at all — jpackd's rule for answering 206.
+// Damage that loses no class counts too: when a version-1/2 archive's
+// int.meta is damaged, the class count is unreadable, so no class is
+// charged to the damage although none came back.
 func salvageUnpack(data []byte, dir, jarOut string, j int) error {
 	opts := classpack.DefaultOptions()
 	opts.Concurrency = j
@@ -752,8 +755,9 @@ func salvageUnpack(data []byte, dir, jarOut string, j int) error {
 	}
 	fmt.Printf("salvaged %d of %d classes (%d lost, %d damage regions)\n",
 		res.Recovered, res.TotalClasses, res.Lost, len(res.Damage))
-	if res.Lost > 0 {
-		return fmt.Errorf("%d of %d classes lost to damage", res.Lost, res.TotalClasses)
+	if res.Lost > 0 || len(res.Damage) > 0 {
+		return fmt.Errorf("archive damaged: %d of %d classes lost, %d damage regions",
+			res.Lost, res.TotalClasses, len(res.Damage))
 	}
 	return nil
 }

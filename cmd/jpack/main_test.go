@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"classpack"
 	"classpack/internal/archive"
 	"classpack/internal/classfile"
 	"classpack/internal/minijava"
+	"classpack/internal/streams"
 	"classpack/internal/synth"
 )
 
@@ -135,6 +137,66 @@ func TestUnpackSalvageCommand(t *testing.T) {
 	salvJar := filepath.Join(dir, "salvaged.jar")
 	if err := cmdUnpack([]string{"-salvage", "-jar", salvJar, damaged}); err == nil {
 		t.Fatal("salvage of lossy archive exited 0, want failure reporting lost classes")
+	}
+	if _, err := os.Stat(salvJar); err != nil {
+		t.Fatalf("salvage did not write the recovered jar: %v", err)
+	}
+}
+
+// TestUnpackSalvageMetaDamage flips one byte of int.meta's payload in a
+// version-2 archive. The class count is then unreadable, so salvage
+// charges no class to the damage, yet none comes back: like jpackd,
+// which answers 206, salvage must exit nonzero, after writing what it
+// recovered.
+func TestUnpackSalvageMetaDamage(t *testing.T) {
+	p, err := synth.ProfileByName("Hanoi_jax")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs, err := synth.GenerateStripped(p, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([][]byte, len(cfs))
+	for i, cf := range cfs {
+		if raw[i], err = classfile.Write(cf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	packed, err := classpack.Pack(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := streams.Sections(packed[6:], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for _, sec := range secs {
+		if sec.Name == "int.meta" {
+			packed[6+sec.Off+sec.Len/2] ^= 0x01
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatal("archive has no int.meta stream")
+	}
+	dir := t.TempDir()
+	damaged := filepath.Join(dir, "meta.cjp")
+	if err := os.WriteFile(damaged, packed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := classpack.Salvage(packed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lost != 0 || len(res.Damage) == 0 {
+		t.Fatalf("salvage reports %d lost and %d damage regions; the case needs 0 lost and some damage",
+			res.Lost, len(res.Damage))
+	}
+	salvJar := filepath.Join(dir, "salvaged.jar")
+	if err := cmdUnpack([]string{"-salvage", "-jar", salvJar, damaged}); err == nil {
+		t.Fatal("salvage of an archive with damaged int.meta exited 0")
 	}
 	if _, err := os.Stat(salvJar); err != nil {
 		t.Fatalf("salvage did not write the recovered jar: %v", err)

@@ -303,21 +303,46 @@ func FlateSize(data []byte) int {
 
 // Flate compresses data with raw DEFLATE at maximum compression.
 func Flate(data []byte) ([]byte, error) {
+	d := NewDeflater()
+	if _, err := d.Write(data); err != nil {
+		d.Close()
+		return nil, err
+	}
+	return d.Close()
+}
+
+// Deflater is Flate fed in pieces. compress/flate codes a position only
+// once it holds that position's full lookahead (the longest match), or
+// on Close, so its output depends on the bytes written and not on how
+// the writes split them: Close returns exactly Flate of everything
+// written. A Deflater holds a pooled writer and buffer until Close.
+type Deflater struct {
+	fw  *flate.Writer
+	buf *bytes.Buffer
+}
+
+// NewDeflater starts a raw DEFLATE stream at maximum compression.
+func NewDeflater() *Deflater {
 	buf := getBuffer()
-	defer putBuffer(buf)
-	fw := getFlateWriter(buf)
-	_, werr := fw.Write(data)
-	cerr := fw.Close()
-	putFlateWriter(fw)
-	if werr != nil {
-		return nil, werr
+	return &Deflater{fw: getFlateWriter(buf), buf: buf}
+}
+
+// Write appends p to the stream.
+func (d *Deflater) Write(p []byte) (int, error) { return d.fw.Write(p) }
+
+// Close ends the stream, returns the writer and buffer to their pools,
+// and returns the compressed bytes.
+func (d *Deflater) Close() ([]byte, error) {
+	err := d.fw.Close()
+	putFlateWriter(d.fw)
+	var out []byte
+	if err == nil {
+		out = make([]byte, d.buf.Len())
+		copy(out, d.buf.Bytes())
 	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	putBuffer(d.buf)
+	d.fw, d.buf = nil, nil
+	return out, err
 }
 
 // Inflate decompresses raw DEFLATE data.

@@ -287,10 +287,26 @@ func TestPackRejectsUndecodableScheme(t *testing.T) {
 func TestFinishRefsRejectsWrongCount(t *testing.T) {
 	cfs := buildTestClasses(t)
 	strippedBytes(t, cfs)
-	p, err := walk(cfs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	var pool poolID
+	var second int
+	_, err := walk(cfs, DefaultOptions(), func(p *packer) (struct{}, error) {
+		pool, second = miscount(t, p)
+		return struct{}{}, p.finishRefs()
+	})
+	if err == nil {
+		t.Fatal("finishRefs accepted a wrong count")
 	}
+	want := fmt.Sprintf("%s event %d:", refStream(pool), second)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+}
+
+// miscount counts a key that occurs twice in a walked packer's records
+// once. It returns the key's pool and the index of its second event,
+// where coding that pool must then fail.
+func miscount(t *testing.T, p *packer) (poolID, int) {
+	t.Helper()
 	pool, key := -1, -1
 	for id := range p.pools {
 		for k, c := range p.pools[id].counts {
@@ -316,14 +332,7 @@ func TestFinishRefsRejectsWrongCount(t *testing.T) {
 		}
 	}
 	r.counts[key] = 1
-	err = p.finishRefs()
-	if err == nil {
-		t.Fatal("finishRefs accepted a wrong count")
-	}
-	want := fmt.Sprintf("%s event %d:", refStream(poolID(pool)), second)
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name %q", err, want)
-	}
+	return poolID(pool), second
 }
 
 func TestPackedSmallerThanFlateOfFiles(t *testing.T) {

@@ -54,17 +54,15 @@ func PackVersion(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, er
 // pools, and serializes the streams as one container body (no archive
 // header).
 func encodeMonolith(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, error) {
-	p, err := walk(cfs, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.finishRefs(); err != nil {
-		return nil, err
-	}
-	if ver == Version1 {
-		return p.w.FinishN(opts.Compress, opts.Concurrency)
-	}
-	return p.w.FinishChecked(opts.Compress, opts.Concurrency)
+	return walk(cfs, opts, func(p *packer) ([]byte, error) {
+		if err := p.finishRefs(); err != nil {
+			return nil, err
+		}
+		if ver == Version1 {
+			return p.w.Finish()
+		}
+		return p.w.FinishChecked()
+	})
 }
 
 // PackStats reports per-stream sizes for the archive that Pack would
@@ -74,39 +72,36 @@ func PackStats(cfs []*classfile.ClassFile, opts Options) (map[string][2]int, err
 	if err := checkScheme(opts); err != nil {
 		return nil, err
 	}
-	p, err := walk(cfs, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.finishRefs(); err != nil {
-		return nil, err
-	}
-	return p.w.SizesN(opts.Compress, opts.Concurrency), nil
+	return walk(cfs, opts, func(p *packer) (map[string][2]int, error) {
+		if err := p.finishRefs(); err != nil {
+			return nil, err
+		}
+		return p.w.Sizes(), nil
+	})
 }
 
 // Traces records the reference event stream of every pool in encode order
 // (contexts included), for the Table 3 scheme-comparison experiments.
 // Keys of the returned map are the pool names used in the "ref.*" streams.
-// The events do not depend on the scheme, and no pool is preloaded.
+// The events do not depend on the scheme, and no pool is preloaded. The
+// streams are never coded, so none is compressed.
 func Traces(cfs []*classfile.ClassFile, opts Options) (map[string][]refs.Event, error) {
-	opts.Preload = false
-	p, err := walk(cfs, opts)
-	if err != nil {
-		return nil, err
-	}
-	traces := make(map[string][]refs.Event)
-	for id := range p.pools {
-		r := &p.pools[id]
-		if len(r.events) == 0 {
-			continue
+	opts.Preload, opts.Compress = false, false
+	return walk(cfs, opts, func(p *packer) (map[string][]refs.Event, error) {
+		traces := make(map[string][]refs.Event)
+		for id := range p.pools {
+			r := &p.pools[id]
+			if len(r.events) == 0 {
+				continue
+			}
+			events := make([]refs.Event, len(r.events))
+			for i, ev := range r.events {
+				events[i] = refs.Event{Ctx: int(ev.ctx), Key: r.keys[ev.key]}
+			}
+			traces[poolName[id]] = events
 		}
-		events := make([]refs.Event, len(r.events))
-		for i, ev := range r.events {
-			events[i] = refs.Event{Ctx: int(ev.ctx), Key: r.keys[ev.key]}
-		}
-		traces[poolName[id]] = events
-	}
-	return traces, nil
+		return traces, nil
+	})
 }
 
 // checkScheme refuses a measurement-only scheme: with no decoder, its

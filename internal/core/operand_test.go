@@ -60,7 +60,7 @@ func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := streams.NewWriter()
+	w := streams.NewWriter(true, 1)
 	found := false
 	for _, s := range secs {
 		st := r.Stream(s.Name)
@@ -76,7 +76,7 @@ func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) [
 	if !found {
 		t.Fatalf("archive has no %s stream", name)
 	}
-	out, err := w.FinishChecked(true, 1)
+	out, err := w.FinishChecked()
 	if err != nil {
 		t.Fatal(err)
 	}

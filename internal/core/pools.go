@@ -255,9 +255,13 @@ type refEvent struct {
 }
 
 // walk runs the packer over cfs, leaving every stream but the ref
-// streams written and every pool's references recorded.
-func walk(cfs []*classfile.ClassFile, opts Options) (*packer, error) {
-	p := &packer{opts: opts, w: streams.NewWriter(), keys: newKeyCache(), descs: newDescs()}
+// streams written and every pool's references recorded, and returns
+// what use makes of the packer. The packer's stream writer is closed on
+// every way out, errors and panics included, so no coder goroutine of
+// it outlives walk.
+func walk[T any](cfs []*classfile.ClassFile, opts Options, use func(*packer) (T, error)) (T, error) {
+	p := &packer{opts: opts, w: streams.NewWriter(opts.Compress, opts.Concurrency), keys: newKeyCache(), descs: newDescs()}
+	defer p.w.Close()
 	for i := range p.pools {
 		p.pools[i].index = make(map[string]int32)
 	}
@@ -265,9 +269,10 @@ func walk(cfs []*classfile.ClassFile, opts Options) (*packer, error) {
 		preloadPacker(p)
 	}
 	if err := p.archive(cfs); err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	return p, nil
+	return use(p)
 }
 
 // st returns a named stream.

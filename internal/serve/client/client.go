@@ -6,6 +6,9 @@
 // are retried with capped, jittered exponential backoff (see
 // RetryPolicy), honoring the server's Retry-After hint when it asks for
 // a longer wait; jpackd requests are idempotent, so replays are safe.
+// A 500 with error code "internal" is not retried: it reports a fault
+// in the server's own work on the request (a panicking encode, a failed
+// cache read or jar rebuild), which a replay would meet again.
 // The jpack "remote" subcommand is built on it.
 package client
 
@@ -134,12 +137,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // do sends req with retries per the client's policy. Transport errors,
-// 5xx responses, and 429 load shedding are retried with capped,
-// jittered exponential backoff; when the server sends Retry-After with
-// a longer wait than the backoff, the server's hint wins (capped at
-// MaxRetryAfter). Context cancellation and deadline expiry stop
-// retrying immediately, both between attempts and mid-backoff. The
-// final attempt's response or error is returned as-is.
+// 5xx responses other than a 500 "internal", and 429 load shedding are
+// retried with capped, jittered exponential backoff; when the server
+// sends Retry-After with a longer wait than the backoff, the server's
+// hint wins (capped at MaxRetryAfter). Context cancellation and
+// deadline expiry stop retrying immediately, both between attempts and
+// mid-backoff. The final attempt's response or error is returned as-is.
 func (c *Client) do(req *http.Request) (*http.Response, error) {
 	for attempt := 1; ; attempt++ {
 		resp, err := c.hc.Do(req)
@@ -151,7 +154,7 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 			// caller's context is not.
 			retryable = req.Context().Err() == nil
 		} else if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			retryable = true
+			retryable = !internalError(resp)
 			retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 		}
 		if !retryable || attempt >= c.retry.MaxAttempts {
@@ -457,19 +460,39 @@ func (c *Client) payload(resp *http.Response) ([]byte, error) {
 // apiError decodes the server's JSON error envelope, falling back to a
 // bare status error for non-JSON bodies (e.g. proxies in the path).
 func (c *Client) apiError(resp *http.Response) error {
-	apiErr := &APIError{Status: resp.StatusCode, Code: "unknown"}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	code, msg, ok := decodeEnvelope(body)
+	if !ok {
+		code, msg = "unknown", http.StatusText(resp.StatusCode)
+	}
+	return &APIError{Status: resp.StatusCode, Code: code, Message: msg}
+}
+
+// decodeEnvelope reads the code and message of the server's JSON error
+// envelope; ok is false when body is not one.
+func decodeEnvelope(body []byte) (code, msg string, ok bool) {
 	var envelope struct {
 		Error struct {
 			Code    string `json:"code"`
 			Message string `json:"message"`
 		} `json:"error"`
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if json.Unmarshal(body, &envelope) == nil && envelope.Error.Code != "" {
-		apiErr.Code = envelope.Error.Code
-		apiErr.Message = envelope.Error.Message
-	} else {
-		apiErr.Message = http.StatusText(resp.StatusCode)
+	if json.Unmarshal(body, &envelope) != nil || envelope.Error.Code == "" {
+		return "", "", false
 	}
-	return apiErr
+	return envelope.Error.Code, envelope.Error.Message, true
+}
+
+// internalError reports whether resp is a 500 whose error code is
+// "internal". It reads the body to tell, and puts it back for the
+// caller.
+func internalError(resp *http.Response) bool {
+	if resp.StatusCode != http.StatusInternalServerError {
+		return false
+	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	code, _, _ := decodeEnvelope(body)
+	return code == "internal"
 }

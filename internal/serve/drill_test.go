@@ -253,6 +253,41 @@ func TestDrillPanickedEncodeRetiresFlight(t *testing.T) {
 	}
 }
 
+// TestDrillClientDoesNotRetryPanickedEncode packs through the Go client,
+// with its default retry policy, against an encode that always panics.
+// The 500 "internal" it gets reports a fault that a replay meets again,
+// so the client makes one attempt and the server runs one encode.
+func TestDrillClientDoesNotRetryPanickedEncode(t *testing.T) {
+	jar, _ := testJar(t)
+	var encodes atomic.Int32
+	cfg := Config{
+		MaxJobs:        1,
+		RequestTimeout: 5 * time.Second,
+		packStarted: func() {
+			encodes.Add(1)
+			panic("drill: encode panicked")
+		},
+	}
+	_, base, _ := startDrillServer(t, cfg)
+	rt := &countingTransport{}
+	_, err := client.New(base, &http.Client{Transport: rt}).Pack(context.Background(), jar)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || apiErr.Code != "internal" {
+		t.Fatalf("Pack: %v, want a 500 internal", err)
+	}
+	if a, e := rt.attempts.Load(), encodes.Load(); a != 1 || e != 1 {
+		t.Fatalf("one Pack made %d attempts and ran %d encodes, want 1 and 1", a, e)
+	}
+}
+
+// countingTransport counts the requests it sends.
+type countingTransport struct{ attempts atomic.Int32 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.attempts.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // rawPack posts a jar without client retry machinery and returns the
 // response status, Retry-After header, and decoded error code (if any).
 func rawPack(t *testing.T, base string, jar []byte) (status int, retryAfter string, code string) {

@@ -9,8 +9,8 @@ import (
 )
 
 // checkedWriter builds a three-stream writer with known contents.
-func checkedWriter() *Writer {
-	w := NewWriter()
+func checkedWriter(concurrency int) *Writer {
+	w := NewWriter(true, concurrency)
 	w.Stream("a.ints").Uint(300)
 	w.Stream("b.raw").Write(bytes.Repeat([]byte("payload"), 50))
 	w.Stream("c.code").Write(bytes.Repeat([]byte{0x2a, 0xb4}, 200))
@@ -18,12 +18,12 @@ func checkedWriter() *Writer {
 }
 
 func TestCheckedRoundTrip(t *testing.T) {
-	w := checkedWriter()
-	plain, err := w.FinishN(true, 1)
+	w := checkedWriter(1)
+	plain, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := w.FinishChecked(true, 1)
+	checked, err := w.FinishChecked()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,12 @@ func TestCheckedRoundTrip(t *testing.T) {
 }
 
 func TestCheckedDeterministicAcrossWorkers(t *testing.T) {
-	w := checkedWriter()
-	want, err := w.FinishChecked(true, 1)
+	want, err := checkedWriter(1).FinishChecked()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 4, 0} {
-		got, err := w.FinishChecked(true, n)
+		got, err := checkedWriter(n).FinishChecked()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +65,7 @@ func TestCheckedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestCheckedReaderRejectsAnyFlip(t *testing.T) {
-	checked, err := checkedWriter().FinishChecked(true, 1)
+	checked, err := checkedWriter(1).FinishChecked()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestCheckedReaderRejectsAnyFlip(t *testing.T) {
 }
 
 func TestSalvageReaderQuarantinesOnlyDamagedStream(t *testing.T) {
-	checked, err := checkedWriter().FinishChecked(true, 1)
+	checked, err := checkedWriter(1).FinishChecked()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestSalvageReaderQuarantinesOnlyDamagedStream(t *testing.T) {
 }
 
 func TestSalvageReaderTrailerOnlyDamage(t *testing.T) {
-	checked, err := checkedWriter().FinishChecked(true, 1)
+	checked, err := checkedWriter(1).FinishChecked()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +161,9 @@ func TestSalvageReaderTrailerOnlyDamage(t *testing.T) {
 }
 
 func TestSectionsLayouts(t *testing.T) {
-	w := checkedWriter()
+	w := checkedWriter(1)
 	for _, checked := range []bool{true, false} {
-		data, err := w.finish(true, 1, checked)
+		data, err := w.finish(checked)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,24 +12,24 @@ import (
 // otherwise yield the same streams. Every stream a strict reader yields
 // is drained through all read paths.
 func FuzzStreamsReader(f *testing.F) {
-	w := NewWriter()
+	w := NewWriter(true, 1)
 	w.Stream("a.ints").Uint(300)
 	w.Stream("a.ints").Int(-5)
 	w.Stream("b.raw").Write([]byte("hello streams container"))
 	for i := 0; i < 512; i++ {
 		w.Stream("c.zeros").WriteByte(0) // compresses, exercising flate decode
 	}
-	seed, err := w.FinishN(true, 1)
+	seed, err := w.Finish()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	checked, err := w.FinishChecked(true, 1)
+	checked, err := w.FinishChecked()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(checked)
-	empty, err := NewWriter().FinishN(false, 1)
+	empty, err := NewWriter(false, 1).Finish()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -35,6 +35,7 @@ package streams
 import (
 	"bytes"
 	"hash/crc32"
+	"math"
 	"sort"
 
 	"classpack/internal/archive"
@@ -73,21 +74,46 @@ const (
 const DefaultMaxDecodedBytes = int64(1) << 30
 
 // Writer accumulates named streams and serializes them into a container.
+//
+// A stream that grows past arithTrialLimit can only be coded as DEFLATE
+// or stored, and the writer only ever appends to it, so the Writer
+// starts its DEFLATE at once and feeds it each deflateBlock as the block
+// fills. When the Writer's concurrency allows more than one worker, one
+// background goroutine (the coder) runs these DEFLATEs beside the code
+// that writes the streams; otherwise they run inline. Finish,
+// FinishChecked and Sizes hand the coder the tails and wait for it.
+// A Writer that will not be finished must be closed, to stop its coder.
 type Writer struct {
-	streams map[string]*Stream
-	order   []string
+	streams     map[string]*Stream
+	order       []string
+	compress    bool
+	concurrency int
+	background  bool          // large streams deflate on the coder
+	jobs        chan<- block  // the coder's queue; nil while no coder runs
+	done        chan struct{} // closed when the coder exits
 }
 
-// NewWriter returns an empty container writer.
-func NewWriter() *Writer {
-	return &Writer{streams: make(map[string]*Stream)}
+// NewWriter returns an empty container writer. compress selects §14's
+// trial coding (false stores every stream raw), and concurrency bounds
+// the workers that code the streams (<= 0 meaning all cores). The
+// container is byte-identical for every concurrency value.
+func NewWriter(compress bool, concurrency int) *Writer {
+	return &Writer{
+		streams:     make(map[string]*Stream),
+		compress:    compress,
+		concurrency: concurrency,
+		background:  par.Workers(concurrency, 2) > 1,
+	}
 }
 
 // Stream returns the named stream, creating it on first use.
 func (w *Writer) Stream(name string) *Stream {
 	s, ok := w.streams[name]
 	if !ok {
-		s = &Stream{}
+		s = &Stream{w: w, next: math.MaxInt}
+		if w.compress {
+			s.next = arithTrialLimit + 1
+		}
 		w.streams[name] = s
 		w.order = append(w.order, name)
 	}
@@ -101,13 +127,31 @@ func (w *Writer) Stream(name string) *Stream {
 // arithmetic-coded stream is rejected outright.
 const arithTrialLimit = 1 << 16
 
+// deflateBlock is the size of the copied blocks a large stream's DEFLATE
+// is fed while the stream is still being written.
+const deflateBlock = 64 << 10
+
+// coderQueue bounds the blocks waiting for the coder. A writer that gets
+// that far ahead waits for it, so at most coderQueue copies (4 MiB) are
+// held. The largest stream of the reference corpora, tools' 499 KB of
+// string characters, is 8 blocks, so their walks never wait.
+const coderQueue = 64
+
 // encodeStream picks the smallest coding for a stream's raw bytes.
 func encodeStream(raw []byte, compress bool) (byte, []byte) {
-	payload, coding := raw, codingStore
 	if !compress || len(raw) == 0 {
-		return coding, payload
+		return codingStore, raw
 	}
-	if comp, err := archive.Flate(raw); err == nil && len(comp) < len(payload) {
+	comp, err := archive.Flate(raw)
+	return pickCoding(raw, comp, err)
+}
+
+// pickCoding chooses among raw storage, comp (raw's DEFLATE, unless err
+// is set) and, for a stream within arithTrialLimit, the arithmetic
+// coder: whichever is smallest, earlier on ties.
+func pickCoding(raw, comp []byte, err error) (byte, []byte) {
+	payload, coding := raw, codingStore
+	if err == nil && len(comp) < len(payload) {
 		payload, coding = comp, codingFlate
 	}
 	if len(raw) <= arithTrialLimit {
@@ -122,27 +166,27 @@ func encodeStream(raw []byte, compress bool) (byte, []byte) {
 	return coding, payload
 }
 
-// FinishN serializes all streams in the plain (unchecked) layout,
-// choosing each stream's coding per §14. The mutually independent
-// streams are trial-coded on up to concurrency workers (<= 0 meaning
-// all cores), and the container is assembled in sorted name order after
-// all codings are chosen, so the output is byte-identical for every
-// concurrency value.
-func (w *Writer) FinishN(compress bool, concurrency int) ([]byte, error) {
-	return w.finish(compress, concurrency, false)
+// Finish serializes all streams in the plain (unchecked) layout,
+// choosing each stream's coding per §14. The container is assembled in
+// sorted name order after all codings are chosen, so it is
+// byte-identical for every concurrency value. Finish, FinishChecked and
+// Sizes may each be called again, but no stream may be written after
+// the first of them.
+func (w *Writer) Finish() ([]byte, error) {
+	return w.finish(false)
 }
 
 // FinishChecked serializes all streams in the checked layout: each
 // stream's directory entry is followed by a CRC32C of its encoded
 // payload, and the container ends with a trailer CRC32C over every byte
-// that precedes it. Like FinishN, the output is byte-identical for every
+// that precedes it. Like Finish, the output is byte-identical for every
 // concurrency value.
-func (w *Writer) FinishChecked(compress bool, concurrency int) ([]byte, error) {
-	return w.finish(compress, concurrency, true)
+func (w *Writer) FinishChecked() ([]byte, error) {
+	return w.finish(true)
 }
 
-func (w *Writer) finish(compress bool, concurrency int, checked bool) ([]byte, error) {
-	names, encs := w.code(compress, concurrency)
+func (w *Writer) finish(checked bool) ([]byte, error) {
+	names, encs := w.code()
 	var out []byte
 	out = varint.AppendUint(out, uint64(len(names)))
 	for i, name := range names {
@@ -169,36 +213,50 @@ type coded struct {
 	payload []byte
 }
 
-// code trial-codes every stream on up to concurrency workers. It
-// returns the stream names in container order, which is sorted, and
-// their codings in the same order. Workers take the longest raw stream
-// first, ties by name: the costliest codings start first, so at the end
-// no worker sits idle while another codes one large stream.
-func (w *Writer) code(compress bool, concurrency int) ([]string, []coded) {
+// code chooses every stream's coding. It returns the stream names in
+// container order, which is sorted, and their codings in the same order.
+// The large streams' tails go to their DEFLATEs first; the other streams
+// are trial-coded on up to concurrency workers meanwhile. Workers take
+// the longest raw stream first, ties by name: the costliest codings
+// start first, so at the end no worker sits idle while another codes one
+// large stream.
+func (w *Writer) code() ([]string, []coded) {
 	names := append([]string(nil), w.order...)
 	sort.Strings(names)
-	order := make([]int, len(names))
-	for i := range order {
-		order[i] = i
+	var small []int
+	for i, name := range names {
+		switch s := w.streams[name]; {
+		case s.deflater == nil:
+			small = append(small, i)
+		case !s.sealed:
+			s.deflate(s.buf.Bytes()[s.fed:], true)
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return w.streams[names[order[a]]].Len() > w.streams[names[order[b]]].Len()
+	w.stopCoder(false)
+	sort.SliceStable(small, func(a, b int) bool {
+		return w.streams[names[small[a]]].Len() > w.streams[names[small[b]]].Len()
 	})
 	encs := make([]coded, len(names))
-	_ = par.Do(concurrency, len(order), func(k int) error {
-		i := order[k]
-		coding, payload := encodeStream(w.streams[names[i]].buf.Bytes(), compress)
+	_ = par.Do(w.concurrency, len(small), func(k int) error {
+		i := small[k]
+		coding, payload := encodeStream(w.streams[names[i]].buf.Bytes(), w.compress)
 		encs[i] = coded{coding, payload}
 		return nil
 	})
+	w.stopCoder(true)
+	for i, name := range names {
+		if s := w.streams[name]; s.sealed {
+			coding, payload := pickCoding(s.buf.Bytes(), s.comp, s.compErr)
+			encs[i] = coded{coding, payload}
+		}
+	}
 	return names, encs
 }
 
-// SizesN reports per-stream raw and encoded sizes as they would
-// serialize with the given compression setting, trial-coding on up to
-// concurrency workers (<= 0 meaning all cores).
-func (w *Writer) SizesN(compress bool, concurrency int) map[string][2]int {
-	names, encs := w.code(compress, concurrency)
+// Sizes reports per-stream raw and encoded sizes as they would
+// serialize, coding as Finish does.
+func (w *Writer) Sizes() map[string][2]int {
+	names, encs := w.code()
 	out := make(map[string][2]int, len(names))
 	for i, name := range names {
 		out[name] = [2]int{w.streams[name].buf.Len(), len(encs[i].payload)}
@@ -206,19 +264,134 @@ func (w *Writer) SizesN(compress bool, concurrency int) map[string][2]int {
 	return out
 }
 
+// Close stops the coder of a Writer that will not be finished, once it
+// has coded the blocks already handed to it. After Finish,
+// FinishChecked or Sizes it does nothing.
+func (w *Writer) Close() { w.stopCoder(true) }
+
+// block is one piece of a large stream's raw bytes for its DEFLATE;
+// last marks the stream's tail.
+type block struct {
+	s    *Stream
+	data []byte
+	last bool
+}
+
+// startCoder starts a coder on a new queue. It first waits for any
+// earlier coder to exit, so that one coder at most runs the DEFLATEs.
+// The coder ranges over the queue it was started with: the Writer keeps
+// only the queue's send side, and clears it when it closes the queue.
+func (w *Writer) startCoder() {
+	w.stopCoder(true)
+	jobs, done := make(chan block, coderQueue), make(chan struct{})
+	w.jobs, w.done = jobs, done
+	go func() {
+		defer close(done)
+		for b := range jobs {
+			b.s.code(b.data, b.last)
+		}
+	}()
+}
+
+// stopCoder ends the coder's queue, so the coder exits once it has coded
+// every block handed to it, and with wait set waits for that. A later
+// block starts a new coder.
+func (w *Writer) stopCoder(wait bool) {
+	if w.jobs != nil {
+		close(w.jobs)
+		w.jobs = nil
+	}
+	if wait && w.done != nil {
+		<-w.done
+		w.done = nil
+	}
+}
+
 // Stream is one named byte stream. It implements varint.ByteWriter.
 type Stream struct {
-	buf bytes.Buffer
+	buf  bytes.Buffer
+	w    *Writer
+	next int // buf.Len() at which spill runs next
+	fed  int // raw bytes handed to the DEFLATE
+
+	// A stream past arithTrialLimit has a deflater, which only the coder
+	// touches once a block went to it. Handing over its tail seals the
+	// stream; comp and compErr are the DEFLATE's result once the coder is
+	// done.
+	deflater *archive.Deflater
+	sealed   bool
+	comp     []byte
+	compErr  error
 }
 
 // WriteByte appends one byte.
-func (s *Stream) WriteByte(b byte) error { return s.buf.WriteByte(b) }
+func (s *Stream) WriteByte(b byte) error {
+	s.buf.WriteByte(b)
+	s.grew()
+	return nil
+}
 
 // Write appends raw bytes.
-func (s *Stream) Write(p []byte) (int, error) { return s.buf.Write(p) }
+func (s *Stream) Write(p []byte) (int, error) {
+	n, _ := s.buf.Write(p)
+	s.grew()
+	return n, nil
+}
 
 // WriteString appends a string without an intermediate []byte copy.
-func (s *Stream) WriteString(str string) (int, error) { return s.buf.WriteString(str) }
+func (s *Stream) WriteString(str string) (int, error) {
+	n, _ := s.buf.WriteString(str)
+	s.grew()
+	return n, nil
+}
+
+// grew spills the stream once it reaches s.next bytes.
+func (s *Stream) grew() {
+	if s.buf.Len() >= s.next {
+		s.spill()
+	}
+}
+
+// spill feeds the stream's complete blocks to its DEFLATE, starting the
+// DEFLATE the first time: the stream has then outgrown arithTrialLimit.
+func (s *Stream) spill() {
+	if s.deflater == nil {
+		s.deflater = archive.NewDeflater()
+	}
+	for s.buf.Len()-s.fed >= deflateBlock {
+		s.deflate(s.buf.Bytes()[s.fed:s.fed+deflateBlock], false)
+	}
+	s.next = s.fed + deflateBlock
+}
+
+// deflate hands data, the stream's next raw bytes, to its DEFLATE: inline,
+// or on the coder. The coder gets a copy, because bytes.Buffer keeps the
+// slices Bytes returns valid only until the next write. The tail (last)
+// seals the stream.
+func (s *Stream) deflate(data []byte, last bool) {
+	s.fed += len(data)
+	if last {
+		s.sealed = true
+	}
+	w := s.w
+	if !w.background {
+		s.code(data, last)
+		return
+	}
+	if w.jobs == nil {
+		w.startCoder()
+	}
+	w.jobs <- block{s: s, data: append([]byte(nil), data...), last: last}
+}
+
+// code runs the stream's DEFLATE over data, and after the tail records
+// its result.
+func (s *Stream) code(data []byte, last bool) {
+	_, _ = s.deflater.Write(data)
+	if last {
+		s.comp, s.compErr = s.deflater.Close()
+	}
+}
 
 // Uint appends an unsigned varint.
 func (s *Stream) Uint(v uint64) { _ = varint.WriteUint(s, v) }

@@ -9,15 +9,14 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter()
-	w.Stream("ops.code").Write(bytes.Repeat([]byte{0x2a, 0xb4, 0x60}, 500))
-	w.Stream("int.meta").Uint(42)
-	w.Stream("int.meta").Int(-7)
-	w.Stream("str.pkg.chr").Write([]byte("java/lang"))
-	w.Stream("empty") // created but never written
-
 	for _, compress := range []bool{true, false} {
-		data, err := w.FinishN(compress, 1)
+		w := NewWriter(compress, 1)
+		w.Stream("ops.code").Write(bytes.Repeat([]byte{0x2a, 0xb4, 0x60}, 500))
+		w.Stream("int.meta").Uint(42)
+		w.Stream("int.meta").Int(-7)
+		w.Stream("str.pkg.chr").Write([]byte("java/lang"))
+		w.Stream("empty") // created but never written
+		data, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +52,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestAbsentStreamIsEmpty(t *testing.T) {
-	w := NewWriter()
-	data, err := w.FinishN(true, 1)
+	w := NewWriter(true, 1)
+	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +78,12 @@ func TestAbsentStreamIsEmpty(t *testing.T) {
 
 func TestCompressionFallsBackToStore(t *testing.T) {
 	// Incompressible data must be stored, never inflated in size by much.
-	w := NewWriter()
+	w := NewWriter(true, 1)
 	rng := rand.New(rand.NewSource(1))
 	noise := make([]byte, 4096)
 	rng.Read(noise)
 	w.Stream("msc.noise").Write(noise)
-	data, err := w.FinishN(true, 1)
+	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +102,9 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 }
 
 func TestCompressibleStreamShrinks(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(true, 1)
 	w.Stream("str.x.chr").Write([]byte(strings.Repeat("the same words again ", 400)))
-	data, err := w.FinishN(true, 1)
+	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +114,10 @@ func TestCompressibleStreamShrinks(t *testing.T) {
 }
 
 func TestSizes(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(true, 1)
 	w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
 	w.Stream("b").Write([]byte{1, 2, 3})
-	sizes := w.SizesN(true, 1)
+	sizes := w.Sizes()
 	if sizes["a"][0] != 1000 || sizes["a"][1] >= 1000 {
 		t.Fatalf("sizes[a] = %v", sizes["a"])
 	}
@@ -128,9 +127,9 @@ func TestSizes(t *testing.T) {
 }
 
 func TestReaderErrors(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(true, 1)
 	w.Stream("s").Write([]byte("hello world, a stream"))
-	data, err := w.FinishN(true, 1)
+	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +148,11 @@ func TestReaderErrors(t *testing.T) {
 func TestDeterministicOrder(t *testing.T) {
 	// Streams serialize in sorted name order regardless of creation order.
 	mk := func(order []string) []byte {
-		w := NewWriter()
+		w := NewWriter(true, 1)
 		for _, n := range order {
 			w.Stream(n).Write([]byte(n))
 		}
-		data, err := w.FinishN(true, 1)
+		data, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,12 +165,12 @@ func TestDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
+func TestFinishDeterministicAcrossConcurrency(t *testing.T) {
 	// A container with many streams of different codings must serialize
 	// byte-identically at every worker count, and NewReaderLimit must
 	// decode it identically too.
-	build := func() *Writer {
-		w := NewWriter()
+	build := func(j int) *Writer {
+		w := NewWriter(true, j)
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 40; i++ {
 			s := w.Stream(fmt.Sprintf("s.%02d", i))
@@ -192,14 +191,14 @@ func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 	}
 	var want []byte
 	for _, j := range []int{1, 2, 7, 0} {
-		data, err := build().FinishN(true, j)
+		data, err := build(j).Finish()
 		if err != nil {
-			t.Fatalf("FinishN(j=%d): %v", j, err)
+			t.Fatalf("Finish(j=%d): %v", j, err)
 		}
 		if want == nil {
 			want = data
 		} else if !bytes.Equal(data, want) {
-			t.Fatalf("FinishN(j=%d) differs from serial container", j)
+			t.Fatalf("Finish(j=%d) differs from serial container", j)
 		}
 		r, err := NewReaderLimit(data, j, 0)
 		if err != nil {
@@ -214,20 +213,23 @@ func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 	}
 }
 
-func TestSizesNMatchesSerial(t *testing.T) {
-	w := NewWriter()
-	w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
-	w.Stream("b").Write([]byte{1, 2, 3})
-	w.Stream("c").Write(bytes.Repeat([]byte{7, 8}, 900))
-	serial := w.SizesN(true, 1)
+func TestSizesMatchesSerial(t *testing.T) {
+	sizes := func(j int) map[string][2]int {
+		w := NewWriter(true, j)
+		w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
+		w.Stream("b").Write([]byte{1, 2, 3})
+		w.Stream("c").Write(bytes.Repeat([]byte{7, 8}, 900))
+		return w.Sizes()
+	}
+	serial := sizes(1)
 	for _, j := range []int{2, 0} {
-		got := w.SizesN(true, j)
+		got := sizes(j)
 		if len(got) != len(serial) {
-			t.Fatalf("SizesN(j=%d) has %d entries, want %d", j, len(got), len(serial))
+			t.Fatalf("Sizes(j=%d) has %d entries, want %d", j, len(got), len(serial))
 		}
 		for name, v := range serial {
 			if got[name] != v {
-				t.Fatalf("SizesN(j=%d)[%s] = %v, want %v", j, name, got[name], v)
+				t.Fatalf("Sizes(j=%d)[%s] = %v, want %v", j, name, got[name], v)
 			}
 		}
 	}
@@ -246,9 +248,9 @@ func TestArithCodingSelected(t *testing.T) {
 		}
 		raw = append(raw, v)
 	}
-	w := NewWriter()
+	w := NewWriter(true, 1)
 	w.Stream("msc.skewed").Write(raw)
-	data, err := w.FinishN(true, 1)
+	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
