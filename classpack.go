@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"classpack/internal/archive"
-	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/core"
 	"classpack/internal/corrupt"
@@ -342,34 +341,31 @@ func Strip(data []byte) ([]byte, error) {
 }
 
 // Verify structurally validates a class file: constant-pool cross
-// references, member descriptors, and each method's code, which must
-// decode and whose constant-pool operands must each name a constant an
-// operand may name — the rule Strip and Pack apply.
+// references, member descriptors, and each method's code, under the
+// rules Pack applies to it. Every instruction, reachable or not, must
+// decode and name a constant of a kind its opcode takes, and every
+// exception handler must lie on instruction boundaries.
 func Verify(data []byte) error {
+	_, err := verify(data)
+	return err
+}
+
+// verify is Verify, returning the parsed class for the dataflow checks.
+func verify(data []byte) (*classfile.ClassFile, error) {
 	cf, err := classfile.Parse(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := classfile.Verify(cf); err != nil {
-		return err
+		return nil, err
 	}
 	for mi := range cf.Methods {
 		m := &cf.Methods[mi]
-		code := classfile.CodeOf(m)
-		if code == nil {
-			continue
-		}
-		insns, err := bytecode.Decode(code.Code)
-		for i := 0; err == nil && i < len(insns); i++ {
-			if in := &insns[i]; bytecode.IsCPRef(in.Op) {
-				err = cf.CheckRef(uint16(in.A), classfile.OperandKinds, in.Op.String())
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("method %s%s: %w", cf.MemberName(m), cf.MemberDesc(m), err)
+		if err := verifier.Static(cf, m); err != nil {
+			return nil, fmt.Errorf("method %s%s: %w", cf.MemberName(m), cf.MemberDesc(m), err)
 		}
 	}
-	return nil
+	return cf, nil
 }
 
 // VerifyAll verifies a collection of class files on up to concurrency
@@ -397,17 +393,14 @@ func VerifyAll(files [][]byte, deep bool, concurrency int) []error {
 	return errs
 }
 
-// VerifyDeep additionally runs a dataflow bytecode verifier over every
+// VerifyDeep runs Verify, then a dataflow bytecode verifier over every
 // method (pre-Java-6-style type inference: stack discipline, operand
 // types, frame merges, definite assignment of locals). Reference types
 // are checked typelessly — subtype relationships would require the full
 // class hierarchy, which a single file does not carry.
 func VerifyDeep(data []byte) error {
-	cf, err := classfile.Parse(data)
+	cf, err := verify(data)
 	if err != nil {
-		return err
-	}
-	if err := classfile.Verify(cf); err != nil {
 		return err
 	}
 	return verifier.Class(cf)
@@ -425,17 +418,13 @@ type MethodVerdict struct {
 	Err    string // failure message; "" when OK
 }
 
-// VerifyBytecode parses one class file and runs the dataflow bytecode
-// verifier over every method independently, returning one verdict per
-// method rather than stopping at the first failure. The error reports
-// damage to the file itself (parse or constant-pool structure), which
-// prevents any method from being judged.
+// VerifyBytecode runs Verify, then the dataflow bytecode verifier over
+// every method independently, returning one verdict per method rather
+// than stopping at the first failure. The error is Verify's: damage to
+// the file itself, which prevents any method from being judged.
 func VerifyBytecode(data []byte) ([]MethodVerdict, error) {
-	cf, err := classfile.Parse(data)
+	cf, err := verify(data)
 	if err != nil {
-		return nil, err
-	}
-	if err := classfile.Verify(cf); err != nil {
 		return nil, err
 	}
 	verdicts := verifier.ClassVerdicts(cf)

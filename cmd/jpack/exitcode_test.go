@@ -37,11 +37,17 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(badClass, []byte("not a class file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	badHandler := writeHandlerInsideInstruction(t, dir)
 	failureCases := [][]string{
 		{"pack", filepath.Join(dir, "missing.class")}, // unreadable input
 		{"pack", "-o", filepath.Join(dir, "x.cjp"), badClass},
 		{"unpack", filepath.Join(dir, "missing.cjp")},
 		{"verify", badClass}, // invalid class
+		// A class Pack refuses for its code fails every verify mode too.
+		{"pack", "-o", filepath.Join(dir, "h.cjp"), badHandler},
+		{"verify", badHandler},
+		{"verify", "-deep", badHandler},
+		{"verify", "-bytecode", badHandler},
 	}
 	for _, args := range failureCases {
 		if got := run(args); got != exitFailure {

@@ -9,6 +9,7 @@ import (
 
 	"classpack"
 	"classpack/internal/archive"
+	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/minijava"
 	"classpack/internal/streams"
@@ -226,6 +227,32 @@ func TestVerifyJarAndMaxFailures(t *testing.T) {
 	if err := cmdVerify(append([]string{"-max-failures", "bogus"}, bads...)); err == nil {
 		t.Fatal("bogus -max-failures accepted")
 	}
+}
+
+// writeHandlerInsideInstruction writes to dir a class whose method guards
+// nop, bipush 5, pop, return with a handler that starts at pc 2, inside
+// the bipush, and returns its path. JVMS §4.7.3 forbids that, and pack
+// and every verify mode refuse it.
+func writeHandlerInsideInstruction(t *testing.T, dir string) string {
+	t.Helper()
+	b := classfile.NewBuilder("p/V", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+	code := []byte{byte(bytecode.Nop), byte(bytecode.Bipush), 5, byte(bytecode.Pop), byte(bytecode.Return), byte(bytecode.Athrow)}
+	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code,
+		Handlers: []classfile.ExceptionHandler{{StartPC: 2, EndPC: 4, HandlerPC: 5}}})
+	cf, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := classfile.Write(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "V.class")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestStripCommand(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"classpack/internal/corrupt"
 )
@@ -83,11 +84,11 @@ func Decode(code []byte) ([]Instruction, error) {
 func DecodeAppend(dst []Instruction, code []byte) ([]Instruction, error) {
 	pos := 0
 	for pos < len(code) {
-		in, next, err := DecodeOne(code, pos)
+		dst = append(dst, Instruction{})
+		next, err := decodeOne(&dst[len(dst)-1], code, pos)
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, in)
 		pos = next
 	}
 	return dst, nil
@@ -112,17 +113,17 @@ func s4at(code []byte, pos int) (int, error) {
 	return int(int32(binary.BigEndian.Uint32(code[pos:]))), nil
 }
 
-// DecodeOne decodes the instruction at pos, returning it and the offset of
-// the next instruction.
-func DecodeOne(code []byte, pos int) (Instruction, int, error) {
-	in := Instruction{Offset: pos}
+// decodeOne decodes the instruction at pos into in, a zeroed slot of
+// DecodeAppend's slice, and returns the offset of the next instruction.
+func decodeOne(in *Instruction, code []byte, pos int) (int, error) {
+	in.Offset = pos
 	if pos >= len(code) {
-		return in, 0, corrupt.Errorf("bytecode", int64(pos), "decode past end")
+		return 0, corrupt.Errorf("bytecode", int64(pos), "decode past end")
 	}
 	op := Op(code[pos])
 	if op == Wide {
 		if pos+1 >= len(code) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "truncated wide prefix")
+			return 0, corrupt.Errorf("bytecode", int64(pos), "truncated wide prefix")
 		}
 		in.Wide = true
 		in.Op = Op(code[pos+1])
@@ -130,123 +131,123 @@ func DecodeOne(code []byte, pos int) (Instruction, int, error) {
 		case FmtLocal:
 			v, err := u2at(code, pos+2)
 			if err != nil {
-				return in, 0, err
+				return 0, err
 			}
 			in.A = v
-			return in, pos + 4, nil
+			return pos + 4, nil
 		case FmtIinc:
 			v, err := u2at(code, pos+2)
 			if err != nil {
-				return in, 0, err
+				return 0, err
 			}
 			d, err := s2at(code, pos+4)
 			if err != nil {
-				return in, 0, err
+				return 0, err
 			}
 			in.A, in.B = v, d
-			return in, pos + 6, nil
+			return pos + 6, nil
 		default:
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "wide prefix on %s", in.Op)
+			return 0, corrupt.Errorf("bytecode", int64(pos), "wide prefix on %s", in.Op)
 		}
 	}
 	in.Op = op
 	switch FormatOf(op) {
 	case FmtInvalid:
-		return in, 0, corrupt.Errorf("bytecode", int64(pos), "invalid opcode 0x%02x", byte(op))
+		return 0, corrupt.Errorf("bytecode", int64(pos), "invalid opcode 0x%02x", byte(op))
 	case FmtNone:
-		return in, pos + 1, nil
+		return pos + 1, nil
 	case FmtLocal, FmtCP1, FmtNewArray:
 		if pos+1 >= len(code) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "truncated %s", op)
+			return 0, corrupt.Errorf("bytecode", int64(pos), "truncated %s", op)
 		}
 		in.A = int(code[pos+1])
-		return in, pos + 2, nil
+		return pos + 2, nil
 	case FmtSByte:
 		if pos+1 >= len(code) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "truncated %s", op)
+			return 0, corrupt.Errorf("bytecode", int64(pos), "truncated %s", op)
 		}
 		in.A = int(int8(code[pos+1]))
-		return in, pos + 2, nil
+		return pos + 2, nil
 	case FmtSShort:
 		v, err := s2at(code, pos+1)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		in.A = v
-		return in, pos + 3, nil
+		return pos + 3, nil
 	case FmtCP2:
 		v, err := u2at(code, pos+1)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		in.A = v
-		return in, pos + 3, nil
+		return pos + 3, nil
 	case FmtIinc:
 		if pos+2 >= len(code) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "truncated iinc")
+			return 0, corrupt.Errorf("bytecode", int64(pos), "truncated iinc")
 		}
 		in.A = int(code[pos+1])
 		in.B = int(int8(code[pos+2]))
-		return in, pos + 3, nil
+		return pos + 3, nil
 	case FmtBranch2:
 		v, err := s2at(code, pos+1)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		in.A = pos + v
-		return in, pos + 3, nil
+		return pos + 3, nil
 	case FmtBranch4:
 		v, err := s4at(code, pos+1)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		in.A = pos + v
-		return in, pos + 5, nil
+		return pos + 5, nil
 	case FmtInvokeInterface:
 		v, err := u2at(code, pos+1)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		if pos+4 >= len(code) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "truncated invokeinterface")
+			return 0, corrupt.Errorf("bytecode", int64(pos), "truncated invokeinterface")
 		}
 		in.A = v
 		in.B = int(code[pos+3])
 		if code[pos+4] != 0 {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "invokeinterface pad byte %d", code[pos+4])
+			return 0, corrupt.Errorf("bytecode", int64(pos), "invokeinterface pad byte %d", code[pos+4])
 		}
-		return in, pos + 5, nil
+		return pos + 5, nil
 	case FmtMultiANewArray:
 		v, err := u2at(code, pos+1)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		if pos+3 >= len(code) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "truncated multianewarray")
+			return 0, corrupt.Errorf("bytecode", int64(pos), "truncated multianewarray")
 		}
 		in.A = v
 		in.B = int(code[pos+3])
-		return in, pos + 4, nil
+		return pos + 4, nil
 	case FmtTableSwitch:
 		p := pos + 1 + (3 - pos%4)
 		def, err := s4at(code, p)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		lo, err := s4at(code, p+4)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		hi, err := s4at(code, p+8)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		if int64(hi) < int64(lo) {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "tableswitch high %d < low %d", hi, lo)
+			return 0, corrupt.Errorf("bytecode", int64(pos), "tableswitch high %d < low %d", hi, lo)
 		}
 		n := int(int64(hi) - int64(lo) + 1)
 		if n > (len(code)-p)/4 {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "tableswitch with %d entries overruns code", n)
+			return 0, corrupt.Errorf("bytecode", int64(pos), "tableswitch with %d entries overruns code", n)
 		}
 		in.Default = pos + def
 		in.Low, in.High = int32(lo), int32(hi)
@@ -255,24 +256,24 @@ func DecodeOne(code []byte, pos int) (Instruction, int, error) {
 		for i := range in.Targets {
 			t, err := s4at(code, p)
 			if err != nil {
-				return in, 0, err
+				return 0, err
 			}
 			in.Targets[i] = pos + t
 			p += 4
 		}
-		return in, p, nil
+		return p, nil
 	case FmtLookupSwitch:
 		p := pos + 1 + (3 - pos%4)
 		def, err := s4at(code, p)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		n, err := s4at(code, p+4)
 		if err != nil {
-			return in, 0, err
+			return 0, err
 		}
 		if n < 0 || n > (len(code)-p)/8 {
-			return in, 0, corrupt.Errorf("bytecode", int64(pos), "lookupswitch with %d pairs overruns code", n)
+			return 0, corrupt.Errorf("bytecode", int64(pos), "lookupswitch with %d pairs overruns code", n)
 		}
 		in.Default = pos + def
 		in.Keys = make([]int32, n)
@@ -281,20 +282,45 @@ func DecodeOne(code []byte, pos int) (Instruction, int, error) {
 		for i := 0; i < n; i++ {
 			k, err := s4at(code, p)
 			if err != nil {
-				return in, 0, err
+				return 0, err
 			}
 			t, err := s4at(code, p+4)
 			if err != nil {
-				return in, 0, err
+				return 0, err
 			}
 			in.Keys[i] = int32(k)
 			in.Targets[i] = pos + t
 			p += 8
 		}
-		return in, p, nil
+		return p, nil
 	default:
-		return in, 0, corrupt.Errorf("bytecode", int64(pos), "unhandled format for %s", op)
+		return 0, corrupt.Errorf("bytecode", int64(pos), "unhandled format for %s", op)
 	}
+}
+
+// CheckHandler holds one exception handler to its method's code, as
+// JVMS §4.7.3 does: start_pc < end_pc <= code_length, start_pc and
+// handler_pc lie on instruction boundaries, and end_pc lies on one or
+// equals code_length. The method's n instructions start at the
+// ascending offsets offset(0), …, offset(n-1). Verify and Pack refuse a
+// handler that fails, and the decoder reports one as damage, so Unpack
+// never reproduces a handler the JVM would reject.
+func CheckHandler(start, end, handler, codeLen, n int, offset func(i int) int) error {
+	boundary := func(pc int) bool {
+		i := sort.Search(n, func(i int) bool { return offset(i) >= pc })
+		return i < n && offset(i) == pc
+	}
+	switch {
+	case start >= end || end > codeLen:
+		return fmt.Errorf("range [%d, %d) is not within code of length %d", start, end, codeLen)
+	case !boundary(start):
+		return fmt.Errorf("start_pc %d is not on an instruction boundary", start)
+	case end < codeLen && !boundary(end):
+		return fmt.Errorf("end_pc %d is not on an instruction boundary", end)
+	case !boundary(handler):
+		return fmt.Errorf("handler_pc %d is not on an instruction boundary of code of length %d", handler, codeLen)
+	}
+	return nil
 }
 
 // Encode re-serializes instructions previously produced by Decode (their

@@ -296,7 +296,7 @@ func TestFinishRefsRejectsWrongCount(t *testing.T) {
 	if err == nil {
 		t.Fatal("finishRefs accepted a wrong count")
 	}
-	want := fmt.Sprintf("%s event %d:", refStream(pool), second)
+	want := fmt.Sprintf("%s event %d:", pool.stream(), second)
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name %q", err, want)
 	}

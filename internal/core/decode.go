@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
@@ -128,10 +126,7 @@ type unpacker struct {
 
 	// Stream handles, resolved once rather than looked up by name for
 	// every operand.
-	meta, maxes, intCV, intLdc, intImm, opcodes, regs, branch, switches,
-	handlers, floats, doubles, longs, classDef, miscOp *streams.RStream
-	refStreams     [numPools]*streams.RStream
-	strLen, strChr [numStrCats]*streams.RStream
+	st [numStreams]*streams.RStream
 
 	// Reference caches, keyed by the reference models' keys. Entries are
 	// created by the decode stage and never changed afterwards, so the
@@ -168,32 +163,16 @@ type memberEntry struct {
 func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 	u := &unpacker{
 		opts:      opts,
-		meta:      r.Stream(sMeta),
-		maxes:     r.Stream(sMaxes),
-		intCV:     r.Stream(sIntCV),
-		intLdc:    r.Stream(sIntLdc),
-		intImm:    r.Stream(sIntImm),
-		opcodes:   r.Stream(sOpcodes),
-		regs:      r.Stream(sRegs),
-		branch:    r.Stream(sBranch),
-		switches:  r.Stream(sSwitch),
-		handlers:  r.Stream(sHandler),
-		floats:    r.Stream(sFloat),
-		doubles:   r.Stream(sDouble),
-		longs:     r.Stream(sLong),
-		classDef:  r.Stream(sClassDef),
-		miscOp:    r.Stream(sMiscOp),
 		classKeys: make(map[string]*classEntry),
 		sigs:      make(map[string]ir.Signature),
 		descs:     newDescs(),
 	}
+	for id := range u.st {
+		u.st[id] = r.Stream(streamID(id).String())
+	}
 	for i := range u.decs {
 		u.decs[i], _ = refs.NewDecoder(opts.Scheme)
 		u.members[i] = make(map[string]*memberEntry)
-		u.refStreams[i] = r.Stream(refStream(poolID(i)))
-	}
-	for c := range u.strLen {
-		u.strLen[c], u.strChr[c] = r.Stream(strLenName[c]), r.Stream(strChrName[c])
 	}
 	if opts.Preload {
 		preloadUnpacker(u)
@@ -215,12 +194,12 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 // goroutine, in ordinal order, and the outcome is the serial loop's at
 // every worker count.
 func (u *unpacker) decodeClasses(o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int, error) {
-	count, err := u.meta.Uint()
+	count, err := u.st[sMeta].Uint()
 	if err != nil {
 		return -1, fmt.Errorf("core: class count: %w", err)
 	}
 	if maxClasses := EffectiveMaxClasses(o); count > uint64(maxClasses) {
-		return -1, corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
+		return -1, corrupt.TooLarge(sMeta.String(), -1, "class count %d exceeds cap %d", count, maxClasses)
 	}
 	n := int(count)
 	workers := par.Workers(o.Concurrency, n)
@@ -256,7 +235,7 @@ func classError(i int, err error) error {
 		// Failures that no one stream carries, such as a decoded
 		// descriptor that does not parse, are charged to int.meta, as
 		// salvage charges them.
-		err = corrupt.New(sMeta, -1, err)
+		err = corrupt.New(sMeta.String(), -1, err)
 	}
 	return err
 }
@@ -266,7 +245,7 @@ func classError(i int, err error) error {
 // code inside one that does not parse comes back as a plain error; it is
 // damage to that stream.
 func (u *unpacker) decodeRef(pool poolID, ctx int) (key string, isNew, transient bool, err error) {
-	s := u.refStreams[pool]
+	s := u.st[pool.stream()]
 	key, isNew, transient, err = u.decs[pool].Decode(s, ctx)
 	if err != nil {
 		if _, ok := corrupt.As(err); !ok {
@@ -276,10 +255,11 @@ func (u *unpacker) decodeRef(pool poolID, ctx int) (key string, isNew, transient
 	return key, isNew, transient, err
 }
 
-// strRef decodes a reference in a pool whose objects are plain strings.
-// The defined string is an owned copy (string(raw)), never an alias of
-// the decoded stream buffer, so pool entries cannot pin stream memory.
-func (u *unpacker) strRef(pool poolID, cat strCat) (string, error) {
+// strRef decodes a reference to a string of category cat. The defined
+// string is an owned copy (string(raw)), never an alias of the decoded
+// stream buffer, so pool entries cannot pin stream memory.
+func (u *unpacker) strRef(cat strCat) (string, error) {
+	pool := strPools[cat]
 	key, isNew, transient, err := u.decodeRef(pool, 0)
 	if err != nil {
 		return "", err
@@ -287,27 +267,17 @@ func (u *unpacker) strRef(pool poolID, cat strCat) (string, error) {
 	if !isNew {
 		return key, nil
 	}
-	n, err := u.strLen[cat].Uint()
+	n, err := u.st[sStrLen+streamID(cat)].Uint()
 	if err != nil {
 		return "", err
 	}
-	raw, err := u.strChr[cat].Raw(int(n))
+	raw, err := u.st[sStrChr+streamID(cat)].Raw(int(n))
 	if err != nil {
 		return "", err
 	}
 	s := string(raw)
 	u.decs[pool].Define(0, s, transient)
 	return s, nil
-}
-
-func (u *unpacker) pkgRef() (string, error)    { return u.strRef(poolPackage, catPkg) }
-func (u *unpacker) simpleRef() (string, error) { return u.strRef(poolSimple, catCls) }
-func (u *unpacker) methodNameRef() (string, error) {
-	return u.strRef(poolMethodName, catMname)
-}
-func (u *unpacker) fieldNameRef() (string, error) { return u.strRef(poolFieldName, catFname) }
-func (u *unpacker) stringConstRef() (string, error) {
-	return u.strRef(poolString, catStr)
 }
 
 // classRef decodes a class/primitive/array type reference.
@@ -319,29 +289,29 @@ func (u *unpacker) classRef() (*classEntry, error) {
 	if !isNew {
 		e, ok := u.classKeys[key]
 		if !ok {
-			return nil, corrupt.Errorf(refStream(poolClass), -1, "unknown class key %q", key)
+			return nil, corrupt.Errorf(poolClass.stream().String(), -1, "unknown class key %q", key)
 		}
 		return e, nil
 	}
-	dims, err := u.classDef.Uint()
+	dims, err := u.st[sClassDef].Uint()
 	if err != nil {
 		return nil, err
 	}
 	// The JVM caps array dimensions at 255; anything larger is corrupt
 	// and would otherwise size a strings.Repeat allocation.
 	if dims > 255 {
-		return nil, corrupt.Errorf(sClassDef, -1, "array dimensions %d out of range", dims)
+		return nil, corrupt.Errorf(sClassDef.String(), -1, "array dimensions %d out of range", dims)
 	}
-	prim, err := u.classDef.ReadByte()
+	prim, err := u.st[sClassDef].ReadByte()
 	if err != nil {
 		return nil, err
 	}
 	k := ir.ClassKey{Dims: int(dims), Prim: prim}
 	if prim == 0 {
-		if k.Pkg, err = u.pkgRef(); err != nil {
+		if k.Pkg, err = u.strRef(catPkg); err != nil {
 			return nil, err
 		}
-		if k.Simple, err = u.simpleRef(); err != nil {
+		if k.Simple, err = u.strRef(catCls); err != nil {
 			return nil, err
 		}
 	}
@@ -373,16 +343,16 @@ func (u *unpacker) sigRef() (ir.Signature, error) {
 	if !isNew {
 		sig, ok := u.sigs[key]
 		if !ok {
-			return nil, corrupt.Errorf(refStream(poolSig), -1, "unknown signature key %q", key)
+			return nil, corrupt.Errorf(poolSig.stream().String(), -1, "unknown signature key %q", key)
 		}
 		return sig, nil
 	}
-	n, err := u.meta.Uint()
+	n, err := u.st[sMeta].Uint()
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 || n > 1<<16 {
-		return nil, corrupt.Errorf(sMeta, -1, "signature with %d entries", n)
+		return nil, corrupt.Errorf(sMeta.String(), -1, "signature with %d entries", n)
 	}
 	sig := make(ir.Signature, n)
 	for i := range sig {
@@ -409,7 +379,7 @@ func (u *unpacker) memberRef(use opUse, ctx int) (*memberEntry, error) {
 	if !isNew {
 		e, ok := u.members[pool][key]
 		if !ok {
-			return nil, corrupt.Errorf(refStream(pool), -1, "unknown member key %q", key)
+			return nil, corrupt.Errorf(pool.stream().String(), -1, "unknown member key %q", key)
 		}
 		return e, nil
 	}
@@ -420,7 +390,7 @@ func (u *unpacker) memberRef(use opUse, ctx int) (*memberEntry, error) {
 	}
 	m.Owner = owner.key
 	if kind == classfile.KindFieldref {
-		if m.Name, err = u.fieldNameRef(); err != nil {
+		if m.Name, err = u.strRef(catFname); err != nil {
 			return nil, err
 		}
 		t, err := u.classRef()
@@ -429,7 +399,7 @@ func (u *unpacker) memberRef(use opUse, ctx int) (*memberEntry, error) {
 		}
 		m.Desc = ir.KeyToType(t.key).String()
 	} else {
-		if m.Name, err = u.methodNameRef(); err != nil {
+		if m.Name, err = u.strRef(catMname); err != nil {
 			return nil, err
 		}
 		sig, err := u.sigRef()
@@ -461,20 +431,4 @@ func (u *unpacker) defineMember(pool poolID, mk string, m ir.MemberRef) (*member
 	e := &memberEntry{ref: m, owner: ir.KeyToClassName(m.Owner), desc: d}
 	u.members[pool][mk] = e
 	return e, nil
-}
-
-func (u *unpacker) readF32() (float32, error) {
-	raw, err := u.floats.Raw(4)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(binary.BigEndian.Uint32(raw)), nil
-}
-
-func (u *unpacker) readF64() (float64, error) {
-	raw, err := u.doubles.Raw(8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(raw)), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -104,12 +105,12 @@ const maxCount = 1 << 20
 
 // count reads one element count from int.meta and holds it to maxCount.
 func (u *unpacker) count(what string) (int, error) {
-	n, err := u.meta.Uint()
+	n, err := u.st[sMeta].Uint()
 	if err != nil {
 		return 0, err
 	}
 	if n > maxCount {
-		return 0, corrupt.TooLarge(sMeta, -1, "implausible %s count %d", what, n)
+		return 0, corrupt.TooLarge(sMeta.String(), -1, "implausible %s count %d", what, n)
 	}
 	return int(n), nil
 }
@@ -120,13 +121,13 @@ func (u *unpacker) class(d *dClass) error {
 	d.ifaces, d.inner, d.fields, d.methods = d.ifaces[:0], d.inner[:0], d.fields[:0], d.methods[:0]
 	d.classes, d.handlers, d.insns, d.consts = d.classes[:0], d.handlers[:0], d.insns[:0], d.consts[:0]
 	var err error
-	if d.minor, err = u2(u.meta, "minor_version"); err != nil {
+	if d.minor, err = u2(u.st[sMeta], "minor_version"); err != nil {
 		return err
 	}
-	if d.major, err = u2(u.meta, "major_version"); err != nil {
+	if d.major, err = u2(u.st[sMeta], "major_version"); err != nil {
 		return err
 	}
-	if d.flags, err = u.meta.Uint(); err != nil {
+	if d.flags, err = u.st[sMeta].Uint(); err != nil {
 		return err
 	}
 	if d.this, err = u.classRef(); err != nil {
@@ -188,7 +189,7 @@ func (u *unpacker) class(d *dClass) error {
 
 func (u *unpacker) innerEntry() (dInner, error) {
 	var e dInner
-	flags, err := u.meta.Uint()
+	flags, err := u.st[sMeta].Uint()
 	if err != nil {
 		return e, err
 	}
@@ -203,7 +204,7 @@ func (u *unpacker) innerEntry() (dInner, error) {
 	}
 	if flags&flagInnerHasName != 0 {
 		e.hasName = true
-		if e.name, err = u.simpleRef(); err != nil {
+		if e.name, err = u.strRef(catCls); err != nil {
 			return e, err
 		}
 	}
@@ -213,10 +214,10 @@ func (u *unpacker) innerEntry() (dInner, error) {
 func (u *unpacker) field() (dField, error) {
 	var f dField
 	var err error
-	if f.flags, err = u.meta.Uint(); err != nil {
+	if f.flags, err = u.st[sMeta].Uint(); err != nil {
 		return f, err
 	}
-	if f.name, err = u.fieldNameRef(); err != nil {
+	if f.name, err = u.strRef(catFname); err != nil {
 		return f, err
 	}
 	if f.typ, err = u.classRef(); err != nil {
@@ -224,33 +225,42 @@ func (u *unpacker) field() (dField, error) {
 	}
 	if f.flags&flagHasConst != 0 {
 		f.hasConst = true
-		if f.cv, err = u.constValue(ir.KeyToType(f.typ.key)); err != nil {
+		t := ir.KeyToType(f.typ.key)
+		kind := constKindForType(t)
+		if kind == classfile.KindInvalid {
+			return f, corrupt.Errorf(sMeta.String(), -1, "field type %s cannot carry a constant", t)
+		}
+		if f.cv, err = u.constant(kind, sIntCV); err != nil {
 			return f, err
 		}
 	}
 	return f, nil
 }
 
-func (u *unpacker) constValue(t classfile.Type) (dConst, error) {
-	var c dConst
-	c.kind = constKindForType(t)
+// constant decodes the value of a loadable constant of the given kind
+// from its value stream; ints is the stream an int comes from (see
+// packer.constant).
+func (u *unpacker) constant(kind classfile.ConstKind, ints streamID) (dConst, error) {
+	c := dConst{kind: kind}
 	var err error
-	switch c.kind {
+	var v int64
+	var raw []byte
+	switch kind {
 	case classfile.KindInteger:
-		var v int64
-		if v, err = u.intCV.Int(); err == nil {
-			c.i = int32(v)
-		}
-	case classfile.KindFloat:
-		c.f, err = u.readF32()
+		v, err = u.st[ints].Int()
+		c.i = int32(v)
 	case classfile.KindLong:
-		c.l, err = u.longs.Int()
+		c.l, err = u.st[sLong].Int()
+	case classfile.KindFloat:
+		if raw, err = u.st[sFloat].Raw(4); err == nil {
+			c.f = math.Float32frombits(binary.BigEndian.Uint32(raw))
+		}
 	case classfile.KindDouble:
-		c.d, err = u.readF64()
+		if raw, err = u.st[sDouble].Raw(8); err == nil {
+			c.d = math.Float64frombits(binary.BigEndian.Uint64(raw))
+		}
 	case classfile.KindString:
-		c.s, err = u.stringConstRef()
-	default:
-		err = corrupt.Errorf(sMeta, -1, "field type %s cannot carry a constant", t)
+		c.s, err = u.strRef(catStr)
 	}
 	return c, err
 }
@@ -258,10 +268,10 @@ func (u *unpacker) constValue(t classfile.Type) (dConst, error) {
 func (u *unpacker) method(d *dClass) (dMethod, error) {
 	var m dMethod
 	var err error
-	if m.flags, err = u.meta.Uint(); err != nil {
+	if m.flags, err = u.st[sMeta].Uint(); err != nil {
 		return m, err
 	}
-	if m.name, err = u.methodNameRef(); err != nil {
+	if m.name, err = u.strRef(catMname); err != nil {
 		return m, err
 	}
 	if m.sig, err = u.sigRef(); err != nil {
@@ -292,10 +302,10 @@ func (u *unpacker) method(d *dClass) (dMethod, error) {
 
 func (u *unpacker) code(d *dClass, c *dCode) error {
 	var err error
-	if c.maxStack, err = u2(u.maxes, "max_stack"); err != nil {
+	if c.maxStack, err = u2(u.st[sMaxes], "max_stack"); err != nil {
 		return err
 	}
-	if c.maxLocals, err = u2(u.maxes, "max_locals"); err != nil {
+	if c.maxLocals, err = u2(u.st[sMaxes], "max_locals"); err != nil {
 		return err
 	}
 	nHandlers, err := u.count("handler")
@@ -307,13 +317,13 @@ func (u *unpacker) code(d *dClass, c *dCode) error {
 	for i := 0; i < nHandlers; i++ {
 		var h dHandler
 		for _, p := range []*int{&h.start, &h.end, &h.handler} {
-			v, err := u2(u.handlers, "handler pc")
+			v, err := u2(u.st[sHandler], "handler pc")
 			if err != nil {
 				return err
 			}
 			*p = int(v)
 		}
-		flag, err := u.handlers.ReadByte()
+		flag, err := u.st[sHandler].ReadByte()
 		if err != nil {
 			return err
 		}
@@ -327,14 +337,14 @@ func (u *unpacker) code(d *dClass, c *dCode) error {
 	}
 	hend := len(d.handlers)
 	c.handlers = d.handlers[hstart:hend:hend]
-	v, err := u.meta.Uint()
+	v, err := u.st[sMeta].Uint()
 	if err != nil {
 		return err
 	}
 	// Bound before narrowing to int, so a 64-bit length can neither
 	// wrap negative nor size the decode loop.
 	if v > 1<<26 {
-		return corrupt.TooLarge(sMeta, -1, "code length %d implausible", v)
+		return corrupt.TooLarge(sMeta.String(), -1, "code length %d implausible", v)
 	}
 	codeLen := int(v)
 	u.hoffs = handlerOffsets
@@ -360,42 +370,18 @@ func (u *unpacker) code(d *dClass, c *dCode) error {
 		pos = next
 	}
 	if pos != codeLen {
-		return corrupt.Errorf(sOpcodes, -1, "instructions end at %d, code length %d", pos, codeLen)
+		return corrupt.Errorf(sOpcodes.String(), -1, "instructions end at %d, code length %d", pos, codeLen)
 	}
 	end := len(d.insns)
 	c.insns = d.insns[start:end:end]
 	for i, h := range c.handlers {
-		err := checkHandler(h.start, h.end, h.handler, codeLen, len(c.insns),
+		err := bytecode.CheckHandler(h.start, h.end, h.handler, codeLen, len(c.insns),
 			func(k int) int { return c.insns[k].in.Offset })
 		if err != nil {
-			return corrupt.New(sHandler, -1, fmt.Errorf("exception handler %d: %w", i, err))
+			return corrupt.New(sHandler.String(), -1, fmt.Errorf("exception handler %d: %w", i, err))
 		}
 	}
 	return nil
-}
-
-// ldcFromPseudo maps a typed wire opcode back to the source instruction
-// and the constant kind it loads.
-func ldcFromPseudo(wire bytecode.Op) (op bytecode.Op, kind classfile.ConstKind, ok bool) {
-	switch wire {
-	case opLdcInt:
-		return bytecode.Ldc, classfile.KindInteger, true
-	case opLdcFloat:
-		return bytecode.Ldc, classfile.KindFloat, true
-	case opLdcString:
-		return bytecode.Ldc, classfile.KindString, true
-	case opLdcWInt:
-		return bytecode.LdcW, classfile.KindInteger, true
-	case opLdcWFloat:
-		return bytecode.LdcW, classfile.KindFloat, true
-	case opLdcWString:
-		return bytecode.LdcW, classfile.KindString, true
-	case opLdc2Long:
-		return bytecode.Ldc2W, classfile.KindLong, true
-	case opLdc2Double:
-		return bytecode.Ldc2W, classfile.KindDouble, true
-	}
-	return 0, 0, false
 }
 
 // insn decodes the instruction at pos into di, a zeroed slot of d's
@@ -405,22 +391,20 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 		sim.Begin(pos)
 	}
 	di.in.Offset = pos
-	wireByte, err := u.opcodes.ReadByte()
+	wireByte, err := u.st[sOpcodes].ReadByte()
 	if err != nil {
 		return 0, err
 	}
 	wire := bytecode.Op(wireByte)
-	isLdc := false
-	var ldcKind classfile.ConstKind
-	if op, kind, ok := ldcFromPseudo(wire); ok {
-		isLdc = true
-		di.in.Op = op
-		ldcKind = kind
-	} else if int(wire) >= numWireOps {
-		return 0, corrupt.Errorf(sOpcodes, -1, "invalid wire opcode 0x%02x", wireByte)
-	} else if sim != nil {
+	var ldcKind classfile.ConstKind // set for the ldc pseudo-opcodes only
+	switch {
+	case int(wire) >= numWireOps:
+		return 0, corrupt.Errorf(sOpcodes.String(), -1, "invalid wire opcode 0x%02x", wireByte)
+	case wire >= opLdc:
+		di.in.Op, ldcKind = ldcOps[wire-opLdc].op, ldcOps[wire-opLdc].kind
+	case sim != nil:
 		di.in.Op = sim.SourceOp(wire)
-	} else {
+	default:
 		di.in.Op = wire
 	}
 
@@ -440,16 +424,16 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			return 0, err
 		}
 	case bytecode.FmtSByte:
-		if di.in.A, err = signed(u.intImm, 8); err != nil {
+		if di.in.A, err = signed(u.st[sIntImm], 8); err != nil {
 			return 0, err
 		}
 	case bytecode.FmtSShort:
-		if di.in.A, err = signed(u.intImm, 16); err != nil {
+		if di.in.A, err = signed(u.st[sIntImm], 16); err != nil {
 			return 0, err
 		}
 	case bytecode.FmtCP1, bytecode.FmtCP2:
-		if isLdc {
-			c, err := u.ldcValue(ldcKind)
+		if ldcKind != classfile.KindInvalid {
+			c, err := u.constant(ldcKind, sIntLdc)
 			if err != nil {
 				return 0, err
 			}
@@ -471,13 +455,13 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 		if di.class, err = u.classRef(); err != nil {
 			return 0, err
 		}
-		dims, err := u.miscOp.ReadByte()
+		dims, err := u.st[sMiscOp].ReadByte()
 		if err != nil {
 			return 0, err
 		}
 		di.in.B = int(dims)
 	case bytecode.FmtNewArray:
-		atype, err := u.miscOp.ReadByte()
+		atype, err := u.st[sMiscOp].ReadByte()
 		if err != nil {
 			return 0, err
 		}
@@ -487,13 +471,13 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 		if bytecode.FormatOf(di.in.Op) == bytecode.FmtBranch4 {
 			bits = 32
 		}
-		rel, err := signed(u.branch, bits)
+		rel, err := signed(u.st[sBranch], bits)
 		if err != nil {
 			return 0, err
 		}
 		di.in.A = pos + rel
 	case bytecode.FmtTableSwitch:
-		sw := u.switches
+		sw := u.st[sSwitch]
 		def, err := signed(sw, 32)
 		if err != nil {
 			return 0, err
@@ -507,12 +491,12 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			return 0, err
 		}
 		if n > 1<<20 {
-			return 0, corrupt.TooLarge(sSwitch, -1, "tableswitch with %d targets", n)
+			return 0, corrupt.TooLarge(sSwitch.String(), -1, "tableswitch with %d targets", n)
 		}
 		// The class file stores low and high = low+n-1 as s4s, and the
 		// JVM requires low <= high.
 		if n == 0 || int64(low)+int64(n)-1 > math.MaxInt32 {
-			return 0, corrupt.Errorf(sSwitch, -1, "tableswitch low %d with %d targets", low, n)
+			return 0, corrupt.Errorf(sSwitch.String(), -1, "tableswitch low %d with %d targets", low, n)
 		}
 		di.in.Default = pos + def
 		di.in.Low = int32(low)
@@ -526,7 +510,7 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			di.in.Targets[i] = pos + rel
 		}
 	case bytecode.FmtLookupSwitch:
-		sw := u.switches
+		sw := u.st[sSwitch]
 		def, err := signed(sw, 32)
 		if err != nil {
 			return 0, err
@@ -536,7 +520,7 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			return 0, err
 		}
 		if n > 1<<20 {
-			return 0, corrupt.TooLarge(sSwitch, -1, "lookupswitch with %d pairs", n)
+			return 0, corrupt.TooLarge(sSwitch.String(), -1, "lookupswitch with %d pairs", n)
 		}
 		di.in.Default = pos + def
 		di.in.Keys = make([]int32, n)
@@ -558,7 +542,7 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			}
 			prev := int64(di.in.Keys[i-1])
 			if diff == 0 || diff > uint64(math.MaxInt32-prev) {
-				return 0, corrupt.Errorf(sSwitch, -1, "lookupswitch key delta %d after key %d", diff, prev)
+				return 0, corrupt.Errorf(sSwitch.String(), -1, "lookupswitch key delta %d after key %d", diff, prev)
 			}
 			di.in.Keys[i] = int32(prev + int64(diff))
 		}
@@ -571,7 +555,7 @@ func (u *unpacker) insn(d *dClass, di *dInsn, pos int, sim *stackstate.Sim) (int
 			di.in.Targets[i] = pos + rel
 		}
 	default:
-		return 0, corrupt.Errorf(sOpcodes, -1, "cannot unpack opcode %s", di.in.Op)
+		return 0, corrupt.Errorf(sOpcodes.String(), -1, "cannot unpack opcode %s", di.in.Op)
 	}
 
 	if sim != nil {
@@ -609,18 +593,18 @@ func signed(s *streams.RStream, bits uint) (int, error) {
 }
 
 func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
-	v, err := u.regs.Uint()
+	v, err := u.st[sRegs].Uint()
 	if err != nil {
 		return err
 	}
 	// Local slots are u2 even under wide.
 	if v>>1 > math.MaxUint16 {
-		return corrupt.Errorf(sRegs, -1, "local slot %d out of range", v>>1)
+		return corrupt.Errorf(sRegs.String(), -1, "local slot %d out of range", v>>1)
 	}
 	in.A = int(v >> 1)
 	redundantWide := v&1 != 0
 	if iinc {
-		delta, err := signed(u.intImm, 16)
+		delta, err := signed(u.st[sIntImm], 16)
 		if err != nil {
 			return err
 		}
@@ -632,27 +616,6 @@ func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
 	return nil
 }
 
-func (u *unpacker) ldcValue(kind classfile.ConstKind) (dConst, error) {
-	c := dConst{kind: kind}
-	var err error
-	switch kind {
-	case classfile.KindInteger:
-		var v int64
-		if v, err = u.intLdc.Int(); err == nil {
-			c.i = int32(v)
-		}
-	case classfile.KindFloat:
-		c.f, err = u.readF32()
-	case classfile.KindString:
-		c.s, err = u.stringConstRef()
-	case classfile.KindLong:
-		c.l, err = u.longs.Int()
-	case classfile.KindDouble:
-		c.d, err = u.readF64()
-	}
-	return c, err
-}
-
 func (u *unpacker) cpOperand(di *dInsn, ctx int, info *stackstate.OpInfo) error {
 	var err error
 	switch di.in.Op {
@@ -662,7 +625,7 @@ func (u *unpacker) cpOperand(di *dInsn, ctx int, info *stackstate.OpInfo) error 
 	}
 	use, ok := useOf(di.in.Op)
 	if !ok {
-		return corrupt.Errorf(sOpcodes, -1, "unexpected constant-pool instruction %s", di.in.Op)
+		return corrupt.Errorf(sOpcodes.String(), -1, "unexpected constant-pool instruction %s", di.in.Op)
 	}
 	if di.member, err = u.memberRef(use, ctx); err != nil {
 		return err

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
@@ -98,7 +100,7 @@ func Traces(cfs []*classfile.ClassFile, opts Options) (map[string][]refs.Event, 
 			for i, ev := range r.events {
 				events[i] = refs.Event{Ctx: int(ev.ctx), Key: r.keys[ev.key]}
 			}
-			traces[poolName[id]] = events
+			traces[strings.TrimPrefix(poolID(id).stream().String(), "ref.")] = events
 		}
 		return traces, nil
 	})
@@ -246,7 +248,7 @@ func (p *packer) innerEntry(cf *classfile.ClassFile, e classfile.InnerClass) err
 		p.classRef(k)
 	}
 	if e.InnerName != 0 {
-		p.simpleRef(cf.Utf8At(e.InnerName))
+		p.strRef(catCls, cf.Utf8At(e.InnerName))
 	}
 	return nil
 }
@@ -270,7 +272,7 @@ func (p *packer) field(cf *classfile.ClassFile, m *classfile.Member) error {
 		}
 	}
 	p.st(sMeta).Uint(flags)
-	p.fieldNameRef(cf.MemberName(m))
+	p.strRef(catFname, cf.MemberName(m))
 	p.classRef(ir.TypeToKey(t))
 	if cv != nil {
 		if err := p.constValue(cf, t, cv.Index); err != nil {
@@ -287,21 +289,32 @@ func (p *packer) constValue(cf *classfile.ClassFile, t classfile.Type, idx uint1
 		return fmt.Errorf("ConstantValue index %d out of range", idx)
 	}
 	c := &cf.Pool[idx]
-	want := constKindForType(t)
-	if c.Kind != want {
+	if want := constKindForType(t); c.Kind != want {
 		return fmt.Errorf("ConstantValue kind %v does not match field type %s", c.Kind, t)
 	}
+	return p.constant(cf, c, sIntCV)
+}
+
+// constant encodes a loadable constant's value into its value stream.
+// ints is the stream an int goes to, int.cv for a ConstantValue and
+// int.ldc for an ldc operand: the one way the two differ.
+func (p *packer) constant(cf *classfile.ClassFile, c *classfile.Constant, ints streamID) error {
+	var bits [8]byte
 	switch c.Kind {
 	case classfile.KindInteger:
-		p.st(sIntCV).Int(int64(c.Int))
-	case classfile.KindFloat:
-		p.writeF32(c.Float)
+		p.st(ints).Int(int64(c.Int))
 	case classfile.KindLong:
 		p.st(sLong).Int(c.Long)
+	case classfile.KindFloat:
+		binary.BigEndian.PutUint32(bits[:], math.Float32bits(c.Float))
+		p.st(sFloat).Write(bits[:4])
 	case classfile.KindDouble:
-		p.writeF64(c.Double)
+		binary.BigEndian.PutUint64(bits[:], math.Float64bits(c.Double))
+		p.st(sDouble).Write(bits[:])
 	case classfile.KindString:
-		p.stringConstRef(cf.Utf8At(c.Str))
+		p.strRef(catStr, cf.Utf8At(c.Str))
+	default:
+		return fmt.Errorf("constant of kind %v is not loadable", c.Kind)
 	}
 	return nil
 }
@@ -326,28 +339,6 @@ func constKindForType(t classfile.Type) classfile.ConstKind {
 	return classfile.KindInvalid
 }
 
-func (p *packer) writeF32(v float32) {
-	bits := math.Float32bits(v)
-	s := p.st(sFloat)
-	for shift := 24; shift >= 0; shift -= 8 {
-		if err := s.WriteByte(byte(bits >> shift)); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
-	}
-}
-
-func (p *packer) writeF64(v float64) {
-	bits := math.Float64bits(v)
-	s := p.st(sDouble)
-	for shift := 56; shift >= 0; shift -= 8 {
-		if err := s.WriteByte(byte(bits >> shift)); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
-	}
-}
-
 func (p *packer) method(cf *classfile.ClassFile, m *classfile.Member) error {
 	sig, err := p.descs.method(cf.MemberDesc(m))
 	if err != nil {
@@ -370,7 +361,7 @@ func (p *packer) method(cf *classfile.ClassFile, m *classfile.Member) error {
 	}
 	meta := p.st(sMeta)
 	meta.Uint(flags)
-	p.methodNameRef(cf.MemberName(m))
+	p.strRef(catMname, cf.MemberName(m))
 	p.sigRef(sig)
 	if exc != nil {
 		meta.Uint(uint64(len(exc.Classes)))
@@ -402,18 +393,14 @@ func (p *packer) code(cf *classfile.ClassFile, code *classfile.CodeAttr) error {
 		hs.Uint(uint64(h.EndPC))
 		hs.Uint(uint64(h.HandlerPC))
 		if h.CatchType != 0 {
-			if err := hs.WriteByte(1); err != nil {
-				//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-				panic(err)
-			}
+			hs.Byte(1)
 			k, err := ir.ResolveClass(cf, h.CatchType)
 			if err != nil {
 				return err
 			}
 			p.classRef(k)
-		} else if err := hs.WriteByte(0); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
+		} else {
+			hs.Byte(0)
 		}
 		handlerOffsets = append(handlerOffsets, int(h.HandlerPC))
 	}
@@ -426,7 +413,7 @@ func (p *packer) code(cf *classfile.ClassFile, code *classfile.CodeAttr) error {
 	}
 	p.insns = insns
 	for i, h := range code.Handlers {
-		err := checkHandler(int(h.StartPC), int(h.EndPC), int(h.HandlerPC), len(code.Code), len(insns),
+		err := bytecode.CheckHandler(int(h.StartPC), int(h.EndPC), int(h.HandlerPC), len(code.Code), len(insns),
 			func(k int) int { return insns[k].Offset })
 		if err != nil {
 			return fmt.Errorf("exception handler %d: %w", i, err)
@@ -451,26 +438,9 @@ func (p *packer) code(cf *classfile.ClassFile, code *classfile.CodeAttr) error {
 
 // ldcPseudo maps a constant-loading instruction to its typed wire opcode.
 func ldcPseudo(op bytecode.Op, kind classfile.ConstKind) (bytecode.Op, error) {
-	switch op {
-	case bytecode.Ldc, bytecode.LdcW:
-		base := opLdcInt
-		if op == bytecode.LdcW {
-			base = opLdcWInt
-		}
-		switch kind {
-		case classfile.KindInteger:
-			return base, nil
-		case classfile.KindFloat:
-			return base + 1, nil
-		case classfile.KindString:
-			return base + 2, nil
-		}
-	case bytecode.Ldc2W:
-		switch kind {
-		case classfile.KindLong:
-			return opLdc2Long, nil
-		case classfile.KindDouble:
-			return opLdc2Double, nil
+	for i, l := range ldcOps {
+		if l.op == op && l.kind == kind {
+			return opLdc + bytecode.Op(i), nil
 		}
 	}
 	return 0, fmt.Errorf("%s of constant kind %v is not loadable", op, kind)
@@ -480,7 +450,6 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 	if sim != nil {
 		sim.Begin(in.Offset)
 	}
-	ops := p.st(sOpcodes)
 	isLdc := in.Op == bytecode.Ldc || in.Op == bytecode.LdcW || in.Op == bytecode.Ldc2W
 	wire := in.Op
 	if isLdc {
@@ -494,10 +463,7 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 	} else if sim != nil {
 		wire = sim.WireOp(in.Op)
 	}
-	if err := ops.WriteByte(byte(wire)); err != nil {
-		//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-		panic(err)
-	}
+	p.st(sOpcodes).Byte(byte(wire))
 
 	ctx := 0
 	if sim != nil {
@@ -518,8 +484,9 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 	case bytecode.FmtCP1, bytecode.FmtCP2:
 		var err error
 		if isLdc {
-			err = p.ldcValue(cf, in.A)
-			info = stackstate.ConstInfo(cf.Pool[in.A].Kind)
+			c := &cf.Pool[in.A]
+			err = p.constant(cf, c, sIntLdc)
+			info = stackstate.ConstInfo(c.Kind)
 		} else {
 			info, err = p.cpOperand(cf, in, ctx)
 		}
@@ -545,15 +512,9 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 			return err
 		}
 		p.classRef(k)
-		if err := p.st(sMiscOp).WriteByte(byte(in.B)); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
+		p.st(sMiscOp).Byte(byte(in.B))
 	case bytecode.FmtNewArray:
-		if err := p.st(sMiscOp).WriteByte(byte(in.A)); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
+		p.st(sMiscOp).Byte(byte(in.A))
 	case bytecode.FmtBranch2, bytecode.FmtBranch4:
 		p.st(sBranch).Int(int64(in.A - in.Offset))
 	case bytecode.FmtTableSwitch:
@@ -600,27 +561,6 @@ func (p *packer) writeReg(reg int, redundantWide bool) {
 		v |= 1
 	}
 	p.st(sRegs).Uint(v)
-}
-
-// ldcValue encodes the constant loaded by an ldc-family instruction into
-// its typed value stream; the wire opcode already names the type.
-func (p *packer) ldcValue(cf *classfile.ClassFile, idx int) error {
-	c := &cf.Pool[idx]
-	switch c.Kind {
-	case classfile.KindInteger:
-		p.st(sIntLdc).Int(int64(c.Int))
-	case classfile.KindFloat:
-		p.writeF32(c.Float)
-	case classfile.KindString:
-		p.stringConstRef(cf.Utf8At(c.Str))
-	case classfile.KindLong:
-		p.st(sLong).Int(c.Long)
-	case classfile.KindDouble:
-		p.writeF64(c.Double)
-	default:
-		return fmt.Errorf("ldc of %v", c.Kind)
-	}
-	return nil
 }
 
 // cpOperand encodes the constant-pool operand of a non-ldc instruction,

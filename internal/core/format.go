@@ -10,10 +10,8 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"classpack/internal/bytecode"
+	"classpack/internal/classfile"
 	"classpack/internal/refs"
 )
 
@@ -79,69 +77,59 @@ func DefaultOptions() Options {
 	return Options{Scheme: refs.MTFFull, StackState: true, Compress: true}
 }
 
-// Stream names. The first path segment is the Table 6 category:
-// str (Strings), ops (Opcodes), int (Ints), ref (Refs), msc (Misc).
+// streamID identifies a wire stream, and streamNames gives its name in
+// the container. The first path segment of a name is the Table 6
+// category: str (Strings), ops (Opcodes), int (Ints), ref (Refs), msc
+// (Misc). Both directions reach a stream by its ID; only the container
+// and the corrupt errors name it.
+type streamID uint8
+
 const (
-	sMeta     = "int.meta"   // counts, flags, lengths
-	sMaxes    = "int.code"   // max_stack, max_locals
-	sIntCV    = "int.cv"     // integer constant values (fields)
-	sIntLdc   = "int.ldc"    // integer constants loaded by ldc
-	sIntImm   = "int.imm"    // bipush/sipush/iinc immediates
-	sOpcodes  = "ops.code"   // one byte per instruction
-	sRegs     = "msc.reg"    // register numbers
-	sBranch   = "msc.branch" // relative branch offsets
-	sSwitch   = "msc.switch" // switch defaults, bounds, keys, targets
-	sHandler  = "msc.handler"
-	sFloat    = "msc.float"  // float bit patterns
-	sDouble   = "msc.double" // double bit patterns
-	sLong     = "msc.long"   // long values
-	sClassDef = "msc.classdef"
-	sMiscOp   = "msc.op" // newarray atype, multianewarray dims
+	sMeta     streamID = iota // counts, flags, lengths
+	sMaxes                    // max_stack, max_locals
+	sIntCV                    // integer constant values (fields)
+	sIntLdc                   // integer constants loaded by ldc
+	sIntImm                   // bipush/sipush/iinc immediates
+	sOpcodes                  // one byte per instruction
+	sRegs                     // register numbers
+	sBranch                   // relative branch offsets
+	sSwitch                   // switch defaults, bounds, keys, targets
+	sHandler                  // exception handler pcs and catch flags
+	sFloat                    // float bit patterns
+	sDouble                   // double bit patterns
+	sLong                     // long values
+	sClassDef                 // class definitions: dims and primitive
+	sMiscOp                   // newarray atype, multianewarray dims
+	sRef                      // the ref stream of each pool, in poolID order
+
+	// The length and the character streams of each string category, in
+	// strCat order (§8: lengths separate from characters).
+	sStrLen    = sRef + streamID(numPools)
+	sStrChr    = sStrLen + streamID(numStrCats)
+	numStreams = sStrChr + streamID(numStrCats)
 )
+
+var streamNames = [numStreams]string{
+	sMeta: "int.meta", sMaxes: "int.code", sIntCV: "int.cv", sIntLdc: "int.ldc", sIntImm: "int.imm",
+	sOpcodes: "ops.code", sRegs: "msc.reg", sBranch: "msc.branch", sSwitch: "msc.switch",
+	sHandler: "msc.handler", sFloat: "msc.float", sDouble: "msc.double", sLong: "msc.long",
+	sClassDef: "msc.classdef", sMiscOp: "msc.op",
+	sRef: "ref.pkg", "ref.cls", "ref.class", "ref.sig", "ref.mname", "ref.fname",
+	"ref.field.i", "ref.field.s", "ref.meth.v", "ref.meth.sp", "ref.meth.st", "ref.meth.if", "ref.strc",
+	sStrLen: "str.pkg.len", "str.cls.len", "str.mname.len", "str.fname.len", "str.str.len",
+	sStrChr: "str.pkg.chr", "str.cls.chr", "str.mname.chr", "str.fname.chr", "str.str.chr",
+}
+
+// String returns the stream's name in the container.
+func (id streamID) String() string { return streamNames[id] }
 
 // refsScheme narrows a header byte to a scheme value.
 func refsScheme(b byte) refs.Scheme { return refs.Scheme(b) }
 
-// refStream returns the index stream for a pool. The names are
-// precomputed: building them per reference dominated the allocation
-// profile of both directions.
-func refStream(p poolID) string { return refStreamName[p] }
-
-var refStreamName [numPools]string
-
-// strCat identifies a string category (§8). Each category owns a
-// length and a character stream; the pairs are precomputed like the
-// ref streams.
-type strCat int
-
-const (
-	catPkg strCat = iota
-	catCls
-	catMname
-	catFname
-	catStr
-	numStrCats
-)
-
-var strCatName = [numStrCats]string{"pkg", "cls", "mname", "fname", "str"}
-
-// strLenName and strChrName are the per-category length and character
-// stream names (§8: lengths separate from characters).
-var strLenName, strChrName [numStrCats]string
-
-func init() {
-	for p := range refStreamName {
-		refStreamName[p] = "ref." + poolName[poolID(p)]
-	}
-	for c := range strCatName {
-		strLenName[c] = "str." + strCatName[c] + ".len"
-		strChrName[c] = "str." + strCatName[c] + ".chr"
-	}
-}
-
 // poolID identifies a reference pool. Separate pools are kept for virtual,
 // interface, static and special method references and for static and
-// instance field references (§5.1).
+// instance field references (§5.1); one method-name pool is shared
+// across all method kinds (§5.1.6).
 type poolID int
 
 const (
@@ -161,26 +149,50 @@ const (
 	numPools
 )
 
-var poolName = [numPools]string{
-	"pkg", "cls", "class", "sig", "mname", "fname",
-	"field.i", "field.s", "meth.v", "meth.sp", "meth.st", "meth.if", "strc",
+// stream returns the pool's ref stream.
+func (p poolID) stream() streamID { return sRef + streamID(p) }
+
+// strCat identifies a string category (§8): the strings of one pool,
+// whose new entries each category defines in its own length and
+// character streams.
+type strCat int
+
+const (
+	catPkg strCat = iota
+	catCls
+	catMname
+	catFname
+	catStr
+	numStrCats
+)
+
+// strPools gives each string category's pool.
+var strPools = [numStrCats]poolID{poolPackage, poolSimple, poolMethodName, poolFieldName, poolString}
+
+// ldcOps lists the pseudo-opcodes that replace the constant-loading
+// instructions in the wire opcode stream, opLdc onward. Each names the
+// instruction, which keeps the ldc/ldc_w width, and the kind of constant
+// it loads, which tells the decoder which value stream to read (§3
+// footnote 1).
+var ldcOps = [...]struct {
+	op   bytecode.Op
+	kind classfile.ConstKind
+}{
+	{bytecode.Ldc, classfile.KindInteger},
+	{bytecode.Ldc, classfile.KindFloat},
+	{bytecode.Ldc, classfile.KindString},
+	{bytecode.LdcW, classfile.KindInteger},
+	{bytecode.LdcW, classfile.KindFloat},
+	{bytecode.LdcW, classfile.KindString},
+	{bytecode.Ldc2W, classfile.KindLong},
+	{bytecode.Ldc2W, classfile.KindDouble},
 }
 
-// Pseudo-opcodes replacing the constant-loading instructions in the wire
-// opcode stream; they name the constant's type so the decoder knows which
-// value stream to read (§3 footnote 1) and preserve the ldc/ldc_w width.
 const (
-	opLdcInt     bytecode.Op = 0xca + iota // ldc of an Integer
-	opLdcFloat                             // ldc of a Float
-	opLdcString                            // ldc of a String
-	opLdcWInt                              // ldc_w of an Integer
-	opLdcWFloat                            // ldc_w of a Float
-	opLdcWString                           // ldc_w of a String
-	opLdc2Long                             // ldc2_w of a Long
-	opLdc2Double                           // ldc2_w of a Double
-
+	// opLdc is the first ldc pseudo-opcode.
+	opLdc bytecode.Op = 0xca
 	// numWireOps is the wire opcode alphabet size.
-	numWireOps = int(opLdc2Double) + 1
+	numWireOps = int(opLdc) + len(ldcOps)
 )
 
 // Extended flag bits layered above the 16 JVM access-flag bits in the
@@ -196,28 +208,3 @@ const (
 	flagInnerHasOuter = 1 << 16
 	flagInnerHasName  = 1 << 17
 )
-
-// checkHandler holds one exception handler to its method's code, as
-// JVMS §4.7.3 does: start_pc < end_pc <= code_length, start_pc and
-// handler_pc lie on instruction boundaries, and end_pc lies on one or
-// equals code_length. The method's n instructions start at the
-// ascending offsets offset(0), …, offset(n-1). Pack refuses a handler
-// that fails, and the decoder reports one as damage to msc.handler, so
-// Unpack never reproduces a handler the JVM would reject.
-func checkHandler(start, end, handler, codeLen, n int, offset func(i int) int) error {
-	boundary := func(pc int) bool {
-		i := sort.Search(n, func(i int) bool { return offset(i) >= pc })
-		return i < n && offset(i) == pc
-	}
-	switch {
-	case start >= end || end > codeLen:
-		return fmt.Errorf("range [%d, %d) is not within code of length %d", start, end, codeLen)
-	case !boundary(start):
-		return fmt.Errorf("start_pc %d is not on an instruction boundary", start)
-	case end < codeLen && !boundary(end):
-		return fmt.Errorf("end_pc %d is not on an instruction boundary", end)
-	case !boundary(handler):
-		return fmt.Errorf("handler_pc %d is not on an instruction boundary of code of length %d", handler, codeLen)
-	}
-	return nil
-}

@@ -156,7 +156,7 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 	cases := []struct {
 		name   string
 		emit   func(*bytecode.Assembler)
-		stream string
+		stream streamID
 		edit   func([]byte) []byte
 	}{
 		{"bipush 300", bipush, sIntImm, setVarint(t, 0, 300, true)},
@@ -204,16 +204,16 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 				handlers = append(handlers, handler)
 			}
 			packed := packMethod(t, c.emit, handlers...)
-			same := rewriteStream(t, packed, c.stream, func(raw []byte) []byte { return raw })
+			same := rewriteStream(t, packed, c.stream.String(), func(raw []byte) []byte { return raw })
 			if _, err := Unpack(same); err != nil {
 				t.Fatalf("unedited rewrite does not unpack: %v", err)
 			}
-			_, err := Unpack(rewriteStream(t, packed, c.stream, c.edit))
+			_, err := Unpack(rewriteStream(t, packed, c.stream.String(), c.edit))
 			ce, ok := corrupt.As(err)
 			if !ok {
 				t.Fatalf("Unpack = %v, want a CorruptError", err)
 			}
-			if ce.Stream != c.stream {
+			if ce.Stream != c.stream.String() {
 				t.Fatalf("CorruptError names stream %q, want %q: %v", ce.Stream, c.stream, err)
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"classpack/internal/classfile"
 	"classpack/internal/encoding/varint"
 	"classpack/internal/refs"
+	"classpack/internal/streams"
 	"classpack/internal/synth"
 )
 
@@ -84,6 +86,7 @@ var pinnedDigests = map[string]string{
 	"Hanoi_jax/v3/chunk=1":                           "ac589fe7d780ef552bef8127c088b1c18cce903d11ad02276786fcbefecd8dc5",
 	"Hanoi_jax/v3/chunk=2":                           "4e839c2c4ecca51d52d723bcbd79a627f8b64d9448114cb9ab2f67df99c9429e",
 	"Hanoi_jax/v3/chunk=64":                          "c2ac5e629737470d068621364d8fe216c071841338184ba12bdd29ef0a61309a",
+	"empty-string/v2":                                "e22e09e571d1625b04082889c0534b4a4602a891d3303cddb06460d64f24b63d",
 	"tools/traces":                                   "bae6e8fcf64ed15810a11575a3dec025780f8a95d3b86ad19d08b91a93b9e288",
 	"tools/v1":                                       "8fa8206ea66c0f4e4f0666276e8fb97a9ffd0baafbf91fe6f2af46b9c76fdd97",
 	"tools/v2/Basic/ss=false/pre=false":              "3141e78403cd7089d46cd85aa21d8176c4250d19a34259b237d1ba88faf344b4",
@@ -183,6 +186,7 @@ func TestPackedBytesPinned(t *testing.T) {
 		}
 		pin("traces", traceBytes(traces))
 	}
+	got["empty-string/v2"] = packEmptyString(t)
 
 	var stale []string
 	for key, sum := range got {
@@ -200,6 +204,36 @@ func TestPackedBytesPinned(t *testing.T) {
 		t.Errorf("%d of %d digests differ from the pinned ones; the entries for the current output are:\n%s",
 			len(stale), len(got), strings.Join(stale, "\n"))
 	}
+}
+
+// packEmptyString packs, as version 2, a class whose only string
+// constant is "" and returns the archive's SHA-256. A stream enters the
+// container on its first write, even an empty one, so the archive must
+// hold str.str.chr with no bytes.
+func packEmptyString(t *testing.T) string {
+	t.Helper()
+	b := classfile.NewBuilder("p/E", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+	f := b.AddField(classfile.AccStatic|classfile.AccFinal, "s", "Ljava/lang/String;")
+	b.AttachConstantValue(f, b.String(""))
+	cf, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs := []*classfile.ClassFile{cf}
+	strippedBytes(t, cfs)
+	packed, err := PackVersion(cfs, Options{Scheme: refs.MTFFull, StackState: true}, Version2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := streams.Sections(packed[6:], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(secs, func(s streams.Section) bool { return s.Name == "str.str.chr" && s.Len == 0 }) {
+		t.Errorf("empty-string archive has no empty str.str.chr stream: %+v", secs)
+	}
+	sum := sha256.Sum256(packed)
+	return hex.EncodeToString(sum[:])
 }
 
 // traceBytes serializes Traces' result deterministically: pools in name

@@ -219,10 +219,11 @@ func useOf(op bytecode.Op) (opUse, bool) {
 // as it goes and records each reference in its pool's record;
 // finishRefs then codes the records into the ref streams.
 type packer struct {
-	opts  Options
-	w     *streams.Writer
-	pools [numPools]poolRecord
-	keys  *keyCache
+	opts    Options
+	w       *streams.Writer
+	streams [numStreams]*streams.Stream // each made on first use; see st
+	pools   [numPools]poolRecord
+	keys    *keyCache
 
 	descs descs
 
@@ -275,8 +276,15 @@ func walk[T any](cfs []*classfile.ClassFile, opts Options, use func(*packer) (T,
 	return use(p)
 }
 
-// st returns a named stream.
-func (p *packer) st(name string) *streams.Stream { return p.w.Stream(name) }
+// st returns stream id. Its first use hands its name to the writer,
+// which adds it to the container, so the container holds exactly the
+// streams the walk reaches, even those it writes nothing to.
+func (p *packer) st(id streamID) *streams.Stream {
+	if p.streams[id] == nil {
+		p.streams[id] = p.w.Stream(id.String())
+	}
+	return p.streams[id]
+}
 
 // ref records one reference event; def is invoked exactly when the
 // object's definition must follow (first occurrence in its pool).
@@ -317,14 +325,14 @@ func (p *packer) finishRefs() error {
 		var err error
 		coded[i], err = p.pools[pools[i]].encode(p.opts.Scheme)
 		if err != nil {
-			return fmt.Errorf("core: %s %w", refStream(pools[i]), err)
+			return fmt.Errorf("core: %s %w", pools[i].stream(), err)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
 	for i, id := range pools {
-		p.st(refStream(id)).Write(coded[i])
+		p.st(id.stream()).Write(coded[i])
 	}
 	return nil
 }
@@ -361,40 +369,13 @@ func (r *poolRecord) encode(scheme refs.Scheme) ([]byte, error) {
 	return buf, nil
 }
 
-// strDef emits a string definition into the category's length and
-// character streams (§8).
-func (p *packer) strDef(cat strCat, s string) {
-	p.st(strLenName[cat]).Uint(uint64(len(s)))
-	if _, err := p.st(strChrName[cat]).WriteString(s); err != nil {
-		//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-		panic(err)
-	}
-}
-
-// pkgRef encodes a reference to a package name.
-func (p *packer) pkgRef(s string) {
-	p.ref(poolPackage, 0, s, func() { p.strDef(catPkg, s) })
-}
-
-// simpleRef encodes a reference to a simple class name.
-func (p *packer) simpleRef(s string) {
-	p.ref(poolSimple, 0, s, func() { p.strDef(catCls, s) })
-}
-
-// methodNameRef encodes a reference to a method name; a single pool is
-// shared across all method kinds (§5.1.6).
-func (p *packer) methodNameRef(s string) {
-	p.ref(poolMethodName, 0, s, func() { p.strDef(catMname, s) })
-}
-
-// fieldNameRef encodes a reference to a field name.
-func (p *packer) fieldNameRef(s string) {
-	p.ref(poolFieldName, 0, s, func() { p.strDef(catFname, s) })
-}
-
-// stringConstRef encodes a reference to a string constant.
-func (p *packer) stringConstRef(s string) {
-	p.ref(poolString, 0, s, func() { p.strDef(catStr, s) })
+// strRef encodes a reference to string s of category cat; a new string
+// is defined in the category's length and character streams (§8).
+func (p *packer) strRef(cat strCat, s string) {
+	p.ref(strPools[cat], 0, s, func() {
+		p.st(sStrLen + streamID(cat)).Uint(uint64(len(s)))
+		p.st(sStrChr + streamID(cat)).WriteString(s)
+	})
 }
 
 // classRef encodes a reference to a class/primitive/array type; new types
@@ -403,13 +384,10 @@ func (p *packer) classRef(k ir.ClassKey) {
 	p.ref(poolClass, 0, p.keys.classKey(k), func() {
 		d := p.st(sClassDef)
 		d.Uint(uint64(k.Dims))
-		if err := d.WriteByte(k.Prim); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
+		d.Byte(k.Prim)
 		if k.IsClass() {
-			p.pkgRef(k.Pkg)
-			p.simpleRef(k.Simple)
+			p.strRef(catPkg, k.Pkg)
+			p.strRef(catCls, k.Simple)
 		}
 	})
 }
@@ -445,11 +423,11 @@ func (p *packer) memberRef(op bytecode.Op, m ir.MemberRef, ctx int) (memberDesc,
 	p.ref(u.pool, ctx, p.keys.memberKey(m), func() {
 		p.classRef(m.Owner)
 		if d.field != nil {
-			p.fieldNameRef(m.Name)
+			p.strRef(catFname, m.Name)
 			p.classRef(d.field.key)
 			return
 		}
-		p.methodNameRef(m.Name)
+		p.strRef(catMname, m.Name)
 		p.sigRef(d.method)
 	})
 	return d, nil

@@ -71,7 +71,7 @@ func (res *SalvageResult) salvageBody(ci int, opts Options, o UnpackOpts, body [
 	recovered = len(res.Classes) - first
 	var abort *corrupt.Error
 	if err != nil {
-		abort = asCorrupt(sMeta, err)
+		abort = asCorrupt(sMeta.String(), err)
 	}
 	for _, d := range damage {
 		if d != abort {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -298,6 +299,45 @@ func TestVerifyEndpoint(t *testing.T) {
 
 	if _, err := c.Verify(ctx, []byte("not a zip"), false); err == nil {
 		t.Fatal("verify of non-jar accepted")
+	}
+}
+
+// handlerInsideInstruction returns a class whose method guards nop,
+// bipush 5, pop, return with a handler that starts at pc 2, inside the
+// bipush. JVMS §4.7.3 forbids that, and POST /pack refuses it.
+func handlerInsideInstruction(t *testing.T) []byte {
+	t.Helper()
+	b := classfile.NewBuilder("p/V", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+	code := []byte{byte(bytecode.Nop), byte(bytecode.Bipush), 5, byte(bytecode.Pop), byte(bytecode.Return), byte(bytecode.Athrow)}
+	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code,
+		Handlers: []classfile.ExceptionHandler{{StartPC: 2, EndPC: 4, HandlerPC: 5}}})
+	cf, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := classfile.Write(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestVerifyRefusesWhatPackRefuses: every verify mode answers 422 for a
+// class that POST /pack refuses for its code, ?deep=1 included, whose
+// dataflow pass alone never checked handler boundaries.
+func TestVerifyRefusesWhatPackRefuses(t *testing.T) {
+	jar, err := archive.WriteJar([]archive.File{{Name: "p/V.class", Data: handlerInsideInstruction(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	for _, path := range []string{"/verify", "/verify?deep=1", "/verify?bytecode=1", "/pack"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(jar)))
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("POST %s = %d, want 422: %s", path, rec.Code, rec.Body)
+		}
 	}
 }
 

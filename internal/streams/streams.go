@@ -331,6 +331,9 @@ func (s *Stream) WriteByte(b byte) error {
 	return nil
 }
 
+// Byte appends one byte; it cannot fail, so it returns no error.
+func (s *Stream) Byte(b byte) { _ = s.WriteByte(b) }
+
 // Write appends raw bytes.
 func (s *Stream) Write(p []byte) (int, error) {
 	n, _ := s.buf.Write(p)

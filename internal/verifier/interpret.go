@@ -130,36 +130,22 @@ func localSlot(in *bytecode.Instruction) int {
 
 // Constant-pool lookups.
 
-func (v *mverifier) fieldType(idx int) (classfile.Type, error) {
-	cf := v.cf
-	if idx <= 0 || idx >= len(cf.Pool) || cf.Pool[idx].Kind != classfile.KindFieldref {
-		return classfile.Type{}, fmt.Errorf("index %d is not a Fieldref", idx)
+// ref returns the constant that in's operand names, which must be of a
+// kind in want.
+func (v *mverifier) ref(in *bytecode.Instruction, want classfile.KindSet) (*classfile.Constant, error) {
+	if err := v.cf.CheckRef(uint16(in.A), want, in.Op.String()); err != nil {
+		return nil, err
 	}
-	nat := cf.Pool[cf.Pool[idx].NameAndType]
-	return classfile.ParseFieldDescriptor(cf.Utf8At(nat.Desc))
+	return &v.cf.Pool[in.A], nil
 }
 
-func (v *mverifier) methodType(idx int, wantIface bool) ([]classfile.Type, classfile.Type, error) {
-	cf := v.cf
-	if idx <= 0 || idx >= len(cf.Pool) {
-		return nil, classfile.Type{}, fmt.Errorf("method index %d out of range", idx)
+// desc returns the descriptor of the member that in's operand names.
+func (v *mverifier) desc(in *bytecode.Instruction, want classfile.ConstKind) (string, error) {
+	c, err := v.ref(in, classfile.KindSet(1)<<want)
+	if err != nil {
+		return "", err
 	}
-	kind := cf.Pool[idx].Kind
-	if wantIface && kind != classfile.KindInterfaceMethodref {
-		return nil, classfile.Type{}, fmt.Errorf("index %d is %v, not InterfaceMethodref", idx, kind)
-	}
-	if !wantIface && kind != classfile.KindMethodref {
-		return nil, classfile.Type{}, fmt.Errorf("index %d is %v, not Methodref", idx, kind)
-	}
-	nat := cf.Pool[cf.Pool[idx].NameAndType]
-	return classfile.ParseMethodDescriptor(cf.Utf8At(nat.Desc))
-}
-
-func (v *mverifier) checkClassRef(idx int) error {
-	if idx <= 0 || idx >= len(v.cf.Pool) || v.cf.Pool[idx].Kind != classfile.KindClass {
-		return fmt.Errorf("index %d is not a Class", idx)
-	}
-	return nil
+	return v.cf.Utf8At(v.cf.Pool[c.NameAndType].Desc), nil
 }
 
 // operand checks in's constant-pool or immediate operand and returns
@@ -168,20 +154,32 @@ func (v *mverifier) checkClassRef(idx int) error {
 func (v *mverifier) operand(in *bytecode.Instruction) (args, res []vtype, err error) {
 	switch in.Op {
 	case bytecode.Ldc, bytecode.LdcW, bytecode.Ldc2W:
-		if in.A <= 0 || in.A >= len(v.cf.Pool) {
-			return nil, nil, fmt.Errorf("%s index %d out of range", in.Op, in.A)
+		c, err := v.ref(in, classfile.OperandKinds)
+		if err != nil {
+			return nil, nil, err
 		}
-		k := v.cf.Pool[in.A].Kind
-		t, ok := k.LdcType()
+		t, ok := c.Kind.LdcType()
 		if !ok || t.IsWide() != (in.Op == bytecode.Ldc2W) {
-			return nil, nil, fmt.Errorf("%s of %v", in.Op, k)
+			return nil, nil, fmt.Errorf("%s of %v", in.Op, c.Kind)
 		}
 		return nil, typeSlots(t), nil
 	case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
-		t, err := v.fieldType(in.A)
+		desc, err := v.desc(in, classfile.KindFieldref)
+		if err != nil {
+			return nil, nil, err
+		}
+		t, err := classfile.ParseFieldDescriptor(desc)
 		return typeSlots(t), typeSlots(t), err
 	case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic, bytecode.Invokeinterface:
-		params, ret, err := v.methodType(in.A, in.Op == bytecode.Invokeinterface)
+		kind := classfile.KindMethodref
+		if in.Op == bytecode.Invokeinterface {
+			kind = classfile.KindInterfaceMethodref
+		}
+		desc, err := v.desc(in, kind)
+		if err != nil {
+			return nil, nil, err
+		}
+		params, ret, err := classfile.ParseMethodDescriptor(desc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -193,7 +191,8 @@ func (v *mverifier) operand(in *bytecode.Instruction) (args, res []vtype, err er
 		}
 		return args, typeSlots(ret), nil
 	case bytecode.New, bytecode.Anewarray, bytecode.Checkcast, bytecode.Instanceof:
-		return nil, nil, v.checkClassRef(in.A)
+		_, err := v.ref(in, classfile.KindSet(1)<<classfile.KindClass)
+		return nil, nil, err
 	case bytecode.Multianewarray:
 		if in.B < 1 {
 			return nil, nil, fmt.Errorf("multianewarray with %d dimensions", in.B)
@@ -202,7 +201,8 @@ func (v *mverifier) operand(in *bytecode.Instruction) (args, res []vtype, err er
 		for i := range dims {
 			dims[i] = tInt
 		}
-		return dims, nil, v.checkClassRef(in.A)
+		_, err := v.ref(in, classfile.KindSet(1)<<classfile.KindClass)
+		return dims, nil, err
 	case bytecode.Newarray:
 		if in.A < 4 || in.A > 11 {
 			return nil, nil, fmt.Errorf("newarray type %d invalid", in.A)

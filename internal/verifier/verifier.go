@@ -208,6 +208,37 @@ func Method(cf *classfile.ClassFile, m *classfile.Member) error {
 	return me
 }
 
+// Static holds m's code to the rules Pack applies to it, without
+// following control flow: every instruction, reachable or not, must
+// decode and carry an operand of a kind its opcode takes, checked as the
+// dataflow pass checks it, and every exception handler must lie on
+// instruction boundaries (bytecode.CheckHandler). It does nothing for a
+// method without code.
+func Static(cf *classfile.ClassFile, m *classfile.Member) error {
+	code := classfile.CodeOf(m)
+	if code == nil {
+		return nil
+	}
+	insns, err := bytecode.Decode(code.Code)
+	if err != nil {
+		return err
+	}
+	v := &mverifier{cf: cf}
+	for i := range insns {
+		if _, _, err := v.operand(&insns[i]); err != nil {
+			return &pcError{pc: insns[i].Offset, op: insns[i].Op.String(), err: err}
+		}
+	}
+	for i, h := range code.Handlers {
+		err := bytecode.CheckHandler(int(h.StartPC), int(h.EndPC), int(h.HandlerPC), len(code.Code), len(insns),
+			func(k int) int { return insns[k].Offset })
+		if err != nil {
+			return fmt.Errorf("exception handler %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 func methodBody(cf *classfile.ClassFile, m *classfile.Member) error {
 	code := classfile.CodeOf(m)
 	if code == nil {
