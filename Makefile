@@ -47,9 +47,11 @@ verify: lint delta-smoke
 
 # bench runs the throughput benchmarks that track the parallel
 # pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and
-# unpack to a jar (which adds the per-member DEFLATE).
+# unpack to a jar (which adds the per-member DEFLATE); then the
+# class-file reader and writer alone, over tools as distributed and
+# stripped (BenchmarkParseWrite).
 bench:
-	$(GO) test -run=NONE -bench='^Benchmark(Pack|Unpack|UnpackToJar)Throughput$$' -benchmem .
+	$(GO) test -run=NONE -bench='^Benchmark((Pack|Unpack|UnpackToJar)Throughput|ParseWrite)$$' -benchmem .
 
 # bench-test runs the tests of cmd/classpack-bench, the repository's
 # benchmark, which is a Go module of its own and so outside ./...: every

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"classpack/internal/archive"
 	"classpack/internal/bench"
 	"classpack/internal/classfile"
 	"classpack/internal/core"
@@ -311,6 +312,41 @@ func BenchmarkArithVsFlate(b *testing.B) {
 		if _, _, err := bench.ArithVsFlate(benchScale, "213_javac"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParseWrite parses and rewrites every class of tools at scale
+// 1.0, as distributed (debug attributes included, the input of the
+// codec workload's pack) and stripped (the classes Unpack rebuilds), so
+// it times the class-file reader and writer alone.
+func BenchmarkParseWrite(b *testing.B) {
+	c, err := bench.Load("tools", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, set := range []struct {
+		name  string
+		files []archive.File
+	}{{"distributed", c.Unstripped}, {"stripped", c.StrippedFiles}} {
+		b.Run(set.name, func(b *testing.B) {
+			var total int64
+			for _, f := range set.files {
+				total += int64(len(f.Data))
+			}
+			b.SetBytes(total)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, f := range set.files {
+					cf, err := classfile.Parse(f.Data)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := classfile.Write(cf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

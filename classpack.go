@@ -22,7 +22,8 @@
 // unrecognized attributes are removed, and the constant pool is
 // garbage-collected and sorted. Unpack reproduces exactly those
 // canonicalized files; Strip applies the same canonicalization alone, so
-// Unpack(Pack(x)) == Strip(x) byte for byte.
+// Unpack(Pack(x)) == Strip(x) byte for byte. A class holding an
+// attribute that the JVM reads is refused (ErrUnsupportedAttribute).
 package classpack
 
 import (
@@ -51,6 +52,14 @@ type CorruptError = corrupt.Error
 // per-item limit — rather than malformed bytes. It is how callers tell
 // "decompression bomb" apart from "garbage input".
 var ErrTooLarge = corrupt.ErrTooLarge
+
+// ErrUnsupportedAttribute is wrapped (test with errors.Is) by the error
+// that Pack, PackStats, PackStream, PackJar, Strip and every Verify mode
+// give for a class holding an attribute that the JVM or the class
+// libraries read (JVMS §4.7) and that this format cannot carry, such as
+// StackMapTable or Signature. The error names the attribute, its owner
+// and the class version.
+var ErrUnsupportedAttribute = classfile.ErrUnsupportedAttribute
 
 // AsCorrupt extracts the first *CorruptError in err's chain, if any.
 func AsCorrupt(err error) (*CorruptError, bool) { return corrupt.As(err) }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -48,6 +49,16 @@ func TestExitCodes(t *testing.T) {
 		{"verify", badHandler},
 		{"verify", "-deep", badHandler},
 		{"verify", "-bytecode", badHandler},
+	}
+	for i, bad := range writeRefusedClasses(t, dir) {
+		failureCases = append(failureCases,
+			[]string{"pack", "-o", filepath.Join(dir, fmt.Sprintf("r%d.cjp", i)), bad},
+			[]string{"verify", bad},
+			[]string{"verify", "-deep", bad},
+			[]string{"verify", "-bytecode", bad})
+		if i >= 2 { // the two classes holding an attribute the JVM reads
+			failureCases = append(failureCases, []string{"strip", "-o", filepath.Join(dir, fmt.Sprintf("r%d.class", i)), bad})
+		}
 	}
 	for _, args := range failureCases {
 		if got := run(args); got != exitFailure {

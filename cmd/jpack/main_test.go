@@ -229,17 +229,12 @@ func TestVerifyJarAndMaxFailures(t *testing.T) {
 	}
 }
 
-// writeHandlerInsideInstruction writes to dir a class whose method guards
-// nop, bipush 5, pop, return with a handler that starts at pc 2, inside
-// the bipush, and returns its path. JVMS §4.7.3 forbids that, and pack
-// and every verify mode refuse it.
-func writeHandlerInsideInstruction(t *testing.T, dir string) string {
+// writeClass writes to dir, as name.class, the class p/V as fill builds
+// it, and returns its path.
+func writeClass(t *testing.T, dir, name string, fill func(b *classfile.Builder)) string {
 	t.Helper()
 	b := classfile.NewBuilder("p/V", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
-	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
-	code := []byte{byte(bytecode.Nop), byte(bytecode.Bipush), 5, byte(bytecode.Pop), byte(bytecode.Return), byte(bytecode.Athrow)}
-	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code,
-		Handlers: []classfile.ExceptionHandler{{StartPC: 2, EndPC: 4, HandlerPC: 5}}})
+	fill(b)
 	cf, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -248,11 +243,63 @@ func writeHandlerInsideInstruction(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "V.class")
+	path := filepath.Join(dir, name+".class")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// writeHandlerInsideInstruction writes to dir a class whose method guards
+// nop, bipush 5, pop, return with a handler that starts at pc 2, inside
+// the bipush, and returns its path. JVMS §4.7.3 forbids that, and pack
+// and every verify mode refuse it.
+func writeHandlerInsideInstruction(t *testing.T, dir string) string {
+	t.Helper()
+	return writeClass(t, dir, "V", func(b *classfile.Builder) {
+		m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+		code := []byte{byte(bytecode.Nop), byte(bytecode.Bipush), 5, byte(bytecode.Pop), byte(bytecode.Return), byte(bytecode.Athrow)}
+		b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code,
+			Handlers: []classfile.ExceptionHandler{{StartPC: 2, EndPC: 4, HandlerPC: 5}}})
+	})
+}
+
+// writeRefusedClasses writes to dir classes that pack and every verify
+// mode refuse beyond their operands and handlers, and returns their
+// paths: a lookupswitch whose keys descend, an int field with a String
+// ConstantValue, and version-52 classes holding a Signature and a
+// StackMapTable, attributes the JVM reads.
+func writeRefusedClasses(t *testing.T, dir string) []string {
+	t.Helper()
+	modern := func(name string, inCode bool) string {
+		return writeClass(t, dir, name, func(b *classfile.Builder) {
+			b.CF.MajorVersion, b.CF.MinorVersion = 52, 0
+			attr := &classfile.UnknownAttr{Name: name, Data: []byte{0, 0}}
+			attr.NameIndex = b.Utf8(name)
+			code := &classfile.CodeAttr{MaxStack: 1, Code: []byte{byte(bytecode.Return)}}
+			if inCode {
+				code.Attrs = append(code.Attrs, attr)
+			} else {
+				b.CF.Attrs = append(b.CF.Attrs, attr)
+			}
+			b.AttachCode(b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V"), code)
+		})
+	}
+	return []string{
+		writeClass(t, dir, "Switch", func(b *classfile.Builder) {
+			// iconst_0; lookupswitch, padded to pc 4, default and the
+			// pairs 5 and 0 all to pc 28; return.
+			code := []byte{byte(bytecode.Iconst0), byte(bytecode.Lookupswitch), 0, 0, 0, 0, 0, 27, 0, 0, 0, 2,
+				0, 0, 0, 5, 0, 0, 0, 27, 0, 0, 0, 0, 0, 0, 0, 27, byte(bytecode.Return)}
+			b.AttachCode(b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V"),
+				&classfile.CodeAttr{MaxStack: 1, Code: code})
+		}),
+		writeClass(t, dir, "Constant", func(b *classfile.Builder) {
+			b.AttachConstantValue(b.AddField(classfile.AccStatic|classfile.AccFinal, "f", "I"), b.String("s"))
+		}),
+		modern("Signature", false),
+		modern("StackMapTable", true),
+	}
 }
 
 func TestStripCommand(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"classpack/internal/classfile"
 )
 
 // testScale keeps corpora small: the shapes under test hold at any scale.
@@ -49,7 +51,7 @@ func TestTable2ComponentsSumToTotal(t *testing.T) {
 		// ifacecount(2)+2*n fieldcount(2) methodcount(2) attrcount(2)
 		headers += 24 + 2*len(cf.Interfaces)
 		for _, a := range cf.Attrs {
-			headers += 6 + attrBodySize(a)
+			headers += 6 + classfile.AttrSize(a)
 		}
 	}
 	sum := b.fieldDefs + b.methodDefs + b.code + b.otherCP + b.utf8 + headers

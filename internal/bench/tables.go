@@ -102,23 +102,6 @@ type breakdownResult struct {
 	utf8Shared, utf8Factored                          int
 }
 
-func attrBodySize(a classfile.Attribute) int {
-	switch a := a.(type) {
-	case *classfile.ConstantValueAttr:
-		return 2
-	case *classfile.SyntheticAttr, *classfile.DeprecatedAttr:
-		return 0
-	case *classfile.ExceptionsAttr:
-		return 2 + 2*len(a.Classes)
-	case *classfile.InnerClassesAttr:
-		return 2 + 8*len(a.Entries)
-	case *classfile.SourceFileAttr:
-		return 2
-	default:
-		return 0
-	}
-}
-
 // breakdown computes the Table 2 components; the first six must sum to the
 // serialized size (asserted by tests).
 func breakdown(cfs []*classfile.ClassFile) (breakdownResult, error) {
@@ -154,23 +137,19 @@ func breakdown(cfs []*classfile.ClassFile) (breakdownResult, error) {
 			f := &cf.Fields[fi]
 			b.fieldDefs += 8
 			for _, a := range f.Attrs {
-				b.fieldDefs += 6 + attrBodySize(a)
+				b.fieldDefs += 6 + classfile.AttrSize(a)
 			}
 		}
 		for mi := range cf.Methods {
 			m := &cf.Methods[mi]
 			b.methodDefs += 8
 			for _, a := range m.Attrs {
+				b.methodDefs += 6 + classfile.AttrSize(a)
 				if code, ok := a.(*classfile.CodeAttr); ok {
-					// Code attribute minus the code array itself.
-					b.methodDefs += 6 + 12 + 8*len(code.Handlers)
-					for _, ia := range code.Attrs {
-						b.methodDefs += 6 + attrBodySize(ia)
-					}
+					// The code array is a component of its own.
+					b.methodDefs -= len(code.Code)
 					b.code += len(code.Code)
-					continue
 				}
-				b.methodDefs += 6 + attrBodySize(a)
 			}
 		}
 	}

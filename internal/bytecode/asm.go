@@ -178,11 +178,9 @@ func (a *Assembler) LookupSwitch(keys []int32, targets []Label, def Label) {
 		a.setErr("lookupswitch with %d keys and %d targets", len(keys), len(targets))
 		return
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			a.setErr("lookupswitch keys not strictly ascending")
-			return
-		}
+	if err := CheckSwitchKeys(keys); err != nil {
+		a.setErr("%v", err)
+		return
 	}
 	in := Instruction{Op: Lookupswitch, Keys: append([]int32(nil), keys...)}
 	in.Targets = make([]int, len(targets))

@@ -323,6 +323,18 @@ func CheckHandler(start, end, handler, codeLen, n int, offset func(i int) int) e
 	return nil
 }
 
+// CheckSwitchKeys holds a lookupswitch's match keys to JVMS §6.5's
+// rule: they ascend, with no key repeated. Verify and Pack refuse a
+// lookupswitch that breaks it, and the packed format cannot carry one.
+func CheckSwitchKeys(keys []int32) error {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return fmt.Errorf("lookupswitch keys not ascending")
+		}
+	}
+	return nil
+}
+
 // Encode re-serializes instructions previously produced by Decode (their
 // Offset fields must describe a contiguous layout). The output is
 // byte-identical to the original array when operands are unchanged. A

@@ -239,6 +239,17 @@ func (b *Builder) AttachSourceFile(file string) {
 	})
 }
 
+// AttachMarks adds a Synthetic and a Deprecated attribute to attrs, as
+// Marks reports them.
+func (b *Builder) AttachMarks(attrs *[]Attribute, synthetic, deprecated bool) {
+	if synthetic {
+		*attrs = append(*attrs, &SyntheticAttr{attrBase{b.Utf8("Synthetic")}})
+	}
+	if deprecated {
+		*attrs = append(*attrs, &DeprecatedAttr{attrBase{b.Utf8("Deprecated")}})
+	}
+}
+
 // Build finalizes and returns the classfile.
 func (b *Builder) Build() (*ClassFile, error) {
 	if len(b.CF.Pool) > 0xFFFF {

@@ -78,6 +78,28 @@ func (k ConstKind) LdcType() (Type, bool) {
 	return Type{}, false
 }
 
+// ConstKindForType returns the kind of the constant that a
+// ConstantValue attribute gives a field of type t, or KindInvalid for a
+// type that cannot have one. A field of any class type takes a String.
+func ConstKindForType(t Type) ConstKind {
+	if t.Dims > 0 {
+		return KindInvalid
+	}
+	switch t.Base {
+	case 'B', 'C', 'S', 'Z', 'I':
+		return KindInteger
+	case 'F':
+		return KindFloat
+	case 'J':
+		return KindLong
+	case 'D':
+		return KindDouble
+	case 'L':
+		return KindString
+	}
+	return KindInvalid
+}
+
 // Constant is one constant-pool entry. Only the fields relevant to Kind
 // are meaningful.
 type Constant struct {
@@ -131,12 +153,38 @@ type ClassFile struct {
 	Attrs       []Attribute
 }
 
+// body states the class file after its constant pool, which Parse and
+// Write state by hand because an entry's tag selects its layout.
+func (cf *ClassFile) body(c *codec) {
+	c.u2(&cf.AccessFlags)
+	c.ref(&cf.ThisClass, classKinds, "this_class")
+	c.optRef(&cf.SuperClass, classKinds, "super_class")
+	list(c, &cf.Interfaces, 2, "interface", func(c *codec, i *uint16) {
+		c.ref(i, classKinds, "interfaces")
+	})
+	list(c, &cf.Fields, 8, "member", func(c *codec, m *Member) {
+		m.body(c, "field name_index", "field descriptor_index")
+	})
+	list(c, &cf.Methods, 8, "member", func(c *codec, m *Member) {
+		m.body(c, "method name_index", "method descriptor_index")
+	})
+	c.attrs(&cf.Attrs)
+}
+
 // Member is a field or method declaration.
 type Member struct {
 	AccessFlags uint16
 	Name        uint16 // Utf8
 	Desc        uint16 // Utf8
 	Attrs       []Attribute
+}
+
+// body states a member; name and desc name its two indices to the walk.
+func (m *Member) body(c *codec, name, desc string) {
+	c.u2(&m.AccessFlags)
+	c.ref(&m.Name, utf8Kinds, name)
+	c.ref(&m.Desc, utf8Kinds, desc)
+	c.attrs(&m.Attrs)
 }
 
 // Attribute is a classfile attribute. NameIndex is the Utf8 entry holding
@@ -146,6 +194,9 @@ type Attribute interface {
 	// AttrName returns the JVM attribute name ("Code", "Exceptions", ...).
 	AttrName() string
 	nameRef() *uint16
+	// body states the attribute's fields after attribute_length, in
+	// file order, to a codec (see codec.go).
+	body(c *codec)
 }
 
 type attrBase struct{ NameIndex uint16 }
@@ -165,6 +216,19 @@ type CodeAttr struct {
 // AttrName implements Attribute.
 func (*CodeAttr) AttrName() string { return "Code" }
 
+func (a *CodeAttr) body(c *codec) {
+	c.u2(&a.MaxStack)
+	c.u2(&a.MaxLocals)
+	c.bytes(&a.Code)
+	list(c, &a.Handlers, 8, "handler", func(c *codec, h *ExceptionHandler) {
+		c.u2(&h.StartPC)
+		c.u2(&h.EndPC)
+		c.u2(&h.HandlerPC)
+		c.optRef(&h.CatchType, classKinds, "Code catch_type")
+	})
+	c.attrs(&a.Attrs)
+}
+
 // ExceptionHandler is one entry of a Code attribute's exception table.
 type ExceptionHandler struct {
 	StartPC, EndPC, HandlerPC uint16
@@ -180,6 +244,10 @@ type ConstantValueAttr struct {
 // AttrName implements Attribute.
 func (*ConstantValueAttr) AttrName() string { return "ConstantValue" }
 
+func (a *ConstantValueAttr) body(c *codec) {
+	c.ref(&a.Index, constantValueKinds, "ConstantValue constantvalue_index")
+}
+
 // ExceptionsAttr lists a method's declared checked exceptions.
 type ExceptionsAttr struct {
 	attrBase
@@ -189,6 +257,12 @@ type ExceptionsAttr struct {
 // AttrName implements Attribute.
 func (*ExceptionsAttr) AttrName() string { return "Exceptions" }
 
+func (a *ExceptionsAttr) body(c *codec) {
+	list(c, &a.Classes, 2, "exception", func(c *codec, i *uint16) {
+		c.ref(i, classKinds, "Exceptions exception_index")
+	})
+}
+
 // SourceFileAttr names the compilation unit.
 type SourceFileAttr struct {
 	attrBase
@@ -197,6 +271,10 @@ type SourceFileAttr struct {
 
 // AttrName implements Attribute.
 func (*SourceFileAttr) AttrName() string { return "SourceFile" }
+
+func (a *SourceFileAttr) body(c *codec) {
+	c.ref(&a.Index, utf8Kinds, "SourceFile sourcefile_index")
+}
 
 // LineNumber maps a bytecode offset to a source line.
 type LineNumber struct {
@@ -211,6 +289,13 @@ type LineNumberTableAttr struct {
 
 // AttrName implements Attribute.
 func (*LineNumberTableAttr) AttrName() string { return "LineNumberTable" }
+
+func (a *LineNumberTableAttr) body(c *codec) {
+	list(c, &a.Entries, 4, "line number", func(c *codec, e *LineNumber) {
+		c.u2(&e.StartPC)
+		c.u2(&e.Line)
+	})
+}
 
 // LocalVariable describes one debug local-variable range.
 type LocalVariable struct {
@@ -228,17 +313,31 @@ type LocalVariableTableAttr struct {
 // AttrName implements Attribute.
 func (*LocalVariableTableAttr) AttrName() string { return "LocalVariableTable" }
 
+func (a *LocalVariableTableAttr) body(c *codec) {
+	list(c, &a.Entries, 10, "local variable", func(c *codec, e *LocalVariable) {
+		c.u2(&e.StartPC)
+		c.u2(&e.Length)
+		c.ref(&e.Name, utf8Kinds, "LocalVariableTable name_index")
+		c.ref(&e.Desc, utf8Kinds, "LocalVariableTable descriptor_index")
+		c.u2(&e.Slot)
+	})
+}
+
 // SyntheticAttr marks compiler-generated members.
 type SyntheticAttr struct{ attrBase }
 
 // AttrName implements Attribute.
 func (*SyntheticAttr) AttrName() string { return "Synthetic" }
 
+func (*SyntheticAttr) body(*codec) {}
+
 // DeprecatedAttr marks deprecated members.
 type DeprecatedAttr struct{ attrBase }
 
 // AttrName implements Attribute.
 func (*DeprecatedAttr) AttrName() string { return "Deprecated" }
+
+func (*DeprecatedAttr) body(*codec) {}
 
 // InnerClass is one InnerClasses table row.
 type InnerClass struct {
@@ -256,6 +355,15 @@ type InnerClassesAttr struct {
 // AttrName implements Attribute.
 func (*InnerClassesAttr) AttrName() string { return "InnerClasses" }
 
+func (a *InnerClassesAttr) body(c *codec) {
+	list(c, &a.Entries, 8, "inner class", func(c *codec, e *InnerClass) {
+		c.ref(&e.Inner, classKinds, "InnerClasses inner_class_info_index")
+		c.optRef(&e.Outer, classKinds, "InnerClasses outer_class_info_index")
+		c.optRef(&e.InnerName, utf8Kinds, "InnerClasses inner_name_index")
+		c.u2(&e.AccessFlags)
+	})
+}
+
 // UnknownAttr preserves attributes this package does not interpret.
 type UnknownAttr struct {
 	attrBase
@@ -265,6 +373,17 @@ type UnknownAttr struct {
 
 // AttrName implements Attribute.
 func (a *UnknownAttr) AttrName() string { return a.Name }
+
+// body keeps the body uninterpreted: decoding aliases the input.
+func (a *UnknownAttr) body(c *codec) {
+	switch c.mode {
+	case decoding:
+		a.Data = c.r.buf[c.r.pos:]
+		c.r.pos = len(c.r.buf)
+	case encoding:
+		c.w.raw(a.Data)
+	}
+}
 
 // Utf8At returns the Utf8 string at pool index i, or "" if i does not name
 // a Utf8 entry.

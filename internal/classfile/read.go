@@ -74,7 +74,15 @@ func (r *reader) bytes(n int) ([]byte, error) {
 // point into the input buffer. Callers must not modify data while the
 // ClassFile — or any string taken from it — is still in use.
 func Parse(data []byte) (*ClassFile, error) {
-	r := &reader{buf: data}
+	// The codec escapes through the attributes' body methods, so it
+	// shares the class's allocation.
+	p := new(struct {
+		cf ClassFile
+		c  codec
+	})
+	cf, c := &p.cf, &p.c
+	*c = codec{mode: decoding, r: reader{buf: data}, cf: cf}
+	r := &c.r
 	magic, err := r.u4()
 	if err != nil {
 		return nil, err
@@ -82,7 +90,6 @@ func Parse(data []byte) (*ClassFile, error) {
 	if magic != Magic {
 		return nil, r.fail("bad magic 0x%08x", magic)
 	}
-	cf := &ClassFile{}
 	if cf.MinorVersion, err = r.u2(); err != nil {
 		return nil, err
 	}
@@ -92,36 +99,8 @@ func Parse(data []byte) (*ClassFile, error) {
 	if err := parsePool(r, cf); err != nil {
 		return nil, err
 	}
-	if cf.AccessFlags, err = r.u2(); err != nil {
-		return nil, err
-	}
-	if cf.ThisClass, err = r.u2(); err != nil {
-		return nil, err
-	}
-	if cf.SuperClass, err = r.u2(); err != nil {
-		return nil, err
-	}
-	nIfaces, err := r.u2()
-	if err != nil {
-		return nil, err
-	}
-	if int(nIfaces)*2 > len(r.buf)-r.pos {
-		return nil, r.fail("interface count %d overruns input", nIfaces)
-	}
-	cf.Interfaces = make([]uint16, nIfaces)
-	for i := range cf.Interfaces {
-		if cf.Interfaces[i], err = r.u2(); err != nil {
-			return nil, err
-		}
-	}
-	if cf.Fields, err = parseMembers(r, cf); err != nil {
-		return nil, err
-	}
-	if cf.Methods, err = parseMembers(r, cf); err != nil {
-		return nil, err
-	}
-	if cf.Attrs, err = parseAttrs(r, cf); err != nil {
-		return nil, err
+	if cf.body(c); c.err != nil {
+		return nil, c.err
 	}
 	if r.pos != len(data) {
 		return nil, r.fail("%d trailing bytes", len(data)-r.pos)
@@ -221,207 +200,4 @@ func parsePool(r *reader, cf *ClassFile) error {
 		}
 	}
 	return nil
-}
-
-func parseMembers(r *reader, cf *ClassFile) ([]Member, error) {
-	count, err := r.u2()
-	if err != nil {
-		return nil, err
-	}
-	if int(count)*8 > len(r.buf)-r.pos {
-		return nil, r.fail("member count %d overruns input", count)
-	}
-	members := make([]Member, count)
-	for i := range members {
-		m := &members[i]
-		if m.AccessFlags, err = r.u2(); err != nil {
-			return nil, err
-		}
-		if m.Name, err = r.u2(); err != nil {
-			return nil, err
-		}
-		if m.Desc, err = r.u2(); err != nil {
-			return nil, err
-		}
-		if m.Attrs, err = parseAttrs(r, cf); err != nil {
-			return nil, err
-		}
-	}
-	return members, nil
-}
-
-func parseAttrs(r *reader, cf *ClassFile) ([]Attribute, error) {
-	count, err := r.u2()
-	if err != nil {
-		return nil, err
-	}
-	if int(count)*6 > len(r.buf)-r.pos {
-		return nil, r.fail("attribute count %d overruns input", count)
-	}
-	attrs := make([]Attribute, 0, count)
-	for i := 0; i < int(count); i++ {
-		a, err := parseAttr(r, cf)
-		if err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, a)
-	}
-	return attrs, nil
-}
-
-func parseAttr(r *reader, cf *ClassFile) (Attribute, error) {
-	nameIdx, err := r.u2()
-	if err != nil {
-		return nil, err
-	}
-	length, err := r.u4()
-	if err != nil {
-		return nil, err
-	}
-	body, err := r.bytes(int(length))
-	if err != nil {
-		return nil, err
-	}
-	name := cf.Utf8At(nameIdx)
-	br := &reader{buf: body}
-	base := attrBase{NameIndex: nameIdx}
-	var a Attribute
-	switch name {
-	case "Code":
-		a, err = parseCode(br, cf, base)
-	case "ConstantValue":
-		cv := &ConstantValueAttr{attrBase: base}
-		cv.Index, err = br.u2()
-		a = cv
-	case "Exceptions":
-		ex := &ExceptionsAttr{attrBase: base}
-		var n uint16
-		if n, err = br.u2(); err == nil && int(n)*2 > len(br.buf)-br.pos {
-			err = br.fail("exception count %d overruns attribute", n)
-		}
-		if err == nil {
-			ex.Classes = make([]uint16, n)
-			for i := range ex.Classes {
-				if ex.Classes[i], err = br.u2(); err != nil {
-					break
-				}
-			}
-		}
-		a = ex
-	case "SourceFile":
-		sf := &SourceFileAttr{attrBase: base}
-		sf.Index, err = br.u2()
-		a = sf
-	case "LineNumberTable":
-		ln := &LineNumberTableAttr{attrBase: base}
-		var n uint16
-		if n, err = br.u2(); err == nil && int(n)*4 > len(br.buf)-br.pos {
-			err = br.fail("line number count %d overruns attribute", n)
-		}
-		if err == nil {
-			ln.Entries = make([]LineNumber, n)
-			for i := range ln.Entries {
-				if ln.Entries[i].StartPC, err = br.u2(); err != nil {
-					break
-				}
-				if ln.Entries[i].Line, err = br.u2(); err != nil {
-					break
-				}
-			}
-		}
-		a = ln
-	case "LocalVariableTable":
-		lv := &LocalVariableTableAttr{attrBase: base}
-		var n uint16
-		if n, err = br.u2(); err == nil && int(n)*10 > len(br.buf)-br.pos {
-			err = br.fail("local variable count %d overruns attribute", n)
-		}
-		if err == nil {
-			lv.Entries = make([]LocalVariable, n)
-			for i := range lv.Entries {
-				e := &lv.Entries[i]
-				for _, p := range []*uint16{&e.StartPC, &e.Length, &e.Name, &e.Desc, &e.Slot} {
-					if *p, err = br.u2(); err != nil {
-						break
-					}
-				}
-				if err != nil {
-					break
-				}
-			}
-		}
-		a = lv
-	case "Synthetic":
-		a = &SyntheticAttr{attrBase: base}
-	case "Deprecated":
-		a = &DeprecatedAttr{attrBase: base}
-	case "InnerClasses":
-		ic := &InnerClassesAttr{attrBase: base}
-		var n uint16
-		if n, err = br.u2(); err == nil && int(n)*8 > len(br.buf)-br.pos {
-			err = br.fail("inner class count %d overruns attribute", n)
-		}
-		if err == nil {
-			ic.Entries = make([]InnerClass, n)
-			for i := range ic.Entries {
-				e := &ic.Entries[i]
-				for _, p := range []*uint16{&e.Inner, &e.Outer, &e.InnerName, &e.AccessFlags} {
-					if *p, err = br.u2(); err != nil {
-						break
-					}
-				}
-				if err != nil {
-					break
-				}
-			}
-		}
-		a = ic
-	default:
-		return &UnknownAttr{attrBase: base, Name: name, Data: body}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("classfile: attribute %q: %w", name, err)
-	}
-	if _, ok := a.(*UnknownAttr); !ok && br.pos != len(body) {
-		return nil, fmt.Errorf("classfile: attribute %q: %d trailing bytes", name, len(body)-br.pos)
-	}
-	return a, nil
-}
-
-func parseCode(r *reader, cf *ClassFile, base attrBase) (*CodeAttr, error) {
-	c := &CodeAttr{attrBase: base}
-	var err error
-	if c.MaxStack, err = r.u2(); err != nil {
-		return nil, err
-	}
-	if c.MaxLocals, err = r.u2(); err != nil {
-		return nil, err
-	}
-	codeLen, err := r.u4()
-	if err != nil {
-		return nil, err
-	}
-	if c.Code, err = r.bytes(int(codeLen)); err != nil {
-		return nil, err
-	}
-	nHandlers, err := r.u2()
-	if err != nil {
-		return nil, err
-	}
-	if int(nHandlers)*8 > len(r.buf)-r.pos {
-		return nil, r.fail("handler count %d overruns input", nHandlers)
-	}
-	c.Handlers = make([]ExceptionHandler, nHandlers)
-	for i := range c.Handlers {
-		h := &c.Handlers[i]
-		for _, p := range []*uint16{&h.StartPC, &h.EndPC, &h.HandlerPC, &h.CatchType} {
-			if *p, err = r.u2(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if c.Attrs, err = parseAttrs(r, cf); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

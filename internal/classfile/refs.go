@@ -67,69 +67,7 @@ func (c *Constant) Refs(visit RefVisitor) {
 // catch-all handler's catch_type, and the name of an attribute built in
 // memory without one.
 func (cf *ClassFile) Refs(visit RefVisitor) {
-	visit(&cf.ThisClass, classKinds, "this_class")
-	if cf.SuperClass != 0 {
-		visit(&cf.SuperClass, classKinds, "super_class")
-	}
-	for i := range cf.Interfaces {
-		visit(&cf.Interfaces[i], classKinds, "interfaces")
-	}
-	for i := range cf.Fields {
-		f := &cf.Fields[i]
-		visit(&f.Name, utf8Kinds, "field name_index")
-		visit(&f.Desc, utf8Kinds, "field descriptor_index")
-		attrRefs(f.Attrs, visit)
-	}
-	for i := range cf.Methods {
-		m := &cf.Methods[i]
-		visit(&m.Name, utf8Kinds, "method name_index")
-		visit(&m.Desc, utf8Kinds, "method descriptor_index")
-		attrRefs(m.Attrs, visit)
-	}
-	attrRefs(cf.Attrs, visit)
-}
-
-// attrRefs visits the pool indices of attributes. A new attribute type
-// that holds references gets its case here.
-func attrRefs(attrs []Attribute, visit RefVisitor) {
-	for _, a := range attrs {
-		if p := a.nameRef(); *p != 0 {
-			visit(p, utf8Kinds, "attribute_name_index")
-		}
-		switch a := a.(type) {
-		case *CodeAttr:
-			for i := range a.Handlers {
-				if p := &a.Handlers[i].CatchType; *p != 0 {
-					visit(p, classKinds, "Code catch_type")
-				}
-			}
-			attrRefs(a.Attrs, visit)
-		case *ConstantValueAttr:
-			visit(&a.Index, constantValueKinds, "ConstantValue constantvalue_index")
-		case *ExceptionsAttr:
-			for i := range a.Classes {
-				visit(&a.Classes[i], classKinds, "Exceptions exception_index")
-			}
-		case *SourceFileAttr:
-			visit(&a.Index, utf8Kinds, "SourceFile sourcefile_index")
-		case *LocalVariableTableAttr:
-			for i := range a.Entries {
-				visit(&a.Entries[i].Name, utf8Kinds, "LocalVariableTable name_index")
-				visit(&a.Entries[i].Desc, utf8Kinds, "LocalVariableTable descriptor_index")
-			}
-		case *InnerClassesAttr:
-			for i := range a.Entries {
-				e := &a.Entries[i]
-				visit(&e.Inner, classKinds, "InnerClasses inner_class_info_index")
-				if e.Outer != 0 {
-					visit(&e.Outer, classKinds, "InnerClasses outer_class_info_index")
-				}
-				if e.InnerName != 0 {
-					visit(&e.InnerName, utf8Kinds, "InnerClasses inner_name_index")
-				}
-			}
-		}
-	}
+	cf.body(&codec{mode: walking, visit: visit})
 }
 
 // CheckRef reports an error naming the field what unless idx is a pool

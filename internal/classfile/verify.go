@@ -8,12 +8,17 @@ import (
 func float32Bits(v float32) uint32 { return math.Float32bits(v) }
 func float64Bits(v float64) uint64 { return math.Float64bits(v) }
 
-// Verify performs structural verification of the classfile: every
-// constant-pool index the class holds must name an entry of a kind its
-// field may hold, member descriptors must parse, attribute names must
-// match their types, and exception handlers must lie within their code.
-// It does not decode bytecode; see the bytecode package.
+// Verify performs structural verification of the classfile: it must
+// hold no attribute that CheckAttrs refuses, every constant-pool index
+// the class holds must name an entry of a kind its field may hold,
+// member descriptors must parse, a ConstantValue's kind must match its
+// field's type, attribute names must match their types, and exception
+// handlers must lie within their code. It does not decode bytecode; see
+// the bytecode package.
 func Verify(cf *ClassFile) error {
+	if err := CheckAttrs(cf); err != nil {
+		return err
+	}
 	var err error
 	check := func(idx *uint16, want KindSet, what string) {
 		if err == nil {
@@ -37,10 +42,19 @@ func Verify(cf *ClassFile) error {
 		return err
 	}
 	for mi := range cf.Fields {
-		if _, err := ParseFieldDescriptor(cf.MemberDesc(&cf.Fields[mi])); err != nil {
+		f := &cf.Fields[mi]
+		t, err := ParseFieldDescriptor(cf.MemberDesc(f))
+		if err != nil {
 			return fmt.Errorf("field %d: %w", mi, err)
 		}
-		if err := verifyAttrs(cf, cf.Fields[mi].Attrs); err != nil {
+		for _, a := range f.Attrs {
+			// The walk above checked that the index names a constant.
+			if cv, ok := a.(*ConstantValueAttr); ok && cf.Pool[cv.Index].Kind != ConstKindForType(t) {
+				return fmt.Errorf("field %d: classfile: ConstantValue kind %v does not match field type %s",
+					mi, cf.Pool[cv.Index].Kind, t)
+			}
+		}
+		if err := verifyAttrs(cf, f.Attrs); err != nil {
 			return fmt.Errorf("field %d: %w", mi, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package classfile
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -12,60 +11,48 @@ func float64FromBits(v uint64) float64 { return math.Float64frombits(v) }
 type writer struct {
 	buf []byte
 	utf []byte // modified-UTF-8 scratch, reused across pool entries
-	cf  *ClassFile
-	err error
 }
 
+// Each method appends to w.buf in place, so that the slice's pointer is
+// stored only when the buffer grows: the codec that holds the writer is
+// on the heap, where every pointer store pays the GC's write barrier.
 func (w *writer) u1(v byte)    { w.buf = append(w.buf, v) }
-func (w *writer) u2(v uint16)  { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *writer) u4(v uint32)  { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
+func (w *writer) u2(v uint16)  { w.buf = append(w.buf, byte(v>>8), byte(v)) }
+func (w *writer) u4(v uint32)  { w.buf = append(w.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v)) }
 func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
-
-func (w *writer) setErr(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
 
 // Write serializes the classfile.
 func Write(cf *ClassFile) ([]byte, error) {
-	w := &writer{cf: cf, buf: make([]byte, 0, 1024)}
+	c := &codec{mode: encoding, w: writer{buf: make([]byte, 0, 1024)}, cf: cf}
+	w := &c.w
 	w.u4(Magic)
 	w.u2(cf.MinorVersion)
 	w.u2(cf.MajorVersion)
-	writePool(w, cf)
-	w.u2(cf.AccessFlags)
-	w.u2(cf.ThisClass)
-	w.u2(cf.SuperClass)
-	w.u2(uint16(len(cf.Interfaces)))
-	for _, i := range cf.Interfaces {
-		w.u2(i)
+	if err := writePool(w, cf); err != nil {
+		return nil, err
 	}
-	writeMembers(w, cf.Fields)
-	writeMembers(w, cf.Methods)
-	writeAttrs(w, cf.Attrs)
-	return w.buf, w.err
+	if cf.body(c); c.err != nil {
+		return nil, c.err
+	}
+	return w.buf, nil
 }
 
-func writePool(w *writer, cf *ClassFile) {
+func writePool(w *writer, cf *ClassFile) error {
 	if len(cf.Pool) == 0 || len(cf.Pool) > 0xFFFF {
-		w.setErr(fmt.Errorf("classfile: constant pool size %d out of range", len(cf.Pool)))
-		return
+		return fmt.Errorf("classfile: constant pool size %d out of range", len(cf.Pool))
 	}
 	w.u2(uint16(len(cf.Pool)))
 	for i := 1; i < len(cf.Pool); i++ {
 		c := &cf.Pool[i]
 		if c.Kind == KindInvalid {
-			w.setErr(fmt.Errorf("classfile: invalid constant at index %d", i))
-			return
+			return fmt.Errorf("classfile: invalid constant at index %d", i)
 		}
 		w.u1(byte(c.Kind))
 		switch c.Kind {
 		case KindUtf8:
 			w.utf = AppendModifiedUTF8(w.utf[:0], c.Utf8)
 			if len(w.utf) > 0xFFFF {
-				w.setErr(fmt.Errorf("classfile: Utf8 entry %d too long (%d bytes)", i, len(w.utf)))
-				return
+				return fmt.Errorf("classfile: Utf8 entry %d too long (%d bytes)", i, len(w.utf))
 			}
 			w.u2(uint16(len(w.utf)))
 			w.raw(w.utf)
@@ -93,103 +80,8 @@ func writePool(w *writer, cf *ClassFile) {
 			w.u2(c.Name)
 			w.u2(c.Desc)
 		default:
-			w.setErr(fmt.Errorf("classfile: cannot write constant tag %d", c.Kind))
-			return
+			return fmt.Errorf("classfile: cannot write constant tag %d", c.Kind)
 		}
 	}
-}
-
-func writeMembers(w *writer, members []Member) {
-	w.u2(uint16(len(members)))
-	for i := range members {
-		m := &members[i]
-		w.u2(m.AccessFlags)
-		w.u2(m.Name)
-		w.u2(m.Desc)
-		writeAttrs(w, m.Attrs)
-	}
-}
-
-func writeAttrs(w *writer, attrs []Attribute) {
-	w.u2(uint16(len(attrs)))
-	for _, a := range attrs {
-		writeAttr(w, a)
-	}
-}
-
-// attrNameIndex resolves the pool index for an attribute's name, preferring
-// the index recorded at parse time and falling back to a content lookup for
-// programmatically built attributes.
-func (w *writer) attrNameIndex(a Attribute) uint16 {
-	if idx := *a.nameRef(); idx != 0 {
-		return idx
-	}
-	name := a.AttrName()
-	for i := 1; i < len(w.cf.Pool); i++ {
-		if w.cf.Pool[i].Kind == KindUtf8 && w.cf.Pool[i].Utf8 == name {
-			return uint16(i)
-		}
-	}
-	w.setErr(fmt.Errorf("classfile: no Utf8 constant for attribute name %q", name))
-	return 0
-}
-
-func writeAttr(w *writer, a Attribute) {
-	w.u2(w.attrNameIndex(a))
-	lenPos := len(w.buf)
-	w.u4(0) // patched below
-	switch a := a.(type) {
-	case *CodeAttr:
-		w.u2(a.MaxStack)
-		w.u2(a.MaxLocals)
-		w.u4(uint32(len(a.Code)))
-		w.raw(a.Code)
-		w.u2(uint16(len(a.Handlers)))
-		for _, h := range a.Handlers {
-			w.u2(h.StartPC)
-			w.u2(h.EndPC)
-			w.u2(h.HandlerPC)
-			w.u2(h.CatchType)
-		}
-		writeAttrs(w, a.Attrs)
-	case *ConstantValueAttr:
-		w.u2(a.Index)
-	case *ExceptionsAttr:
-		w.u2(uint16(len(a.Classes)))
-		for _, c := range a.Classes {
-			w.u2(c)
-		}
-	case *SourceFileAttr:
-		w.u2(a.Index)
-	case *LineNumberTableAttr:
-		w.u2(uint16(len(a.Entries)))
-		for _, e := range a.Entries {
-			w.u2(e.StartPC)
-			w.u2(e.Line)
-		}
-	case *LocalVariableTableAttr:
-		w.u2(uint16(len(a.Entries)))
-		for _, e := range a.Entries {
-			w.u2(e.StartPC)
-			w.u2(e.Length)
-			w.u2(e.Name)
-			w.u2(e.Desc)
-			w.u2(e.Slot)
-		}
-	case *SyntheticAttr, *DeprecatedAttr:
-		// empty body
-	case *InnerClassesAttr:
-		w.u2(uint16(len(a.Entries)))
-		for _, e := range a.Entries {
-			w.u2(e.Inner)
-			w.u2(e.Outer)
-			w.u2(e.InnerName)
-			w.u2(e.AccessFlags)
-		}
-	case *UnknownAttr:
-		w.raw(a.Data)
-	default:
-		w.setErr(fmt.Errorf("classfile: cannot write attribute %T", a))
-	}
-	binary.BigEndian.PutUint32(w.buf[lenPos:], uint32(len(w.buf)-lenPos-4))
+	return nil
 }

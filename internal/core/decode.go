@@ -248,8 +248,14 @@ func (u *unpacker) decodeRef(pool poolID, ctx int) (key string, isNew, transient
 	s := u.st[pool.stream()]
 	key, isNew, transient, err = u.decs[pool].Decode(s, ctx)
 	if err != nil {
-		if _, ok := corrupt.As(err); !ok {
+		// A refs decoder knows what is wrong but not which stream it
+		// reads, so its own errors name the stream "refs".
+		ce, ok := corrupt.As(err)
+		switch {
+		case !ok:
 			err = corrupt.New(s.Name(), -1, err)
+		case ce.Stream != s.Name():
+			err = corrupt.New(s.Name(), ce.Offset, ce.Cause)
 		}
 	}
 	return key, isNew, transient, err

@@ -226,7 +226,7 @@ func (u *unpacker) field() (dField, error) {
 	if f.flags&flagHasConst != 0 {
 		f.hasConst = true
 		t := ir.KeyToType(f.typ.key)
-		kind := constKindForType(t)
+		kind := classfile.ConstKindForType(t)
 		if kind == classfile.KindInvalid {
 			return f, corrupt.Errorf(sMeta.String(), -1, "field type %s cannot carry a constant", t)
 		}
@@ -243,11 +243,11 @@ func (u *unpacker) field() (dField, error) {
 func (u *unpacker) constant(kind classfile.ConstKind, ints streamID) (dConst, error) {
 	c := dConst{kind: kind}
 	var err error
-	var v int64
+	var v int
 	var raw []byte
 	switch kind {
 	case classfile.KindInteger:
-		v, err = u.st[ints].Int()
+		v, err = signed(u.st[ints], 32)
 		c.i = int32(v)
 	case classfile.KindLong:
 		c.l, err = u.st[sLong].Int()
@@ -742,16 +742,7 @@ func (w *builder) build(d *dClass) (*classfile.ClassFile, error) {
 // addFlagAttrs materializes the Synthetic/Deprecated flag bits as
 // attributes (the strip normalization fixes their order).
 func addFlagAttrs(b *classfile.Builder, attrs *[]classfile.Attribute, flags uint64) {
-	if flags&flagSynthetic != 0 {
-		a := &classfile.SyntheticAttr{}
-		a.NameIndex = b.Utf8("Synthetic")
-		*attrs = append(*attrs, a)
-	}
-	if flags&flagDeprecated != 0 {
-		a := &classfile.DeprecatedAttr{}
-		a.NameIndex = b.Utf8("Deprecated")
-		*attrs = append(*attrs, a)
-	}
+	b.AttachMarks(attrs, flags&flagSynthetic != 0, flags&flagDeprecated != 0)
 }
 
 // internConst interns a constant value and returns its pool index.

@@ -151,13 +151,12 @@ func (p *packer) archive(cfs []*classfile.ClassFile) error {
 // memberFlags folds the attribute-presence bits of §4 into the flags word.
 func memberFlags(access uint16, attrs []classfile.Attribute) uint64 {
 	f := uint64(access)
-	for _, a := range attrs {
-		switch a.(type) {
-		case *classfile.SyntheticAttr:
-			f |= flagSynthetic
-		case *classfile.DeprecatedAttr:
-			f |= flagDeprecated
-		}
+	synthetic, deprecated := classfile.Marks(attrs)
+	if synthetic {
+		f |= flagSynthetic
+	}
+	if deprecated {
+		f |= flagDeprecated
 	}
 	return f
 }
@@ -289,7 +288,7 @@ func (p *packer) constValue(cf *classfile.ClassFile, t classfile.Type, idx uint1
 		return fmt.Errorf("ConstantValue index %d out of range", idx)
 	}
 	c := &cf.Pool[idx]
-	if want := constKindForType(t); c.Kind != want {
+	if want := classfile.ConstKindForType(t); c.Kind != want {
 		return fmt.Errorf("ConstantValue kind %v does not match field type %s", c.Kind, t)
 	}
 	return p.constant(cf, c, sIntCV)
@@ -317,26 +316,6 @@ func (p *packer) constant(cf *classfile.ClassFile, c *classfile.Constant, ints s
 		return fmt.Errorf("constant of kind %v is not loadable", c.Kind)
 	}
 	return nil
-}
-
-// constKindForType maps a field type to its ConstantValue pool kind.
-func constKindForType(t classfile.Type) classfile.ConstKind {
-	if t.Dims > 0 {
-		return classfile.KindInvalid
-	}
-	switch t.Base {
-	case 'B', 'C', 'S', 'Z', 'I':
-		return classfile.KindInteger
-	case 'F':
-		return classfile.KindFloat
-	case 'J':
-		return classfile.KindLong
-	case 'D':
-		return classfile.KindDouble
-	case 'L':
-		return classfile.KindString
-	}
-	return classfile.KindInvalid
 }
 
 func (p *packer) method(cf *classfile.ClassFile, m *classfile.Member) error {
@@ -526,6 +505,9 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 			sw.Int(int64(t - in.Offset))
 		}
 	case bytecode.FmtLookupSwitch:
+		if err := bytecode.CheckSwitchKeys(in.Keys); err != nil {
+			return err
+		}
 		sw := p.st(sSwitch)
 		sw.Int(int64(in.Default - in.Offset))
 		sw.Uint(uint64(len(in.Keys)))
@@ -533,11 +515,7 @@ func (p *packer) insn(cf *classfile.ClassFile, in *bytecode.Instruction, sim *st
 			if i == 0 {
 				sw.Int(int64(k))
 			} else {
-				diff := int64(k) - int64(in.Keys[i-1])
-				if diff <= 0 {
-					return fmt.Errorf("lookupswitch keys not ascending")
-				}
-				sw.Uint(uint64(diff))
+				sw.Uint(uint64(int64(k) - int64(in.Keys[i-1])))
 			}
 		}
 		for _, t := range in.Targets {

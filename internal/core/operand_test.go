@@ -46,17 +46,22 @@ func methodClass(t *testing.T, emit func(a *bytecode.Assembler), handlers ...cla
 	return cfs
 }
 
-// rewriteStream re-serializes a version-2 archive with the raw bytes of
-// one stream passed through edit. Every checksum is recomputed, so only
-// the decoder's own operand checks can notice the change.
+// rewriteStream re-serializes a version-1 or version-2 archive with the
+// raw bytes of one stream passed through edit. Every checksum is
+// recomputed, so only the decoder's own operand checks can notice the
+// change.
 func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) []byte) []byte {
 	t.Helper()
-	body := packed[6:]
-	secs, err := streams.Sections(body, true)
+	body, checked := packed[6:], packed[4] != Version1
+	secs, err := streams.Sections(body, checked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := streams.NewCheckedReaderLimit(body, 1, 0)
+	newReader, finish := streams.NewReaderLimit, (*streams.Writer).Finish
+	if checked {
+		newReader, finish = streams.NewCheckedReaderLimit, (*streams.Writer).FinishChecked
+	}
+	r, err := newReader(body, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) [
 	if !found {
 		t.Fatalf("archive has no %s stream", name)
 	}
-	out, err := w.FinishChecked()
+	out, err := finish(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +220,56 @@ func TestOutOfRangeOperandsAreCorrupt(t *testing.T) {
 			}
 			if ce.Stream != c.stream.String() {
 				t.Fatalf("CorruptError names stream %q, want %q: %v", ce.Stream, c.stream, err)
+			}
+		})
+	}
+}
+
+// TestOutOfRangeConstantsAreCorrupt rewrites the int of a field's
+// ConstantValue (int.cv) and of an ldc (int.ldc) in a version-1
+// archive, which has no checksums, to 7+2³², which no int32 holds. Each
+// must unpack to a CorruptError on its stream, never to the constant 7.
+func TestOutOfRangeConstantsAreCorrupt(t *testing.T) {
+	class := func(fill func(b *classfile.Builder)) []*classfile.ClassFile {
+		b := classfile.NewBuilder("p/K", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+		fill(b)
+		cf, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfs := []*classfile.ClassFile{cf}
+		strippedBytes(t, cfs)
+		return cfs
+	}
+	fieldClass := class(func(b *classfile.Builder) {
+		b.AttachConstantValue(b.AddField(classfile.AccStatic|classfile.AccFinal, "K", "I"), b.Int(100000))
+	})
+	ldcClass := class(func(b *classfile.Builder) {
+		a := bytecode.NewAssembler()
+		a.Ldc(b.Int(100000))
+		a.Op(bytecode.Pop)
+		a.Op(bytecode.Return)
+		code, err := a.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AttachCode(b.AddMethod(classfile.AccStatic, "m", "()V"), &classfile.CodeAttr{MaxStack: 1, Code: code})
+	})
+	for _, c := range []struct {
+		stream streamID
+		cfs    []*classfile.ClassFile
+	}{{sIntCV, fieldClass}, {sIntLdc, ldcClass}} {
+		t.Run(c.stream.String(), func(t *testing.T) {
+			packed, err := PackVersion(c.cfs, DefaultOptions(), Version1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Unpack(rewriteStream(t, packed, c.stream.String(), func(raw []byte) []byte { return raw })); err != nil {
+				t.Fatalf("unedited rewrite does not unpack: %v", err)
+			}
+			_, err = Unpack(rewriteStream(t, packed, c.stream.String(), setVarint(t, 0, 7+1<<32, true)))
+			if ce, ok := corrupt.As(err); !ok || ce.Stream != c.stream.String() {
+				t.Fatalf("Unpack = %v, want a CorruptError on %s", err, c.stream)
 			}
 		})
 	}

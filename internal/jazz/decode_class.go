@@ -106,7 +106,7 @@ func (r *jzReader) class() (*classfile.ClassFile, error) {
 		}
 		b.CF.Attrs = append(b.CF.Attrs, ic)
 	}
-	addSynthDepr(b, &b.CF.Attrs, synth, depr)
+	b.AttachMarks(&b.CF.Attrs, synth, depr)
 
 	nFields, err := r.bits(16)
 	if err != nil {
@@ -135,19 +135,6 @@ func (r *jzReader) class() (*classfile.ClassFile, error) {
 		return nil, err
 	}
 	return cf, nil
-}
-
-func addSynthDepr(b *classfile.Builder, attrs *[]classfile.Attribute, synth, depr bool) {
-	if synth {
-		a := &classfile.SyntheticAttr{}
-		a.NameIndex = b.Utf8("Synthetic")
-		*attrs = append(*attrs, a)
-	}
-	if depr {
-		a := &classfile.DeprecatedAttr{}
-		a.NameIndex = b.Utf8("Deprecated")
-		*attrs = append(*attrs, a)
-	}
 }
 
 func (r *jzReader) field(b *classfile.Builder) error {
@@ -216,7 +203,7 @@ func (r *jzReader) field(b *classfile.Builder) error {
 		}
 		b.AttachConstantValue(m, idx)
 	}
-	addSynthDepr(b, &m.Attrs, synth, depr)
+	b.AttachMarks(&m.Attrs, synth, depr)
 	return nil
 }
 
@@ -271,7 +258,7 @@ func (r *jzReader) method(b *classfile.Builder, decoded map[*classfile.CodeAttr]
 		b.AttachCode(m, attr)
 		decoded[attr] = insns
 	}
-	addSynthDepr(b, &m.Attrs, synth, depr)
+	b.AttachMarks(&m.Attrs, synth, depr)
 	return nil
 }
 

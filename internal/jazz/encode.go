@@ -165,25 +165,12 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// extAttrs extracts the flag-encoded attributes common to all levels.
-func extAttrs(attrs []classfile.Attribute) (synth, depr bool) {
-	for _, a := range attrs {
-		switch a.(type) {
-		case *classfile.SyntheticAttr:
-			synth = true
-		case *classfile.DeprecatedAttr:
-			depr = true
-		}
-	}
-	return
-}
-
 func (w *jzWriter) class(cf *classfile.ClassFile) error {
 	g := w.g
 	w.bits(uint64(cf.MinorVersion), 16)
 	w.bits(uint64(cf.MajorVersion), 16)
 	w.bits(uint64(cf.AccessFlags), 16)
-	synth, depr := extAttrs(cf.Attrs)
+	synth, depr := classfile.Marks(cf.Attrs)
 	var inner *classfile.InnerClassesAttr
 	for _, a := range cf.Attrs {
 		switch a := a.(type) {
@@ -267,7 +254,7 @@ func (w *jzWriter) field(cf *classfile.ClassFile, m *classfile.Member) error {
 		return err
 	}
 	w.ref(aUtf8, sub)
-	synth, depr := extAttrs(m.Attrs)
+	synth, depr := classfile.Marks(m.Attrs)
 	var cv *classfile.ConstantValueAttr
 	for _, a := range m.Attrs {
 		if c, ok := a.(*classfile.ConstantValueAttr); ok {
@@ -311,7 +298,7 @@ func (w *jzWriter) method(cf *classfile.ClassFile, m *classfile.Member) error {
 		return err
 	}
 	w.ref(aUtf8, sub)
-	synth, depr := extAttrs(m.Attrs)
+	synth, depr := classfile.Marks(m.Attrs)
 	code := classfile.CodeOf(m)
 	var exc *classfile.ExceptionsAttr
 	for _, a := range m.Attrs {

@@ -302,16 +302,11 @@ func TestVerifyEndpoint(t *testing.T) {
 	}
 }
 
-// handlerInsideInstruction returns a class whose method guards nop,
-// bipush 5, pop, return with a handler that starts at pc 2, inside the
-// bipush. JVMS §4.7.3 forbids that, and POST /pack refuses it.
-func handlerInsideInstruction(t *testing.T) []byte {
+// buildClass returns the bytes of class p/V as fill builds it.
+func buildClass(t *testing.T, fill func(b *classfile.Builder)) []byte {
 	t.Helper()
 	b := classfile.NewBuilder("p/V", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
-	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
-	code := []byte{byte(bytecode.Nop), byte(bytecode.Bipush), 5, byte(bytecode.Pop), byte(bytecode.Return), byte(bytecode.Athrow)}
-	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code,
-		Handlers: []classfile.ExceptionHandler{{StartPC: 2, EndPC: 4, HandlerPC: 5}}})
+	fill(b)
 	cf, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -323,20 +318,72 @@ func handlerInsideInstruction(t *testing.T) []byte {
 	return data
 }
 
-// TestVerifyRefusesWhatPackRefuses: every verify mode answers 422 for a
-// class that POST /pack refuses for its code, ?deep=1 included, whose
-// dataflow pass alone never checked handler boundaries.
-func TestVerifyRefusesWhatPackRefuses(t *testing.T) {
-	jar, err := archive.WriteJar([]archive.File{{Name: "p/V.class", Data: handlerInsideInstruction(t)}})
-	if err != nil {
-		t.Fatal(err)
+// handlerInsideInstruction returns a class whose method guards nop,
+// bipush 5, pop, return with a handler that starts at pc 2, inside the
+// bipush. JVMS §4.7.3 forbids that, and POST /pack refuses it.
+func handlerInsideInstruction(t *testing.T) []byte {
+	t.Helper()
+	return buildClass(t, func(b *classfile.Builder) {
+		m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+		code := []byte{byte(bytecode.Nop), byte(bytecode.Bipush), 5, byte(bytecode.Pop), byte(bytecode.Return), byte(bytecode.Athrow)}
+		b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code,
+			Handlers: []classfile.ExceptionHandler{{StartPC: 2, EndPC: 4, HandlerPC: 5}}})
+	})
+}
+
+// refusedClasses returns, by the rule each breaks, classes that POST
+// /pack refuses beyond a bad operand.
+func refusedClasses(t *testing.T) map[string][]byte {
+	// At version 52, an attribute the JVM reads, on the class or in Code.
+	modern := func(name string, inCode bool) []byte {
+		return buildClass(t, func(b *classfile.Builder) {
+			b.CF.MajorVersion, b.CF.MinorVersion = 52, 0
+			attr := &classfile.UnknownAttr{Name: name, Data: []byte{0, 0}}
+			attr.NameIndex = b.Utf8(name)
+			code := &classfile.CodeAttr{MaxStack: 1, Code: []byte{byte(bytecode.Return)}}
+			if inCode {
+				code.Attrs = append(code.Attrs, attr)
+			} else {
+				b.CF.Attrs = append(b.CF.Attrs, attr)
+			}
+			b.AttachCode(b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V"), code)
+		})
 	}
+	return map[string][]byte{
+		"handler inside an instruction": handlerInsideInstruction(t),
+		"lookupswitch keys descending": buildClass(t, func(b *classfile.Builder) {
+			// iconst_0; lookupswitch, padded to pc 4, default and the
+			// pairs 5 and 0 all to pc 28; return.
+			code := []byte{byte(bytecode.Iconst0), byte(bytecode.Lookupswitch), 0, 0, 0, 0, 0, 27, 0, 0, 0, 2,
+				0, 0, 0, 5, 0, 0, 0, 27, 0, 0, 0, 0, 0, 0, 0, 27, byte(bytecode.Return)}
+			b.AttachCode(b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V"),
+				&classfile.CodeAttr{MaxStack: 1, Code: code})
+		}),
+		"String ConstantValue on an int": buildClass(t, func(b *classfile.Builder) {
+			b.AttachConstantValue(b.AddField(classfile.AccStatic|classfile.AccFinal, "f", "I"), b.String("s"))
+		}),
+		"Signature at version 52":             modern("Signature", false),
+		"StackMapTable in Code at version 52": modern("StackMapTable", true),
+	}
+}
+
+// TestVerifyRefusesWhatPackRefuses: every verify mode answers 422 for a
+// class that POST /pack refuses, ?deep=1 included, whose dataflow pass
+// alone never checked handler boundaries, switch keys, constant kinds
+// or attributes.
+func TestVerifyRefusesWhatPackRefuses(t *testing.T) {
 	s := New(Config{})
-	for _, path := range []string{"/verify", "/verify?deep=1", "/verify?bytecode=1", "/pack"} {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(jar)))
-		if rec.Code != http.StatusUnprocessableEntity {
-			t.Errorf("POST %s = %d, want 422: %s", path, rec.Code, rec.Body)
+	for rule, class := range refusedClasses(t) {
+		jar, err := archive.WriteJar([]archive.File{{Name: "p/V.class", Data: class}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/verify", "/verify?deep=1", "/verify?bytecode=1", "/pack"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(jar)))
+			if rec.Code != http.StatusUnprocessableEntity {
+				t.Errorf("%s: POST %s = %d, want 422: %s", rule, path, rec.Code, rec.Body)
+			}
 		}
 	}
 }

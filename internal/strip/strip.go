@@ -33,9 +33,10 @@ type Options struct {
 	KeepDebug bool
 }
 
-// Apply transforms cf in place. It reports an error if the classfile's
-// bytecode cannot be decoded, or if a pool index the class keeps is zero,
-// past the pool, or names a constant of a kind its field cannot hold.
+// Apply transforms cf in place. It reports an error if the class holds
+// an attribute that classfile.CheckAttrs refuses, if its bytecode cannot
+// be decoded, or if a pool index the class keeps is zero, past the pool,
+// or names a constant of a kind its field cannot hold.
 func Apply(cf *classfile.ClassFile, opts Options) error {
 	return ApplyScratch(cf, opts, nil)
 }
@@ -78,6 +79,9 @@ func table[T any](buf []T, n int) []T {
 // ApplyScratch is Apply with caller-owned scratch memory (nil behaves
 // like Apply).
 func ApplyScratch(cf *classfile.ClassFile, opts Options, sc *Scratch) error {
+	if err := classfile.CheckAttrs(cf); err != nil {
+		return err
+	}
 	dropAttrs(cf, opts)
 	return renumber(cf, nil, sc)
 }

@@ -211,7 +211,8 @@ func Method(cf *classfile.ClassFile, m *classfile.Member) error {
 // Static holds m's code to the rules Pack applies to it, without
 // following control flow: every instruction, reachable or not, must
 // decode and carry an operand of a kind its opcode takes, checked as the
-// dataflow pass checks it, and every exception handler must lie on
+// dataflow pass checks it, every lookupswitch's keys must ascend
+// (bytecode.CheckSwitchKeys), and every exception handler must lie on
 // instruction boundaries (bytecode.CheckHandler). It does nothing for a
 // method without code.
 func Static(cf *classfile.ClassFile, m *classfile.Member) error {
@@ -225,8 +226,13 @@ func Static(cf *classfile.ClassFile, m *classfile.Member) error {
 	}
 	v := &mverifier{cf: cf}
 	for i := range insns {
-		if _, _, err := v.operand(&insns[i]); err != nil {
-			return &pcError{pc: insns[i].Offset, op: insns[i].Op.String(), err: err}
+		in := &insns[i]
+		_, _, err := v.operand(in)
+		if err == nil && in.Op == bytecode.Lookupswitch {
+			err = bytecode.CheckSwitchKeys(in.Keys)
+		}
+		if err != nil {
+			return &pcError{pc: in.Offset, op: in.Op.String(), err: err}
 		}
 	}
 	for i, h := range code.Handlers {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"classpack/internal/classfile"
+	"classpack/internal/encoding/varint"
+	"classpack/internal/streams"
 	"classpack/internal/synth"
 )
 
@@ -134,5 +136,76 @@ func TestSalvageResultJar(t *testing.T) {
 	}
 	if string(jar) != string(want) {
 		t.Fatal("salvage jar differs from UnpackToJar on a pristine archive")
+	}
+}
+
+// rewriteStream re-serializes a version-2 archive with the raw bytes of
+// one stream passed through edit, recomputing every checksum, so that
+// only the decoders can notice the change.
+func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) []byte) []byte {
+	t.Helper()
+	body := packed[6:]
+	secs, err := streams.Sections(body, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := streams.NewCheckedReaderLimit(body, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := streams.NewWriter(true, 1)
+	for _, s := range secs {
+		st := r.Stream(s.Name)
+		raw, err := st.Raw(st.Remaining())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name == name {
+			raw = edit(raw)
+		}
+		_, _ = w.Stream(s.Name).Write(raw)
+	}
+	out, err := w.FinishChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(packed[:6:6], out...)
+}
+
+// TestDamagedRefStreamIsNamed sets the first reference of ref.class to
+// a move-to-front position past every queue, with the checksums intact,
+// so the reference decoder itself refuses it. UnpackOpts' CorruptError
+// and Salvage's damage report must both name ref.class, the stream that
+// holds the damage, not the decoder's own name for it.
+func TestDamagedRefStreamIsNamed(t *testing.T) {
+	var files [][]byte
+	for _, cf := range salvageClasses(t, 2) {
+		data, err := classfile.Write(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, data)
+	}
+	packed, err := Pack(files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := rewriteStream(t, packed, "ref.class", func(raw []byte) []byte {
+		_, n, err := varint.Uint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(varint.AppendUint(nil, 1<<20), raw[n:]...)
+	})
+	_, err = UnpackOpts(damaged, nil)
+	if ce, ok := AsCorrupt(err); !ok || ce.Stream != "ref.class" {
+		t.Fatalf("UnpackOpts = %v, want a CorruptError on ref.class", err)
+	}
+	res, err := Salvage(damaged, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Damage) != 1 || res.Damage[0].Stream != "ref.class" {
+		t.Fatalf("Salvage damage = %+v, want one region on ref.class", res.Damage)
 	}
 }

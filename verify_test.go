@@ -2,6 +2,8 @@ package classpack
 
 import (
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"classpack/internal/bytecode"
@@ -91,26 +93,178 @@ func TestVerifyRefusesWhatPackRefuses(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			data := codeClass(t, c.emit, c.handlers...)
-			_, packErr := Pack([][]byte{data}, nil)
-			verdicts, bytecodeErr := VerifyBytecode(data)
-			for _, v := range verdicts {
-				if !v.OK && bytecodeErr == nil {
-					bytecodeErr = errors.New(v.Err)
-				}
-			}
-			for _, check := range []struct {
-				name string
-				err  error
-			}{
-				{"Pack", packErr},
-				{"Verify", Verify(data)},
-				{"VerifyDeep", VerifyDeep(data)},
-				{"VerifyAll deep", VerifyAll([][]byte{data}, true, 1)[0]},
-				{"VerifyBytecode", bytecodeErr},
-			} {
+			for _, check := range packAndVerify(codeClass(t, c.emit, c.handlers...)) {
 				if (check.err != nil) != c.bad {
 					t.Errorf("%s refused the class: %v (err %v)", check.name, !c.bad, check.err)
+				}
+			}
+		})
+	}
+}
+
+// modeErr is the error one entry point gives for a class.
+type modeErr struct {
+	name string
+	err  error
+}
+
+// packAndVerify returns the error of Pack and of every verify mode for
+// one class file; a method that VerifyBytecode judges bad counts as its
+// error.
+func packAndVerify(data []byte) []modeErr {
+	_, packErr := Pack([][]byte{data}, nil)
+	verdicts, bytecodeErr := VerifyBytecode(data)
+	for _, v := range verdicts {
+		if !v.OK && bytecodeErr == nil {
+			bytecodeErr = errors.New(v.Err)
+		}
+	}
+	return []modeErr{
+		{"Pack", packErr},
+		{"Verify", Verify(data)},
+		{"VerifyDeep", VerifyDeep(data)},
+		{"VerifyAll deep", VerifyAll([][]byte{data}, true, 1)[0]},
+		{"VerifyBytecode", bytecodeErr},
+	}
+}
+
+// descendingLookupswitch returns a class whose method runs a
+// lookupswitch with the keys 5 and 0, in that order: JVMS §6.5 wants
+// them ascending, and Pack refuses them.
+func descendingLookupswitch(t *testing.T) []byte {
+	t.Helper()
+	// The assembler refuses descending keys, so swap them afterwards.
+	cf, err := classfile.Parse(codeClass(t, func(_ *classfile.Builder, a *bytecode.Assembler) {
+		l := a.NewLabel()
+		a.Op(bytecode.Iconst0)
+		a.LookupSwitch([]int32{0, 5}, []bytecode.Label{l, l}, l)
+		a.Bind(l)
+		a.Op(bytecode.Return)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := classfile.CodeOf(&cf.Methods[0])
+	insns, err := bytecode.Decode(code.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insns[1].Keys[0], insns[1].Keys[1] = 5, 0
+	if code.Code, err = bytecode.Encode(insns); err != nil {
+		t.Fatal(err)
+	}
+	data, err := classfile.Write(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// mismatchedConstantValue returns a class whose int field carries a
+// String ConstantValue.
+func mismatchedConstantValue(t *testing.T) []byte {
+	t.Helper()
+	return codeClass(t, func(b *classfile.Builder, a *bytecode.Assembler) {
+		f := b.AddField(classfile.AccStatic|classfile.AccFinal, "f", "I")
+		b.AttachConstantValue(f, b.String("s"))
+		a.Op(bytecode.Return)
+	})
+}
+
+// TestVerifyRefusesWhatPackRefusesBeyondOperands holds every verify mode
+// to two more rules Pack applies: a lookupswitch's keys ascend, and a
+// ConstantValue's kind matches its field's type. Strip keeps both
+// classes, as the JVM's own checks are not its to make.
+func TestVerifyRefusesWhatPackRefusesBeyondOperands(t *testing.T) {
+	cases := map[string][]byte{
+		"lookupswitch keys not ascending":                       descendingLookupswitch(t),
+		"ConstantValue kind String does not match field type I": mismatchedConstantValue(t),
+	}
+	for want, data := range cases {
+		t.Run(want, func(t *testing.T) {
+			for _, check := range packAndVerify(data) {
+				if check.err == nil || !strings.Contains(check.err.Error(), want) {
+					t.Errorf("%s = %v, want an error saying %q", check.name, check.err, want)
+				}
+			}
+			if _, err := Strip(data); err != nil {
+				t.Errorf("Strip: %v", err)
+			}
+		})
+	}
+}
+
+// modernClass returns a class of major version 52 that holds one
+// attribute named name with a body of two zero bytes: on the class, or
+// with inCode in its method's Code attribute.
+func modernClass(t *testing.T, name string, inCode bool) []byte {
+	t.Helper()
+	b := classfile.NewBuilder("p/M", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+	b.CF.MajorVersion, b.CF.MinorVersion = 52, 0
+	attr := &classfile.UnknownAttr{Name: name, Data: []byte{0, 0}}
+	attr.NameIndex = b.Utf8(name)
+	code := &classfile.CodeAttr{MaxStack: 1, Code: []byte{byte(bytecode.Return)}}
+	if inCode {
+		code.Attrs = append(code.Attrs, attr)
+	} else {
+		b.CF.Attrs = append(b.CF.Attrs, attr)
+	}
+	b.AttachCode(b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V"), code)
+	data, err := classfile.Write(b.CF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRefusesAttributesTheJVMReads packs and verifies a major-52 class
+// with a Signature, and one with a StackMapTable in its Code. Stripping
+// either attribute would unpack a class that the JVM reads differently,
+// or, from version 51 on, rejects. So Strip, Pack, PackStream, PackJar
+// and every verify mode refuse both with ErrUnsupportedAttribute,
+// naming the attribute, its owner and the version. Debug data and
+// attributes outside JVMS are still stripped.
+func TestRefusesAttributesTheJVMReads(t *testing.T) {
+	entryPoints := func(data []byte) []modeErr {
+		jar, err := JarFromFiles([]File{{Name: "p/M.class", Data: data}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, jarErr := PackJar(jar, nil)
+		sent := false
+		streamErr := PackStream(io.Discard, func() ([]byte, error) {
+			if sent {
+				return nil, io.EOF
+			}
+			sent = true
+			return data, nil
+		}, nil)
+		_, stripErr := Strip(data)
+		return append(packAndVerify(data),
+			modeErr{"VerifyAll", VerifyAll([][]byte{data}, false, 1)[0]},
+			modeErr{"PackJar", jarErr}, modeErr{"PackStream", streamErr}, modeErr{"Strip", stripErr})
+	}
+	for _, c := range []struct {
+		attr   string
+		inCode bool
+		want   string
+	}{
+		{"Signature", false, "Signature in class p/M, class version 52.0"},
+		{"StackMapTable", true, "StackMapTable in Code of method m()V, class version 52.0"},
+	} {
+		t.Run(c.attr, func(t *testing.T) {
+			for _, check := range entryPoints(modernClass(t, c.attr, c.inCode)) {
+				if !errors.Is(check.err, ErrUnsupportedAttribute) || !strings.Contains(check.err.Error(), c.want) {
+					t.Errorf("%s = %v, want ErrUnsupportedAttribute naming %q", check.name, check.err, c.want)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"LocalVariableTypeTable", "SourceDebugExtension", "X-Vendor"} {
+		t.Run(name, func(t *testing.T) {
+			for _, check := range entryPoints(modernClass(t, name, name == "LocalVariableTypeTable")) {
+				if check.err != nil {
+					t.Errorf("%s: %v", check.name, check.err)
 				}
 			}
 		})
