@@ -23,7 +23,8 @@
 // garbage-collected and sorted. Unpack reproduces exactly those
 // canonicalized files; Strip applies the same canonicalization alone, so
 // Unpack(Pack(x)) == Strip(x) byte for byte. A class holding an
-// attribute that the JVM reads is refused (ErrUnsupportedAttribute).
+// attribute that the JVM reads, or an attribute the format carries
+// where it cannot carry it, is refused (ErrUnsupportedAttribute).
 package classpack
 
 import (
@@ -57,8 +58,10 @@ var ErrTooLarge = corrupt.ErrTooLarge
 // that Pack, PackStats, PackStream, PackJar, Strip and every Verify mode
 // give for a class holding an attribute that the JVM or the class
 // libraries read (JVMS §4.7) and that this format cannot carry, such as
-// StackMapTable or Signature. The error names the attribute, its owner
-// and the class version.
+// StackMapTable or Signature, or an attribute the format carries where
+// it cannot carry it, such as a ConstantValue on a method, or twice
+// where it carries one, such as two Exceptions on one method. The error
+// names the attribute, its owner and the class version.
 var ErrUnsupportedAttribute = classfile.ErrUnsupportedAttribute
 
 // AsCorrupt extracts the first *CorruptError in err's chain, if any.

@@ -56,7 +56,7 @@ func TestExitCodes(t *testing.T) {
 			[]string{"verify", bad},
 			[]string{"verify", "-deep", bad},
 			[]string{"verify", "-bytecode", bad})
-		if i >= 2 { // the two classes holding an attribute the JVM reads
+		if i >= 2 { // the classes holding an attribute the format cannot carry
 			failureCases = append(failureCases, []string{"strip", "-o", filepath.Join(dir, fmt.Sprintf("r%d.class", i)), bad})
 		}
 	}

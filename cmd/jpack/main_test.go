@@ -267,8 +267,9 @@ func writeHandlerInsideInstruction(t *testing.T, dir string) string {
 // writeRefusedClasses writes to dir classes that pack and every verify
 // mode refuse beyond their operands and handlers, and returns their
 // paths: a lookupswitch whose keys descend, an int field with a String
-// ConstantValue, and version-52 classes holding a Signature and a
-// StackMapTable, attributes the JVM reads.
+// ConstantValue, version-52 classes holding a Signature and a
+// StackMapTable, attributes the JVM reads, and a method holding a
+// ConstantValue or two Exceptions, which the packed format cannot carry.
 func writeRefusedClasses(t *testing.T, dir string) []string {
 	t.Helper()
 	modern := func(name string, inCode bool) string {
@@ -299,6 +300,14 @@ func writeRefusedClasses(t *testing.T, dir string) []string {
 		}),
 		modern("Signature", false),
 		modern("StackMapTable", true),
+		writeClass(t, dir, "MethodConstant", func(b *classfile.Builder) {
+			b.AttachConstantValue(b.AddMethod(classfile.AccPublic|classfile.AccAbstract, "m", "()V"), b.Int(7))
+		}),
+		writeClass(t, dir, "TwoExceptions", func(b *classfile.Builder) {
+			m := b.AddMethod(classfile.AccPublic|classfile.AccAbstract, "m", "()V")
+			b.AttachExceptions(m, []string{"java/io/IOException"})
+			b.AttachExceptions(m, []string{"java/lang/Exception"})
+		}),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -216,61 +217,78 @@ func TestParseAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckAttrs holds CheckAttrs, and so Verify, to the name table:
-// an attribute that the JVM reads is refused wherever it sits, naming
-// itself, its owner and the class version, while debug data and names
-// outside JVMS pass.
+// TestCheckAttrs holds CheckAttrs, and so Verify, to the name table in
+// each attribute table. An attribute that the JVM reads is refused
+// wherever it sits. An attribute that the packed formats carry is
+// refused outside the tables that carry it, and twice in one. Each
+// refusal names the attribute, its owner and the class version. Debug
+// data and names outside JVMS pass anywhere, any number of times.
 func TestCheckAttrs(t *testing.T) {
-	unknown := func(b *Builder, name string) Attribute {
-		return &UnknownAttr{attrBase: attrBase{b.Utf8(name)}, Name: name}
+	owners := []string{"class p/A", "field f", "method n()V", "Code of method m()V"}
+	// classWith returns class p/A of version 52 with attrs in the table
+	// of owners[o], written and parsed back. Method n has no Code.
+	classWith := func(o int, attrs ...Attribute) *ClassFile {
+		t.Helper()
+		b := NewBuilder("p/A", "java/lang/Object", AccPublic)
+		b.CF.MajorVersion, b.CF.MinorVersion = 52, 0
+		f := b.AddField(AccPrivate, "f", "I")
+		m := b.AddMethod(AccPublic|AccStatic, "m", "()V")
+		code := &CodeAttr{MaxStack: 1, MaxLocals: 1, Code: []byte{0xb1}}
+		b.AttachCode(m, code)
+		n := b.AddMethod(AccPublic|AccAbstract, "n", "()V")
+		for _, a := range attrs {
+			b.Utf8(a.AttrName())
+		}
+		table := []*[]Attribute{&b.CF.Attrs, &f.Attrs, &n.Attrs, &code.Attrs}[o]
+		*table = append(*table, attrs...)
+		data, err := Write(b.CF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cf
 	}
-	cases := []struct {
-		name  string
-		place func(b *Builder, field, method *Member, code *CodeAttr, name string)
-		owner string
-	}{
-		{"Signature", func(b *Builder, _, _ *Member, _ *CodeAttr, name string) {
-			b.CF.Attrs = append(b.CF.Attrs, unknown(b, name))
-		}, "class p/A"},
-		{"RuntimeVisibleAnnotations", func(b *Builder, f, _ *Member, _ *CodeAttr, name string) {
-			f.Attrs = append(f.Attrs, unknown(b, name))
-		}, "field f"},
-		{"MethodParameters", func(b *Builder, _, m *Member, _ *CodeAttr, name string) {
-			m.Attrs = append(m.Attrs, unknown(b, name))
-		}, "method m()V"},
-		{"StackMapTable", func(b *Builder, _, _ *Member, code *CodeAttr, name string) {
-			code.Attrs = append(code.Attrs, unknown(b, name))
-		}, "Code of method m()V"},
+	refused := func(cf *ClassFile, what string) {
+		t.Helper()
+		want := what + ", class version 52.0"
+		for _, err := range []error{CheckAttrs(cf), Verify(cf)} {
+			if !errors.Is(err, ErrUnsupportedAttribute) || !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want ErrUnsupportedAttribute naming %q", err, want)
+			}
+		}
 	}
-	for _, c := range cases {
-		for _, name := range []string{c.name, "LocalVariableTypeTable", "SourceDebugExtension", "X-Custom"} {
-			b := NewBuilder("p/A", "java/lang/Object", AccPublic)
-			b.CF.MajorVersion, b.CF.MinorVersion = 52, 0
-			f := b.AddField(AccPrivate, "f", "I")
-			m := b.AddMethod(AccPublic|AccStatic, "m", "()V")
-			code := &CodeAttr{MaxStack: 1, MaxLocals: 1, Code: []byte{0xb1}}
-			b.AttachCode(m, code)
-			c.place(b, f, m, code, name)
-			data, err := Write(b.CF)
-			if err != nil {
-				t.Fatal(err)
+	// The owners whose tables the packed formats carry each attribute in.
+	carriedIn := map[string][]int{
+		"Code": {2}, "ConstantValue": {1}, "Exceptions": {2}, "InnerClasses": {0},
+		"Synthetic": {0, 1, 2}, "Deprecated": {0, 1, 2},
+	}
+	for o, owner := range owners {
+		for _, name := range []string{"Signature", "RuntimeVisibleAnnotations", "MethodParameters", "StackMapTable"} {
+			refused(classWith(o, &UnknownAttr{Name: name}), name+" in "+owner)
+		}
+		for _, name := range []string{"LocalVariableTypeTable", "SourceDebugExtension", "X-Custom"} {
+			if err := Verify(classWith(o, &UnknownAttr{Name: name}, &UnknownAttr{Name: name})); err != nil {
+				t.Errorf("Verify refused two %s in %s: %v", name, owner, err)
 			}
-			cf, err := Parse(data)
-			if err != nil {
-				t.Fatal(err)
+		}
+		for _, name := range []string{"SourceFile", "LineNumberTable", "LocalVariableTable"} {
+			if err := CheckAttrs(classWith(o, attrTypes[name].new(), attrTypes[name].new())); err != nil {
+				t.Errorf("CheckAttrs refused two %s in %s: %v", name, owner, err)
 			}
-			if name != c.name {
-				if err := Verify(cf); err != nil {
-					t.Errorf("Verify refused %s in %s: %v", name, c.owner, err)
-				}
+		}
+		for name, in := range carriedIn {
+			one := attrTypes[name].new()
+			if !slices.Contains(in, o) {
+				refused(classWith(o, one), name+" in "+owner)
 				continue
 			}
-			for _, err := range []error{CheckAttrs(cf), Verify(cf)} {
-				want := fmt.Sprintf("%s in %s, class version 52.0", name, c.owner)
-				if !errors.Is(err, ErrUnsupportedAttribute) || !strings.Contains(err.Error(), want) {
-					t.Errorf("%s in %s: err = %v, want ErrUnsupportedAttribute naming %q", name, c.owner, err, want)
-				}
+			if err := CheckAttrs(classWith(o, one)); err != nil {
+				t.Errorf("CheckAttrs refused %s in %s: %v", name, owner, err)
 			}
+			refused(classWith(o, one, attrTypes[name].new()), name+" repeated in "+owner)
 		}
 	}
 }

@@ -417,11 +417,4 @@ func (cf *ClassFile) MemberName(m *Member) string { return cf.Utf8At(m.Name) }
 func (cf *ClassFile) MemberDesc(m *Member) string { return cf.Utf8At(m.Desc) }
 
 // CodeOf returns the method's Code attribute, or nil.
-func CodeOf(m *Member) *CodeAttr {
-	for _, a := range m.Attrs {
-		if c, ok := a.(*CodeAttr); ok {
-			return c
-		}
-	}
-	return nil
-}
+func CodeOf(m *Member) *CodeAttr { return AttrOf[*CodeAttr](m.Attrs) }

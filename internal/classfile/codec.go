@@ -140,8 +140,8 @@ func (c *codec) readAttr(p *Attribute) {
 	}
 	name := c.cf.Utf8At(nameIdx)
 	var a Attribute
-	if newAttr := attrTypes[name]; newAttr != nil {
-		a = newAttr()
+	if t := attrTypes[name]; t.new != nil {
+		a = t.new()
 	} else {
 		a = &UnknownAttr{Name: name}
 	}
@@ -178,44 +178,65 @@ func (c *codec) attrNameIndex(a Attribute) uint16 {
 	return 0
 }
 
-// attrTypes gives each attribute name that this package interprets a
-// new value of its type. Every other name is read as an UnknownAttr,
-// which strip drops. For most names that is allowed (JVMS §4.7.1), but
-// not for the names the table maps to nil: the rest of JVMS §4.7's
-// predefined attributes, which the JVM or the class libraries read.
-// CheckAttrs refuses a class that holds one. LocalVariableTypeTable and
-// SourceDebugExtension are debug data, which §2 strips like
-// LineNumberTable, so they are not in the table.
-var attrTypes = map[string]func() Attribute{
-	"Code":               func() Attribute { return new(CodeAttr) },
-	"ConstantValue":      func() Attribute { return new(ConstantValueAttr) },
-	"Deprecated":         func() Attribute { return new(DeprecatedAttr) },
-	"Exceptions":         func() Attribute { return new(ExceptionsAttr) },
-	"InnerClasses":       func() Attribute { return new(InnerClassesAttr) },
-	"LineNumberTable":    func() Attribute { return new(LineNumberTableAttr) },
-	"LocalVariableTable": func() Attribute { return new(LocalVariableTableAttr) },
-	"SourceFile":         func() Attribute { return new(SourceFileAttr) },
-	"Synthetic":          func() Attribute { return new(SyntheticAttr) },
+// tables is a set of the attribute tables of a class file: the class's
+// own, a field's, a method's, and a method's Code attribute's.
+type tables uint8
 
-	"AnnotationDefault":                    nil,
-	"BootstrapMethods":                     nil,
-	"EnclosingMethod":                      nil,
-	"MethodParameters":                     nil,
-	"Module":                               nil,
-	"ModuleMainClass":                      nil,
-	"ModulePackages":                       nil,
-	"NestHost":                             nil,
-	"NestMembers":                          nil,
-	"PermittedSubclasses":                  nil,
-	"Record":                               nil,
-	"RuntimeInvisibleAnnotations":          nil,
-	"RuntimeInvisibleParameterAnnotations": nil,
-	"RuntimeInvisibleTypeAnnotations":      nil,
-	"RuntimeVisibleAnnotations":            nil,
-	"RuntimeVisibleParameterAnnotations":   nil,
-	"RuntimeVisibleTypeAnnotations":        nil,
-	"Signature":                            nil,
-	"StackMapTable":                        nil,
+const (
+	inClass tables = 1 << iota
+	inField
+	inMethod
+	inCode
+)
+
+// attrType is a row of attrTypes: how to make a value of the type that
+// interprets the attribute, and the tables the packed formats carry it
+// in, at most once each.
+type attrType struct {
+	new func() Attribute
+	in  tables
+}
+
+// attrTypes gives each attribute name that this package interprets its
+// row. Every other name is read as an UnknownAttr, which strip drops.
+// For most names that is allowed (JVMS §4.7.1), but not for the names
+// the table gives no type: the rest of JVMS §4.7's predefined
+// attributes, which the JVM or the class libraries read. The debug
+// attributes list no tables, as strip drops them wherever they sit;
+// LocalVariableTypeTable and SourceDebugExtension are debug data, which
+// §2 strips like LineNumberTable, so they are not in the table.
+// CheckAttrs refuses a class that holds an attribute without a type,
+// or a carried one outside its tables or twice in one.
+var attrTypes = map[string]attrType{
+	"Code":               {func() Attribute { return new(CodeAttr) }, inMethod},
+	"ConstantValue":      {func() Attribute { return new(ConstantValueAttr) }, inField},
+	"Deprecated":         {func() Attribute { return new(DeprecatedAttr) }, inClass | inField | inMethod},
+	"Exceptions":         {func() Attribute { return new(ExceptionsAttr) }, inMethod},
+	"InnerClasses":       {func() Attribute { return new(InnerClassesAttr) }, inClass},
+	"LineNumberTable":    {func() Attribute { return new(LineNumberTableAttr) }, 0},
+	"LocalVariableTable": {func() Attribute { return new(LocalVariableTableAttr) }, 0},
+	"SourceFile":         {func() Attribute { return new(SourceFileAttr) }, 0},
+	"Synthetic":          {func() Attribute { return new(SyntheticAttr) }, inClass | inField | inMethod},
+
+	"AnnotationDefault":                    {},
+	"BootstrapMethods":                     {},
+	"EnclosingMethod":                      {},
+	"MethodParameters":                     {},
+	"Module":                               {},
+	"ModuleMainClass":                      {},
+	"ModulePackages":                       {},
+	"NestHost":                             {},
+	"NestMembers":                          {},
+	"PermittedSubclasses":                  {},
+	"Record":                               {},
+	"RuntimeInvisibleAnnotations":          {},
+	"RuntimeInvisibleParameterAnnotations": {},
+	"RuntimeInvisibleTypeAnnotations":      {},
+	"RuntimeVisibleAnnotations":            {},
+	"RuntimeVisibleParameterAnnotations":   {},
+	"RuntimeVisibleTypeAnnotations":        {},
+	"Signature":                            {},
+	"StackMapTable":                        {},
 }
 
 // ErrUnsupportedAttribute is wrapped by CheckAttrs' error.
@@ -223,27 +244,29 @@ var ErrUnsupportedAttribute = errors.New("unsupported attribute")
 
 // CheckAttrs refuses a class that holds an attribute which the JVM or
 // the class libraries read but which this package does not interpret,
-// so that strip would drop it (attrTypes lists them). The error wraps
-// ErrUnsupportedAttribute and names the attribute, its owner and the
-// class version.
+// so that strip would drop it, or an attribute that the packed formats
+// carry outside the tables they carry it in, or twice in one table, so
+// that it would not unpack as it was (attrTypes states both). The error
+// wraps ErrUnsupportedAttribute and names the attribute, its owner and
+// the class version.
 func CheckAttrs(cf *ClassFile) error {
 	refuse := func(name, owner string) error {
 		return fmt.Errorf("classfile: %w %s in %s, class version %d.%d",
 			ErrUnsupportedAttribute, name, owner, cf.MajorVersion, cf.MinorVersion)
 	}
-	if name := unsupported(cf.Attrs); name != "" {
+	if name := refused(cf.Attrs, inClass); name != "" {
 		return refuse(name, "class "+cf.ThisClassName())
 	}
 	for i := range cf.Fields {
-		if name := unsupported(cf.Fields[i].Attrs); name != "" {
+		if name := refused(cf.Fields[i].Attrs, inField); name != "" {
 			return refuse(name, "field "+cf.MemberName(&cf.Fields[i]))
 		}
 	}
 	for i := range cf.Methods {
 		m := &cf.Methods[i]
-		name, owner := unsupported(m.Attrs), "method "
+		name, owner := refused(m.Attrs, inMethod), "method "
 		if code := CodeOf(m); name == "" && code != nil {
-			name, owner = unsupported(code.Attrs), "Code of method "
+			name, owner = refused(code.Attrs, inCode), "Code of method "
 		}
 		if name != "" {
 			return refuse(name, owner+cf.MemberName(m)+cf.MemberDesc(m))
@@ -252,12 +275,22 @@ func CheckAttrs(cf *ClassFile) error {
 	return nil
 }
 
-// unsupported returns the name of the first attribute in attrs that
-// CheckAttrs refuses, or "".
-func unsupported(attrs []Attribute) string {
-	for _, a := range attrs {
-		if newAttr, listed := attrTypes[a.AttrName()]; listed && newAttr == nil {
-			return a.AttrName()
+// refused describes the first attribute of attrs, a table of kind in,
+// that CheckAttrs refuses; "" if there is none.
+func refused(attrs []Attribute, in tables) string {
+	for i, a := range attrs {
+		name := a.AttrName()
+		t, listed := attrTypes[name]
+		if !listed || t.new != nil && t.in == 0 {
+			continue // strip drops it
+		}
+		if t.in&in == 0 {
+			return name
+		}
+		for _, b := range attrs[:i] {
+			if b.AttrName() == name {
+				return name + " repeated"
+			}
 		}
 	}
 	return ""
@@ -277,13 +310,18 @@ func AttrSize(a Attribute) int {
 // attribute. Their presence is all they say, so the packed formats send
 // them as flag bits.
 func Marks(attrs []Attribute) (synthetic, deprecated bool) {
+	return AttrOf[*SyntheticAttr](attrs) != nil, AttrOf[*DeprecatedAttr](attrs) != nil
+}
+
+// AttrOf returns the first attribute of type T in attrs, or nil. In a
+// class that CheckAttrs accepts, a table holds at most one attribute of
+// each type the packed formats carry, so the first is the only one.
+func AttrOf[T Attribute](attrs []Attribute) T {
 	for _, a := range attrs {
-		switch a.(type) {
-		case *SyntheticAttr:
-			synthetic = true
-		case *DeprecatedAttr:
-			deprecated = true
+		if t, ok := a.(T); ok {
+			return t
 		}
 	}
-	return synthetic, deprecated
+	var none T
+	return none
 }

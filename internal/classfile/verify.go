@@ -47,12 +47,10 @@ func Verify(cf *ClassFile) error {
 		if err != nil {
 			return fmt.Errorf("field %d: %w", mi, err)
 		}
-		for _, a := range f.Attrs {
-			// The walk above checked that the index names a constant.
-			if cv, ok := a.(*ConstantValueAttr); ok && cf.Pool[cv.Index].Kind != ConstKindForType(t) {
-				return fmt.Errorf("field %d: classfile: ConstantValue kind %v does not match field type %s",
-					mi, cf.Pool[cv.Index].Kind, t)
-			}
+		// The walk above checked that the index names a constant.
+		if cv := AttrOf[*ConstantValueAttr](f.Attrs); cv != nil && cf.Pool[cv.Index].Kind != ConstKindForType(t) {
+			return fmt.Errorf("field %d: classfile: ConstantValue kind %v does not match field type %s",
+				mi, cf.Pool[cv.Index].Kind, t)
 		}
 		if err := verifyAttrs(cf, f.Attrs); err != nil {
 			return fmt.Errorf("field %d: %w", mi, err)

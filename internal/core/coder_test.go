@@ -72,14 +72,14 @@ func TestNoCoderOutlivesPack(t *testing.T) {
 	check("Traces")
 
 	// The walk reaches the bad class last, after the large stream grew.
-	withAttr := func(a classfile.Attribute) []*classfile.ClassFile {
-		bad := *cfs[0]
-		bad.Attrs = append(bad.Attrs[:len(bad.Attrs):len(bad.Attrs)], a)
-		return append(cfs[:len(cfs):len(cfs)], &bad)
+	withLast := func(bad *classfile.ClassFile) []*classfile.ClassFile {
+		return append(cfs[:len(cfs):len(cfs)], bad)
 	}
-	_, err = Pack(withAttr(&classfile.SourceFileAttr{}), opts)
-	if err == nil || !strings.Contains(err.Error(), "unsupported class attribute SourceFile") {
-		t.Fatalf("Pack of a class with SourceFile: %v", err)
+	noName := *cfs[0]
+	noName.ThisClass = 0
+	_, err = Pack(withLast(&noName), opts)
+	if err == nil || !strings.Contains(err.Error(), "index 0 is not a Class constant") {
+		t.Fatalf("Pack of a class with this_class 0: %v", err)
 	}
 	check("a Pack that failed in the walk")
 
@@ -95,10 +95,10 @@ func TestNoCoderOutlivesPack(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Pack of a class with a nil attribute did not panic")
+				t.Fatal("Pack of a nil class did not panic")
 			}
 		}()
-		Pack(withAttr(nil), opts)
+		Pack(withLast(nil), opts)
 	}()
 	check("a Pack that panicked")
 }

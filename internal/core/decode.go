@@ -232,8 +232,8 @@ func classError(i int, err error) error {
 	}
 	err = fmt.Errorf("core: unpack class %d: %w", i, err)
 	if _, ok := corrupt.As(err); !ok {
-		// Failures that no one stream carries, such as a decoded
-		// descriptor that does not parse, are charged to int.meta, as
+		// Failures that no one stream carries, such as a built class
+		// whose constant pool overflows, are charged to int.meta, as
 		// salvage charges them.
 		err = corrupt.New(sMeta.String(), -1, err)
 	}
@@ -425,14 +425,15 @@ func (u *unpacker) memberRef(use opUse, ctx int) (*memberEntry, error) {
 
 // defineMember is defineClass for member reference m in pool. Creating
 // an entry parses m's descriptor, which fails for a descriptor that the
-// decoded keys spell but that does not parse back.
+// decoded keys spell but that does not parse back: damage charged to
+// pool's stream, which holds the new reference.
 func (u *unpacker) defineMember(pool poolID, mk string, m ir.MemberRef) (*memberEntry, error) {
 	if e, ok := u.members[pool][mk]; ok && e.ref == m {
 		return e, nil
 	}
 	d, err := u.descs.member(m)
 	if err != nil {
-		return nil, err
+		return nil, corrupt.New(pool.stream().String(), -1, err)
 	}
 	e := &memberEntry{ref: m, owner: ir.KeyToClassName(m.Owner), desc: d}
 	u.members[pool][mk] = e

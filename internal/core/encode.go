@@ -16,9 +16,12 @@ import (
 // Pack encodes a collection of classfiles into a packed archive. With
 // Options.ChunkClasses zero it emits the monolithic version-2 layout;
 // a positive ChunkClasses selects the chunked, random-access version 3.
-// The classfiles must already be canonicalized with strip.Apply
-// (debugging and unrecognized attributes removed); Unpack reproduces
-// them byte-for-byte either way.
+// The classfiles must already be canonicalized with strip.Apply, which
+// removes debugging and unrecognized attributes and refuses a class
+// whose other attributes sit outside their tables or repeat
+// (classfile.CheckAttrs). The walk looks up each table's attributes by
+// type, so it sends all of such a class, and Unpack reproduces it
+// byte-for-byte either way.
 func Pack(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	if opts.ChunkClasses > 0 {
 		return PackVersion(cfs, opts, Version3)
@@ -174,17 +177,9 @@ func (p *packer) class(cf *classfile.ClassFile) error {
 			return err
 		}
 	}
-	var inner *classfile.InnerClassesAttr
-	for _, a := range cf.Attrs {
-		switch a := a.(type) {
-		case *classfile.InnerClassesAttr:
-			inner = a
-			flags |= flagHasInner
-		case *classfile.SyntheticAttr, *classfile.DeprecatedAttr:
-			// folded into flags above
-		default:
-			return fmt.Errorf("unsupported class attribute %s (strip first)", a.AttrName())
-		}
+	inner := classfile.AttrOf[*classfile.InnerClassesAttr](cf.Attrs)
+	if inner != nil {
+		flags |= flagHasInner
 	}
 	meta := p.st(sMeta)
 	meta.Uint(uint64(cf.MinorVersion))
@@ -258,17 +253,10 @@ func (p *packer) field(cf *classfile.ClassFile, m *classfile.Member) error {
 	if err != nil {
 		return err
 	}
-	var cv *classfile.ConstantValueAttr
 	flags := memberFlags(m.AccessFlags, m.Attrs)
-	for _, a := range m.Attrs {
-		switch a := a.(type) {
-		case *classfile.ConstantValueAttr:
-			cv = a
-			flags |= flagHasConst
-		case *classfile.SyntheticAttr, *classfile.DeprecatedAttr:
-		default:
-			return fmt.Errorf("unsupported field attribute %s", a.AttrName())
-		}
+	cv := classfile.AttrOf[*classfile.ConstantValueAttr](m.Attrs)
+	if cv != nil {
+		flags |= flagHasConst
 	}
 	p.st(sMeta).Uint(flags)
 	p.strRef(catFname, cf.MemberName(m))
@@ -323,21 +311,12 @@ func (p *packer) method(cf *classfile.ClassFile, m *classfile.Member) error {
 	if err != nil {
 		return err
 	}
-	var code *classfile.CodeAttr
-	var exc *classfile.ExceptionsAttr
 	flags := memberFlags(m.AccessFlags, m.Attrs)
-	for _, a := range m.Attrs {
-		switch a := a.(type) {
-		case *classfile.CodeAttr:
-			code = a
-			flags |= flagHasCode
-		case *classfile.ExceptionsAttr:
-			exc = a
-		case *classfile.SyntheticAttr, *classfile.DeprecatedAttr:
-		default:
-			return fmt.Errorf("unsupported method attribute %s", a.AttrName())
-		}
+	code := classfile.CodeOf(m)
+	if code != nil {
+		flags |= flagHasCode
 	}
+	exc := classfile.AttrOf[*classfile.ExceptionsAttr](m.Attrs)
 	meta := p.st(sMeta)
 	meta.Uint(flags)
 	p.strRef(catMname, cf.MemberName(m))

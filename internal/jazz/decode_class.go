@@ -169,26 +169,26 @@ func (r *jzReader) field(b *classfile.Builder) error {
 			return err
 		}
 		var idx uint16
-		switch {
-		case t.Dims == 0 && (t.Base == 'I' || t.Base == 'Z' || t.Base == 'B' || t.Base == 'C' || t.Base == 'S'):
+		switch classfile.ConstKindForType(t) {
+		case classfile.KindInteger:
 			sub, err := r.ref(aCVInt)
 			if err != nil {
 				return err
 			}
 			idx = b.Int(r.g.ints[sub])
-		case t.Dims == 0 && t.Base == 'F':
+		case classfile.KindFloat:
 			sub, err := r.ref(aCVFloat)
 			if err != nil {
 				return err
 			}
 			idx = b.Float(r.g.floats[sub])
-		case t.Dims == 0 && t.Base == 'J':
+		case classfile.KindLong:
 			sub, err := r.ref(aCVLong)
 			if err != nil {
 				return err
 			}
 			idx = b.Long(r.g.longs[sub])
-		case t.Dims == 0 && t.Base == 'D':
+		case classfile.KindDouble:
 			sub, err := r.ref(aCVDouble)
 			if err != nil {
 				return err

@@ -39,7 +39,9 @@ func (w *jzWriter) bits(v uint64, n uint) {
 	}
 }
 
-// Pack encodes stripped classfiles into a Jazz archive.
+// Pack encodes stripped classfiles into a Jazz archive. Like core.Pack,
+// it looks up each table's attributes by type, which sends all of a
+// class only because strip.Apply has refused or removed the others.
 func Pack(cfs []*classfile.ClassFile) ([]byte, error) {
 	g := newGlobalPool()
 	for _, cf := range cfs {
@@ -171,16 +173,7 @@ func (w *jzWriter) class(cf *classfile.ClassFile) error {
 	w.bits(uint64(cf.MajorVersion), 16)
 	w.bits(uint64(cf.AccessFlags), 16)
 	synth, depr := classfile.Marks(cf.Attrs)
-	var inner *classfile.InnerClassesAttr
-	for _, a := range cf.Attrs {
-		switch a := a.(type) {
-		case *classfile.InnerClassesAttr:
-			inner = a
-		case *classfile.SyntheticAttr, *classfile.DeprecatedAttr:
-		default:
-			return fmt.Errorf("unsupported class attribute %s", a.AttrName())
-		}
-	}
+	inner := classfile.AttrOf[*classfile.InnerClassesAttr](cf.Attrs)
 	w.bits(boolBit(cf.SuperClass != 0), 1)
 	w.bits(boolBit(inner != nil), 1)
 	w.bits(boolBit(synth), 1)
@@ -255,17 +248,20 @@ func (w *jzWriter) field(cf *classfile.ClassFile, m *classfile.Member) error {
 	}
 	w.ref(aUtf8, sub)
 	synth, depr := classfile.Marks(m.Attrs)
-	var cv *classfile.ConstantValueAttr
-	for _, a := range m.Attrs {
-		if c, ok := a.(*classfile.ConstantValueAttr); ok {
-			cv = c
-		}
-	}
+	cv := classfile.AttrOf[*classfile.ConstantValueAttr](m.Attrs)
 	w.bits(boolBit(cv != nil), 1)
 	w.bits(boolBit(synth), 1)
 	w.bits(boolBit(depr), 1)
 	if cv != nil {
+		// The decoder picks the subpool from the field's type.
+		t, err := classfile.ParseFieldDescriptor(cf.MemberDesc(m))
+		if err != nil {
+			return err
+		}
 		c := &cf.Pool[cv.Index]
+		if c.Kind != classfile.ConstKindForType(t) {
+			return fmt.Errorf("ConstantValue kind %v does not match field type %s", c.Kind, t)
+		}
 		switch c.Kind {
 		case classfile.KindInteger:
 			w.ref(aCVInt, g.internInt(c.Int))
@@ -277,11 +273,7 @@ func (w *jzWriter) field(cf *classfile.ClassFile, m *classfile.Member) error {
 			w.ref(aCVDouble, g.internDouble(c.Double))
 		case classfile.KindString:
 			w.ref(aCVString, g.internString(cf.Utf8At(c.Str)))
-		default:
-			return fmt.Errorf("ConstantValue of %v", c.Kind)
 		}
-		// One tag bit pair selects the subpool on decode... the field
-		// descriptor determines it instead; nothing extra to write.
 	}
 	return nil
 }
@@ -300,12 +292,7 @@ func (w *jzWriter) method(cf *classfile.ClassFile, m *classfile.Member) error {
 	w.ref(aUtf8, sub)
 	synth, depr := classfile.Marks(m.Attrs)
 	code := classfile.CodeOf(m)
-	var exc *classfile.ExceptionsAttr
-	for _, a := range m.Attrs {
-		if e, ok := a.(*classfile.ExceptionsAttr); ok {
-			exc = e
-		}
-	}
+	exc := classfile.AttrOf[*classfile.ExceptionsAttr](m.Attrs)
 	w.bits(boolBit(code != nil), 1)
 	w.bits(boolBit(exc != nil), 1)
 	w.bits(boolBit(synth), 1)
@@ -399,13 +386,13 @@ func (w *jzWriter) insn(cf *classfile.ClassFile, in *bytecode.Instruction) error
 			}
 			w.ref(aLdc2, sub)
 		case bytecode.Getfield, bytecode.Putfield, bytecode.Getstatic, bytecode.Putstatic:
-			_, sub, err := g.memberOf(cf, uint16(in.A))
+			sub, err := g.memberOf(cf, uint16(in.A), classfile.KindFieldref)
 			if err != nil {
 				return err
 			}
 			w.ref(aField, sub)
 		case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic:
-			_, sub, err := g.memberOf(cf, uint16(in.A))
+			sub, err := g.memberOf(cf, uint16(in.A), classfile.KindMethodref)
 			if err != nil {
 				return err
 			}
@@ -420,7 +407,7 @@ func (w *jzWriter) insn(cf *classfile.ClassFile, in *bytecode.Instruction) error
 			return fmt.Errorf("jazz: unexpected cp instruction %s", in.Op)
 		}
 	case bytecode.FmtInvokeInterface:
-		_, sub, err := g.memberOf(cf, uint16(in.A))
+		sub, err := g.memberOf(cf, uint16(in.A), classfile.KindInterfaceMethodref)
 		if err != nil {
 			return err
 		}

@@ -178,19 +178,15 @@ func (g *globalPool) classOf(cf *classfile.ClassFile, idx uint16) (int, error) {
 	return g.internClass(cf.ClassNameAt(idx)), nil
 }
 
-func (g *globalPool) memberOf(cf *classfile.ClassFile, idx uint16) (kind classfile.ConstKind, sub int, err error) {
-	if int(idx) >= len(cf.Pool) {
-		return 0, 0, fmt.Errorf("jazz: member index %d out of range", idx)
+// memberOf maps the member reference at idx to its subpool index. The
+// opcode that names it selects the subpool, so it must be of kind want.
+func (g *globalPool) memberOf(cf *classfile.ClassFile, idx uint16, want classfile.ConstKind) (int, error) {
+	if int(idx) >= len(cf.Pool) || cf.Pool[idx].Kind != want {
+		return 0, fmt.Errorf("jazz: index %d is not %v", idx, want)
 	}
 	c := &cf.Pool[idx]
-	switch c.Kind {
-	case classfile.KindFieldref, classfile.KindMethodref, classfile.KindInterfaceMethodref:
-	default:
-		return 0, 0, fmt.Errorf("jazz: index %d is %v, not a member", idx, c.Kind)
-	}
 	nat := cf.Pool[c.NameAndType]
-	return c.Kind, g.internMember(c.Kind, cf.ClassNameAt(c.Class),
-		cf.Utf8At(nat.Name), cf.Utf8At(nat.Desc)), nil
+	return g.internMember(want, cf.ClassNameAt(c.Class), cf.Utf8At(nat.Name), cf.Utf8At(nat.Desc)), nil
 }
 
 // ldcUnion maps an ldc-able constant (int, float, string) to the union

@@ -364,6 +364,14 @@ func refusedClasses(t *testing.T) map[string][]byte {
 		}),
 		"Signature at version 52":             modern("Signature", false),
 		"StackMapTable in Code at version 52": modern("StackMapTable", true),
+		"ConstantValue on a method": buildClass(t, func(b *classfile.Builder) {
+			b.AttachConstantValue(b.AddMethod(classfile.AccPublic|classfile.AccAbstract, "m", "()V"), b.Int(7))
+		}),
+		"two Exceptions on a method": buildClass(t, func(b *classfile.Builder) {
+			m := b.AddMethod(classfile.AccPublic|classfile.AccAbstract, "m", "()V")
+			b.AttachExceptions(m, []string{"java/io/IOException"})
+			b.AttachExceptions(m, []string{"java/lang/Exception"})
+		}),
 	}
 }
 

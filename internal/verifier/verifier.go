@@ -18,7 +18,6 @@ import (
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
-	"classpack/internal/par"
 )
 
 // vtype is one verification type (a slot in a frame).
@@ -173,17 +172,6 @@ func ClassVerdicts(cf *classfile.ClassFile) []Verdict {
 		}
 	}
 	return out
-}
-
-// Classes verifies a whole collection on up to concurrency workers
-// (<= 0 meaning all cores). Verification only reads each classfile, and
-// each file is checked independently, so the outcome is identical for
-// every worker count; the error returned is the one a serial sweep
-// would report first.
-func Classes(cfs []*classfile.ClassFile, concurrency int) error {
-	return par.Do(concurrency, len(cfs), func(i int) error {
-		return Class(cfs[i])
-	})
 }
 
 // Method verifies one method body (no-op for abstract/native methods).

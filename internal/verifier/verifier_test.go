@@ -183,56 +183,6 @@ func TestCorporaVerify(t *testing.T) {
 	}
 }
 
-// TestClassesMatchesSerial checks the parallel whole-archive sweep:
-// Classes agrees with a serial Class loop on both clean and broken
-// corpora, at several worker counts.
-func TestClassesMatchesSerial(t *testing.T) {
-	p, err := synth.ProfileByName("Hanoi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfs, err := synth.GenerateStripped(p, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range []int{1, 2, 0} {
-		if err := Classes(cfs, j); err != nil {
-			t.Fatalf("Classes(j=%d) rejected a clean corpus: %v", j, err)
-		}
-	}
-	// Break one method body; every worker count must report it, and the
-	// parallel sweep must name the same failure the serial one does.
-	var broken *classfile.ClassFile
-	for _, cf := range cfs {
-		for mi := range cf.Methods {
-			if code := classfile.CodeOf(&cf.Methods[mi]); code != nil && len(code.Code) > 0 {
-				code.Code[0] = byte(bytecode.Pop)
-				broken = cf
-				break
-			}
-		}
-		if broken != nil {
-			break
-		}
-	}
-	if broken == nil {
-		t.Fatal("no method body to corrupt")
-	}
-	serial := Classes(cfs, 1)
-	if serial == nil {
-		t.Fatal("serial sweep accepted corrupted bytecode")
-	}
-	for _, j := range []int{2, 0} {
-		err := Classes(cfs, j)
-		if err == nil {
-			t.Fatalf("Classes(j=%d) accepted corrupted bytecode", j)
-		}
-		if err.Error() != serial.Error() {
-			t.Fatalf("Classes(j=%d) = %q, serial = %q", j, err, serial)
-		}
-	}
-}
-
 // TestUnpackedArchiveVerifies closes the loop: classes that went through
 // pack/unpack still pass dataflow verification.
 func TestUnpackedArchiveVerifies(t *testing.T) {

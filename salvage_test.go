@@ -1,9 +1,11 @@
 package classpack
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/encoding/varint"
 	"classpack/internal/streams"
@@ -172,11 +174,15 @@ func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) [
 	return append(packed[:6:6], out...)
 }
 
-// TestDamagedRefStreamIsNamed sets the first reference of ref.class to
-// a move-to-front position past every queue, with the checksums intact,
-// so the reference decoder itself refuses it. UnpackOpts' CorruptError
-// and Salvage's damage report must both name ref.class, the stream that
-// holds the damage, not the decoder's own name for it.
+// TestDamagedRefStreamIsNamed edits ref.class with the checksums
+// intact, so that only the decoders notice. UnpackOpts' CorruptError
+// and Salvage's damage report must both name the stream that holds the
+// reference at fault, not the decoder's own name for it:
+//   - the first reference becomes a move-to-front position past every
+//     queue, which the reference decoder itself refuses, on ref.class;
+//   - the parameter type of a new method reference becomes void, so the
+//     descriptor its keys spell does not parse, on ref.meth.st, which
+//     holds that invokestatic reference.
 func TestDamagedRefStreamIsNamed(t *testing.T) {
 	var files [][]byte
 	for _, cf := range salvageClasses(t, 2) {
@@ -186,26 +192,53 @@ func TestDamagedRefStreamIsNamed(t *testing.T) {
 		}
 		files = append(files, data)
 	}
-	packed, err := Pack(files, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	damaged := rewriteStream(t, packed, "ref.class", func(raw []byte) []byte {
-		_, n, err := varint.Uint(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(varint.AppendUint(nil, 1<<20), raw[n:]...)
+	invoke := codeClass(t, func(b *classfile.Builder, a *bytecode.Assembler) {
+		a.Op(bytecode.Iconst0)
+		a.CP(bytecode.Invokestatic, b.Methodref("p/V", "g", "(I)V"))
+		a.Op(bytecode.Return)
 	})
-	_, err = UnpackOpts(damaged, nil)
-	if ce, ok := AsCorrupt(err); !ok || ce.Stream != "ref.class" {
-		t.Fatalf("UnpackOpts = %v, want a CorruptError on ref.class", err)
+	cases := []struct {
+		name  string
+		files [][]byte
+		edit  func(raw []byte) []byte
+		want  string
+	}{
+		{"position past every queue", files, func(raw []byte) []byte {
+			_, n, err := varint.Uint(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(varint.AppendUint(nil, 1<<20), raw[n:]...)
+		}, "ref.class"},
+		{"void parameter", [][]byte{invoke}, func(raw []byte) []byte {
+			// p/V, java/lang/Object (a transient), m's return type V,
+			// then g's owner p/V, its return type V, and its parameter
+			// type I, a new transient. Position 1 (varint 2) is the V
+			// read just before, so g's descriptor reads (V)V.
+			if want := []byte{1, 0, 1, 3, 3, 0}; !bytes.Equal(raw, want) {
+				t.Fatalf("ref.class = %v, want %v", raw, want)
+			}
+			return []byte{1, 0, 1, 3, 3, 2}
+		}, "ref.meth.st"},
 	}
-	res, err := Salvage(damaged, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Damage) != 1 || res.Damage[0].Stream != "ref.class" {
-		t.Fatalf("Salvage damage = %+v, want one region on ref.class", res.Damage)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			packed, err := Pack(c.files, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := rewriteStream(t, packed, "ref.class", c.edit)
+			_, err = UnpackOpts(damaged, nil)
+			if ce, ok := AsCorrupt(err); !ok || ce.Stream != c.want {
+				t.Fatalf("UnpackOpts = %v, want a CorruptError on %s", err, c.want)
+			}
+			res, err := Salvage(damaged, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Damage) != 1 || res.Damage[0].Stream != c.want {
+				t.Fatalf("Salvage damage = %+v, want one region on %s", res.Damage, c.want)
+			}
+		})
 	}
 }

@@ -1,13 +1,19 @@
 package classpack
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
+	"classpack/internal/jazz"
+	"classpack/internal/strip"
 )
 
 // codeClass builds class p/V whose static method m()V runs emit's code
@@ -194,6 +200,30 @@ func TestVerifyRefusesWhatPackRefusesBeyondOperands(t *testing.T) {
 	}
 }
 
+// entryPoints returns the error of every entry point that packs,
+// strips or verifies one class file: packAndVerify's, VerifyAll's
+// without deep, PackJar's, PackStream's and Strip's.
+func entryPoints(t *testing.T, data []byte) []modeErr {
+	t.Helper()
+	jar, err := JarFromFiles([]File{{Name: "p/M.class", Data: data}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, jarErr := PackJar(jar, nil)
+	sent := false
+	streamErr := PackStream(io.Discard, func() ([]byte, error) {
+		if sent {
+			return nil, io.EOF
+		}
+		sent = true
+		return data, nil
+	}, nil)
+	_, stripErr := Strip(data)
+	return append(packAndVerify(data),
+		modeErr{"VerifyAll", VerifyAll([][]byte{data}, false, 1)[0]},
+		modeErr{"PackJar", jarErr}, modeErr{"PackStream", streamErr}, modeErr{"Strip", stripErr})
+}
+
 // modernClass returns a class of major version 52 that holds one
 // attribute named name with a body of two zero bytes: on the class, or
 // with inCode in its method's Code attribute.
@@ -225,25 +255,6 @@ func modernClass(t *testing.T, name string, inCode bool) []byte {
 // naming the attribute, its owner and the version. Debug data and
 // attributes outside JVMS are still stripped.
 func TestRefusesAttributesTheJVMReads(t *testing.T) {
-	entryPoints := func(data []byte) []modeErr {
-		jar, err := JarFromFiles([]File{{Name: "p/M.class", Data: data}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, jarErr := PackJar(jar, nil)
-		sent := false
-		streamErr := PackStream(io.Discard, func() ([]byte, error) {
-			if sent {
-				return nil, io.EOF
-			}
-			sent = true
-			return data, nil
-		}, nil)
-		_, stripErr := Strip(data)
-		return append(packAndVerify(data),
-			modeErr{"VerifyAll", VerifyAll([][]byte{data}, false, 1)[0]},
-			modeErr{"PackJar", jarErr}, modeErr{"PackStream", streamErr}, modeErr{"Strip", stripErr})
-	}
 	for _, c := range []struct {
 		attr   string
 		inCode bool
@@ -253,7 +264,7 @@ func TestRefusesAttributesTheJVMReads(t *testing.T) {
 		{"StackMapTable", true, "StackMapTable in Code of method m()V, class version 52.0"},
 	} {
 		t.Run(c.attr, func(t *testing.T) {
-			for _, check := range entryPoints(modernClass(t, c.attr, c.inCode)) {
+			for _, check := range entryPoints(t, modernClass(t, c.attr, c.inCode)) {
 				if !errors.Is(check.err, ErrUnsupportedAttribute) || !strings.Contains(check.err.Error(), c.want) {
 					t.Errorf("%s = %v, want ErrUnsupportedAttribute naming %q", check.name, check.err, c.want)
 				}
@@ -262,11 +273,169 @@ func TestRefusesAttributesTheJVMReads(t *testing.T) {
 	}
 	for _, name := range []string{"LocalVariableTypeTable", "SourceDebugExtension", "X-Vendor"} {
 		t.Run(name, func(t *testing.T) {
-			for _, check := range entryPoints(modernClass(t, name, name == "LocalVariableTypeTable")) {
+			for _, check := range entryPoints(t, modernClass(t, name, name == "LocalVariableTypeTable")) {
 				if check.err != nil {
 					t.Errorf("%s: %v", check.name, check.err)
 				}
 			}
 		})
+	}
+}
+
+// placedClass returns class p/A, whose field f is an int and whose
+// static method m()V returns, with copies of attr in the attribute
+// table of owner: "class", "field", "method" or "Code". A Code attribute
+// placed on the method takes the place of m's own.
+func placedClass(t *testing.T, attr, owner string, copies int) []byte {
+	t.Helper()
+	b := classfile.NewBuilder("p/A", "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+	f := b.AddField(classfile.AccStatic|classfile.AccFinal, "f", "I")
+	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+	code := func() *classfile.CodeAttr {
+		return &classfile.CodeAttr{MaxStack: 1, MaxLocals: 1, Code: []byte{byte(bytecode.Return)}}
+	}
+	newAttr := map[string]func() classfile.Attribute{
+		"Code": func() classfile.Attribute { return code() },
+		"ConstantValue": func() classfile.Attribute {
+			return &classfile.ConstantValueAttr{Index: b.Int(7)}
+		},
+		"Exceptions": func() classfile.Attribute {
+			return &classfile.ExceptionsAttr{Classes: []uint16{b.Class("java/io/IOException")}}
+		},
+		"InnerClasses": func() classfile.Attribute {
+			return &classfile.InnerClassesAttr{Entries: []classfile.InnerClass{{
+				Inner: b.Class("p/A$B"), Outer: b.CF.ThisClass, InnerName: b.Utf8("B"), AccessFlags: classfile.AccPublic}}}
+		},
+		"Synthetic":  func() classfile.Attribute { return &classfile.SyntheticAttr{} },
+		"Deprecated": func() classfile.Attribute { return &classfile.DeprecatedAttr{} },
+	}[attr]
+	b.Utf8(attr)
+	if attr != "Code" || owner != "method" {
+		b.AttachCode(m, code())
+	}
+	table := &m.Attrs
+	switch owner {
+	case "class":
+		table = &b.CF.Attrs
+	case "field":
+		table = &f.Attrs
+	case "Code":
+		table = &classfile.CodeOf(m).Attrs
+	}
+	for range copies {
+		*table = append(*table, newAttr())
+	}
+	data, err := classfile.Write(b.CF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// jazzRoundTrip canonicalizes one class file with strip.Apply, packs it
+// with Jazz and returns the class file that Jazz's Unpack gives back.
+// refused is strip's or Jazz Pack's error; err is a failure after
+// Jazz's Pack accepted the class.
+func jazzRoundTrip(data []byte) (out []byte, refused, err error) {
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		return nil, err, nil
+	}
+	if err := strip.Apply(cf, strip.Options{}); err != nil {
+		return nil, err, nil
+	}
+	packed, err := jazz.Pack([]*classfile.ClassFile{cf})
+	if err != nil {
+		return nil, err, nil
+	}
+	cfs, err := jazz.Unpack(packed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(cfs) != 1 {
+		return nil, nil, fmt.Errorf("jazz unpacked %d classes", len(cfs))
+	}
+	out, err = classfile.Write(cfs[0])
+	return out, nil, err
+}
+
+// TestAttributePlacement puts one or two copies of each attribute that
+// the packed formats carry in each attribute table: the class's, a
+// field's, a method's and a Code attribute's. Each attribute sits once
+// in the tables that carry it (Code and Exceptions in a method,
+// ConstantValue in a field, InnerClasses in the class, Synthetic and
+// Deprecated in any of the three), and every entry point accepts it
+// there: Pack's and Jazz's round trips give back Strip's bytes. Every
+// other cell would not unpack as it was, so every entry point refuses
+// it with ErrUnsupportedAttribute, naming the attribute and its owner;
+// Jazz's Pack runs after strip.Apply, which refuses it first.
+func TestAttributePlacement(t *testing.T) {
+	carried := []struct {
+		attr string
+		in   []string
+	}{
+		{"Code", []string{"method"}},
+		{"ConstantValue", []string{"field"}},
+		{"Exceptions", []string{"method"}},
+		{"InnerClasses", []string{"class"}},
+		{"Synthetic", []string{"class", "field", "method"}},
+		{"Deprecated", []string{"class", "field", "method"}},
+	}
+	owners := []struct{ table, named string }{
+		{"class", "class p/A"}, {"field", "field f"}, {"method", "method m()V"}, {"Code", "Code of method m()V"},
+	}
+	for _, c := range carried {
+		for _, o := range owners {
+			for copies := 1; copies <= 2; copies++ {
+				t.Run(fmt.Sprintf("%d %s in %s", copies, c.attr, o.table), func(t *testing.T) {
+					data := placedClass(t, c.attr, o.table, copies)
+					jazzData, refused, err := jazzRoundTrip(data)
+					checks := append(entryPoints(t, data), modeErr{"Jazz", cmp.Or(refused, err)})
+					carries := slices.Contains(c.in, o.table)
+					if carries && copies == 1 {
+						for _, check := range checks {
+							if check.err != nil {
+								t.Errorf("%s: %v", check.name, check.err)
+							}
+						}
+						checkRoundTrip(t, data, jazzData)
+						return
+					}
+					want := c.attr + " in " + o.named
+					if carries {
+						want = c.attr + " repeated in " + o.named
+					}
+					for _, check := range checks {
+						if !errors.Is(check.err, ErrUnsupportedAttribute) || !strings.Contains(check.err.Error(), want) {
+							t.Errorf("%s = %v, want ErrUnsupportedAttribute naming %q", check.name, check.err, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkRoundTrip fails t unless Unpack(Pack(data)) and jazzData, Jazz's
+// round trip, are both Strip(data).
+func checkRoundTrip(t *testing.T, data, jazzData []byte) {
+	t.Helper()
+	want, err := Strip(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := Pack([][]byte{data}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := Unpack(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || !bytes.Equal(files[0].Data, want) {
+		t.Error("Unpack(Pack(x)) differs from Strip(x)")
+	}
+	if !bytes.Equal(jazzData, want) {
+		t.Error("Jazz's round trip differs from Strip(x)")
 	}
 }
