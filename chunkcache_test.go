@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -415,5 +416,64 @@ func TestExtractInOrderReadsEachChunkOnce(t *testing.T) {
 	}
 	if n := a.ChunkDecodes(); n != int64(len(a.ix.Chunks)) {
 		t.Fatalf("ChunkDecodes = %d, want %d", n, len(a.ix.Chunks))
+	}
+}
+
+// TestReopenSharesWhatOpenLearned extracts through an Archive and
+// through Reopens of it. A Reopen reads nothing to open; it serves a
+// chunk another handle has extracted without reading or hashing it
+// again; and each handle's BytesRead, DecodedBytes and ChunkDecodes
+// count only its own work. RetainedBytes counts the classes a
+// version-2 archive decoded at open, and none of them count again in a
+// Reopen's decodes.
+func TestReopenSharesWhatOpenLearned(t *testing.T) {
+	files := sample(t)
+	packed := packChunked(t, files, 2)
+	full, err := Unpack(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := openShared(t, packed, NewChunkCache(1<<20))
+	opened := a.BytesRead()
+	checkOrdinals(t, a, full, 0)
+	if a.ChunkDecodes() != 1 || a.BytesRead() != opened+a.ix.Chunks[0].Len {
+		t.Fatalf("first extraction: %d decodes, %d bytes read past open", a.ChunkDecodes(), a.BytesRead()-opened)
+	}
+
+	b := a.Reopen()
+	checkOrdinals(t, b, full, 1) // chunk 0, whose key a learned
+	if b.BytesRead() != 0 || b.ChunkDecodes() != 0 || b.DecodedBytes() != 0 {
+		t.Fatalf("Reopen re-extracting chunk 0: read %d, decodes %d, decoded %d; want nothing",
+			b.BytesRead(), b.ChunkDecodes(), b.DecodedBytes())
+	}
+	checkOrdinals(t, b, full, 2) // chunk 1, cold
+	if b.ChunkDecodes() != 1 || b.BytesRead() != a.ix.Chunks[1].Len || b.DecodedBytes() == 0 {
+		t.Fatalf("Reopen decoding chunk 1: read %d, decodes %d, decoded %d",
+			b.BytesRead(), b.ChunkDecodes(), b.DecodedBytes())
+	}
+	read, decodes := a.BytesRead(), a.ChunkDecodes()
+	checkOrdinals(t, a, full, 3) // chunk 1, whose key b learned
+	if a.BytesRead() != read || a.ChunkDecodes() != decodes {
+		t.Fatal("the opening Archive re-read a chunk its Reopen had served")
+	}
+	if want := a.ClassNames(); a.RetainedBytes() != int64(len(strings.Join(want, ""))) {
+		t.Fatalf("version-3 RetainedBytes = %d, want the index's names", a.RetainedBytes())
+	}
+
+	v2, err := OpenArchiveBytes(packChunked(t, files, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cost int64
+	for _, f := range full {
+		cost += int64(len(f.Name) + len(f.Data))
+	}
+	if v2.RetainedBytes() != cost || v2.ChunkDecodes() != 1 {
+		t.Fatalf("version-2 open: RetainedBytes %d, ChunkDecodes %d; want %d and 1", v2.RetainedBytes(), v2.ChunkDecodes(), cost)
+	}
+	r := v2.Reopen()
+	checkOrdinals(t, r, full, allOrdinals(len(full))...)
+	if r.ChunkDecodes() != 0 || r.DecodedBytes() != 0 || r.BytesRead() != 0 {
+		t.Fatal("a version-2 Reopen decoded or read again")
 	}
 }

@@ -268,8 +268,10 @@ func writeHandlerInsideInstruction(t *testing.T, dir string) string {
 // mode refuse beyond their operands and handlers, and returns their
 // paths: a lookupswitch whose keys descend, an int field with a String
 // ConstantValue, version-52 classes holding a Signature and a
-// StackMapTable, attributes the JVM reads, and a method holding a
-// ConstantValue or two Exceptions, which the packed format cannot carry.
+// StackMapTable, attributes the JVM reads, a method holding a
+// ConstantValue or two Exceptions, which the packed format cannot carry,
+// and a field whose type names a class with an empty segment, "/pA",
+// which would unpack as "pA".
 func writeRefusedClasses(t *testing.T, dir string) []string {
 	t.Helper()
 	modern := func(name string, inCode bool) string {
@@ -307,6 +309,9 @@ func writeRefusedClasses(t *testing.T, dir string) []string {
 			m := b.AddMethod(classfile.AccPublic|classfile.AccAbstract, "m", "()V")
 			b.AttachExceptions(m, []string{"java/io/IOException"})
 			b.AttachExceptions(m, []string{"java/lang/Exception"})
+		}),
+		writeClass(t, dir, "EmptySegment", func(b *classfile.Builder) {
+			b.AddField(classfile.AccStatic, "f", "L/pA;")
 		}),
 	}
 }

@@ -16,6 +16,8 @@
 //	GET  /archive/{digest}/class/{N}  one class file, decoded lazily (v3 archives
 //	                                  decode only the chunk containing N, once
 //	                                  while the 64 MiB decoded-chunk cache
+//	                                  holds it, from an archive opened once
+//	                                  while the 64 MiB open-archive cache
 //	                                  holds it)
 //	GET  /metrics                     expvar counters (JSON)
 //	GET  /healthz                     liveness probe: {"status":"ok"|"degraded"}

@@ -21,7 +21,8 @@ import (
 // runSmoke is the end-to-end self-check behind `make serve-smoke`: it
 // starts a real jpackd on a loopback port with a throwaway cache,
 // drives it through the client with a synthetic corpus, and fails
-// unless the cache hit, the digest fetch, the lazy class fetch, and the
+// unless the cache hit, the digest fetch, the lazy class fetch (whose
+// repeat must be an open-archive hit that decodes nothing), and the
 // unpack round-trip all check out.
 func runSmoke(cfg serve.Config, scale float64) error {
 	p, err := synth.ProfileByName("213_javac")
@@ -106,7 +107,7 @@ func runSmoke(cfg serve.Config, scale float64) error {
 		return fmt.Errorf("smoke: fetched archive holds %d classes, want %d", len(files), len(cfs))
 	}
 
-	if err := smokeClassFetch(ctx, c, cfg, first.Digest, files[0]); err != nil {
+	if err := smokeClassFetch(ctx, c, first.Digest, files[0]); err != nil {
 		return err
 	}
 
@@ -136,12 +137,12 @@ func runSmoke(cfg serve.Config, scale float64) error {
 }
 
 // smokeClassFetch fetches one class twice as a ?classes= subset and
-// checks the bytes and the decode accounting: the decoded-chunk cache
-// serves the second fetch of a version-3 archive without decoding,
-// while a version-2 archive, decoded whole per request, decodes again.
-func smokeClassFetch(ctx context.Context, c *client.Client, cfg serve.Config, digest string, want classpack.File) error {
+// checks the bytes and the open-archive cache: the second fetch must be
+// served from the archive the first one opened, and decode nothing,
+// whatever the archive's version.
+func smokeClassFetch(ctx context.Context, c *client.Client, digest string, want classpack.File) error {
 	name := strings.TrimSuffix(want.Name, ".class")
-	var decodes [2]int64
+	var decodes, hits [2]int64
 	for i := range decodes {
 		sub, err := c.ArchiveClasses(ctx, digest, []string{name})
 		if err != nil {
@@ -158,11 +159,10 @@ func smokeClassFetch(ctx context.Context, c *client.Client, cfg serve.Config, di
 		if err != nil {
 			return err
 		}
-		decodes[i] = m["decodes_total"]
+		decodes[i], hits[i] = m["decodes_total"], m["open_archive_hits"]
 	}
-	chunked := cfg.Options.ChunkClasses > 0
-	if second := decodes[1] - decodes[0]; (second == 0) != chunked {
-		return fmt.Errorf("smoke: repeat class fetch ran %d decodes (version-3 archive: %t)", second, chunked)
+	if d, h := decodes[1]-decodes[0], hits[1]-hits[0]; d != 0 || h != 1 {
+		return fmt.Errorf("smoke: repeat class fetch ran %d decodes with %d open-archive hits, want 0 and 1", d, h)
 	}
 	return nil
 }

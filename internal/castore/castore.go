@@ -356,6 +356,21 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 	return payload, true, nil
 }
 
+// Touch reports whether key is in the index and, if so, marks it most
+// recently used, as Get would, but without reading or verifying its
+// file. A caller that keeps what it read by Get in memory asks Touch
+// whether the store still holds it: once the object is evicted, or
+// forgotten because its file vanished, Touch reports false.
+func (s *Store) Touch(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.index[key]
+	if ok {
+		s.lru.MoveToFront(el)
+	}
+	return ok
+}
+
 // Probe checks that the store's volume currently accepts durable
 // writes: it creates, writes, fsyncs, and removes a scratch file in the
 // store root. The degraded-mode recovery loop in jpackd calls it to

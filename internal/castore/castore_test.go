@@ -109,6 +109,50 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestTouchMarksRecentUse checks that Touch answers from the index
+// alone, counts as a use for LRU eviction, and reports false once the
+// object is evicted or its vanished file has been forgotten.
+func TestTouchMarksRecentUse(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, int64(2*(10+trailerSize))+5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 3)
+	for i := range keys[:2] {
+		data := bytes.Repeat([]byte{byte('a' + i)}, 10)
+		keys[i] = Key(data)
+		if err := s.Put(keys[i], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Removing keys[0]'s file leaves the index alone: Touch reads no file.
+	if err := os.Remove(filepath.Join(dir, keys[0][:2], keys[0])); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Touch(keys[0]) {
+		t.Fatal("Touch of an indexed object reported false")
+	}
+	// keys[0] is now the most recent, so the next Put evicts keys[1].
+	d := bytes.Repeat([]byte{'c'}, 10)
+	keys[2] = Key(d)
+	if err := s.Put(keys[2], d); err != nil {
+		t.Fatal(err)
+	}
+	if s.Touch(keys[1]) {
+		t.Fatal("Touch of an evicted object reported true")
+	}
+	if _, ok, err := s.Get(keys[0]); ok || err != nil {
+		t.Fatalf("Get of the removed file: ok=%v err=%v", ok, err)
+	}
+	if s.Touch(keys[0]) {
+		t.Fatal("Touch of a forgotten object reported true")
+	}
+	if !s.Touch(keys[2]) || s.Touch(Key([]byte("absent"))) {
+		t.Fatal("Touch disagrees with the index")
+	}
+}
+
 func TestOversizeObjectIsKept(t *testing.T) {
 	s, err := Open(t.TempDir(), 5)
 	if err != nil {

@@ -347,6 +347,33 @@ func TestSplitJoinClassName(t *testing.T) {
 	}
 }
 
+// TestCheckClassName holds binary class names, alone and inside
+// descriptors, to JVMS §4.2.1: no empty name and no empty segment.
+func TestCheckClassName(t *testing.T) {
+	for _, ok := range []string{"A", "java/lang/String", "a/b$C", "aL/b"} {
+		if err := CheckClassName(ok); err != nil {
+			t.Errorf("CheckClassName(%q) = %v", ok, err)
+		}
+		if _, err := ParseFieldDescriptor("[L" + ok + ";"); err != nil {
+			t.Errorf("ParseFieldDescriptor of %q: %v", ok, err)
+		}
+		if err := checkDescriptorNames("(IL" + ok + ";)L" + ok + ";"); err != nil {
+			t.Errorf("checkDescriptorNames of %q: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"", "/", "/A", "a/", "a//B", "//"} {
+		if err := CheckClassName(bad); err == nil {
+			t.Errorf("CheckClassName(%q) accepted it", bad)
+		}
+		if _, _, err := ParseMethodDescriptor("(IL" + bad + ";)V"); err == nil {
+			t.Errorf("ParseMethodDescriptor accepted %q", bad)
+		}
+		if err := checkDescriptorNames("(L" + bad + ";)V"); err == nil {
+			t.Errorf("checkDescriptorNames accepted %q", bad)
+		}
+	}
+}
+
 func TestBuilderInterning(t *testing.T) {
 	b := NewBuilder("A", "java/lang/Object", AccPublic)
 	if b.Utf8("x") != b.Utf8("x") {

@@ -1,6 +1,8 @@
 package classfile
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 
 	"classpack/internal/corrupt"
@@ -86,8 +88,8 @@ func parseType(s string, pos int, allowVoid bool) (Type, int, error) {
 		}
 		t.Base = 'L'
 		t.Name = s[pos+1 : pos+end]
-		if t.Name == "" {
-			return t, pos, corrupt.Errorf("descriptor", int64(pos), "empty class name in %q", s)
+		if err := CheckClassName(t.Name); err != nil {
+			return t, pos, corrupt.Errorf("descriptor", int64(pos), "%v in %q", err, s)
 		}
 		return t, pos + end + 1, nil
 	default:
@@ -147,6 +149,20 @@ func MethodDescriptor(params []Type, ret Type) string {
 	b.WriteByte(')')
 	b.WriteString(ret.String())
 	return b.String()
+}
+
+// CheckClassName refuses a binary class name ("java/lang/String") that
+// is empty or has an empty segment: a leading, trailing or doubled '/',
+// which JVMS §4.2.1 forbids. SplitClassName would factor "/A" into the
+// empty package and "A", which JoinClassName joins back as "A".
+func CheckClassName(name string) error {
+	switch {
+	case name == "":
+		return errors.New("empty class name")
+	case name[0] == '/' || name[len(name)-1] == '/' || strings.Contains(name, "//"):
+		return fmt.Errorf("class name %q has an empty segment", name)
+	}
+	return nil
 }
 
 // SplitClassName splits a binary name into package ("java/lang", possibly

@@ -3,20 +3,105 @@ package classfile
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 func float32Bits(v float32) uint32 { return math.Float32bits(v) }
 func float64Bits(v float64) uint64 { return math.Float64bits(v) }
 
+// Check refuses a class that the packed formats cannot carry as it is:
+// one that holds an attribute CheckAttrs refuses or a name CheckNames
+// refuses. Strip, and so Pack, and every Verify mode start with it, so
+// they all refuse such a class alike.
+func Check(cf *ClassFile) error {
+	if err := CheckAttrs(cf); err != nil {
+		return err
+	}
+	return CheckNames(cf)
+}
+
+// CheckNames refuses a class that holds a class name CheckClassName
+// refuses: as a Class constant's name, the element class of an array
+// type included, or as a class type in a member's or a NameAndType's
+// descriptor. The packed formats factor each class name at its last
+// '/', so such a name would not unpack as it was. An index that names
+// no Utf8 constant is left to the reference checks, and a descriptor
+// that does not parse to the descriptor checks.
+func CheckNames(cf *ClassFile) error {
+	for i := 1; i < len(cf.Pool); i++ {
+		var err error
+		switch c := &cf.Pool[i]; c.Kind {
+		case KindClass:
+			name, ok := cf.utf8(c.Name)
+			switch {
+			case !ok:
+			case strings.HasPrefix(name, "["): // an array type
+				err = checkDescriptorNames(name)
+			default:
+				err = CheckClassName(name)
+			}
+		case KindNameAndType:
+			if desc, ok := cf.utf8(c.Desc); ok {
+				err = checkDescriptorNames(desc)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("constant %d: classfile: %w", i, err)
+		}
+	}
+	for _, ms := range []struct {
+		what    string
+		members []Member
+	}{{"field", cf.Fields}, {"method", cf.Methods}} {
+		for mi := range ms.members {
+			if desc, ok := cf.utf8(ms.members[mi].Desc); ok {
+				if err := checkDescriptorNames(desc); err != nil {
+					return fmt.Errorf("%s %d: classfile: %w", ms.what, mi, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// utf8 returns the string of the Utf8 constant at index i, if i names
+// one.
+func (cf *ClassFile) utf8(i uint16) (string, bool) {
+	if int(i) < len(cf.Pool) && cf.Pool[i].Kind == KindUtf8 {
+		return cf.Pool[i].Utf8, true
+	}
+	return "", false
+}
+
+// checkDescriptorNames applies CheckClassName to each class type of the
+// field or method descriptor desc. Outside a class type an 'L' can only
+// begin one, so the scan needs no full parse.
+func checkDescriptorNames(desc string) error {
+	for i := 0; i < len(desc); i++ {
+		if desc[i] != 'L' {
+			continue
+		}
+		end := strings.IndexByte(desc[i:], ';')
+		if end < 0 {
+			return nil
+		}
+		if err := CheckClassName(desc[i+1 : i+end]); err != nil {
+			return fmt.Errorf("%w in descriptor %q", err, desc)
+		}
+		i += end
+	}
+	return nil
+}
+
 // Verify performs structural verification of the classfile: it must
-// hold no attribute that CheckAttrs refuses, every constant-pool index
+// hold no attribute or name that Check refuses, every constant-pool index
 // the class holds must name an entry of a kind its field may hold,
 // member descriptors must parse, a ConstantValue's kind must match its
 // field's type, attribute names must match their types, and exception
 // handlers must lie within their code. It does not decode bytecode; see
 // the bytecode package.
 func Verify(cf *ClassFile) error {
-	if err := CheckAttrs(cf); err != nil {
+	if err := Check(cf); err != nil {
 		return err
 	}
 	var err error

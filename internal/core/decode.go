@@ -322,7 +322,10 @@ func (u *unpacker) classRef() (*classEntry, error) {
 		}
 	}
 	ck := classKeyStr(k)
-	e := u.defineClass(ck, k)
+	e, err := u.defineClass(ck, k)
+	if err != nil {
+		return nil, err
+	}
 	u.decs[poolClass].Define(0, ck, transient)
 	return e, nil
 }
@@ -330,14 +333,22 @@ func (u *unpacker) classRef() (*classEntry, error) {
 // defineClass makes k the class that model key ck names and returns its
 // cache entry. A key defined again (a transient one, or a key that two
 // crafted classes share) replaces the entry; workers holding the old one
-// are unaffected, because entries never change.
-func (u *unpacker) defineClass(ck string, k ir.ClassKey) *classEntry {
+// are unaffected, because entries never change. A class name with an
+// empty segment, which the packer refuses (classfile.CheckClassName), is
+// damage charged to the class reference stream, which holds the new
+// reference.
+func (u *unpacker) defineClass(ck string, k ir.ClassKey) (*classEntry, error) {
 	if e, ok := u.classKeys[ck]; ok && e.key == k {
-		return e
+		return e, nil
+	}
+	if k.IsClass() {
+		if err := classfile.CheckClassName(classfile.JoinClassName(k.Pkg, k.Simple)); err != nil {
+			return nil, corrupt.New(poolClass.stream().String(), -1, err)
+		}
 	}
 	e := &classEntry{key: k, name: ir.KeyToClassName(k)}
 	u.classKeys[ck] = e
-	return e
+	return e, nil
 }
 
 // sigRef decodes a signature reference.

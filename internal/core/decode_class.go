@@ -41,7 +41,7 @@ type dInner struct {
 type dField struct {
 	flags    uint64
 	name     string
-	typ      *classEntry
+	desc     string
 	hasConst bool
 	cv       dConst
 }
@@ -70,7 +70,7 @@ type dCode struct {
 type dMethod struct {
 	flags      uint64
 	name       string
-	sig        ir.Signature
+	desc       string
 	exceptions []*classEntry
 	hasCode    bool
 	code       dCode
@@ -220,12 +220,21 @@ func (u *unpacker) field() (dField, error) {
 	if f.name, err = u.strRef(catFname); err != nil {
 		return f, err
 	}
-	if f.typ, err = u.classRef(); err != nil {
+	typ, err := u.classRef()
+	if err != nil {
 		return f, err
+	}
+	// The declaration's descriptor must parse, as a member reference's
+	// must (defineMember): a damaged reference can give the field a type
+	// such as V. The damage is charged to the stream the type was read
+	// from.
+	t := ir.KeyToType(typ.key)
+	f.desc = t.String()
+	if _, err := u.descs.field(f.desc); err != nil {
+		return f, corrupt.New(poolClass.stream().String(), -1, err)
 	}
 	if f.flags&flagHasConst != 0 {
 		f.hasConst = true
-		t := ir.KeyToType(f.typ.key)
 		kind := classfile.ConstKindForType(t)
 		if kind == classfile.KindInvalid {
 			return f, corrupt.Errorf(sMeta.String(), -1, "field type %s cannot carry a constant", t)
@@ -274,8 +283,16 @@ func (u *unpacker) method(d *dClass) (dMethod, error) {
 	if m.name, err = u.strRef(catMname); err != nil {
 		return m, err
 	}
-	if m.sig, err = u.sigRef(); err != nil {
+	sig, err := u.sigRef()
+	if err != nil {
 		return m, err
+	}
+	// The descriptor the decoded keys spell must parse, as a member
+	// reference's must (defineMember). The damage is charged to the
+	// stream the declaration's signature reference was read from.
+	m.desc = ir.SignatureToDescriptor(sig)
+	if _, err := u.descs.method(m.desc); err != nil {
+		return m, corrupt.New(poolSig.stream().String(), -1, err)
 	}
 	nExc, err := u.count("exception")
 	if err != nil {
@@ -680,7 +697,7 @@ func (w *builder) build(d *dClass) (*classfile.ClassFile, error) {
 	addFlagAttrs(b, &b.CF.Attrs, d.flags)
 
 	for _, f := range d.fields {
-		member := b.AddField(uint16(f.flags), f.name, ir.KeyToType(f.typ.key).String())
+		member := b.AddField(uint16(f.flags), f.name, f.desc)
 		if f.hasConst {
 			b.AttachConstantValue(member, internConst(b, &f.cv))
 		}
@@ -694,7 +711,7 @@ func (w *builder) build(d *dClass) (*classfile.ClassFile, error) {
 	}
 	for i := range d.methods {
 		m := &d.methods[i]
-		member := b.AddMethod(uint16(m.flags), m.name, ir.SignatureToDescriptor(m.sig))
+		member := b.AddMethod(uint16(m.flags), m.name, m.desc)
 		if m.hasCode {
 			attr := &classfile.CodeAttr{
 				MaxStack:  m.code.maxStack,

@@ -160,7 +160,7 @@ func preloadUnpacker(u *unpacker) {
 		u.decs[pool].(refs.Preloadable).Preload(key)
 	})
 	for _, k := range preloadClassKeys() {
-		u.defineClass(classKeyStr(k), k)
+		_, _ = u.defineClass(classKeyStr(k), k)
 	}
 	for _, sig := range preloadSignatures() {
 		u.sigs[sig.SigString()] = sig

@@ -73,8 +73,8 @@ func ClassNameToKey(binary string) (ClassKey, error) {
 		}
 		return TypeToKey(t), nil
 	}
-	if binary == "" {
-		return ClassKey{}, fmt.Errorf("ir: empty class name")
+	if err := classfile.CheckClassName(binary); err != nil {
+		return ClassKey{}, fmt.Errorf("ir: %w", err)
 	}
 	pkg, simple := classfile.SplitClassName(binary)
 	return ClassKey{Pkg: pkg, Simple: simple}, nil

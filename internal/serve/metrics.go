@@ -22,8 +22,10 @@ var encodeBucketsMs = []int64{1, 5, 25, 100, 500, 2500, 10000}
 // several servers run in one process (tests, embedded use). The map
 // renders to the same JSON expvar would serve. The decoded-chunk cache's
 // chunk_cache_hits, chunk_cache_misses, chunk_cache_evictions and
-// chunk_cache_bytes (a gauge) are read from the cache itself at render
-// time, so they have no field here.
+// chunk_cache_bytes (a gauge), and the open-archive cache's
+// open_archive_hits, open_archive_misses, open_archives and
+// open_archive_bytes (gauges), are read from the caches themselves at
+// render time, so they have no field here.
 type Metrics struct {
 	m expvar.Map
 
@@ -142,6 +144,18 @@ func (mt *Metrics) trackChunkCache(c *classpack.ChunkCache) {
 	mt.m.Set("chunk_cache_misses", stat(func(st classpack.ChunkCacheStats) int64 { return st.Misses }))
 	mt.m.Set("chunk_cache_evictions", stat(func(st classpack.ChunkCacheStats) int64 { return st.Evictions }))
 	mt.m.Set("chunk_cache_bytes", stat(func(st classpack.ChunkCacheStats) int64 { return st.Bytes }))
+}
+
+// trackArchiveCache exports the open-archive cache's gauges and
+// counters, read live from c on every render.
+func (mt *Metrics) trackArchiveCache(c *archiveCache) {
+	stat := func(field func(archiveCacheStats) int64) expvar.Func {
+		return func() any { return field(c.snapshot()) }
+	}
+	mt.m.Set("open_archives", stat(func(st archiveCacheStats) int64 { return st.Entries }))
+	mt.m.Set("open_archive_bytes", stat(func(st archiveCacheStats) int64 { return st.Bytes }))
+	mt.m.Set("open_archive_hits", stat(func(st archiveCacheStats) int64 { return st.Hits }))
+	mt.m.Set("open_archive_misses", stat(func(st archiveCacheStats) int64 { return st.Misses }))
 }
 
 // observeEncode files one encode duration into its latency bucket.

@@ -372,6 +372,9 @@ func refusedClasses(t *testing.T) map[string][]byte {
 			b.AttachExceptions(m, []string{"java/io/IOException"})
 			b.AttachExceptions(m, []string{"java/lang/Exception"})
 		}),
+		"an interface named with an empty segment": buildClass(t, func(b *classfile.Builder) {
+			b.AddInterface("/pA")
+		}),
 	}
 }
 

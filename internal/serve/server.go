@@ -8,9 +8,11 @@
 // (internal/castore) — whole, as a ?classes= subset jar, or one class at
 // a time via /archive/{digest}/class/{name}, decoding only the chunks a
 // version-3 archive needs, each once per server while a byte-bounded
-// decoded-chunk cache holds it. GET /delta/{from}/{to} computes a CJPD patch
-// between any two cached archives so clients holding the old version
-// download only the changed classes.
+// decoded-chunk cache holds it, from an archive read and opened once per
+// server while a byte-bounded open-archive cache holds it. GET
+// /delta/{from}/{to} computes a CJPD patch between any two cached
+// archives so clients holding the old version download only the
+// changed classes.
 // Concurrent encode jobs are bounded by deadline-aware admission
 // control — a bounded queue with 429 + Retry-After load shedding and a
 // memory-budget gate over admitted request bytes — feeding the
@@ -64,6 +66,12 @@ const (
 	// and ?classes= GETs share, so a version-3 chunk is decoded once per
 	// server while the cache holds it rather than once per request.
 	DefaultChunkCacheBytes = 64 << 20
+	// DefaultOpenArchiveBytes bounds the open-archive cache that class
+	// and ?classes= GETs share, so a cached archive is read, verified and
+	// opened once per server while the cache holds it rather than once
+	// per request. An entry costs its archive bytes and, for a
+	// version-1/2 archive, the classes decoded at open.
+	DefaultOpenArchiveBytes = 64 << 20
 )
 
 // Header names the server sets on pack/archive responses.
@@ -136,13 +144,14 @@ type Config struct {
 // Server is the jpackd HTTP service. Create one with New; it is safe
 // for concurrent use.
 type Server struct {
-	cfg     Config
-	metrics *Metrics
-	chunks  *classpack.ChunkCache // class and ?classes= GETs only
-	adm     *admission
-	flight  packFlight
-	deg     *degrade
-	handler http.Handler
+	cfg      Config
+	metrics  *Metrics
+	chunks   *classpack.ChunkCache // class and ?classes= GETs only
+	archives *archiveCache         // class and ?classes= GETs only
+	adm      *admission
+	flight   packFlight
+	deg      *degrade
+	handler  http.Handler
 }
 
 // New builds a Server from cfg, applying defaults for zero fields.
@@ -173,11 +182,13 @@ func New(cfg Config) *Server {
 	}
 	cfg.Options.ChunkCache = nil
 	s := &Server{
-		cfg:     cfg,
-		metrics: newMetrics(),
-		chunks:  classpack.NewChunkCache(DefaultChunkCacheBytes),
+		cfg:      cfg,
+		metrics:  newMetrics(),
+		chunks:   classpack.NewChunkCache(DefaultChunkCacheBytes),
+		archives: newArchiveCache(DefaultOpenArchiveBytes),
 	}
 	s.metrics.trackChunkCache(s.chunks)
+	s.metrics.trackArchiveCache(s.archives)
 	s.adm = newAdmission(cfg.MaxJobs, cfg.MaxQueue, cfg.MemoryBudget, cfg.RetryAfterHint, s.metrics)
 	s.deg = newDegrade(cfg.Store, cfg.ProbeInterval, s.metrics)
 	mux := http.NewServeMux()
@@ -704,35 +715,15 @@ func failedVerdicts(vs []MethodVerdict) bool {
 	return false
 }
 
-// loadArchive resolves the request's {digest} path value against the
-// content-addressed store.
-func (s *Server) loadArchive(r *http.Request) ([]byte, *apiError) {
-	return s.loadCached(r.PathValue("digest"))
-}
-
-// openCached opens a cached archive for lazy extraction through the
-// server's decoded-chunk cache. Failures are server faults: the store
-// only holds archives this server packed.
-func (s *Server) openCached(packed []byte) (*classpack.Archive, *apiError) {
-	opts := s.cfg.Options
-	opts.ChunkCache = s.chunks
-	a, err := classpack.OpenArchiveBytes(packed, &opts)
-	if err != nil {
-		return nil, errf(http.StatusInternalServerError, "corrupt_cache",
-			"opening cached archive: %v", err)
-	}
-	return a, nil
-}
-
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ArchiveRequests.Add(1)
-	packed, apiErr := s.loadArchive(r)
-	if apiErr != nil {
-		s.writeError(w, apiErr)
+	if pat := r.URL.Query().Get("classes"); pat != "" {
+		s.archiveSubset(w, r, pat)
 		return
 	}
-	if pat := r.URL.Query().Get("classes"); pat != "" {
-		s.archiveSubset(w, r, packed, pat)
+	packed, apiErr := s.loadCached(r.PathValue("digest"))
+	if apiErr != nil {
+		s.writeError(w, apiErr)
 		return
 	}
 	w.Header().Set(HeaderDigest, r.PathValue("digest"))
@@ -743,14 +734,14 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 // every class matching the comma-separated name-or-glob patterns P.
 // Version-3 archives decode only the chunks the selection touches; the
 // rest of the archive is never unpacked.
-func (s *Server) archiveSubset(w http.ResponseWriter, r *http.Request, packed []byte, pat string) {
+func (s *Server) archiveSubset(w http.ResponseWriter, r *http.Request, pat string) {
 	release, apiErr := s.acquireJob(r.Context())
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
 	defer release()
-	a, apiErr := s.openCached(packed)
+	a, apiErr := s.openArchive(r.PathValue("digest"))
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -787,18 +778,13 @@ func (s *Server) archiveSubset(w http.ResponseWriter, r *http.Request, packed []
 // is O(chunk) regardless of archive size.
 func (s *Server) handleArchiveClass(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ClassRequests.Add(1)
-	packed, apiErr := s.loadArchive(r)
-	if apiErr != nil {
-		s.writeError(w, apiErr)
-		return
-	}
 	release, apiErr := s.acquireJob(r.Context())
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
 	defer release()
-	a, apiErr := s.openCached(packed)
+	a, apiErr := s.openArchive(r.PathValue("digest"))
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -825,25 +811,81 @@ func (s *Server) handleArchiveClass(w http.ResponseWriter, r *http.Request) {
 	s.writePayload(w, data)
 }
 
-// countDecodes charges the chunk decodes an extraction actually ran —
-// none when the chunk cache answered — to decodes_total and
+// openArchive resolves a class or subset GET's digest to an Archive
+// handle of the request's own: a Reopen, so that countDecodes charges
+// the request only the decodes it ran. A digest that castore's index
+// still holds is answered from the open-archive cache, with no file
+// read; one the cache lacks is read and verified through castore,
+// opened through the server's decoded-chunk cache, and kept. A digest
+// castore has evicted or forgotten is a 404, as it is to a whole GET,
+// and leaves the open-archive cache. Open failures are server faults:
+// the store only holds archives this server packed.
+func (s *Server) openArchive(digest string) (*classpack.Archive, *apiError) {
+	if apiErr := s.checkDigest(digest); apiErr != nil {
+		return nil, apiErr
+	}
+	if !s.cfg.Store.Touch(digest) {
+		s.archives.remove(digest)
+		return nil, errNoArchive(digest)
+	}
+	if a, ok := s.archives.get(digest); ok {
+		return a.Reopen(), nil
+	}
+	packed, apiErr := s.readCached(digest)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	opts := s.cfg.Options
+	opts.ChunkCache = s.chunks
+	a, err := classpack.OpenArchiveBytes(packed, &opts)
+	if err != nil {
+		return nil, errf(http.StatusInternalServerError, "corrupt_cache",
+			"opening cached archive: %v", err)
+	}
+	s.countDecodes(a) // a version-1/2 archive decodes whole at open
+	s.archives.add(digest, a, int64(len(packed))+a.RetainedBytes())
+	return a.Reopen(), nil
+}
+
+// countDecodes charges the chunk decodes an Archive handle actually
+// ran — none when the chunk cache answered — to decodes_total and
 // class_bytes_decoded.
 func (s *Server) countDecodes(a *classpack.Archive) {
 	s.metrics.Decodes.Add(a.ChunkDecodes())
 	s.metrics.ClassBytesDecoded.Add(a.DecodedBytes())
 }
 
-// loadCached fetches one cached archive by digest for the delta
-// endpoint, distinguishing malformed digests (400), absent objects
-// (404) and failing store reads (500 + cache_errors).
-func (s *Server) loadCached(digest string) ([]byte, *apiError) {
+// checkDigest refuses a malformed digest (400) and, with no store
+// configured, any digest (404).
+func (s *Server) checkDigest(digest string) *apiError {
 	if !castore.ValidKey(digest) {
-		return nil, errf(http.StatusBadRequest, "bad_digest",
+		return errf(http.StatusBadRequest, "bad_digest",
 			"digest must be 64 lowercase hex digits")
 	}
 	if s.cfg.Store == nil {
-		return nil, errf(http.StatusNotFound, "not_found", "no archive cache configured")
+		return errf(http.StatusNotFound, "not_found", "no archive cache configured")
 	}
+	return nil
+}
+
+// errNoArchive is the 404 for a digest the store does not hold.
+func errNoArchive(digest string) *apiError {
+	return errf(http.StatusNotFound, "not_found", "no archive with digest %s", digest)
+}
+
+// loadCached fetches one cached archive by digest for the whole-archive
+// and delta endpoints, distinguishing malformed digests (400), absent
+// objects (404) and failing store reads (500 + cache_errors).
+func (s *Server) loadCached(digest string) ([]byte, *apiError) {
+	if apiErr := s.checkDigest(digest); apiErr != nil {
+		return nil, apiErr
+	}
+	return s.readCached(digest)
+}
+
+// readCached reads and verifies a well-formed digest's object through
+// the store: loadCached past its digest checks.
+func (s *Server) readCached(digest string) ([]byte, *apiError) {
 	packed, ok, err := s.cfg.Store.Get(digest)
 	if err != nil {
 		s.metrics.CacheErrors.Add(1)
@@ -851,7 +893,7 @@ func (s *Server) loadCached(digest string) ([]byte, *apiError) {
 		return nil, errf(http.StatusInternalServerError, "internal", "cache read: %v", err)
 	}
 	if !ok {
-		return nil, errf(http.StatusNotFound, "not_found", "no archive with digest %s", digest)
+		return nil, errNoArchive(digest)
 	}
 	return packed, nil
 }

@@ -34,9 +34,9 @@ type Options struct {
 }
 
 // Apply transforms cf in place. It reports an error if the class holds
-// an attribute that classfile.CheckAttrs refuses, if its bytecode cannot
-// be decoded, or if a pool index the class keeps is zero, past the pool,
-// or names a constant of a kind its field cannot hold.
+// an attribute or a name that classfile.Check refuses, if its bytecode
+// cannot be decoded, or if a pool index the class keeps is zero, past
+// the pool, or names a constant of a kind its field cannot hold.
 func Apply(cf *classfile.ClassFile, opts Options) error {
 	return ApplyScratch(cf, opts, nil)
 }
@@ -79,7 +79,7 @@ func table[T any](buf []T, n int) []T {
 // ApplyScratch is Apply with caller-owned scratch memory (nil behaves
 // like Apply).
 func ApplyScratch(cf *classfile.ClassFile, opts Options, sc *Scratch) error {
-	if err := classfile.CheckAttrs(cf); err != nil {
+	if err := classfile.Check(cf); err != nil {
 		return err
 	}
 	dropAttrs(cf, opts)

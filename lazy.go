@@ -40,8 +40,16 @@ var ErrAmbiguousClass = errors.New("classpack: class name occurs more than once 
 // An Archive is safe for concurrent use. It retains the io.ReaderAt,
 // which must tolerate concurrent ReadAt calls as io.ReaderAt requires.
 type Archive struct {
-	r       *countingReaderAt
-	size    int64
+	*opened
+	r *countingReaderAt // this handle's reads
+
+	decoded atomic.Int64
+	decodes atomic.Int64
+}
+
+// opened is what OpenArchive learned of an archive. The Archive it
+// returns and every Reopen of that Archive share it.
+type opened struct {
 	version byte
 	copts   core.Options
 	uo      core.UnpackOpts
@@ -49,15 +57,15 @@ type Archive struct {
 	ix      *core.Index // version 3 only
 	names   []string    // class binary names in archive order
 	byName  map[string]int
-	dup     map[string]bool           // names occurring more than once (usually nil)
-	cache   *ChunkCache               // version 3 only
-	keyHead []byte                    // chunk-key prefix: header version and coding bytes, effective limits
-	last    atomic.Pointer[lastChunk] // chunk served last (see chunkFiles)
+	dup     map[string]bool // names occurring more than once (usually nil)
+	cache   *ChunkCache     // version 3 only
+	keyHead []byte          // chunk-key prefix: header version and coding bytes, effective limits
+	// keys holds each version-3 chunk's cache key once the chunk's files
+	// have passed this archive's index checks (see chunkFiles).
+	keys []atomic.Pointer[chunkKey]
 
-	files []File // version 1/2: eager decode of the whole archive
-
-	decoded atomic.Int64
-	decodes atomic.Int64
+	files    []File // version 1/2: eager decode of the whole archive
+	retained int64  // see RetainedBytes
 }
 
 // countingReaderAt counts the bytes actually requested from the
@@ -94,7 +102,7 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Archive{r: cr, size: size, version: ver, copts: copts, uo: uo}
+	a := &Archive{opened: &opened{version: ver, copts: copts, uo: uo}, r: cr}
 	if ver != core.Version3 {
 		// No chunk framing to seek over: decode the whole body once. The
 		// caller-supplied size is untrusted until bytes actually arrive,
@@ -119,6 +127,7 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 		a.names = make([]string, len(files))
 		for i, f := range files {
 			a.names[i] = strings.TrimSuffix(f.Name, ".class")
+			a.retained += int64(len(f.Name) + len(f.Data))
 		}
 	} else {
 		ix, err := core.ReadIndexAt(cr, size, uo)
@@ -127,6 +136,10 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 		}
 		a.ix = ix
 		a.names = ix.Names
+		for _, n := range a.names {
+			a.retained += int64(len(n))
+		}
+		a.keys = make([]atomic.Pointer[chunkKey], len(ix.Chunks))
 		a.cache = newPrivateChunkCache()
 		if opts != nil && opts.ChunkCache != nil {
 			a.cache = opts.ChunkCache
@@ -150,6 +163,23 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 	}
 	return a, nil
 }
+
+// Reopen returns a new handle on the archive a reads, as OpenArchive
+// would, but without reading anything: it shares a's index, the
+// classes a decoded at open, the chunk keys a and its other handles
+// have learned, and a's ChunkCache. Only its counters are its own:
+// BytesRead, DecodedBytes and ChunkDecodes count the new handle's
+// extractions from zero. A caller that keeps one Archive open across
+// requests can extract each request through a Reopen of it, to learn
+// the decodes that request ran.
+func (a *Archive) Reopen() *Archive {
+	return &Archive{opened: a.opened, r: &countingReaderAt{r: a.r.r}}
+}
+
+// RetainedBytes is the memory the Archive holds beyond its reader and
+// its ChunkCache: the class names and bytes decoded at open for a
+// version-1/2 archive, the class names of the index for version 3.
+func (a *Archive) RetainedBytes() int64 { return a.retained }
 
 // ordinalOf resolves a class name to its archive ordinal, failing with
 // ErrClassNotFound for absent names and ErrAmbiguousClass for names the
@@ -282,25 +312,19 @@ func (a *Archive) fileAt(g int) (File, error) {
 	return files[g-a.ix.Start(ci)], nil
 }
 
-// lastChunk is the chunk an Archive last served and its cache key.
-type lastChunk struct {
-	ci  int
-	key chunkKey
-}
-
 // chunkFiles returns chunk ci's files through the archive's chunk
 // cache, decoding on a miss, and cross-checks them against this
 // archive's index — hits included, since an entry was checked only
 // against the index of the archive that decoded it. The files are
 // shared with the cache: read-only.
 //
-// The chunk served last is looked up by its remembered key, without
-// reading or hashing it again and without repeating the index checks
-// it already passed, so extracting classes in archive order reads and
-// hashes each chunk once.
+// A chunk whose files have passed those checks once is looked up by
+// its remembered key, without reading or hashing it again and without
+// repeating the checks, so an Archive and its Reopens read and hash
+// each chunk once while the cache holds it.
 func (a *Archive) chunkFiles(ci int) ([]File, error) {
-	if last := a.last.Load(); last != nil && last.ci == ci {
-		if files, ok := a.cache.lookup(last.key); ok {
+	if key := a.keys[ci].Load(); key != nil {
+		if files, ok := a.cache.lookup(*key); ok {
 			return files, nil
 		}
 	}
@@ -329,7 +353,7 @@ func (a *Archive) chunkFiles(ci int) ([]File, error) {
 	if err := a.ix.CheckChunk(ci, len(files), func(i int) string { return trimClass(files[i].Name) }); err != nil {
 		return nil, err
 	}
-	a.last.Store(&lastChunk{ci: ci, key: key})
+	a.keys[ci].Store(&key)
 	return files, nil
 }
 

@@ -182,7 +182,11 @@ func rewriteStream(t *testing.T, packed []byte, name string, edit func([]byte) [
 //     queue, which the reference decoder itself refuses, on ref.class;
 //   - the parameter type of a new method reference becomes void, so the
 //     descriptor its keys spell does not parse, on ref.meth.st, which
-//     holds that invokestatic reference.
+//     holds that invokestatic reference;
+//   - the parameter type of a method declaration becomes void, on
+//     ref.sig, which holds the declaration's signature reference;
+//   - the type of a field declaration becomes void, on ref.class, which
+//     holds the declaration's type reference.
 func TestDamagedRefStreamIsNamed(t *testing.T) {
 	var files [][]byte
 	for _, cf := range salvageClasses(t, 2) {
@@ -197,6 +201,32 @@ func TestDamagedRefStreamIsNamed(t *testing.T) {
 		a.CP(bytecode.Invokestatic, b.Methodref("p/V", "g", "(I)V"))
 		a.Op(bytecode.Return)
 	})
+	declared := func(name string, fill func(b *classfile.Builder)) []byte {
+		b := classfile.NewBuilder(name, "java/lang/Object", classfile.AccPublic|classfile.AccSuper)
+		fill(b)
+		cf, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := classfile.Write(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	natives := declared("p/V", func(b *classfile.Builder) {
+		b.AddMethod(classfile.AccStatic|classfile.AccNative, "m", "()V")
+		b.AddMethod(classfile.AccStatic|classfile.AccNative, "g", "(I)V")
+	})
+	field := declared("p/W", func(b *classfile.Builder) { b.AddField(classfile.AccStatic, "f", "I") })
+	edit := func(want, edited []byte) func(raw []byte) []byte {
+		return func(raw []byte) []byte {
+			if !bytes.Equal(raw, want) {
+				t.Fatalf("ref.class = %v, want %v", raw, want)
+			}
+			return edited
+		}
+	}
 	cases := []struct {
 		name  string
 		files [][]byte
@@ -220,6 +250,17 @@ func TestDamagedRefStreamIsNamed(t *testing.T) {
 			}
 			return []byte{1, 0, 1, 3, 3, 2}
 		}, "ref.meth.st"},
+		// p/V and java/lang/Object (transients), m's return type V, then
+		// g's return type V (position 1, varint 2) and its parameter type
+		// I, a new transient. Making I position 1 too declares g(V)V.
+		{"void parameter declaration", [][]byte{natives},
+			edit([]byte{0, 0, 1, 2, 0}, []byte{0, 0, 1, 2, 2}), "ref.sig"},
+		// As above, but I is defined (varint 1), since p/W's field f
+		// reads it again: p/W (a transient), java/lang/Object (position
+		// 3, varint 4), then f's type I (position 2, varint 3). V is
+		// then at position 3.
+		{"void field declaration", [][]byte{natives, field},
+			edit([]byte{0, 1, 1, 2, 1, 0, 4, 3}, []byte{0, 1, 1, 2, 1, 0, 4, 4}), "ref.class"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -240,5 +281,34 @@ func TestDamagedRefStreamIsNamed(t *testing.T) {
 				t.Fatalf("Salvage damage = %+v, want one region on %s", res.Damage, c.want)
 			}
 		})
+	}
+}
+
+// TestDamagedClassNameIsCorrupt edits the package-name characters of a
+// packed class p/V, with the checksums intact, so that the class is
+// named "//V": a name the packer refuses, since it has an empty
+// segment. UnpackOpts refuses it as damage to ref.class, which holds
+// the class's new reference, and Salvage reports that one region.
+func TestDamagedClassNameIsCorrupt(t *testing.T) {
+	packed, err := Pack([][]byte{namedClass(t, "p/V", "java/lang/Object", nil)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := rewriteStream(t, packed, "str.pkg.chr", func(raw []byte) []byte {
+		if !bytes.HasPrefix(raw, []byte("pjava/lang")) {
+			t.Fatalf("str.pkg.chr = %q, want p then java/lang", raw)
+		}
+		return append([]byte("/"), raw[1:]...)
+	})
+	_, err = UnpackOpts(damaged, nil)
+	if ce, ok := AsCorrupt(err); !ok || ce.Stream != "ref.class" || !strings.Contains(err.Error(), "empty segment") {
+		t.Fatalf("UnpackOpts = %v, want a CorruptError on ref.class for the empty segment", err)
+	}
+	res, err := Salvage(damaged, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Damage) != 1 || res.Damage[0].Stream != "ref.class" {
+		t.Fatalf("Salvage damage = %+v, want one region on ref.class", res.Damage)
 	}
 }

@@ -439,3 +439,96 @@ func checkRoundTrip(t *testing.T, data, jazzData []byte) {
 		t.Error("Jazz's round trip differs from Strip(x)")
 	}
 }
+
+// TestEmptyClassNameSegments puts a class name with an empty segment
+// (JVMS §4.2.1: a leading, trailing or doubled '/') in each place a class
+// holds class names: its own name, its superclass and interfaces, the
+// element class of an array type, a member reference's owner, and the
+// descriptors of a field, a method and a member reference. The packed
+// formats factor a name at its last '/', so "/pA" would unpack as "pA";
+// every entry point refuses each class, naming the segment rule, and
+// accepts the same classes with the name "p/A".
+func TestEmptyClassNameSegments(t *testing.T) {
+	places := []struct {
+		place string
+		build func(name string) []byte
+	}{
+		{"this class", func(name string) []byte { return namedClass(t, name, "java/lang/Object", nil) }},
+		{"superclass", func(name string) []byte { return namedClass(t, "p/V", name, nil) }},
+		{"interface", func(name string) []byte {
+			return namedClass(t, "p/V", "java/lang/Object", func(b *classfile.Builder, _ *bytecode.Assembler) { b.AddInterface(name) })
+		}},
+		{"array element class", func(name string) []byte {
+			return namedClass(t, "p/V", "java/lang/Object", func(b *classfile.Builder, a *bytecode.Assembler) {
+				a.Op(bytecode.AconstNull)
+				a.CP(bytecode.Checkcast, b.Class("[[L"+name+";"))
+				a.Op(bytecode.Pop)
+			})
+		}},
+		{"member reference owner", func(name string) []byte {
+			return namedClass(t, "p/V", "java/lang/Object", func(b *classfile.Builder, a *bytecode.Assembler) {
+				a.CP(bytecode.Invokestatic, b.Methodref(name, "g", "()V"))
+			})
+		}},
+		{"field descriptor", func(name string) []byte {
+			return namedClass(t, "p/V", "java/lang/Object", func(b *classfile.Builder, _ *bytecode.Assembler) {
+				b.AddField(classfile.AccStatic, "f", "[L"+name+";")
+			})
+		}},
+		{"method descriptor", func(name string) []byte {
+			return namedClass(t, "p/V", "java/lang/Object", func(b *classfile.Builder, _ *bytecode.Assembler) {
+				b.AddMethod(classfile.AccPublic|classfile.AccAbstract, "h", "(IL"+name+";)V")
+			})
+		}},
+		{"member reference descriptor", func(name string) []byte {
+			return namedClass(t, "p/V", "java/lang/Object", func(b *classfile.Builder, a *bytecode.Assembler) {
+				a.CP(bytecode.Getstatic, b.Fieldref("p/V", "f", "L"+name+";"))
+				a.Op(bytecode.Pop)
+			})
+		}},
+	}
+	for _, p := range places {
+		t.Run(p.place, func(t *testing.T) {
+			for _, check := range entryPoints(t, p.build("p/A")) {
+				if check.err != nil {
+					t.Errorf("%s refused p/A: %v", check.name, check.err)
+				}
+			}
+			for _, name := range []string{"/pA", "pA/", "p//A"} {
+				for _, check := range entryPoints(t, p.build(name)) {
+					if check.err == nil || !strings.Contains(check.err.Error(), "empty segment") {
+						t.Errorf("%s accepted %q as %s: err = %v", check.name, name, p.place, check.err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// namedClass builds class name, extending super, whose static method
+// m()V runs emit's code, then returns; emit may add members and
+// constants through b.
+func namedClass(t *testing.T, name, super string, emit func(b *classfile.Builder, a *bytecode.Assembler)) []byte {
+	t.Helper()
+	b := classfile.NewBuilder(name, super, classfile.AccPublic|classfile.AccSuper)
+	a := bytecode.NewAssembler()
+	if emit != nil {
+		emit(b, a)
+	}
+	a.Op(bytecode.Return)
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := b.AddMethod(classfile.AccPublic|classfile.AccStatic, "m", "()V")
+	b.AttachCode(m, &classfile.CodeAttr{MaxStack: 2, MaxLocals: 1, Code: code})
+	cf, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := classfile.Write(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
