@@ -36,13 +36,15 @@ lint:
 # how DoWorkers raises a worker's panic on its caller. So does pack,
 # which codes the reference pools on workers after its class walk, and
 # DEFLATEs each stream past 64 KiB on a coder goroutine while the walk
-# still writes it. jpackd's class GETs share one open Archive per
-# digest, so its concurrent-GET decode accounting gets ten as well.
+# still writes it. jpackd's class and subset GETs share one open Archive
+# per digest, and its subset GETs share the member bodies the chunk
+# cache keeps, so its concurrent-GET decode and cache accounting gets
+# ten as well.
 verify: lint delta-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
-	$(GO) test -race -count=10 -run '^TestOpenArchiveConcurrentCounts$$' ./internal/serve
+	$(GO) test -race -count=10 -run '^(TestOpenArchiveConcurrentCounts|TestSubsetAndClassGETsConcurrentCounts)$$' ./internal/serve
 	$(GO) test -race -count=10 -run '^(TestPipeline|TestDoWorkersPanicSurfaces)' ./internal/par
 	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream|TestPackDeterministicAcrossConcurrency|TestPackStatsDeterministicAcrossConcurrency|TestPackParallelErrorMatchesSerial)$$' .
 	$(GO) test -race -count=10 -run '^(TestLargeStreamsCodeAsWhole|TestCoderLifecycle|TestCoderGetsCopies|TestNoCoderOutlivesPack)$$' ./internal/streams ./internal/core
@@ -65,9 +67,12 @@ bench-test:
 # serve-smoke boots a real jpackd on a loopback port, packs a synthetic
 # corpus through the HTTP client twice, and checks the cache hit and the
 # digest round-trip (GET /archive/{digest} must unpack cleanly), and that
-# a repeat class GET is an open-archive hit that decodes nothing.
+# a repeat class GET is an open-archive hit that decodes nothing. It
+# runs once monolithic and once chunked: on the chunked archive the
+# repeat ?classes= GET must also compress no jar member.
 serve-smoke:
 	$(GO) run ./cmd/jpackd -smoke
+	$(GO) run ./cmd/jpackd -smoke -chunk 4
 
 # chaos-smoke runs the fault-injection matrix in short mode: every fault
 # class against every archive section on a >= 50-class corpus, asserting

@@ -5,7 +5,11 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math"
+	"slices"
 	"sync"
+
+	"classpack/internal/archive"
+	"classpack/internal/par"
 )
 
 // ChunkCache is a byte-bounded LRU of decoded version-3 chunks that any
@@ -21,10 +25,17 @@ import (
 // what a decode under tighter limits would refuse. Each Archive still
 // checks a hit against its own class index.
 //
+// An entry also keeps the jar member body (DEFLATE and CRC-32) of each
+// of its classes that Archive.ExtractJar has needed, made the first
+// time a jar needs it. An entry costs its class names, class bytes and
+// the compressed bytes of its bodies, so the bound covers the bodies
+// too, and eviction drops them with their classes.
+//
 // Concurrent misses on one key decode once: the first caller decodes
 // (outside the cache lock) and the rest wait for its result. Decode
 // errors — a panicking decode included — are returned to every waiter
-// but never cached.
+// but never cached. Concurrent jars that need one entry's missing
+// bodies make each of them once.
 //
 // A ChunkCache is safe for concurrent use.
 type ChunkCache struct {
@@ -43,7 +54,7 @@ type ChunkCacheStats struct {
 	Hits      int64 // lookups answered without decoding, including waits on another caller's decode
 	Misses    int64 // lookups that decoded the chunk
 	Evictions int64 // entries dropped to stay within the bound
-	Bytes     int64 // current cost of the cached entries
+	Bytes     int64 // current cost of the cached entries, their member bodies included
 }
 
 // chunkKey is the content key of one decoded chunk (see ChunkCache).
@@ -53,7 +64,10 @@ type chunkKey [sha256.Size]byte
 type chunkEntry struct {
 	key   chunkKey
 	files []File
-	cost  int64
+	cost  int64 // guarded by the cache's mu
+
+	mu     sync.Mutex     // held while bodies are read or made, so each is made once
+	bodies []archive.Body // jar member bodies, parallel to files; a nil Data is not yet made
 }
 
 // chunkFlight is one in-flight decode and its shared outcome.
@@ -64,9 +78,9 @@ type chunkFlight struct {
 }
 
 // NewChunkCache returns a cache holding at most maxBytes of decoded
-// chunks. An entry costs the sum of its class names and class bytes; a
-// chunk larger than the whole bound is served but not kept, and a
-// non-positive bound keeps nothing.
+// chunks. An entry costs the sum of its class names and class bytes,
+// plus its member bodies once made; a chunk larger than the whole bound
+// is served but not kept, and a non-positive bound keeps nothing.
 func NewChunkCache(maxBytes int64) *ChunkCache {
 	return &ChunkCache{maxBytes: maxBytes}
 }
@@ -160,10 +174,83 @@ func (c *ChunkCache) add(key chunkKey, files []File) {
 	}
 	c.entries[key] = c.lru.PushFront(&chunkEntry{key: key, files: files, cost: cost})
 	c.stats.Bytes += cost
+	c.trim()
+}
+
+// trim evicts least recently used entries until the cache is within its
+// bounds. Caller holds c.mu.
+func (c *ChunkCache) trim() {
 	for c.stats.Bytes > c.maxBytes || (c.maxEntries > 0 && c.lru.Len() > c.maxEntries) {
 		e := c.lru.Remove(c.lru.Back()).(*chunkEntry)
 		delete(c.entries, e.key)
 		c.stats.Bytes -= e.cost
 		c.stats.Evictions++
 	}
+}
+
+// memberBodies returns the jar member bodies of files[i] for each i in
+// idx, where files is the decoded chunk under key. While the cache
+// holds that chunk, each body is made once, by the first call that
+// needs it, kept in the chunk's entry and charged to its cost; a chunk
+// the cache does not hold gets bodies made for this call alone. Missing
+// bodies are compressed on up to concurrency workers. It also reports
+// how many bodies it made.
+func (c *ChunkCache) memberBodies(key chunkKey, files []File, idx []int, concurrency int) ([]archive.Body, int, error) {
+	c.mu.Lock()
+	el, held := c.entries[key]
+	c.mu.Unlock()
+	e := &chunkEntry{key: key, files: files}
+	if held {
+		// Entries are keyed by content, so the held entry's files are
+		// the caller's files, decoded alike.
+		e = el.Value.(*chunkEntry)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	if e.bodies == nil {
+		e.bodies = make([]archive.Body, len(e.files))
+	}
+	var todo []int
+	for _, i := range idx {
+		if e.bodies[i].Data == nil {
+			todo = append(todo, i)
+		}
+	}
+	slices.Sort(todo)
+	todo = slices.Compact(todo)
+	made := make([]archive.Body, len(todo))
+	err := par.Do(concurrency, len(todo), func(k int) error {
+		var err error
+		made[k], err = archive.DeflateBody(e.files[todo[k]].Data)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	var cost int64
+	for k, i := range todo {
+		e.bodies[i] = made[k]
+		cost += int64(len(made[k].Data))
+	}
+	if held && cost > 0 {
+		c.charge(e, cost)
+	}
+	out := make([]archive.Body, len(idx))
+	for k, i := range idx {
+		out[k] = e.bodies[i]
+	}
+	return out, len(todo), nil
+}
+
+// charge adds cost to entry e, if the cache still holds it, and evicts
+// least recently used entries until the cache is within its bounds.
+func (c *ChunkCache) charge(e *chunkEntry, cost int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[e.key]; !ok || el.Value.(*chunkEntry) != e {
+		return
+	}
+	e.cost += cost
+	c.stats.Bytes += cost
+	c.trim()
 }

@@ -499,7 +499,7 @@ func UnpackToJarOpts(data []byte, opts *Options) ([]byte, error) {
 func jarFromFiles(files []File, concurrency int) ([]byte, error) {
 	members := make([]archive.File, len(files))
 	for i, f := range files {
-		members[i] = archive.File{Name: f.Name, Data: f.Data}
+		members[i] = archive.File(f)
 	}
 	return archive.WriteJarN(members, concurrency)
 }
@@ -507,6 +507,8 @@ func jarFromFiles(files []File, concurrency int) ([]byte, error) {
 // JarFromFiles builds a conventional jar from class files — the same
 // layout UnpackToJar produces — for callers assembling subsets via
 // Archive.ExtractClasses. Members are compressed on all cores.
+// Archive.ExtractJar builds the same bytes from an Archive's classes,
+// reusing the member bodies its ChunkCache keeps.
 func JarFromFiles(files []File) ([]byte, error) { return jarFromFiles(files, 0) }
 
 // Stats describes a packed archive's composition by stream category

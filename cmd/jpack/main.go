@@ -582,16 +582,8 @@ func cmdExtract(args []string) error {
 	if len(ords) == 0 {
 		return fmt.Errorf("%s: no classes match %v", files[0], files[1:])
 	}
-	out, err := a.ExtractOrdinals(ords)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, of := range out {
-		total += len(of.Data)
-	}
 	if jarOut != "" {
-		jar, err := classpack.JarFromFiles(out)
+		jar, err := a.ExtractJar(ords)
 		if err != nil {
 			return err
 		}
@@ -599,8 +591,16 @@ func cmdExtract(args []string) error {
 			return err
 		}
 		fmt.Printf("extracted %d of %d classes into %s (%d bytes read of %d)\n",
-			len(out), a.NumClasses(), jarOut, a.BytesRead(), archiveSize(f))
+			len(ords), a.NumClasses(), jarOut, a.BytesRead(), archiveSize(f))
 		return nil
+	}
+	out, err := a.ExtractOrdinals(ords)
+	if err != nil {
+		return err
+	}
+	total := 0
+	for _, of := range out {
+		total += len(of.Data)
 	}
 	for _, of := range out {
 		path := filepath.Join(dir, filepath.FromSlash(of.Name))

@@ -514,6 +514,14 @@ func TestChunkPackLsExtract(t *testing.T) {
 	if len(members) != 2 {
 		t.Fatalf("extracted jar has %d members, want 2", len(members))
 	}
+	// Every class, in archive order: the jar unpack -jar builds.
+	fullJar := filepath.Join(dir, "full.jar")
+	if err := cmdUnpack([]string{"-jar", fullJar, out}); err != nil {
+		t.Fatalf("unpack -jar: %v", err)
+	}
+	if want, err := os.ReadFile(fullJar); err != nil || string(jar) != string(want) {
+		t.Fatalf("extract -jar of every class differs from unpack -jar (err %v)", err)
+	}
 
 	// No match is a failure; a malformed pattern is a usage error.
 	if err := cmdExtract([]string{"-d", exDir, out, "no/such/*"}); err == nil {

@@ -22,8 +22,9 @@ import (
 // starts a real jpackd on a loopback port with a throwaway cache,
 // drives it through the client with a synthetic corpus, and fails
 // unless the cache hit, the digest fetch, the lazy class fetch (whose
-// repeat must be an open-archive hit that decodes nothing), and the
-// unpack round-trip all check out.
+// repeat must be an open-archive hit that decodes nothing and, on a
+// chunked archive, compresses nothing), and the unpack round-trip all
+// check out.
 func runSmoke(cfg serve.Config, scale float64) error {
 	p, err := synth.ProfileByName("213_javac")
 	if err != nil {
@@ -107,7 +108,7 @@ func runSmoke(cfg serve.Config, scale float64) error {
 		return fmt.Errorf("smoke: fetched archive holds %d classes, want %d", len(files), len(cfs))
 	}
 
-	if err := smokeClassFetch(ctx, c, first.Digest, files[0]); err != nil {
+	if err := smokeClassFetch(ctx, c, first.Digest, files[0], cfg.Options.ChunkClasses > 0); err != nil {
 		return err
 	}
 
@@ -139,10 +140,13 @@ func runSmoke(cfg serve.Config, scale float64) error {
 // smokeClassFetch fetches one class twice as a ?classes= subset and
 // checks the bytes and the open-archive cache: the second fetch must be
 // served from the archive the first one opened, and decode nothing,
-// whatever the archive's version.
-func smokeClassFetch(ctx context.Context, c *client.Client, digest string, want classpack.File) error {
+// whatever the archive's version. The first fetch compresses the
+// class's jar member; on a chunked (version-3) archive the repeat must
+// reuse the body the chunk cache kept and compress nothing, where a
+// version-1/2 archive compresses it again.
+func smokeClassFetch(ctx context.Context, c *client.Client, digest string, want classpack.File, chunked bool) error {
 	name := strings.TrimSuffix(want.Name, ".class")
-	var decodes, hits [2]int64
+	var decodes, hits, deflates [2]int64
 	for i := range decodes {
 		sub, err := c.ArchiveClasses(ctx, digest, []string{name})
 		if err != nil {
@@ -159,10 +163,18 @@ func smokeClassFetch(ctx context.Context, c *client.Client, digest string, want 
 		if err != nil {
 			return err
 		}
-		decodes[i], hits[i] = m["decodes_total"], m["open_archive_hits"]
+		decodes[i], hits[i], deflates[i] = m["decodes_total"], m["open_archive_hits"], m["member_deflates_total"]
 	}
 	if d, h := decodes[1]-decodes[0], hits[1]-hits[0]; d != 0 || h != 1 {
 		return fmt.Errorf("smoke: repeat class fetch ran %d decodes with %d open-archive hits, want 0 and 1", d, h)
+	}
+	repeat := int64(1)
+	if chunked {
+		repeat = 0
+	}
+	if z := deflates[1] - deflates[0]; deflates[0] != 1 || z != repeat {
+		return fmt.Errorf("smoke: class fetches compressed %d and then %d jar members, want 1 and then %d",
+			deflates[0], z, repeat)
 	}
 	return nil
 }

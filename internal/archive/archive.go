@@ -91,7 +91,7 @@ func putBuffer(b *bytes.Buffer) {
 	}
 }
 
-// Zip header fields as archive/zip's CreateHeader sets them; writeZip
+// Zip header fields as archive/zip's CreateHeader sets them; assemble
 // sets them itself so that CreateRaw writes the same bytes.
 const (
 	zipVersion20    = 20    // creator and reader version
@@ -99,37 +99,72 @@ const (
 	zipUTF8NameFlag = 0x800 // the name is UTF-8, not CP-437
 )
 
-// writeZip builds a zip of files with every member at method (Store or
-// Deflate). The member bodies — DEFLATE at BestCompression through the
-// pooled writers, matching the paper's gzip usage — are independent, so
-// they are compressed on up to concurrency workers (0 = all cores, 1 =
-// inline on the calling goroutine). The zip is then assembled serially,
-// in input order, with CreateRaw and the header fields CreateHeader
-// would have set, so the bytes equal those of a CreateHeader-and-write
-// loop for every concurrency.
-func writeZip(files []File, method uint16, concurrency int) ([]byte, error) {
-	type body struct {
-		data []byte
-		crc  uint32
+// Body is one zip member's finished body: the member's data as the zip
+// stores it, and the CRC-32 of the data it stands for. A made Body's
+// Data is never nil.
+type Body struct {
+	Data []byte
+	CRC  uint32
+}
+
+// DeflateBody makes data's jar member body: raw DEFLATE at
+// BestCompression through the pooled writers, matching the paper's gzip
+// usage, as WriteJar compresses every member.
+func DeflateBody(data []byte) (Body, error) {
+	z, err := Flate(data)
+	if err != nil {
+		return Body{}, err
 	}
-	bodies := make([]body, len(files))
+	return Body{Data: z, CRC: crc32.ChecksumIEEE(data)}, nil
+}
+
+// writeZip builds a zip of files with every member at method (Store or
+// Deflate). The member bodies are independent, so they are made on up
+// to concurrency workers (0 = all cores, 1 = inline on the calling
+// goroutine), and then assembled in input order, so the bytes are the
+// same for every concurrency.
+func writeZip(files []File, method uint16, concurrency int) ([]byte, error) {
+	bodies := make([]Body, len(files))
 	err := par.Do(concurrency, len(files), func(i int) error {
 		f := files[i]
-		b := body{data: f.Data, crc: crc32.ChecksumIEEE(f.Data)}
-		if method == zip.Deflate && !isDir(f.Name) {
-			var err error
-			if b.data, err = Flate(f.Data); err != nil {
-				return fmt.Errorf("archive: %s: %w", f.Name, err)
-			}
+		if method == zip.Store || isDir(f.Name) {
+			bodies[i] = Body{Data: f.Data, CRC: crc32.ChecksumIEEE(f.Data)}
+			return nil
 		}
-		bodies[i] = b
+		var err error
+		if bodies[i], err = DeflateBody(f.Data); err != nil {
+			return fmt.Errorf("archive: %s: %w", f.Name, err)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return assemble(files, bodies, method)
+}
 
+// AssembleJar builds a jar from members whose bodies are already made:
+// bodies[i] is DeflateBody(files[i].Data), and of files only the names
+// and data lengths are read. The bytes equal WriteJar(files)'s.
+func AssembleJar(files []File, bodies []Body) ([]byte, error) {
+	return assemble(files, bodies, zip.Deflate)
+}
+
+// assemble writes the zip of files with their finished bodies, in input
+// order, with CreateRaw and the header fields CreateHeader would have
+// set, so the bytes equal those of a CreateHeader-and-write loop. A
+// directory entry is stored with no data descriptor and zero sizes, as
+// CreateHeader stores it, and its body must be empty.
+func assemble(files []File, bodies []Body, method uint16) ([]byte, error) {
+	// Size the buffer once: each member takes a local header (30 bytes),
+	// a data descriptor (16) and a central directory entry (46) beside
+	// its name twice and its body, and the end record takes 22.
+	size := 22
+	for i, f := range files {
+		size += 92 + 2*len(f.Name) + len(bodies[i].Data)
+	}
 	var out bytes.Buffer
+	out.Grow(size)
 	zw := zip.NewWriter(&out)
 	for i, f := range files {
 		fh := &zip.FileHeader{
@@ -142,20 +177,19 @@ func writeZip(files []File, method uint16, concurrency int) ([]byte, error) {
 			fh.Flags |= zipUTF8NameFlag
 		}
 		if isDir(f.Name) {
-			// CreateHeader stores a directory with no data descriptor
-			// and zero sizes; its writer rejects any body, as below.
+			// CreateRaw's writer for a directory rejects any body.
 			fh.Method = zip.Store
 		} else {
 			fh.Flags |= zipDataDescFlag
-			fh.CRC32 = bodies[i].crc
-			fh.CompressedSize64 = uint64(len(bodies[i].data))
+			fh.CRC32 = bodies[i].CRC
+			fh.CompressedSize64 = uint64(len(bodies[i].Data))
 			fh.UncompressedSize64 = uint64(len(f.Data))
 		}
 		w, err := zw.CreateRaw(fh)
 		if err != nil {
 			return nil, fmt.Errorf("archive: %s: %w", f.Name, err)
 		}
-		if _, err := w.Write(bodies[i].data); err != nil {
+		if _, err := w.Write(bodies[i].Data); err != nil {
 			return nil, fmt.Errorf("archive: %s: %w", f.Name, err)
 		}
 	}

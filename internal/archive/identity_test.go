@@ -94,3 +94,35 @@ func TestJarRejectsDirectoryBody(t *testing.T) {
 		t.Fatal("WriteJarN accepted a directory entry with a body")
 	}
 }
+
+// TestAssembleJarMatchesWriteJar assembles jars from members whose
+// bodies DeflateBody made one at a time, out of order: the bytes equal
+// WriteJar's, including for a name that needs the UTF-8 flag and an
+// empty member.
+func TestAssembleJarMatchesWriteJar(t *testing.T) {
+	c, err := bench.Load("tools", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append([]archive.File{
+		{Name: "café/Ünïcode$Ω.class", Data: []byte("not really a class, but compressible compressible")},
+		{Name: "empty.class", Data: []byte{}},
+	}, c.StrippedFiles...)
+	bodies := make([]archive.Body, len(files))
+	for i := len(files) - 1; i >= 0; i-- {
+		if bodies[i], err = archive.DeflateBody(files[i].Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := archive.AssembleJar(files, bodies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := archive.WriteJar(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("assembled jar of %d members differs from WriteJar's (%d vs %d bytes)", len(files), len(got), len(want))
+	}
+}

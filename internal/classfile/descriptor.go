@@ -25,9 +25,6 @@ func PrimitiveType(c byte) Type { return Type{Base: c} }
 // ObjectType returns the Type for a class binary name.
 func ObjectType(name string) Type { return Type{Base: 'L', Name: name} }
 
-// ArrayOf returns t with one more array dimension.
-func ArrayOf(t Type) Type { t.Dims++; return t }
-
 // IsRef reports whether the type is a reference (class or array).
 func (t Type) IsRef() bool { return t.Dims > 0 || t.Base == 'L' }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"context"
+	"net/http"
 	"sync"
 
 	"classpack"
@@ -16,6 +18,11 @@ import (
 // (Archive.RetainedBytes); an entry larger than the whole bound is
 // served but not kept.
 //
+// Concurrent misses on one digest open it once: the first caller opens
+// it (outside the cache lock) and the rest wait for its result, counted
+// as hits. A failing open, a panicking one included, reaches every
+// waiter but is never cached.
+//
 // An archiveCache is safe for concurrent use.
 type archiveCache struct {
 	maxBytes int64
@@ -23,6 +30,7 @@ type archiveCache struct {
 	mu      sync.Mutex
 	lru     list.List // of *archiveEntry, most recently used at the front
 	entries map[string]*list.Element
+	flights map[string]*openFlight
 	stats   archiveCacheStats
 }
 
@@ -30,7 +38,7 @@ type archiveCache struct {
 type archiveCacheStats struct {
 	Entries int64 // archives held
 	Bytes   int64 // their total cost
-	Hits    int64 // lookups answered by a held archive
+	Hits    int64 // lookups answered by a held archive, or by another lookup's open
 	Misses  int64 // lookups that found none
 }
 
@@ -41,8 +49,20 @@ type archiveEntry struct {
 	cost   int64
 }
 
+// openFlight is one in-flight open and its shared outcome.
+type openFlight struct {
+	done chan struct{} // closed once a and err are final
+	a    *classpack.Archive
+	err  *apiError
+}
+
+// errOpenPanicked is what callers waiting on an open see when the
+// opening caller panicked instead of returning.
+var errOpenPanicked = errf(http.StatusInternalServerError, "internal", "opening the archive panicked")
+
 func newArchiveCache(maxBytes int64) *archiveCache {
-	return &archiveCache{maxBytes: maxBytes, entries: make(map[string]*list.Element)}
+	return &archiveCache{maxBytes: maxBytes,
+		entries: make(map[string]*list.Element), flights: make(map[string]*openFlight)}
 }
 
 // snapshot returns the cache's counters.
@@ -54,11 +74,9 @@ func (c *archiveCache) snapshot() archiveCacheStats {
 	return st
 }
 
-// get returns the archive held under digest and marks it most recently
-// used.
-func (c *archiveCache) get(digest string) (*classpack.Archive, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// lookup returns the archive held under digest and marks it most
+// recently used. Caller holds c.mu.
+func (c *archiveCache) lookup(digest string) (*classpack.Archive, bool) {
 	el, ok := c.entries[digest]
 	if !ok {
 		c.stats.Misses++
@@ -69,13 +87,52 @@ func (c *archiveCache) get(digest string) (*classpack.Archive, bool) {
 	return el.Value.(*archiveEntry).a, true
 }
 
-// add holds a under digest, unless the cache already holds the digest
-// (a concurrent miss opened it first) or a alone costs more than the
-// bound, and then evicts least recently used entries until the cache is
-// within its bound.
-func (c *archiveCache) add(digest string, a *classpack.Archive, cost int64) {
+// open returns the archive held under digest, calling load on a miss
+// and holding what it opened at the cost it reports. Concurrent misses
+// on digest share one load; a caller waiting on another's load gives up
+// when ctx is done.
+func (c *archiveCache) open(ctx context.Context, digest string, load func() (*classpack.Archive, int64, *apiError)) (*classpack.Archive, *apiError) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	if f, ok := c.flights[digest]; ok {
+		c.stats.Hits++
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+			return f.a, f.err
+		case <-ctx.Done():
+			return nil, errf(http.StatusServiceUnavailable, "timeout",
+				"request deadline expired while awaiting the in-flight open of this archive")
+		}
+	}
+	if a, ok := c.lookup(digest); ok {
+		c.mu.Unlock()
+		return a, nil
+	}
+	f := &openFlight{done: make(chan struct{}), err: errOpenPanicked}
+	c.flights[digest] = f
+	c.mu.Unlock()
+
+	// Deferred so a panicking load still retires its flight: waiters
+	// get errOpenPanicked and the next caller opens afresh.
+	var cost int64
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, digest)
+		if f.err == nil {
+			c.insert(digest, f.a, cost)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	f.a, cost, f.err = load()
+	return f.a, f.err
+}
+
+// insert holds a under digest, unless the cache already holds the
+// digest or a alone costs more than the bound, and then evicts least
+// recently used entries until the cache is within its bound. Caller
+// holds c.mu.
+func (c *archiveCache) insert(digest string, a *classpack.Archive, cost int64) {
 	if _, ok := c.entries[digest]; ok || cost > c.maxBytes {
 		return
 	}

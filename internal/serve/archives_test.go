@@ -7,13 +7,29 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"classpack"
 	"classpack/internal/castore"
 	"classpack/internal/serve/client"
 )
+
+// get returns the archive held under digest, as open's lookup finds it.
+func (c *archiveCache) get(digest string) (*classpack.Archive, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lookup(digest)
+}
+
+// add holds a under digest at cost, as open keeps what it opened.
+func (c *archiveCache) add(digest string, a *classpack.Archive, cost int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insert(digest, a, cost)
+}
 
 // TestArchiveCacheLRU fills an open-archive cache past its bound: the
 // least recently used entry goes, and an entry larger than the whole
@@ -213,5 +229,113 @@ func TestOpenArchiveConcurrentCounts(t *testing.T) {
 	}
 	if m["open_archive_bytes"] < int64(len(res.Packed)) {
 		t.Fatalf("open_archive_bytes = %d, want at least the archive's %d", m["open_archive_bytes"], len(res.Packed))
+	}
+}
+
+// TestArchiveCacheOpenFlight parks a herd on one digest's open: the
+// open runs once, the waiters share its archive and count as hits, and
+// the archive is kept. A failing open reaches its caller and is not
+// kept, so the next caller opens afresh; a panicking open reaches its
+// caller as the panic and a waiter as errOpenPanicked, and is not kept
+// either; a waiter whose request is gone stops waiting.
+func TestArchiveCacheOpenFlight(t *testing.T) {
+	jar, _ := testJar(t)
+	packed, _, err := classpack.PackJar(jar, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := classpack.OpenArchiveBytes(packed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newArchiveCache(1 << 20)
+	ctx := context.Background()
+
+	release := make(chan struct{})
+	var loads atomic.Int32
+	load := func() (*classpack.Archive, int64, *apiError) {
+		loads.Add(1)
+		<-release
+		return a, 10, nil
+	}
+	const herd = 16
+	got := make([]*classpack.Archive, herd)
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var apiErr *apiError
+			if got[i], apiErr = c.open(ctx, "d1", load); apiErr != nil {
+				t.Errorf("open %d: %v", i, apiErr)
+			}
+		}()
+	}
+	// Waiters count as hits before they block, so this waits until every
+	// one of them is parked on the first caller's open.
+	for c.snapshot().Hits < herd-1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, g := range got {
+		if g != a {
+			t.Fatalf("caller %d got another archive than the open's", i)
+		}
+	}
+	if st := c.snapshot(); loads.Load() != 1 || st != (archiveCacheStats{Entries: 1, Bytes: 10, Hits: herd - 1, Misses: 1}) {
+		t.Fatalf("%d loads, stats %+v; want one load, kept", loads.Load(), st)
+	}
+
+	failed := errf(http.StatusNotFound, "not_found", "gone")
+	for i := 0; i < 2; i++ {
+		if _, apiErr := c.open(ctx, "d2", func() (*classpack.Archive, int64, *apiError) { return nil, 0, failed }); apiErr != failed {
+			t.Fatalf("failing open %d: err = %v, want the load's", i, apiErr)
+		}
+	}
+	if st := c.snapshot(); st.Entries != 1 || st.Misses != 3 {
+		t.Fatalf("after two failing opens: stats %+v, want both tried and neither kept", st)
+	}
+
+	release = make(chan struct{})
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.open(ctx, "d3", func() (*classpack.Archive, int64, *apiError) {
+			<-release
+			panic("boom")
+		})
+	}()
+	for c.snapshot().Misses < 4 {
+		runtime.Gosched()
+	}
+	waiter := make(chan *apiError)
+	go func() {
+		_, apiErr := c.open(ctx, "d3", func() (*classpack.Archive, int64, *apiError) {
+			t.Error("a waiter opened while an open was in flight")
+			return nil, 0, nil
+		})
+		waiter <- apiErr
+	}()
+	for c.snapshot().Hits < herd {
+		runtime.Gosched()
+	}
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, apiErr := c.open(gone, "d3", nil); apiErr == nil || apiErr.code != "timeout" {
+		t.Fatalf("waiter whose request is gone: err = %v, want timeout", apiErr)
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("opening caller recovered %v, want the load's panic", r)
+	}
+	if apiErr := <-waiter; apiErr != errOpenPanicked {
+		t.Fatalf("waiter: err = %v, want errOpenPanicked", apiErr)
+	}
+	if got, apiErr := c.open(ctx, "d3", func() (*classpack.Archive, int64, *apiError) { return a, 10, nil }); got != a || apiErr != nil {
+		t.Fatalf("after the panic: got %v, %v; want a fresh open", got, apiErr)
+	}
+	if st := c.snapshot(); st.Entries != 2 || st.Misses != 5 {
+		t.Fatalf("after the panic: stats %+v, want the fresh open kept", st)
 	}
 }

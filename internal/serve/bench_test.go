@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -14,17 +16,16 @@ import (
 	"classpack/internal/synth"
 )
 
-// BenchmarkArchiveClassGET serves GET /archive/{digest}/class/{name}
-// through the server's handler in process (httptest, no sockets), from
-// the cached tools archive at scale 1.0 in chunks of 64 classes, the
-// archive of classpack-bench's serve-classes workload. Each GET asks for
-// the next of the archive's uniquely named classes in turn. Every class
-// is fetched once before the timer starts, so every chunk is decoded
-// and cached: each timed GET costs what a repeat GET costs, the work
-// around a decoded-chunk cache hit.
-//
-//	go test -run NONE -bench ArchiveClassGET -benchmem ./internal/serve
-func BenchmarkArchiveClassGET(b *testing.B) {
+// benchChunkClasses is the chunk size of the benchmarks' archive, as
+// classpack-bench's serve workloads pack it.
+const benchChunkClasses = 64
+
+// toolsServer packs the tools corpus at scale 1.0 in chunks of
+// benchChunkClasses classes, the archive of classpack-bench's
+// serve-classes workload, on a fresh server. It returns the server's
+// handler, the archive's digest, and the binary names the archive holds
+// once, with each name's position in archive order.
+func toolsServer(b *testing.B) (h http.Handler, digest string, unique []string, ord map[string]int) {
 	p, err := synth.ProfileByName("tools")
 	if err != nil {
 		b.Fatal(err)
@@ -52,33 +53,92 @@ func BenchmarkArchiveClassGET(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := classpack.DefaultOptions()
-	opts.ChunkClasses = 64
-	h := New(Config{Store: st, Options: opts}).Handler()
+	opts.ChunkClasses = benchChunkClasses
+	h = New(Config{Store: st, Options: opts}).Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/pack", bytes.NewReader(jar)))
 	if rec.Code != http.StatusOK {
 		b.Fatalf("POST /pack: %d %s", rec.Code, rec.Body)
 	}
-	prefix := "/archive/" + rec.Header().Get(HeaderDigest) + "/class/"
-	var targets []string
-	for _, cf := range cfs {
-		if name := cf.ThisClassName(); count[name] == 1 && !strings.ContainsAny(name, "%?# ") {
-			targets = append(targets, prefix+name)
+	ord = make(map[string]int)
+	for i, cf := range cfs {
+		// Names with pattern metacharacters or commas would not select
+		// themselves exactly in a ?classes= list.
+		if name := cf.ThisClassName(); count[name] == 1 && !strings.ContainsAny(name, "*?[\\,%# ") {
+			unique = append(unique, name)
+			ord[name] = i
 		}
 	}
-	get := func(target string) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
-		}
+	return h, rec.Header().Get(HeaderDigest), unique, ord
+}
+
+// benchGET serves one GET through h and fails unless it succeeds.
+func benchGET(b *testing.B, h http.Handler, target string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("GET %s: %d %s", target, rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkArchiveClassGET serves GET /archive/{digest}/class/{name}
+// through the server's handler in process (httptest, no sockets), from
+// the cached tools archive at scale 1.0 in chunks of 64 classes, the
+// archive of classpack-bench's serve-classes workload. Each GET asks for
+// the next of the archive's uniquely named classes in turn. Every class
+// is fetched once before the timer starts, so every chunk is decoded
+// and cached: each timed GET costs what a repeat GET costs, the work
+// around a decoded-chunk cache hit.
+//
+//	go test -run NONE -bench ArchiveClassGET -benchmem ./internal/serve
+func BenchmarkArchiveClassGET(b *testing.B) {
+	h, digest, unique, _ := toolsServer(b)
+	var targets []string
+	for _, name := range unique {
+		targets = append(targets, "/archive/"+digest+"/class/"+name)
 	}
 	for _, target := range targets {
-		get(target)
+		benchGET(b, h, target)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		get(targets[i%len(targets)])
+		benchGET(b, h, targets[i%len(targets)])
+	}
+}
+
+// BenchmarkArchiveSubsetGET serves GET /archive/{digest}?classes= of 4
+// classes through the server's handler in process, from the archive
+// BenchmarkArchiveClassGET reads. Its subsets are drawn as
+// classpack-bench's serve-classes draws them: 4 distinct uniquely named
+// classes, drawn again until they span 3 chunks; 64 such subsets, from
+// a fixed seed, are asked for in turn. Every subset is fetched once
+// before the timer starts, so each timed GET costs what a repeat subset
+// GET costs once the server has decoded every chunk it touches.
+//
+//	go test -run NONE -bench ArchiveSubsetGET -benchmem ./internal/serve
+func BenchmarkArchiveSubsetGET(b *testing.B) {
+	const size, spanChunks, subsets = 4, 3, 64
+	h, digest, unique, ord := toolsServer(b)
+	rng := rand.New(rand.NewSource(1))
+	var targets []string
+	for len(targets) < subsets {
+		names := make([]string, 0, size)
+		chunks := make(map[int]bool)
+		for _, k := range rng.Perm(len(unique))[:size] {
+			names = append(names, unique[k])
+			chunks[ord[unique[k]]/benchChunkClasses] = true
+		}
+		if len(chunks) == spanChunks {
+			targets = append(targets, "/archive/"+digest+"?classes="+url.QueryEscape(strings.Join(names, ",")))
+		}
+	}
+	for _, target := range targets {
+		benchGET(b, h, target)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGET(b, h, targets[i%len(targets)])
 	}
 }

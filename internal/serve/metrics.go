@@ -86,6 +86,12 @@ type Metrics struct {
 	Salvages expvar.Int // unpack?salvage=1 jobs run
 	Verifies expvar.Int
 
+	// MemberDeflates counts jar member bodies compressed for ?classes=
+	// GETs: on a version-3 archive, one per class while the chunk cache
+	// holds its chunk; on a version-1/2 archive, one per class per GET.
+	// A class GET compresses nothing.
+	MemberDeflates expvar.Int
+
 	BytesIn  expvar.Int // request bodies read
 	BytesOut expvar.Int // response payloads written (errors excluded)
 
@@ -118,6 +124,7 @@ func newMetrics() *Metrics {
 	set("delta_bytes_saved", &mt.DeltaBytesSaved)
 	set("encodes_total", &mt.Encodes)
 	set("decodes_total", &mt.Decodes)
+	set("member_deflates_total", &mt.MemberDeflates)
 	set("salvages_total", &mt.Salvages)
 	set("verifies_total", &mt.Verifies)
 	set("bytes_in", &mt.BytesIn)

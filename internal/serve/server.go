@@ -733,7 +733,8 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 // archiveSubset answers GET /archive/{digest}?classes=P: a jar holding
 // every class matching the comma-separated name-or-glob patterns P.
 // Version-3 archives decode only the chunks the selection touches; the
-// rest of the archive is never unpacked.
+// rest of the archive is never unpacked, and each class's jar member is
+// compressed once while the chunk cache holds its chunk.
 func (s *Server) archiveSubset(w http.ResponseWriter, r *http.Request, pat string) {
 	release, apiErr := s.acquireJob(r.Context())
 	if apiErr != nil {
@@ -741,7 +742,7 @@ func (s *Server) archiveSubset(w http.ResponseWriter, r *http.Request, pat strin
 		return
 	}
 	defer release()
-	a, apiErr := s.openArchive(r.PathValue("digest"))
+	a, apiErr := s.openArchive(r.Context(), r.PathValue("digest"))
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -757,17 +758,12 @@ func (s *Server) archiveSubset(w http.ResponseWriter, r *http.Request, pat strin
 		s.writeError(w, errf(http.StatusNotFound, "no_match", "no classes match %q", pat))
 		return
 	}
-	files, err := a.ExtractOrdinals(ords)
+	jar, err := a.ExtractJar(ords)
 	if err != nil {
 		s.writeError(w, errf(http.StatusInternalServerError, "corrupt_cache", "extracting classes: %v", err))
 		return
 	}
-	jar, err := classpack.JarFromFiles(files)
-	if err != nil {
-		s.writeError(w, errf(http.StatusInternalServerError, "internal", "building jar: %v", err))
-		return
-	}
-	s.countDecodes(a)
+	s.countWork(a)
 	w.Header().Set(HeaderDigest, r.PathValue("digest"))
 	s.writePayload(w, jar)
 }
@@ -784,7 +780,7 @@ func (s *Server) handleArchiveClass(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	a, apiErr := s.openArchive(r.PathValue("digest"))
+	a, apiErr := s.openArchive(r.Context(), r.PathValue("digest"))
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -806,21 +802,22 @@ func (s *Server) handleArchiveClass(w http.ResponseWriter, r *http.Request) {
 			"extracting %q: %v", name, err))
 		return
 	}
-	s.countDecodes(a)
+	s.countWork(a)
 	w.Header().Set(HeaderDigest, r.PathValue("digest"))
 	s.writePayload(w, data)
 }
 
 // openArchive resolves a class or subset GET's digest to an Archive
-// handle of the request's own: a Reopen, so that countDecodes charges
+// handle of the request's own: a Reopen, so that countWork charges
 // the request only the decodes it ran. A digest that castore's index
 // still holds is answered from the open-archive cache, with no file
 // read; one the cache lacks is read and verified through castore,
-// opened through the server's decoded-chunk cache, and kept. A digest
-// castore has evicted or forgotten is a 404, as it is to a whole GET,
-// and leaves the open-archive cache. Open failures are server faults:
-// the store only holds archives this server packed.
-func (s *Server) openArchive(digest string) (*classpack.Archive, *apiError) {
+// opened through the server's decoded-chunk cache, and kept, once for
+// all the concurrent GETs that miss it. A digest castore has evicted or
+// forgotten is a 404, as it is to a whole GET, and leaves the
+// open-archive cache. Open failures are server faults: the store only
+// holds archives this server packed.
+func (s *Server) openArchive(ctx context.Context, digest string) (*classpack.Archive, *apiError) {
 	if apiErr := s.checkDigest(digest); apiErr != nil {
 		return nil, apiErr
 	}
@@ -828,31 +825,35 @@ func (s *Server) openArchive(digest string) (*classpack.Archive, *apiError) {
 		s.archives.remove(digest)
 		return nil, errNoArchive(digest)
 	}
-	if a, ok := s.archives.get(digest); ok {
-		return a.Reopen(), nil
-	}
-	packed, apiErr := s.readCached(digest)
+	a, apiErr := s.archives.open(ctx, digest, func() (*classpack.Archive, int64, *apiError) {
+		packed, apiErr := s.readCached(digest)
+		if apiErr != nil {
+			return nil, 0, apiErr
+		}
+		opts := s.cfg.Options
+		opts.ChunkCache = s.chunks
+		a, err := classpack.OpenArchiveBytes(packed, &opts)
+		if err != nil {
+			return nil, 0, errf(http.StatusInternalServerError, "corrupt_cache",
+				"opening cached archive: %v", err)
+		}
+		s.countWork(a) // a version-1/2 archive decodes whole at open
+		return a, int64(len(packed)) + a.RetainedBytes(), nil
+	})
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	opts := s.cfg.Options
-	opts.ChunkCache = s.chunks
-	a, err := classpack.OpenArchiveBytes(packed, &opts)
-	if err != nil {
-		return nil, errf(http.StatusInternalServerError, "corrupt_cache",
-			"opening cached archive: %v", err)
-	}
-	s.countDecodes(a) // a version-1/2 archive decodes whole at open
-	s.archives.add(digest, a, int64(len(packed))+a.RetainedBytes())
 	return a.Reopen(), nil
 }
 
-// countDecodes charges the chunk decodes an Archive handle actually
-// ran — none when the chunk cache answered — to decodes_total and
-// class_bytes_decoded.
-func (s *Server) countDecodes(a *classpack.Archive) {
+// countWork charges the work an Archive handle actually ran: its chunk
+// decodes, none when the chunk cache answered, to decodes_total and
+// class_bytes_decoded, and the jar member bodies it compressed to
+// member_deflates_total.
+func (s *Server) countWork(a *classpack.Archive) {
 	s.metrics.Decodes.Add(a.ChunkDecodes())
 	s.metrics.ClassBytesDecoded.Add(a.DecodedBytes())
+	s.metrics.MemberDeflates.Add(a.MemberDeflates())
 }
 
 // checkDigest refuses a malformed digest (400) and, with no store

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"classpack/internal/archive"
 	"classpack/internal/classfile"
 	"classpack/internal/core"
 	"classpack/internal/corrupt"
@@ -43,8 +44,9 @@ type Archive struct {
 	*opened
 	r *countingReaderAt // this handle's reads
 
-	decoded atomic.Int64
-	decodes atomic.Int64
+	decoded  atomic.Int64
+	decodes  atomic.Int64
+	deflates atomic.Int64
 }
 
 // opened is what OpenArchive learned of an archive. The Archive it
@@ -168,10 +170,10 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 // would, but without reading anything: it shares a's index, the
 // classes a decoded at open, the chunk keys a and its other handles
 // have learned, and a's ChunkCache. Only its counters are its own:
-// BytesRead, DecodedBytes and ChunkDecodes count the new handle's
-// extractions from zero. A caller that keeps one Archive open across
-// requests can extract each request through a Reopen of it, to learn
-// the decodes that request ran.
+// BytesRead, DecodedBytes, ChunkDecodes and MemberDeflates count the
+// new handle's extractions from zero. A caller that keeps one Archive
+// open across requests can extract each request through a Reopen of
+// it, to learn the decodes that request ran.
 func (a *Archive) Reopen() *Archive {
 	return &Archive{opened: a.opened, r: &countingReaderAt{r: a.r.r}}
 }
@@ -275,6 +277,12 @@ func (a *Archive) DecodedBytes() int64 { return a.decoded.Load() }
 // decode at open for version 1/2.
 func (a *Archive) ChunkDecodes() int64 { return a.decodes.Load() }
 
+// MemberDeflates is the number of jar member bodies this Archive's
+// ExtractJar calls compressed: for version 3, the bodies they made,
+// which the ChunkCache then keeps for later calls; for version 1/2,
+// every member of every call.
+func (a *Archive) MemberDeflates() int64 { return a.deflates.Load() }
+
 // trimClass strips an optional ".class" suffix, so callers can use
 // either the binary name or the jar member name.
 func trimClass(name string) string { return strings.TrimSuffix(name, ".class") }
@@ -305,36 +313,36 @@ func (a *Archive) fileAt(g int) (File, error) {
 		return a.files[g], nil
 	}
 	ci := a.ix.ChunkOf(g)
-	files, err := a.chunkFiles(ci)
+	files, _, err := a.chunkFiles(ci)
 	if err != nil {
 		return File{}, err
 	}
 	return files[g-a.ix.Start(ci)], nil
 }
 
-// chunkFiles returns chunk ci's files through the archive's chunk
-// cache, decoding on a miss, and cross-checks them against this
-// archive's index — hits included, since an entry was checked only
-// against the index of the archive that decoded it. The files are
-// shared with the cache: read-only.
+// chunkFiles returns chunk ci's files, and their cache key, through the
+// archive's chunk cache, decoding on a miss, and cross-checks them
+// against this archive's index — hits included, since an entry was
+// checked only against the index of the archive that decoded it. The
+// files are shared with the cache: read-only.
 //
 // A chunk whose files have passed those checks once is looked up by
 // its remembered key, without reading or hashing it again and without
 // repeating the checks, so an Archive and its Reopens read and hash
 // each chunk once while the cache holds it.
-func (a *Archive) chunkFiles(ci int) ([]File, error) {
+func (a *Archive) chunkFiles(ci int) ([]File, chunkKey, error) {
 	if key := a.keys[ci].Load(); key != nil {
 		if files, ok := a.cache.lookup(*key); ok {
-			return files, nil
+			return files, *key, nil
 		}
 	}
 	ch := a.ix.Chunks[ci]
 	if err := core.CheckBuffered(ch.Len, core.EffectiveBudget(a.uo), "chunks", ch.Off); err != nil {
-		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
 	body := make([]byte, ch.Len)
 	if _, err := a.r.ReadAt(body, ch.Off); err != nil {
-		return nil, corrupt.Errorf("chunks", ch.Off, "reading chunk %d: %v", ci, err)
+		return nil, chunkKey{}, corrupt.Errorf("chunks", ch.Off, "reading chunk %d: %v", ci, err)
 	}
 	h := sha256.New()
 	h.Write(a.keyHead)
@@ -348,13 +356,13 @@ func (a *Archive) chunkFiles(ci int) ([]File, error) {
 		return files, err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
 	if err := a.ix.CheckChunk(ci, len(files), func(i int) string { return trimClass(files[i].Name) }); err != nil {
-		return nil, err
+		return nil, chunkKey{}, err
 	}
 	a.keys[ci].Store(&key)
-	return files, nil
+	return files, key, nil
 }
 
 // ExtractClasses extracts the named classes, returned in input order.
@@ -396,10 +404,8 @@ func (a *Archive) ExtractOrdinals(ords []int) ([]File, error) {
 // share their bytes with the chunk cache (or a.files), so callers must
 // not modify them.
 func (a *Archive) ordinals(ords []int) ([]File, error) {
-	for _, g := range ords {
-		if g < 0 || g >= len(a.names) {
-			return nil, fmt.Errorf("classpack: ordinal %d out of range [0,%d)", g, len(a.names))
-		}
+	if err := a.checkOrdinals(ords); err != nil {
+		return nil, err
 	}
 	out := make([]File, len(ords))
 	if a.ix == nil {
@@ -408,8 +414,34 @@ func (a *Archive) ordinals(ords []int) ([]File, error) {
 		}
 		return out, nil
 	}
-	// Resolve chunk by chunk in ascending order so each chunk is decoded
-	// at most once even when the request order jumps around.
+	err := a.eachChunk(ords, func(ci int, files []File, _ chunkKey, positions []int) error {
+		for _, i := range positions {
+			out[i] = files[ords[i]-a.ix.Start(ci)]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkOrdinals refuses an ordinal outside the archive.
+func (a *Archive) checkOrdinals(ords []int) error {
+	for _, g := range ords {
+		if g < 0 || g >= len(a.names) {
+			return fmt.Errorf("classpack: ordinal %d out of range [0,%d)", g, len(a.names))
+		}
+	}
+	return nil
+}
+
+// eachChunk calls visit once for each version-3 chunk holding any of
+// the checked ords, in ascending chunk order, so each chunk is decoded
+// at most once even when the request order jumps around. visit gets the
+// chunk's files and cache key (see chunkFiles) and the positions in
+// ords of the ordinals the chunk holds.
+func (a *Archive) eachChunk(ords []int, visit func(ci int, files []File, key chunkKey, positions []int) error) error {
 	byChunk := make(map[int][]int) // chunk -> positions in the request
 	maxChunk := 0
 	for i, g := range ords {
@@ -424,15 +456,62 @@ func (a *Archive) ordinals(ords []int) ([]File, error) {
 		if !ok {
 			continue
 		}
-		files, err := a.chunkFiles(ci)
+		files, key, err := a.chunkFiles(ci)
+		if err != nil {
+			return err
+		}
+		if err := visit(ci, files, key, positions); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ExtractJar builds a jar of the classes at ords (archive ordinals, as
+// ExtractOrdinals takes them), in input order: exactly the bytes of
+// JarFromFiles over ExtractOrdinals(ords), without copying a class.
+// For a version-3 archive each class's jar member body, its DEFLATE and
+// CRC-32, is made the first time a jar needs it and kept in its chunk's
+// ChunkCache entry, so a later ExtractJar of that class, from this
+// Archive or any other sharing the cache, compresses nothing while the
+// entry lives (see ChunkCache). A version-1/2 archive's classes are
+// decoded at open and held outside any ChunkCache, so its ExtractJar
+// compresses every member on every call. Members are compressed on up
+// to Options.Concurrency workers; MemberDeflates counts them.
+func (a *Archive) ExtractJar(ords []int) ([]byte, error) {
+	if a.ix == nil {
+		files, err := a.ordinals(ords)
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range positions {
-			out[i] = files[ords[i]-a.ix.Start(ci)]
-		}
+		a.deflates.Add(int64(len(files)))
+		return jarFromFiles(files, a.uo.Concurrency)
 	}
-	return out, nil
+	if err := a.checkOrdinals(ords); err != nil {
+		return nil, err
+	}
+	members := make([]archive.File, len(ords))
+	bodies := make([]archive.Body, len(ords))
+	err := a.eachChunk(ords, func(ci int, files []File, key chunkKey, positions []int) error {
+		idx := make([]int, len(positions))
+		for k, i := range positions {
+			idx[k] = ords[i] - a.ix.Start(ci)
+			members[i] = archive.File(files[idx[k]])
+		}
+		got, made, err := a.cache.memberBodies(key, files, idx, a.uo.Concurrency)
+		a.deflates.Add(int64(made))
+		if err != nil {
+			return fmt.Errorf("classpack: chunk %d: %w", ci, err)
+		}
+		for k, i := range positions {
+			bodies[i] = got[k]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return archive.AssembleJar(members, bodies)
 }
 
 // Select returns the archive's class names (in archive order) matching
