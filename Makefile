@@ -53,9 +53,12 @@ verify: lint delta-smoke
 # pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and
 # unpack to a jar (which adds the per-member DEFLATE); then the
 # class-file reader and writer alone, over tools as distributed and
-# stripped (BenchmarkParseWrite).
+# stripped (BenchmarkParseWrite); then the arithmetic coder alone,
+# encoding and decoding the streams of packed tools that the container
+# trial-codes with it (those of at most 64 KiB).
 bench:
 	$(GO) test -run=NONE -bench='^Benchmark((Pack|Unpack|UnpackToJar)Throughput|ParseWrite)$$' -benchmem .
+	$(GO) test -run=NONE -bench='^Benchmark(Encode|Decode)$$' -benchmem ./internal/encoding/arith
 
 # bench-test runs the tests of cmd/classpack-bench, the repository's
 # benchmark, which is a Go module of its own and so outside ./...: every
@@ -117,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzJazzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/jazz
 	$(GO) test -run=NONE -fuzz='^FuzzCustomDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/custom
 	$(GO) test -run=NONE -fuzz='^FuzzReadClassFile$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/classfile
+	$(GO) test -run=NONE -fuzz='^FuzzArith$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/encoding/arith
 
 # fuzz-corpus regenerates the checked-in seed corpora under testdata/fuzz
 # from internal/synth packs (run after wire-format changes).

@@ -656,15 +656,7 @@ func ArithVsFlate(scale float64, corpus string) (flateBytes, arithBytes int, err
 		stream, _ = enc.Encode(stream, ev)
 	}
 	flateBytes = archive.FlateSize(stream)
-	syms := make([]int, len(stream))
-	for i, b := range stream {
-		syms[i] = int(b)
-	}
-	coded, err := arith.EncodeAll(256, syms)
-	if err != nil {
-		return 0, 0, err
-	}
-	return flateBytes, len(coded), nil
+	return flateBytes, len(arith.Encode(stream)), nil
 }
 
 // must formats a percent for rendering.

@@ -1,275 +1,259 @@
-// Package arith implements an adaptive order-0 arithmetic coder
-// (Witten–Neal–Cleary style). The paper (§5) compares zlib on a
+// Package arith implements an adaptive order-0 arithmetic coder over
+// bytes (Witten–Neal–Cleary style). The paper (§5) compares zlib on a
 // move-to-front byte stream against an arithmetic coding of the raw MTF
 // indices, where an index with probability p costs log2(1/p) bits; this
-// package provides that comparator.
+// package provides that comparator, and the streams container offers it
+// as coding 2, which FORMAT.md states bit for bit.
+//
+// Code values are 32 bits wide. After each symbol the coder
+// renormalizes in bulk: every leading bit that low and high share
+// leaves in one step, and then every underflow step at once. The bits
+// are exactly those of the textbook loop that moves one bit per
+// iteration, which arith_test.go keeps as the reference.
 package arith
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 )
 
 const (
-	codeBits  = 32
-	topValue  = 1<<codeBits - 1
-	firstQtr  = topValue/4 + 1
-	half      = 2 * firstQtr
-	thirdQtr  = 3 * firstQtr
+	symbols   = 256
+	firstQtr  = 1 << 30
+	half      = 1 << 31
 	maxTotal  = 1 << 16 // rescale threshold for the adaptive model
 	increment = 32
 )
 
-// model is an adaptive frequency model over n symbols with cumulative
-// counts maintained in a Fenwick tree.
+// model is an adaptive frequency model over the byte values: a count
+// per symbol, and the same counts in a Fenwick tree for cumulative
+// lookups.
 type model struct {
-	n    int
-	tree []uint32 // Fenwick tree of counts, 1-based
-	sum  uint32
+	count [symbols]uint32
+	tree  [symbols + 1]uint32 // Fenwick tree over count, 1-based
+	sum   uint32
 }
 
-func newModel(n int) *model {
-	m := &model{n: n, tree: make([]uint32, n+1)}
-	for s := 0; s < n; s++ {
-		m.add(s, 1)
+func (m *model) init() {
+	for s := range m.count {
+		m.count[s] = 1
 	}
-	return m
+	m.build()
 }
 
-func (m *model) add(s int, d uint32) {
-	for i := s + 1; i <= m.n; i += i & -i {
-		m.tree[i] += d
+// build rebuilds the tree from count in place.
+func (m *model) build() {
+	m.sum = 0
+	for s, c := range m.count {
+		m.tree[s+1] = c
+		m.sum += c
 	}
-	m.sum += d
+	for i := 1; i <= symbols; i++ {
+		if j := i + i&-i; j <= symbols {
+			m.tree[j] += m.tree[i]
+		}
+	}
 }
 
-// cumBelow returns the total count of symbols < s.
+// cumBelow returns the total count of the symbols below s.
 func (m *model) cumBelow(s int) uint32 {
 	var c uint32
-	for i := s; i > 0; i -= i & -i {
+	for i := s; i > 0; i &= i - 1 {
 		c += m.tree[i]
 	}
 	return c
 }
 
-func (m *model) count(s int) uint32 { return m.cumBelow(s+1) - m.cumBelow(s) }
-
-// find returns the symbol whose cumulative interval contains target.
-func (m *model) find(target uint32) int {
-	pos := 0
-	step := 1
-	for step<<1 <= m.n {
-		step <<= 1
-	}
-	var acc uint32
-	for ; step > 0; step >>= 1 {
-		if pos+step <= m.n && acc+m.tree[pos+step] <= target {
+// find returns the symbol whose cumulative interval holds target, which
+// must be below m.sum, and the total count of the symbols below it.
+func (m *model) find(target uint32) (int, uint32) {
+	// tree[symbols] is the whole sum, which exceeds target, so the
+	// descent starts one level below it.
+	pos, acc := 0, uint32(0)
+	for step := symbols / 2; step > 0; step >>= 1 {
+		if t := acc + m.tree[pos+step]; t <= target {
 			pos += step
-			acc += m.tree[pos]
+			acc = t
 		}
 	}
-	return pos // count of symbols fully below target
+	return pos, acc
 }
 
+// update counts one more s. Once the total reaches maxTotal every count
+// c becomes ⌊(c+1)/2⌋, which keeps it at least 1.
 func (m *model) update(s int) {
-	m.add(s, increment)
+	m.count[s] += increment
+	m.sum += increment
 	if m.sum >= maxTotal {
-		m.rescale()
+		for i, c := range m.count {
+			m.count[i] = (c + 1) / 2
+		}
+		m.build()
+		return
+	}
+	for i := s + 1; i <= symbols; i += i & -i {
+		m.tree[i] += increment
 	}
 }
 
-func (m *model) rescale() {
-	counts := make([]uint32, m.n)
-	for s := 0; s < m.n; s++ {
-		counts[s] = (m.count(s) + 1) / 2
-		if counts[s] == 0 {
-			counts[s] = 1
+// ones returns k one bits, right-aligned.
+func ones(k int) uint32 { return uint32(1)<<k - 1 }
+
+// narrow returns the part of [low, high] that the symbol counted by
+// [lo, hi) of total takes.
+func narrow(low, high, lo, hi, total uint32) (uint32, uint32) {
+	width := uint64(high-low) + 1
+	return low + uint32(width*uint64(lo)/uint64(total)),
+		low + uint32(width*uint64(hi)/uint64(total)) - 1
+}
+
+// Encode arithmetic-codes data under a fresh model.
+func Encode(data []byte) []byte {
+	var m model
+	m.init()
+	w := bitWriter{buf: make([]byte, 0, len(data)+8)}
+	low, high := uint32(0), uint32(math.MaxUint32)
+	pending := 0 // underflow bits owed, each the opposite of the next bit out
+	for _, b := range data {
+		s := int(b)
+		lo := m.cumBelow(s)
+		low, high = narrow(low, high, lo, lo+m.count[s], m.sum)
+		m.update(s)
+		// Every leading bit that low and high share is settled. The
+		// first one goes out with the pending bits behind it.
+		if k := bits.LeadingZeros32(low ^ high); k > 0 {
+			top := low >> 31
+			w.write(top, 1)
+			w.run(top^1, pending)
+			pending = 0
+			w.write(low>>(32-k), k-1)
+			low <<= k
+			high = high<<k | ones(k)
+		}
+		// Now low < half ≤ high. Each next bit that is 1 in low and 0
+		// in high is an underflow step: it leaves the interval inside
+		// the middle half, is dropped from both, and owes a pending bit.
+		if k := bits.LeadingZeros32(^((low &^ high) << 1)); k > 0 {
+			pending += k
+			low = low << k &^ half
+			high = high<<k | ones(k) | half
 		}
 	}
-	m.tree = make([]uint32, m.n+1)
-	m.sum = 0
-	for s, c := range counts {
-		m.add(s, c)
+	// Two more bits select a value inside the final interval whatever
+	// bits follow. The second is the opposite of the first, and so are
+	// the pending bits after it.
+	top := uint32(1)
+	if low < firstQtr {
+		top = 0
 	}
+	w.write(top, 1)
+	w.run(top^1, pending+1)
+	return w.bytes()
 }
 
-// Encoder arithmetic-codes a symbol stream adaptively.
-type Encoder struct {
-	m        *model
-	low      uint64
-	high     uint64
-	pending  int
-	w        bitAppender
-	finished bool
-}
-
-type bitAppender struct {
-	buf  []byte
-	cur  byte
-	nCur uint
-}
-
-func (b *bitAppender) bit(v int) {
-	b.cur = b.cur<<1 | byte(v)
-	b.nCur++
-	if b.nCur == 8 {
-		b.buf = append(b.buf, b.cur)
-		b.cur, b.nCur = 0, 0
+// Decode decodes n bytes from payload, which Encode made of them. Bits
+// past the payload's end read as zeros, so a damaged payload decodes to
+// wrong bytes rather than an error; the caller checks what it decoded.
+// Decode allocates n bytes, so the caller bounds n.
+func Decode(payload []byte, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("arith: negative length %d", n)
 	}
-}
-
-func (b *bitAppender) bytes() []byte {
-	if b.nCur > 0 {
-		return append(b.buf, b.cur<<(8-b.nCur))
-	}
-	return b.buf
-}
-
-// NewEncoder returns an encoder over an alphabet of n symbols (n ≥ 1).
-func NewEncoder(n int) *Encoder {
-	return &Encoder{m: newModel(n), low: 0, high: topValue}
-}
-
-func (e *Encoder) outputBit(v int) {
-	e.w.bit(v)
-	for ; e.pending > 0; e.pending-- {
-		e.w.bit(1 - v)
-	}
-}
-
-// Encode codes symbol s and updates the model.
-func (e *Encoder) Encode(s int) error {
-	if s < 0 || s >= e.m.n {
-		return fmt.Errorf("arith: symbol %d out of range [0,%d)", s, e.m.n)
-	}
-	total := uint64(e.m.sum)
-	lo := uint64(e.m.cumBelow(s))
-	hi := lo + uint64(e.m.count(s))
-	width := e.high - e.low + 1
-	e.high = e.low + width*hi/total - 1
-	e.low = e.low + width*lo/total
-	for {
-		switch {
-		case e.high < half:
-			e.outputBit(0)
-		case e.low >= half:
-			e.outputBit(1)
-			e.low -= half
-			e.high -= half
-		case e.low >= firstQtr && e.high < thirdQtr:
-			e.pending++
-			e.low -= firstQtr
-			e.high -= firstQtr
-		default:
-			e.m.update(s)
-			return nil
-		}
-		e.low <<= 1
-		e.high = e.high<<1 | 1
-	}
-}
-
-// Bytes finalizes the stream and returns the coded bytes. The encoder
-// cannot be used after Bytes.
-func (e *Encoder) Bytes() []byte {
-	if !e.finished {
-		e.finished = true
-		e.pending++
-		if e.low < firstQtr {
-			e.outputBit(0)
-		} else {
-			e.outputBit(1)
-		}
-	}
-	return e.w.bytes()
-}
-
-// Decoder decodes a stream produced by Encoder with the same alphabet size.
-type Decoder struct {
-	m     *model
-	low   uint64
-	high  uint64
-	value uint64
-	buf   []byte
-	pos   uint // bit position; reads past the end yield zero bits
-}
-
-// NewDecoder returns a decoder for buf over an alphabet of n symbols.
-func NewDecoder(n int, buf []byte) *Decoder {
-	d := &Decoder{m: newModel(n), high: topValue, buf: buf}
-	for i := 0; i < codeBits; i++ {
-		d.value = d.value<<1 | d.nextBit()
-	}
-	return d
-}
-
-func (d *Decoder) nextBit() uint64 {
-	if d.pos >= uint(len(d.buf))*8 {
-		d.pos++
-		return 0
-	}
-	b := d.buf[d.pos/8] >> (7 - d.pos%8) & 1
-	d.pos++
-	return uint64(b)
-}
-
-// Decode returns the next symbol. Decoding more symbols than were encoded
-// returns arbitrary symbols, not an error: the caller knows the count.
-func (d *Decoder) Decode() (int, error) {
-	total := uint64(d.m.sum)
-	width := d.high - d.low + 1
-	target := ((d.value-d.low+1)*total - 1) / width
-	if target >= total {
-		return 0, io.ErrUnexpectedEOF
-	}
-	s := d.m.find(uint32(target))
-	lo := uint64(d.m.cumBelow(s))
-	hi := lo + uint64(d.m.count(s))
-	d.high = d.low + width*hi/total - 1
-	d.low = d.low + width*lo/total
-	for {
-		switch {
-		case d.high < half:
-			// nothing
-		case d.low >= half:
-			d.low -= half
-			d.high -= half
-			d.value -= half
-		case d.low >= firstQtr && d.high < thirdQtr:
-			d.low -= firstQtr
-			d.high -= firstQtr
-			d.value -= firstQtr
-		default:
-			d.m.update(s)
-			return s, nil
-		}
-		d.low <<= 1
-		d.high = d.high<<1 | 1
-		d.value = d.value<<1 | d.nextBit()
-	}
-}
-
-// EncodeAll codes an entire symbol stream over an alphabet of n symbols.
-func EncodeAll(n int, syms []int) ([]byte, error) {
-	e := NewEncoder(n)
-	for _, s := range syms {
-		if err := e.Encode(s); err != nil {
-			return nil, err
-		}
-	}
-	return e.Bytes(), nil
-}
-
-// DecodeAll decodes count symbols from buf.
-func DecodeAll(n int, buf []byte, count int) ([]int, error) {
-	d := NewDecoder(n, buf)
-	out := make([]int, count)
+	var m model
+	m.init()
+	r := bitReader{buf: payload}
+	low, high := uint32(0), uint32(math.MaxUint32)
+	value := r.read(32)
+	out := make([]byte, n)
 	for i := range out {
-		s, err := d.Decode()
-		if err != nil {
-			return nil, err
+		total := m.sum
+		target := ((uint64(value-low)+1)*uint64(total) - 1) / (uint64(high-low) + 1)
+		if target >= uint64(total) {
+			// value stays within [low, high] whatever the payload, so
+			// this cannot happen; if it did, it is not a byte.
+			return nil, io.ErrUnexpectedEOF
 		}
-		out[i] = s
+		s, lo := m.find(uint32(target))
+		low, high = narrow(low, high, lo, lo+m.count[s], total)
+		m.update(s)
+		out[i] = byte(s)
+		// value lies in [low, high], so it shares their leading bits,
+		// and in an underflow step its dropped bit is the one theirs is.
+		if k := bits.LeadingZeros32(low ^ high); k > 0 {
+			low <<= k
+			high = high<<k | ones(k)
+			value = value<<k | r.read(k)
+		}
+		if k := bits.LeadingZeros32(^((low &^ high) << 1)); k > 0 {
+			low = low << k &^ half
+			high = high<<k | ones(k) | half
+			value = value&half | value<<k&^half | r.read(k)
+		}
 	}
 	return out, nil
+}
+
+// bitWriter appends bits to buf, most significant first.
+type bitWriter struct {
+	buf []byte
+	acc uint64 // its low n bits are the bits not yet in buf
+	n   int    // below 32 between calls
+}
+
+// write appends the low c bits of v, 0 ≤ c ≤ 32.
+func (w *bitWriter) write(v uint32, c int) {
+	w.acc = w.acc<<c | uint64(v&ones(c))
+	w.n += c
+	if w.n >= 32 {
+		w.n -= 32
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.acc>>w.n))
+	}
+}
+
+// run appends count copies of bit, which is 0 or 1.
+func (w *bitWriter) run(bit uint32, count int) {
+	v := -bit // all zeros or all ones
+	for ; count > 32; count -= 32 {
+		w.write(v, 32)
+	}
+	w.write(v, count)
+}
+
+// bytes returns buf with the bits not yet in it, the last byte padded
+// with zeros.
+func (w *bitWriter) bytes() []byte {
+	if w.n == 0 {
+		return w.buf
+	}
+	last := uint32(w.acc << (32 - w.n))
+	return binary.BigEndian.AppendUint32(w.buf, last)[:len(w.buf)+(w.n+7)/8]
+}
+
+// bitReader reads buf's bits, most significant first, and zeros past
+// its end.
+type bitReader struct {
+	buf []byte
+	acc uint64 // the next n bits, left-aligned
+	n   int
+}
+
+// read returns the next k bits, 1 ≤ k ≤ 32.
+func (r *bitReader) read(k int) uint32 {
+	if r.n < k {
+		for r.n <= 56 {
+			var b byte
+			if len(r.buf) > 0 {
+				b, r.buf = r.buf[0], r.buf[1:]
+			}
+			r.acc |= uint64(b) << (56 - r.n)
+			r.n += 8
+		}
+	}
+	v := uint32(r.acc >> (64 - k))
+	r.acc <<= k
+	r.n -= k
+	return v
 }

@@ -155,11 +155,7 @@ func pickCoding(raw, comp []byte, err error) (byte, []byte) {
 		payload, coding = comp, codingFlate
 	}
 	if len(raw) <= arithTrialLimit {
-		syms := make([]int, len(raw))
-		for i, b := range raw {
-			syms[i] = int(b)
-		}
-		if coded, err := arith.EncodeAll(256, syms); err == nil && len(coded) < len(payload) {
+		if coded := arith.Encode(raw); len(coded) < len(payload) {
 			payload, coding = coded, codingArith
 		}
 	}
@@ -669,13 +665,10 @@ func decodeStream(e *entry) ([]byte, *corrupt.Error) {
 			return nil, corrupt.Errorf(e.name, -1,
 				"arith-coded stream claims %d bytes, limit %d", e.rawLen, arithTrialLimit)
 		}
-		syms, err := arith.DecodeAll(256, e.payload, int(e.rawLen))
+		var err error
+		raw, err = arith.Decode(e.payload, int(e.rawLen))
 		if err != nil {
 			return nil, corrupt.Errorf(e.name, -1, "arith: %v", err)
-		}
-		raw = make([]byte, len(syms))
-		for i, v := range syms {
-			raw[i] = byte(v)
 		}
 	default:
 		return nil, corrupt.Errorf(e.name, -1, "unknown coding %d", e.coding)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -541,7 +542,7 @@ func (a *Archive) Select(patterns ...string) ([]string, error) {
 // extraction this round-trips archives with duplicate entries, matching
 // what a full Unpack produces for them.
 func (a *Archive) SelectOrdinals(patterns ...string) ([]int, error) {
-	exact := make(map[string]bool)
+	exact := make([]string, 0, len(patterns))
 	var globs []string
 	for _, p := range patterns {
 		if strings.ContainsAny(p, "*?[\\") {
@@ -553,11 +554,26 @@ func (a *Archive) SelectOrdinals(patterns ...string) ([]int, error) {
 			globs = append(globs, p)
 			continue
 		}
-		exact[trimClass(p)] = true
+		exact = append(exact, trimClass(p))
+	}
+	if len(globs) == 0 && !slices.ContainsFunc(exact, func(n string) bool { return a.dup[n] }) {
+		// Each name is at most one class, which byName holds: no scan.
+		out := make([]int, 0, len(exact))
+		for _, n := range exact {
+			if g, ok := a.byName[n]; ok {
+				out = append(out, g)
+			}
+		}
+		slices.Sort(out)
+		return slices.Compact(out), nil
+	}
+	wanted := make(map[string]bool, len(exact))
+	for _, n := range exact {
+		wanted[n] = true
 	}
 	var out []int
 	for i, name := range a.names {
-		if exact[name] {
+		if wanted[name] {
 			out = append(out, i)
 			continue
 		}

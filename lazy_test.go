@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"path"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"classpack/internal/bench"
@@ -340,6 +343,115 @@ func TestSelect(t *testing.T) {
 	if _, err := a.Select("a[/b"); err == nil {
 		t.Fatal("Select accepted a malformed pattern")
 	}
+}
+
+// TestSelectOrdinalsMatchesScan holds SelectOrdinals to a scan of every
+// class name against every pattern, over an archive with duplicate
+// names: archive order, one ordinal per occurrence, and one listing for
+// a class that several patterns name.
+func TestSelectOrdinalsMatchesScan(t *testing.T) {
+	raw := sample(t)
+	// Two classes occur twice with different bytes, and one twice
+	// with the same bytes.
+	var dups []string
+	for _, f := range raw[:len(raw)-1] {
+		m, ok, err := synth.MutateClass(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && len(dups) < 2 {
+			raw = append(raw, m)
+			dups = append(dups, classNameOf(t, f))
+		}
+	}
+	if len(dups) < 2 {
+		t.Fatal("fewer than two mutable classes in the sample")
+	}
+	same := classNameOf(t, raw[len(raw)/2])
+	raw = append(raw, raw[len(raw)/2])
+	for _, chunk := range []int{0, 3} { // version 2 and version 3
+		opts := DefaultOptions()
+		opts.ChunkClasses = chunk
+		packed, err := Pack(raw, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := OpenArchiveBytes(packed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := a.ClassNames()
+		for _, n := range append(dups, same) {
+			if c := len(scanOrdinals(names, []string{n})); c != 2 {
+				t.Fatalf("chunk=%d: %s occurs %d times, want 2", chunk, n, c)
+			}
+		}
+		// first and last are the first and last names the archive holds
+		// once, so a list of them alone needs no scan.
+		var once []string
+		for _, n := range names {
+			if len(scanOrdinals(names, []string{n})) == 1 {
+				once = append(once, n)
+			}
+		}
+		first, last := once[0], once[len(once)-1]
+		pkg := first[:strings.LastIndexByte(first, '/')+1]
+		for _, pats := range [][]string{
+			nil,
+			{first},
+			{first + ".class"},
+			{last, first},
+			{first, first + ".class", first},
+			{last, "no/such/Class", first, last + ".class"},
+			{dups[0]},
+			{dups[1] + ".class", last},
+			{dups[0], dups[1], dups[0]},
+			{same},
+			{"no/such/Class"},
+			{"no/such/Class", last, "Other.class"},
+			{pkg + "*"},
+			{pkg + "*", first, dups[0]},
+			{"*", last},
+			{"no/such/*", same + ".class"},
+			{"[a-z]*/*", dups[1]},
+		} {
+			got, err := a.SelectOrdinals(pats...)
+			if err != nil {
+				t.Fatalf("chunk=%d: SelectOrdinals(%q): %v", chunk, pats, err)
+			}
+			if want := scanOrdinals(names, pats); !slices.Equal(got, want) {
+				t.Fatalf("chunk=%d: SelectOrdinals(%q) = %v, a scan finds %v", chunk, pats, got, want)
+			}
+		}
+	}
+}
+
+// scanOrdinals is SelectOrdinals by brute force: each name against each
+// pattern.
+func scanOrdinals(names, patterns []string) []int {
+	var out []int
+	for i, n := range names {
+		for _, p := range patterns {
+			match := strings.TrimSuffix(p, ".class") == n
+			if strings.ContainsAny(p, "*?[\\") {
+				match, _ = path.Match(p, n)
+			}
+			if match {
+				out = append(out, i)
+				break
+			}
+		}
+	}
+	return out
+}
+
+func classNameOf(t *testing.T, data []byte) string {
+	t.Helper()
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cf.ThisClassName()
 }
 
 func TestPackStreamPublic(t *testing.T) {
