@@ -39,12 +39,13 @@ lint:
 # still writes it. jpackd's class and subset GETs share one open Archive
 # per digest, and its subset GETs share the member bodies the chunk
 # cache keeps, so its concurrent-GET decode and cache accounting gets
-# ten as well.
+# ten as well; so do its /delta requests, which keep class digests in
+# the same chunk cache while class and subset GETs upgrade them.
 verify: lint delta-smoke
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...
-	$(GO) test -race -count=10 -run '^(TestOpenArchiveConcurrentCounts|TestSubsetAndClassGETsConcurrentCounts)$$' ./internal/serve
+	$(GO) test -race -count=10 -run '^(TestOpenArchiveConcurrentCounts|TestSubsetAndClassGETsConcurrentCounts|TestDeltaAndGETsConcurrentCounts)$$' ./internal/serve
 	$(GO) test -race -count=10 -run '^(TestPipeline|TestDoWorkersPanicSurfaces)' ./internal/par
 	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream|TestPackDeterministicAcrossConcurrency|TestPackStatsDeterministicAcrossConcurrency|TestPackParallelErrorMatchesSerial)$$' .
 	$(GO) test -race -count=10 -run '^(TestLargeStreamsCodeAsWhole|TestCoderLifecycle|TestCoderGetsCopies|TestNoCoderOutlivesPack)$$' ./internal/streams ./internal/core
@@ -55,10 +56,13 @@ verify: lint delta-smoke
 # class-file reader and writer alone, over tools as distributed and
 # stripped (BenchmarkParseWrite); then the arithmetic coder alone,
 # encoding and decoding the streams of packed tools that the container
-# trial-codes with it (those of at most 64 KiB).
+# trial-codes with it (those of at most 64 KiB); then jpackd's GET
+# /delta over a chain of 202_jess releases, chained as serve-write's
+# updates chain and cold (BenchmarkDeltaGET).
 bench:
 	$(GO) test -run=NONE -bench='^Benchmark((Pack|Unpack|UnpackToJar)Throughput|ParseWrite)$$' -benchmem .
 	$(GO) test -run=NONE -bench='^Benchmark(Encode|Decode)$$' -benchmem ./internal/encoding/arith
+	$(GO) test -run=NONE -bench='^BenchmarkDeltaGET$$' -benchmem ./internal/serve
 
 # bench-test runs the tests of cmd/classpack-bench, the repository's
 # benchmark, which is a Go module of its own and so outside ./...: every
@@ -70,9 +74,14 @@ bench-test:
 # serve-smoke boots a real jpackd on a loopback port, packs a synthetic
 # corpus through the HTTP client twice, and checks the cache hit and the
 # digest round-trip (GET /archive/{digest} must unpack cleanly), and that
-# a repeat class GET is an open-archive hit that decodes nothing. It
-# runs once monolithic and once chunked: on the chunked archive the
-# repeat ?classes= GET must also compress no jar member.
+# a repeat class GET is an open-archive hit that decodes nothing; then
+# it packs two more releases and GETs /delta from the first release to
+# the second and from the second to the third, twice, and applies each
+# patch. It runs once monolithic and once chunked: on the chunked
+# archive the repeat ?classes= GET must also compress no jar member, the
+# second delta must hit the digests the first kept, the repeat must add
+# no chunk-cache miss or byte, and the deltas may keep at most 64 bytes
+# a class they diffed.
 serve-smoke:
 	$(GO) run ./cmd/jpackd -smoke
 	$(GO) run ./cmd/jpackd -smoke -chunk 4
@@ -116,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSalvage$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
 	$(GO) test -run=NONE -fuzz='^FuzzChunkIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
 	$(GO) test -run=NONE -fuzz='^FuzzDelta$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
+	$(GO) test -run=NONE -fuzz='^FuzzDiff$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x .
 	$(GO) test -run=NONE -fuzz='^FuzzStreamsReader$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/streams
 	$(GO) test -run=NONE -fuzz='^FuzzJazzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/jazz
 	$(GO) test -run=NONE -fuzz='^FuzzCustomDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/custom

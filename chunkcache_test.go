@@ -2,15 +2,18 @@ package classpack
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"classpack/internal/core"
 	"classpack/internal/encoding/varint"
 	"classpack/internal/synth"
 )
@@ -188,29 +191,47 @@ func TestChunkCacheContentKeyed(t *testing.T) {
 
 // TestChunkCacheDamagedChunk opens a bit-flipped copy of an archive
 // whose healthy chunk is cached: the damaged chunk misses and fails
-// with a CorruptError, and the healthy archive still serves.
+// with a CorruptError, and the healthy archive still serves. It runs
+// with the healthy chunk's classes cached by an extraction, and with
+// only its digests cached by a Diff's read, which the damaged chunk's
+// digest read misses in the same way.
 func TestChunkCacheDamagedChunk(t *testing.T) {
 	packed := packChunked(t, sample(t), 2)
 	full, err := Unpack(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewChunkCache(1 << 20)
-	healthy := openShared(t, packed, cache)
-	checkOrdinals(t, healthy, full, 0)
+	for _, digestsOnly := range []bool{false, true} {
+		cache := NewChunkCache(1 << 20)
+		healthy := openShared(t, packed, cache)
+		read := func(a *Archive) error {
+			if digestsOnly {
+				_, _, err := a.chunkDigests(0)
+				return err
+			}
+			_, err := a.ExtractOrdinals([]int{0})
+			return err
+		}
+		if err := read(healthy); err != nil {
+			t.Fatal(err)
+		}
 
-	damaged := bytes.Clone(packed)
-	ch := healthy.ix.Chunks[0]
-	damaged[ch.Off+ch.Len/2] ^= 0x40
-	d := openShared(t, damaged, cache)
-	if _, err := d.ExtractOrdinals([]int{0}); err == nil {
-		t.Fatal("damaged chunk extracted cleanly")
-	} else if _, ok := AsCorrupt(err); !ok {
-		t.Fatalf("damaged chunk: err = %v, want a CorruptError", err)
-	}
-	checkOrdinals(t, healthy, full, 0)
-	if st := cache.Stats(); st.Misses != 2 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want 2 misses and 1 hit", st)
+		damaged := bytes.Clone(packed)
+		ch := healthy.ix.Chunks[0]
+		damaged[ch.Off+ch.Len/2] ^= 0x40
+		d := openShared(t, damaged, cache)
+		if err := read(d); err == nil {
+			t.Fatalf("digests only %t: damaged chunk read cleanly", digestsOnly)
+		} else if _, ok := AsCorrupt(err); !ok {
+			t.Fatalf("digests only %t: damaged chunk: err = %v, want a CorruptError", digestsOnly, err)
+		}
+		if err := read(healthy); err != nil {
+			t.Fatal(err)
+		}
+		if st := cache.Stats(); st.Misses != 2 || st.Hits != 1 {
+			t.Fatalf("digests only %t: stats = %+v, want 2 misses and 1 hit", digestsOnly, st)
+		}
+		checkOrdinals(t, healthy, full, 0)
 	}
 }
 
@@ -220,10 +241,37 @@ func TestChunkCacheDamagedChunk(t *testing.T) {
 func forgeIndex(packed []byte, a *Archive, names []string) []byte {
 	size := len(packed)
 	blobLen := binary.BigEndian.Uint64(packed[size-12 : size-4])
+	return appendIndex(bytes.Clone(packed[:size-12-4-int(blobLen)]), a.ix.ChunkClasses, a.ix.Chunks, names)
+}
+
+// swapChunks rewrites a version-3 archive with the bodies of chunks i
+// and j, which must hold as many classes, swapped, and its index's
+// names kept: a well-framed archive with a valid index checksum whose
+// chunks hold other classes than its index lists for them.
+func swapChunks(packed []byte, a *Archive, i, j int) []byte {
+	out := bytes.Clone(packed[:6])
+	chunks := slices.Clone(a.ix.Chunks)
+	for k := range chunks {
+		src := a.ix.Chunks[k]
+		if k == i {
+			src = a.ix.Chunks[j]
+		} else if k == j {
+			src = a.ix.Chunks[i]
+		}
+		out = varint.AppendUint(out, uint64(src.Len))
+		chunks[k].Off, chunks[k].Len = int64(len(out)), src.Len
+		out = append(out, packed[src.Off:src.Off+src.Len]...)
+	}
+	return appendIndex(varint.AppendUint(out, 0), a.ix.ChunkClasses, chunks, a.ClassNames())
+}
+
+// appendIndex appends a stored version-3 index of chunks and names, its
+// checksum and the footer to out.
+func appendIndex(out []byte, chunkClasses int, chunks []core.ChunkInfo, names []string) []byte {
 	var raw []byte
-	raw = varint.AppendUint(raw, uint64(a.ix.ChunkClasses))
-	raw = varint.AppendUint(raw, uint64(len(a.ix.Chunks)))
-	for _, ch := range a.ix.Chunks {
+	raw = varint.AppendUint(raw, uint64(chunkClasses))
+	raw = varint.AppendUint(raw, uint64(len(chunks)))
+	for _, ch := range chunks {
 		raw = varint.AppendUint(raw, uint64(ch.Off))
 		raw = varint.AppendUint(raw, uint64(ch.Len))
 		raw = varint.AppendUint(raw, uint64(ch.Classes))
@@ -235,7 +283,6 @@ func forgeIndex(packed []byte, a *Archive, names []string) []byte {
 	}
 	blob := varint.AppendUint([]byte{1}, uint64(len(raw))) // coding 1: stored
 	blob = append(blob, raw...)
-	out := bytes.Clone(packed[:size-12-4-int(blobLen)])
 	out = append(out, blob...)
 	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli)))
 	out = binary.BigEndian.AppendUint64(out, uint64(len(blob)))
@@ -246,6 +293,10 @@ func forgeIndex(packed []byte, a *Archive, names []string) []byte {
 // archive, then reads the same chunk bytes through an archive whose
 // index swaps two class names: the hit must fail the opening archive's
 // own index check instead of serving classes under the wrong names.
+// When the cache holds only the chunk's digests, a Diff's read of them
+// finds the names digest differing from the index's and decodes, so
+// the index check reports the difference just as it does cold, and an
+// extraction decodes and fails the same check.
 func TestChunkCacheHitChecksIndex(t *testing.T) {
 	packed := packChunked(t, sample(t), 2)
 	full, err := Unpack(packed)
@@ -261,8 +312,9 @@ func TestChunkCacheHitChecksIndex(t *testing.T) {
 	if names[0] == names[1] {
 		t.Fatal("corpus construction broken: first two classes share a name")
 	}
-	names[0], names[1] = names[1], names[0]
-	forged := openShared(t, forgeIndex(packed, healthy, names), cache)
+	swapped := slices.Clone(names)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	forged := openShared(t, forgeIndex(packed, healthy, swapped), cache)
 	if _, err := forged.ExtractOrdinals([]int{0}); err == nil {
 		t.Fatal("swapped index names served from the cache")
 	} else if _, ok := AsCorrupt(err); !ok {
@@ -271,32 +323,76 @@ func TestChunkCacheHitChecksIndex(t *testing.T) {
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("stats = %+v, want 1 miss and 2 hits", st)
 	}
+
+	// The same, with only the chunk's digests cached.
+	_, _, coldErr := openShared(t, forgeIndex(packed, healthy, swapped), NewChunkCache(1<<20)).chunkDigests(0)
+	if _, ok := AsCorrupt(coldErr); !ok {
+		t.Fatalf("swapped index names, cold digest read: err = %v, want a CorruptError", coldErr)
+	}
+	digests := NewChunkCache(1 << 20)
+	if _, _, err := openShared(t, packed, digests).chunkDigests(0); err != nil {
+		t.Fatal(err)
+	}
+	same := openShared(t, forgeIndex(packed, healthy, names), digests)
+	if _, files, err := same.chunkDigests(0); err != nil || files != nil || same.ChunkDecodes() != 0 {
+		t.Fatalf("same index names: err %v, files %t, %d decodes; want digests from the entry alone",
+			err, files != nil, same.ChunkDecodes())
+	}
+	forged = openShared(t, forgeIndex(packed, healthy, swapped), digests)
+	if _, _, err := forged.chunkDigests(0); err == nil || err.Error() != coldErr.Error() {
+		t.Fatalf("swapped index names, warm digest read: err = %v, want the cold read's %v", err, coldErr)
+	}
+	if _, err := forged.ExtractOrdinals([]int{0}); err == nil || err.Error() != coldErr.Error() {
+		t.Fatalf("swapped index names, extraction over digests: err = %v, want %v", err, coldErr)
+	}
+	if st := digests.Stats(); st.Misses != 2 || st.Hits != 2 || forged.ChunkDecodes() != 2 {
+		t.Fatalf("stats = %+v, %d decodes; want 2 misses (the digests, then the classes), 2 hits and 2 decodes",
+			st, forged.ChunkDecodes())
+	}
+	checkOrdinals(t, openShared(t, packed, digests), full, 0, 1)
 }
 
 // TestChunkCacheHonorsTighterLimits warms a shared cache through an
 // archive opened with default limits; the same bytes opened with a
 // decode budget smaller than the chunk must still fail with ErrTooLarge.
+// It runs with the chunk's classes cached by an extraction, and with
+// only its digests cached by a Diff's read; the tight archive's
+// extraction and digest read both fail.
 func TestChunkCacheHonorsTighterLimits(t *testing.T) {
 	packed := packChunked(t, sample(t), 2)
-	cache := NewChunkCache(1 << 20)
-	loose := openShared(t, packed, cache)
-	if _, err := loose.ExtractOrdinals([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	opts := sharedOpts(cache)
-	opts.MaxDecodedBytes = loose.DecodedBytes() - 1
-	tight, err := OpenArchiveBytes(packed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tight.ExtractOrdinals([]int{0}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("tight archive after a loose warm-up: err = %v, want ErrTooLarge", err)
+	for _, digestsOnly := range []bool{false, true} {
+		cache := NewChunkCache(1 << 20)
+		loose := openShared(t, packed, cache)
+		var err error
+		if digestsOnly {
+			_, _, err = loose.chunkDigests(0)
+		} else {
+			_, err = loose.ExtractOrdinals([]int{0})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := sharedOpts(cache)
+		opts.MaxDecodedBytes = loose.DecodedBytes() - 1
+		tight, err := OpenArchiveBytes(packed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tight.ExtractOrdinals([]int{0}); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("digests only %t: tight archive after a loose warm-up: err = %v, want ErrTooLarge", digestsOnly, err)
+		}
+		if _, _, err := tight.chunkDigests(0); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("digests only %t: tight digest read after a loose warm-up: err = %v, want ErrTooLarge", digestsOnly, err)
+		}
 	}
 }
 
 // TestChunkCacheSingleflight parks a herd on one cold key: exactly one
 // caller decodes and the rest share its result. A failed decode reaches
-// its caller but is not cached.
+// its caller but is not cached. Herds that mix Diff's digest reads with
+// gets share one decode too, whichever kind leads, and a herd of gets
+// on an entry holding only digests upgrades it with one decode while
+// digest reads answer from it.
 func TestChunkCacheSingleflight(t *testing.T) {
 	c := NewChunkCache(1 << 20)
 	want := []File{{Name: "A.class", Data: []byte{0xca, 0xfe}}}
@@ -344,51 +440,165 @@ func TestChunkCacheSingleflight(t *testing.T) {
 	if st := c.Stats(); st.Misses != 3 || st.Hits != n-1 {
 		t.Fatalf("stats = %+v, want 3 misses (errors are not cached) and %d hits", st, n-1)
 	}
+	if _, _, err := c.digests(chunkKey{1}, fail); !errors.Is(err, boom) {
+		t.Fatalf("failing decode of digests: err = %v, want boom", err)
+	}
+
+	// A herd of Diff digest reads and gets on one cold key shares one
+	// decode, whichever kind leads it; the entry keeps the classes,
+	// since gets needed them, and the digests.
+	entry := func(key chunkKey) *chunkEntry {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.entries[key].Value.(*chunkEntry)
+	}
+	var release2 chan struct{}
+	blocking := func() ([]File, error) {
+		calls.Add(1)
+		<-release2
+		return want, nil
+	}
+	read := func(i int, key chunkKey, digests bool) {
+		var files []File
+		var err error
+		if digests {
+			var d *chunkDigests
+			d, files, err = c.digests(key, blocking)
+			if err == nil && (len(d.classes) != 1 || d.classes[0] != sha256.Sum256(want[0].Data)) {
+				t.Errorf("caller %d got digests %x", i, d.classes)
+			}
+		} else {
+			files, err = c.get(key, blocking)
+		}
+		if err != nil || len(files) != 1 || &files[0] != &want[0] {
+			t.Errorf("caller %d got %v, %v; want the leader's files", i, files, err)
+		}
+	}
+	for k, leaderDigests := range []bool{true, false} {
+		key := chunkKey{byte(2 + k)}
+		release2 = make(chan struct{})
+		calls.Store(0)
+		misses, hits := c.Stats().Misses, c.Stats().Hits
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i > 0 && c.Stats().Misses == misses {
+					runtime.Gosched() // the first caller leads the flight
+				}
+				read(i, key, (i%2 == 0) == leaderDigests)
+			}()
+		}
+		for c.Stats().Hits < hits+n-1 {
+			runtime.Gosched()
+		}
+		close(release2)
+		wg.Wait()
+		if e := entry(key); calls.Load() != 1 || !e.whole || e.digests == nil {
+			t.Fatalf("mixed herd led by digests %t: %d decodes, entry holds classes %t and digests %t; want 1, true, true",
+				leaderDigests, calls.Load(), e.whole, e.digests != nil)
+		}
+	}
+
+	// Gets on a key whose entry holds only digests decode once between
+	// them and add the classes to the entry, which keeps its digests;
+	// meanwhile digest reads answer from the entry without waiting.
+	only := chunkKey{4}
+	if _, files, err := c.digests(only, func() ([]File, error) { return want, nil }); err != nil || files == nil {
+		t.Fatalf("cold digest read: files %v, err %v", files, err)
+	}
+	if e := entry(only); e.whole || e.cost != e.digests.cost() {
+		t.Fatalf("after a digest read the entry holds classes %t at cost %d; want digests alone", e.whole, e.cost)
+	}
+	release2 = make(chan struct{})
+	calls.Store(0)
+	misses, hits := c.Stats().Misses, c.Stats().Hits
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			read(i, only, false)
+		}()
+	}
+	for c.Stats().Hits < hits+n-1 {
+		runtime.Gosched()
+	}
+	if _, files, err := c.digests(only, blocking); err != nil || files != nil {
+		t.Fatalf("digest read during the upgrade: files %v, err %v; want the entry's digests", files, err)
+	}
+	close(release2)
+	wg.Wait()
+	e := entry(only)
+	if calls.Load() != 1 || !e.whole || e.digests == nil || e.cost != int64(len(want[0].Name)+len(want[0].Data))+e.digests.cost() {
+		t.Fatalf("upgrade: %d decodes, entry holds classes %t and digests %t at cost %d",
+			calls.Load(), e.whole, e.digests != nil, e.cost)
+	}
+	if st := c.Stats(); st.Misses != misses+1 || st.Hits != hits+n {
+		t.Fatalf("upgrade: stats = %+v, want 1 more miss and %d more hits", st, n)
+	}
 }
 
 // TestChunkCachePanickingDecode parks a follower on a decode that
 // panics: the panic reaches the decoding caller, the follower gets an
 // error instead of waiting forever, nothing is cached, and the next
-// caller decodes afresh.
+// caller decodes afresh. It runs with a get and with a Diff's digest
+// read as the decoding caller, each with a follower of either kind.
 func TestChunkCachePanickingDecode(t *testing.T) {
-	c := NewChunkCache(1 << 20)
-	release := make(chan struct{})
-	recovered := make(chan any)
-	go func() {
-		defer func() { recovered <- recover() }()
-		c.get(chunkKey{}, func() ([]File, error) {
-			<-release
-			panic("boom")
-		})
-	}()
-	for c.Stats().Misses < 1 {
-		runtime.Gosched()
-	}
-	followerErr := make(chan error)
-	go func() {
-		_, err := c.get(chunkKey{}, func() ([]File, error) {
+	for _, leaderDigests := range []bool{false, true} {
+		c := NewChunkCache(1 << 20)
+		release := make(chan struct{})
+		recovered := make(chan any)
+		go func() {
+			defer func() { recovered <- recover() }()
+			panicking := func() ([]File, error) {
+				<-release
+				panic("boom")
+			}
+			if leaderDigests {
+				c.digests(chunkKey{}, panicking)
+			} else {
+				c.get(chunkKey{}, panicking)
+			}
+		}()
+		for c.Stats().Misses < 1 {
+			runtime.Gosched()
+		}
+		followerErrs := make(chan error, 2)
+		follower := func() ([]File, error) {
 			t.Error("follower decoded while a decode was in flight")
 			return nil, nil
-		})
-		followerErr <- err
-	}()
-	for c.Stats().Hits < 1 {
-		runtime.Gosched()
-	}
-	close(release)
-	if r := <-recovered; r != "boom" {
-		t.Fatalf("decoding caller recovered %v, want the decode's panic", r)
-	}
-	if err := <-followerErr; !errors.Is(err, errDecodePanicked) {
-		t.Fatalf("follower: err = %v, want errDecodePanicked", err)
-	}
-	want := []File{{Name: "A.class", Data: []byte{0xca, 0xfe}}}
-	got, err := c.get(chunkKey{}, func() ([]File, error) { return want, nil })
-	if err != nil || len(got) != 1 || &got[0] != &want[0] {
-		t.Fatalf("after the panic: got %v, %v; want a fresh decode", got, err)
-	}
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 || st.Bytes == 0 {
-		t.Fatalf("stats = %+v, want 2 misses, 1 hit and the fresh decode cached", st)
+		}
+		go func() {
+			_, err := c.get(chunkKey{}, follower)
+			followerErrs <- err
+		}()
+		go func() {
+			_, _, err := c.digests(chunkKey{}, follower)
+			followerErrs <- err
+		}()
+		for c.Stats().Hits < 2 {
+			runtime.Gosched()
+		}
+		close(release)
+		if r := <-recovered; r != "boom" {
+			t.Fatalf("digests leader %t: decoding caller recovered %v, want the decode's panic", leaderDigests, r)
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-followerErrs; !errors.Is(err, errDecodePanicked) {
+				t.Fatalf("digests leader %t: follower: err = %v, want errDecodePanicked", leaderDigests, err)
+			}
+		}
+		if st := c.Stats(); st.Bytes != 0 {
+			t.Fatalf("digests leader %t: stats = %+v after the panic, want nothing cached", leaderDigests, st)
+		}
+		want := []File{{Name: "A.class", Data: []byte{0xca, 0xfe}}}
+		got, err := c.get(chunkKey{}, func() ([]File, error) { return want, nil })
+		if err != nil || len(got) != 1 || &got[0] != &want[0] {
+			t.Fatalf("digests leader %t: after the panic: got %v, %v; want a fresh decode", leaderDigests, got, err)
+		}
+		if st := c.Stats(); st.Misses != 2 || st.Hits != 2 || st.Bytes == 0 {
+			t.Fatalf("digests leader %t: stats = %+v, want 2 misses, 2 hits and the fresh decode cached", leaderDigests, st)
+		}
 	}
 }
 

@@ -144,10 +144,11 @@ type Options struct {
 	ChunkClasses int
 	// ChunkCache, when non-nil, holds the decoded version-3 chunks of
 	// every Archive opened with it, so a chunk decoded for one Archive
-	// serves later extractions from any of them (see ChunkCache). Nil
-	// gives each Archive a private cache of its most recently decoded
-	// chunk. Read by OpenArchive (and so by Diff and ApplyDelta); ignored
-	// elsewhere.
+	// serves later extractions from any of them (see ChunkCache). Diff
+	// keeps there only the class digests of the chunks it decodes, and
+	// reads them back on a later Diff of the same chunks. Nil gives each
+	// Archive a private cache of its most recently decoded chunk. Read by
+	// OpenArchive (and so by Diff and ApplyDelta); ignored elsewhere.
 	ChunkCache *ChunkCache
 }
 

@@ -23,8 +23,8 @@ import (
 // drives it through the client with a synthetic corpus, and fails
 // unless the cache hit, the digest fetch, the lazy class fetch (whose
 // repeat must be an open-archive hit that decodes nothing and, on a
-// chunked archive, compresses nothing), and the unpack round-trip all
-// check out.
+// chunked archive, compresses nothing), the /delta updates across two
+// more releases, and the unpack round-trip all check out.
 func runSmoke(cfg serve.Config, scale float64) error {
 	p, err := synth.ProfileByName("213_javac")
 	if err != nil {
@@ -111,6 +111,9 @@ func runSmoke(cfg serve.Config, scale float64) error {
 	if err := smokeClassFetch(ctx, c, first.Digest, files[0], cfg.Options.ChunkClasses > 0); err != nil {
 		return err
 	}
+	if err := smokeDelta(ctx, c, members[:len(cfs)], first, cfg.Options.ChunkClasses); err != nil {
+		return err
+	}
 
 	rebuilt, err := c.Unpack(ctx, fetched)
 	if err != nil {
@@ -175,6 +178,110 @@ func smokeClassFetch(ctx context.Context, c *client.Client, digest string, want 
 	if z := deflates[1] - deflates[0]; deflates[0] != 1 || z != repeat {
 		return fmt.Errorf("smoke: class fetches compressed %d and then %d jar members, want 1 and then %d",
 			deflates[0], z, repeat)
+	}
+	return nil
+}
+
+// smokeDelta packs two more releases of the smoke corpus, each from the
+// one before by synth.MutateClasses, and GETs /delta from the first to
+// the second, then from the second to the third, twice. Each patch must
+// ApplyDelta to the packed archive. On a chunked archive the chunk
+// cache must show that the second delta read the second release's
+// changed chunks from the digests the first delta kept (added hits),
+// that the repeat decoded and kept nothing (no added misses or bytes),
+// and that the deltas kept at most 64 bytes a class they diffed.
+func smokeDelta(ctx context.Context, c *client.Client, v1 []archive.File, first *client.PackResult, chunk int) error {
+	releases := [][]archive.File{v1}
+	packed := []*client.PackResult{first}
+	for seed := int64(1); seed <= 2; seed++ {
+		prev := releases[len(releases)-1]
+		data := make([][]byte, len(prev))
+		for i, m := range prev {
+			data[i] = m.Data
+		}
+		mutated, _, err := synth.MutateClasses(data, 0.3, seed)
+		if err != nil {
+			return err
+		}
+		next := make([]archive.File, len(prev))
+		for i, m := range prev {
+			next[i] = archive.File{Name: m.Name, Data: mutated[i]}
+		}
+		jar, err := archive.WriteJar(next)
+		if err != nil {
+			return err
+		}
+		res, err := c.Pack(ctx, jar)
+		if err != nil {
+			return fmt.Errorf("smoke release pack: %w", err)
+		}
+		releases, packed = append(releases, next), append(packed, res)
+	}
+	// changed lists the chunks of release r that differ from release
+	// r-1, with their class counts; the deltas read those chunks of both.
+	changed := func(r int) map[int]int64 {
+		out := make(map[int]int64)
+		if chunk <= 0 {
+			return out
+		}
+		for i := range releases[r] {
+			if !bytes.Equal(releases[r][i].Data, releases[r-1][i].Data) {
+				ci := i / chunk
+				out[ci] = int64(min(chunk, len(releases[r])-ci*chunk))
+			}
+		}
+		return out
+	}
+	var classes, shared int64
+	for ci, n := range changed(1) {
+		classes += 2 * n
+		if _, ok := changed(2)[ci]; ok {
+			shared++
+		}
+	}
+	for _, n := range changed(2) {
+		classes += 2 * n
+	}
+	var hits, misses, cached [4]int64
+	for i, pair := range [][2]int{{0, 1}, {1, 2}, {1, 2}} {
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			return err
+		}
+		hits[i], misses[i], cached[i] = m["chunk_cache_hits"], m["chunk_cache_misses"], m["chunk_cache_bytes"]
+		patch, err := c.Delta(ctx, packed[pair[0]].Digest, packed[pair[1]].Digest)
+		if err != nil {
+			return fmt.Errorf("smoke delta %d->%d: %w", pair[0]+1, pair[1]+1, err)
+		}
+		got, err := classpack.ApplyDelta(packed[pair[0]].Packed, patch, nil)
+		if err != nil {
+			return fmt.Errorf("smoke: delta %d->%d does not apply: %w", pair[0]+1, pair[1]+1, err)
+		}
+		if !bytes.Equal(got, packed[pair[1]].Packed) {
+			return fmt.Errorf("smoke: delta %d->%d rebuilt other bytes than the packed archive", pair[0]+1, pair[1]+1)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		return err
+	}
+	hits[3], misses[3], cached[3] = m["chunk_cache_hits"], m["chunk_cache_misses"], m["chunk_cache_bytes"]
+	if chunk <= 0 {
+		return nil
+	}
+	if shared == 0 {
+		return fmt.Errorf("smoke: corpus construction broken: the releases change no chunk in common")
+	}
+	if h := hits[2] - hits[1]; h < shared {
+		return fmt.Errorf("smoke: the second delta added %d chunk-cache hits, want at least one for each of the %d changed chunks it shares with the first", h, shared)
+	}
+	if misses[3] != misses[2] || cached[3] != cached[2] {
+		return fmt.Errorf("smoke: the repeated delta added %d chunk-cache misses and %d bytes, want none",
+			misses[3]-misses[2], cached[3]-cached[2])
+	}
+	if grown := cached[3] - cached[0]; grown > 64*classes {
+		return fmt.Errorf("smoke: the deltas grew chunk_cache_bytes by %d, over 64 bytes for each of the %d classes they diffed",
+			grown, classes)
 	}
 	return nil
 }

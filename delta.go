@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"classpack/internal/core"
 	"classpack/internal/corrupt"
@@ -27,10 +28,19 @@ var ErrDeltaMismatch = errors.New("classpack: patch does not apply to this archi
 // When both archives use the version-3 chunked layout, chunks whose
 // bytes are unchanged between the versions match whole without being
 // decoded — diffing two near-identical archives touches only the
-// changed chunks, and Diff(a, a) decodes nothing. Only Concurrency,
-// MaxDecodedBytes, MaxClassCount and ChunkCache of opts are honored (a
-// nil opts uses defaults). The new archive must be version 2 or 3; version-1
-// archives (which Pack no longer emits) cannot be delta targets.
+// changed chunks, and Diff(a, a) decodes nothing. Classes match by the
+// SHA-256 of their bytes, and Diff reads those digests of each changed
+// chunk through opts.ChunkCache: from any entry that holds the chunk,
+// or from a decode, after which the cache keeps the chunk's digests
+// (32 bytes a class, plus 32 for its class names) and never its
+// classes. So, through a shared cache, a chain of diffs in which each
+// diff's old archive is the previous diff's new one decodes each
+// changed chunk once, not twice; a new chunk whose digests the cache
+// held is still decoded when it carries a changed class, for that call
+// alone. Only Concurrency, MaxDecodedBytes, MaxClassCount and
+// ChunkCache of opts are honored (a nil opts uses defaults). The new
+// archive must be version 2 or 3; version-1 archives (which Pack no
+// longer emits) cannot be delta targets.
 func Diff(oldArchive, newArchive []byte, opts *Options) ([]byte, error) {
 	oldA, err := OpenArchiveBytes(oldArchive, opts)
 	if err != nil {
@@ -62,7 +72,10 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 
 	// Chunk-level shortcut: a new chunk whose body bytes equal an old
 	// chunk's maps all its classes positionally — identical bytes decode
-	// to identical classes — without decoding either side.
+	// to identical classes — without decoding either side. Both indexes
+	// must then list the same names for the two chunks; where they do
+	// not, one of them lies, and the chunks go through the digest path,
+	// whose index checks report it.
 	usedOld := make(map[int]bool)
 	if oldA.ix != nil && newA.ix != nil {
 		oldByHash := make(map[[sha256.Size]byte]int, len(oldA.ix.Chunks))
@@ -75,64 +88,53 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 			if !ok || oldA.ix.Chunks[oci].Classes != ch.Classes {
 				continue
 			}
+			oStart, nStart := oldA.ix.Start(oci), newA.ix.Start(ci)
+			if !slices.Equal(oldA.names[oStart:oStart+ch.Classes], newA.names[nStart:nStart+ch.Classes]) {
+				continue
+			}
 			for i := 0; i < ch.Classes; i++ {
-				ops[newA.ix.Start(ci)+i] = oldA.ix.Start(oci) + i
+				ops[nStart+i] = oStart + i
 			}
 			usedOld[oci] = true
 		}
 	}
 
-	// Remaining new classes match old classes by content digest. The old
-	// side only digests classes in chunks the shortcut did not consume
-	// (their classes are already reachable positionally), so an
-	// unchanged chunk costs one hash of its compressed bytes, not a
-	// decode.
-	var newOrds []int
-	for g, op := range ops {
-		if op == unassigned {
-			newOrds = append(newOrds, g)
-		}
-	}
+	// Remaining new classes match old classes by the SHA-256 of their
+	// bytes, read chunk by chunk (see diffChunk). The old side only
+	// digests classes in chunks the shortcut did not consume (their
+	// classes are already reachable positionally), so an unchanged
+	// chunk costs one hash of its compressed bytes, not a decode; and
+	// it is digested only once a new class needs matching.
+	var byDigest map[[sha256.Size]byte]int
 	var payloadFiles [][]byte
-	if len(newOrds) > 0 {
-		byDigest := make(map[[sha256.Size]byte]int)
-		var oldOrds []int
-		if oldA.ix != nil {
-			for ci, ch := range oldA.ix.Chunks {
-				if usedOld[ci] {
-					continue
-				}
-				start := oldA.ix.Start(ci)
-				for i := 0; i < ch.Classes; i++ {
-					oldOrds = append(oldOrds, start+i)
-				}
-			}
-		} else {
-			for g := 0; g < oldA.NumClasses(); g++ {
-				oldOrds = append(oldOrds, g)
+	for ci := range newA.diffChunks() {
+		start, n := newA.chunkRange(ci)
+		if !slices.Contains(ops[start:start+n], unassigned) {
+			continue
+		}
+		if byDigest == nil {
+			var err error
+			if byDigest, err = oldDigests(oldA, usedOld); err != nil {
+				return nil, fmt.Errorf("classpack: old archive: %w", err)
 			}
 		}
-		oldFiles, err := oldA.ordinals(oldOrds)
-		if err != nil {
-			return nil, fmt.Errorf("classpack: old archive: %w", err)
-		}
-		for i, f := range oldFiles {
-			h := sha256.Sum256(f.Data)
-			if _, ok := byDigest[h]; !ok {
-				byDigest[h] = oldOrds[i]
-			}
-		}
-		newFiles, err := newA.ordinals(newOrds)
+		sums, files, err := newA.diffChunk(ci)
 		if err != nil {
 			return nil, fmt.Errorf("classpack: new archive: %w", err)
 		}
-		for i, f := range newFiles {
-			if g, ok := byDigest[sha256.Sum256(f.Data)]; ok {
-				ops[newOrds[i]] = g
-			} else {
-				ops[newOrds[i]] = delta.PayloadOp
-				payloadFiles = append(payloadFiles, f.Data)
+		for i, h := range sums {
+			if g, ok := byDigest[h]; ok {
+				ops[start+i] = g
+				continue
 			}
+			if files == nil {
+				// The chunk cache held only this chunk's digests.
+				if files, err = newA.chunkAlone(ci); err != nil {
+					return nil, fmt.Errorf("classpack: new archive: %w", err)
+				}
+			}
+			ops[start+i] = delta.PayloadOp
+			payloadFiles = append(payloadFiles, files[i].Data)
 		}
 	}
 
@@ -168,6 +170,63 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 		Payload:      payload,
 	}
 	return p, nil
+}
+
+// oldDigests maps the digest of each class of a's chunks but those in
+// skip to its ordinal; a digest held twice maps to the first ordinal.
+func oldDigests(a *Archive, skip map[int]bool) (map[[sha256.Size]byte]int, error) {
+	byDigest := make(map[[sha256.Size]byte]int)
+	for ci := range a.diffChunks() {
+		if skip[ci] {
+			continue
+		}
+		start, _ := a.chunkRange(ci)
+		sums, _, err := a.diffChunk(ci)
+		if err != nil {
+			return nil, err
+		}
+		for i, h := range sums {
+			if _, ok := byDigest[h]; !ok {
+				byDigest[h] = start + i
+			}
+		}
+	}
+	return byDigest, nil
+}
+
+// diffChunks is how many chunks Diff reads a in: a version-3 archive's
+// chunks, or one chunk of all the classes of a version-1/2 archive.
+func (a *Archive) diffChunks() int {
+	if a.ix == nil {
+		return 1
+	}
+	return len(a.ix.Chunks)
+}
+
+// chunkRange returns the first ordinal and the class count of chunk ci
+// (see diffChunks).
+func (a *Archive) chunkRange(ci int) (start, n int) {
+	if a.ix == nil {
+		return 0, len(a.files)
+	}
+	return a.ix.Start(ci), a.ix.Chunks[ci].Classes
+}
+
+// diffChunk returns the SHA-256 of the bytes of each class of chunk ci
+// (see diffChunks), and the chunk's files when it had them to hand. A
+// version-1/2 archive's one chunk was decoded at open, and no chunk
+// cache holds it. A version-3 chunk's digests come through the chunk
+// cache (see chunkDigests), and its files are nil when an entry that
+// holds only digests answered.
+func (a *Archive) diffChunk(ci int) ([][sha256.Size]byte, []File, error) {
+	if a.ix == nil {
+		return classDigests(a.files), a.files, nil
+	}
+	d, files, err := a.chunkDigests(ci)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.classes, files, nil
 }
 
 // ApplyDelta reconstructs the new archive from the old archive and a

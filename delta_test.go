@@ -2,6 +2,7 @@ package classpack
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"testing"
 
@@ -41,7 +42,9 @@ func bumpedSample(t *testing.T, rate float64) (v1, v2 [][]byte) {
 // TestDeltaRoundTrip pins the tentpole acceptance:
 // ApplyDelta(old, Diff(old, new)) == new byte-for-byte, across v2→v3,
 // v3→v3 and v3→v2 pairs, at several chunk sizes, and at every worker
-// count — with the patch bytes themselves identical at every -j.
+// count — with the patch bytes themselves identical at every -j, with
+// no shared chunk cache, with a cold one and with one warmed by a Diff
+// of the same pair.
 func TestDeltaRoundTrip(t *testing.T) {
 	oldFiles, newFiles := bumpedSample(t, 0.10)
 	cases := []struct{ oldChunk, newChunk int }{
@@ -62,23 +65,30 @@ func TestDeltaRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var first []byte
+		// A warm cache already holds what a Diff of this pair keeps.
+		warm := NewChunkCache(1 << 20)
+		if _, err := Diff(oldArc, newArc, &Options{ChunkCache: warm}); err != nil {
+			t.Fatal(err)
+		}
 		for _, j := range []int{1, 2, 0} {
-			opts := &Options{Concurrency: j}
-			patch, err := Diff(oldArc, newArc, opts)
-			if err != nil {
-				t.Fatalf("chunks %d->%d j=%d: Diff: %v", tc.oldChunk, tc.newChunk, j, err)
-			}
-			if first == nil {
-				first = patch
-			} else if !bytes.Equal(first, patch) {
-				t.Fatalf("chunks %d->%d: j=%d produced different patch bytes", tc.oldChunk, tc.newChunk, j)
-			}
-			got, err := ApplyDelta(oldArc, patch, opts)
-			if err != nil {
-				t.Fatalf("chunks %d->%d j=%d: ApplyDelta: %v", tc.oldChunk, tc.newChunk, j, err)
-			}
-			if !bytes.Equal(got, newArc) {
-				t.Fatalf("chunks %d->%d j=%d: reconstruction is not byte-identical", tc.oldChunk, tc.newChunk, j)
+			for k, cache := range []*ChunkCache{nil, NewChunkCache(1 << 20), warm} {
+				opts := &Options{Concurrency: j, ChunkCache: cache}
+				patch, err := Diff(oldArc, newArc, opts)
+				if err != nil {
+					t.Fatalf("chunks %d->%d j=%d cache %d: Diff: %v", tc.oldChunk, tc.newChunk, j, k, err)
+				}
+				if first == nil {
+					first = patch
+				} else if !bytes.Equal(first, patch) {
+					t.Fatalf("chunks %d->%d: j=%d cache %d produced different patch bytes", tc.oldChunk, tc.newChunk, j, k)
+				}
+				got, err := ApplyDelta(oldArc, patch, opts)
+				if err != nil {
+					t.Fatalf("chunks %d->%d j=%d cache %d: ApplyDelta: %v", tc.oldChunk, tc.newChunk, j, k, err)
+				}
+				if !bytes.Equal(got, newArc) {
+					t.Fatalf("chunks %d->%d j=%d cache %d: reconstruction is not byte-identical", tc.oldChunk, tc.newChunk, j, k)
+				}
 			}
 		}
 		sum, err := DescribeDelta(first, nil)
@@ -204,6 +214,102 @@ func TestDeltaTouchesOnlyChangedChunks(t *testing.T) {
 	diffed := oldA.DecodedBytes() + newA.DecodedBytes()
 	if diffed >= full {
 		t.Errorf("diff decoded %d bytes, full extraction %d — no chunk was skipped", diffed, full)
+	}
+}
+
+// chainSample returns three releases of the sample corpus packed in
+// chunks of 2 classes: the second changes classes 0 and 4, and the
+// third changes classes 1 and 5, the other classes of those chunks.
+func chainSample(t *testing.T) [3][]byte {
+	t.Helper()
+	v1 := sample(t)
+	mutate := func(files [][]byte, idx ...int) [][]byte {
+		out := append([][]byte(nil), files...)
+		for _, i := range idx {
+			m, ok, err := synth.MutateClass(out[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("corpus construction broken: class %d is not mutable", i)
+			}
+			out[i] = m
+		}
+		return out
+	}
+	v2 := mutate(v1, 0, 4)
+	v3 := mutate(v2, 1, 5)
+	return [3][]byte{packChunked(t, v1, 2), packChunked(t, v2, 2), packChunked(t, v3, 2)}
+}
+
+// checkDigestsOnly fails unless every entry of cache holds only
+// digests and the cache's Bytes is their cost.
+func checkDigestsOnly(t *testing.T, cache *ChunkCache) {
+	t.Helper()
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	var cost int64
+	for el := cache.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*chunkEntry)
+		if e.whole || e.digests == nil || e.cost != e.digests.cost() {
+			t.Fatalf("entry holds classes %t, digests %t, cost %d; want digests alone", e.whole, e.digests != nil, e.cost)
+		}
+		cost += e.cost
+	}
+	if cache.stats.Bytes != cost {
+		t.Fatalf("cache Bytes = %d, want the digests' cost %d", cache.stats.Bytes, cost)
+	}
+}
+
+// TestDiffChainDecodesEachChunkOnce diffs a chain of three releases
+// through one shared cache, as jpackd's /delta does on each update: the
+// second diff's old archive is the first diff's new one, so it decodes
+// none of its old side's chunks. A repeat of the second diff adds no
+// miss and no cache bytes, the cache holds only digests throughout, and
+// every patch equals a cacheless Diff's and applies.
+func TestDiffChainDecodesEachChunkOnce(t *testing.T) {
+	arcs := chainSample(t)
+	cache := NewChunkCache(1 << 20)
+	diff := func(from, to []byte) (oldA, newA *Archive) {
+		t.Helper()
+		oldA, newA = openShared(t, from, cache), openShared(t, to, cache)
+		p, err := diffArchives(oldA, newA, from, to, sharedOpts(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Diff(from, to, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch := p.Encode()
+		if !bytes.Equal(patch, want) {
+			t.Fatal("patch through the shared cache differs from a cacheless Diff's")
+		}
+		got, err := ApplyDelta(from, patch, nil)
+		if err != nil || !bytes.Equal(got, to) {
+			t.Fatalf("ApplyDelta: %v, identical %t", err, bytes.Equal(got, to))
+		}
+		checkDigestsOnly(t, cache)
+		return oldA, newA
+	}
+	oldA, newA := diff(arcs[0], arcs[1])
+	if oldA.ChunkDecodes() != 2 || newA.ChunkDecodes() != 2 {
+		t.Fatalf("first diff decoded %d old and %d new chunks, want the 2 changed chunks of each",
+			oldA.ChunkDecodes(), newA.ChunkDecodes())
+	}
+	oldA, newA = diff(arcs[1], arcs[2])
+	if oldA.ChunkDecodes() != 0 || newA.ChunkDecodes() != 2 {
+		t.Fatalf("chained diff decoded %d old and %d new chunks, want 0 and 2", oldA.ChunkDecodes(), newA.ChunkDecodes())
+	}
+	before := cache.Stats()
+	oldA, _ = diff(arcs[1], arcs[2])
+	after := cache.Stats()
+	if oldA.ChunkDecodes() != 0 || after.Misses != before.Misses || after.Bytes != before.Bytes {
+		t.Fatalf("repeated diff: %d old decodes, stats %+v after %+v; want no decode, miss or byte added",
+			oldA.ChunkDecodes(), after, before)
+	}
+	if want := int64(6 * sha256.Size * 3); after.Bytes != want {
+		t.Fatalf("cache Bytes = %d, want 6 chunks of 2 class digests and a names digest, %d", after.Bytes, want)
 	}
 }
 

@@ -142,3 +142,97 @@ func BenchmarkArchiveSubsetGET(b *testing.B) {
 		benchGET(b, h, targets[i%len(targets)])
 	}
 }
+
+// jessReleases packs a chain of releases of the 202_jess corpus at scale
+// 1.0, each from the one before by synth.MutateClasses at 5%, as
+// classpack-bench's serve-write workload makes them, through a server at
+// -chunk benchChunkClasses. It returns the store holding them, the
+// server's options and the releases' digests in chain order.
+func jessReleases(b *testing.B, n int) (st *castore.Store, opts classpack.Options, digests []string) {
+	p, err := synth.ProfileByName("202_jess")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfs, err := synth.GenerateStripped(p, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, len(cfs))
+	files := make([][]byte, len(cfs))
+	for i, cf := range cfs {
+		names[i] = cf.ThisClassName() + ".class"
+		if files[i], err = classfile.Write(cf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st, err = castore.Open(b.TempDir(), 0); err != nil {
+		b.Fatal(err)
+	}
+	opts = classpack.DefaultOptions()
+	opts.ChunkClasses = benchChunkClasses
+	h := New(Config{Store: st, Options: opts}).Handler()
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			if files, _, err = synth.MutateClasses(files, 0.05, int64(k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		members := make([]archive.File, len(files))
+		for i := range files {
+			members[i] = archive.File{Name: names[i], Data: files[i]}
+		}
+		jar, err := archive.WriteJar(members)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/pack", bytes.NewReader(jar)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /pack: %d %s", rec.Code, rec.Body)
+		}
+		digests = append(digests, rec.Header().Get(HeaderDigest))
+	}
+	return st, opts, digests
+}
+
+// BenchmarkDeltaGET serves GET /delta/{from}/{to} through the handler in
+// process, between releases of a chain of 16 202_jess releases at scale
+// 1.0 (5% of classes changed a step), packed at -chunk 64 as
+// classpack-bench's serve-write workload packs them. In "chain" each
+// GET's old release is the previous GET's new one, as in serve-write's
+// updates; each run of the chain starts on a fresh server with an
+// untimed first GET, so each timed GET's new release is one no earlier
+// request diffed. In "cold" each GET runs on a fresh server, so no
+// earlier request diffed either release: the traffic a chunk cache
+// cannot help.
+//
+//	go test -run NONE -bench DeltaGET -benchmem ./internal/serve
+func BenchmarkDeltaGET(b *testing.B) {
+	const releases = 16
+	st, opts, digests := jessReleases(b, releases)
+	fresh := func() http.Handler { return New(Config{Store: st, Options: opts}).Handler() }
+	target := func(k int) string { return "/delta/" + digests[k] + "/" + digests[k+1] }
+	b.Run("chain", func(b *testing.B) {
+		b.ReportAllocs()
+		var h http.Handler
+		for i := 0; i < b.N; i++ {
+			k := 1 + i%(releases-2)
+			if k == 1 {
+				b.StopTimer()
+				h = fresh()
+				benchGET(b, h, target(0))
+				b.StartTimer()
+			}
+			benchGET(b, h, target(k))
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := fresh()
+			b.StartTimer()
+			benchGET(b, h, target(i%(releases-1)))
+		}
+	})
+}

@@ -65,6 +65,7 @@ const (
 	// DefaultChunkCacheBytes bounds the decoded-chunk cache that class
 	// and ?classes= GETs share, so a version-3 chunk is decoded once per
 	// server while the cache holds it rather than once per request.
+	// /delta reads and keeps the class digests of changed chunks there.
 	DefaultChunkCacheBytes = 64 << 20
 	// DefaultOpenArchiveBytes bounds the open-archive cache that class
 	// and ?classes= GETs share, so a cached archive is read, verified and
@@ -146,7 +147,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	metrics  *Metrics
-	chunks   *classpack.ChunkCache // class and ?classes= GETs only
+	chunks   *classpack.ChunkCache // class and ?classes= GETs' chunks, and /delta's class digests
 	archives *archiveCache         // class and ?classes= GETs only
 	adm      *admission
 	flight   packFlight
@@ -154,7 +155,11 @@ type Server struct {
 	handler  http.Handler
 }
 
-// New builds a Server from cfg, applying defaults for zero fields.
+// New builds a Server from cfg, applying defaults for zero fields. It
+// clears cfg.Options.ChunkCache: the server owns one decoded-chunk
+// cache, bounded at DefaultChunkCacheBytes, through which class and
+// ?classes= GETs extract and /delta diffs. A GET keeps a chunk's
+// classes there; a diff keeps only its class digests.
 func New(cfg Config) *Server {
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = DefaultMaxRequestBytes
@@ -905,7 +910,11 @@ func (s *Server) readCached(digest string) ([]byte, *apiError) {
 // holding the old archive download the patch — typically a small
 // fraction of the new archive — and reconstruct the new bytes locally
 // with ApplyDelta. Diffing is lazy: unchanged chunks of version-3
-// archives are matched by hash without being decoded.
+// archives are matched by hash without being decoded, and the changed
+// chunks' class digests go through the server's chunk cache, which
+// keeps only those digests of a chunk the diff decoded. A release
+// diffed once, as either side, is not decoded for its digests again
+// while the cache holds them.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.metrics.DeltaRequests.Add(1)
 	oldArc, apiErr := s.loadCached(r.PathValue("from"))
@@ -925,6 +934,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	opts := s.cfg.Options
+	opts.ChunkCache = s.chunks
 	patch, err := classpack.Diff(oldArc, newArc, &opts)
 	if err != nil {
 		// Both inputs came from this server's own cache, so a failing

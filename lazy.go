@@ -322,10 +322,10 @@ func (a *Archive) fileAt(g int) (File, error) {
 }
 
 // chunkFiles returns chunk ci's files, and their cache key, through the
-// archive's chunk cache, decoding on a miss, and cross-checks them
-// against this archive's index — hits included, since an entry was
-// checked only against the index of the archive that decoded it. The
-// files are shared with the cache: read-only.
+// archive's chunk cache, decoding when no entry holds the classes, and
+// cross-checks them against this archive's index — hits included,
+// since an entry was checked only against the index of the archive
+// that decoded it. The files are shared with the cache: read-only.
 //
 // A chunk whose files have passed those checks once is looked up by
 // its remembered key, without reading or hashing it again and without
@@ -337,6 +337,72 @@ func (a *Archive) chunkFiles(ci int) ([]File, chunkKey, error) {
 			return files, *key, nil
 		}
 	}
+	body, key, err := a.readChunk(ci)
+	if err != nil {
+		return nil, chunkKey{}, err
+	}
+	files, err := a.cache.get(key, func() ([]File, error) { return a.decodeChunk(body) })
+	if err != nil {
+		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+	}
+	if err := a.checkChunk(ci, files); err != nil {
+		return nil, chunkKey{}, err
+	}
+	a.keys[ci].Store(&key)
+	return files, key, nil
+}
+
+// chunkDigests returns the digests of chunk ci's classes through the
+// archive's chunk cache, as Diff matches classes, decoding only when no
+// entry holds the chunk. It also returns the chunk's files when it had
+// them to hand (see ChunkCache.digests), checked against this archive's
+// index as chunkFiles checks them; nil files mean an entry holding only
+// digests answered, whose names digest matched this archive's index.
+// On a mismatch it decodes the chunk, so that the index check reports
+// the difference. The files are shared with the cache: read-only.
+func (a *Archive) chunkDigests(ci int) (*chunkDigests, []File, error) {
+	body, key, err := a.readChunk(ci)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, files, err := a.cache.digests(key, func() ([]File, error) { return a.decodeChunk(body) })
+	if err != nil {
+		return nil, nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+	}
+	if files == nil && !a.indexHolds(ci, d) {
+		if files, err = a.decodeChunk(body); err != nil {
+			return nil, nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+		}
+	}
+	if files != nil {
+		if err := a.checkChunk(ci, files); err != nil {
+			return nil, nil, err
+		}
+	}
+	a.keys[ci].Store(&key)
+	return d, files, nil
+}
+
+// chunkAlone decodes chunk ci for this call alone, outside the chunk
+// cache, and checks it against the archive's index.
+func (a *Archive) chunkAlone(ci int) ([]File, error) {
+	body, _, err := a.readChunk(ci)
+	if err != nil {
+		return nil, err
+	}
+	files, err := a.decodeChunk(body)
+	if err != nil {
+		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+	}
+	if err := a.checkChunk(ci, files); err != nil {
+		return nil, err
+	}
+	return files, nil
+}
+
+// readChunk reads chunk ci's bytes, held to the decode budget, and
+// returns them with their cache key.
+func (a *Archive) readChunk(ci int) ([]byte, chunkKey, error) {
 	ch := a.ix.Chunks[ci]
 	if err := core.CheckBuffered(ch.Len, core.EffectiveBudget(a.uo), "chunks", ch.Off); err != nil {
 		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
@@ -350,20 +416,29 @@ func (a *Archive) chunkFiles(ci int) ([]File, chunkKey, error) {
 	h.Write(body)
 	var key chunkKey
 	h.Sum(key[:0])
-	files, err := a.cache.get(key, func() ([]File, error) {
-		files, decoded, err := decodeBody(a.copts, body, true, a.uo)
-		a.decoded.Add(decoded)
-		a.decodes.Add(1)
-		return files, err
-	})
-	if err != nil {
-		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
-	}
-	if err := a.ix.CheckChunk(ci, len(files), func(i int) string { return trimClass(files[i].Name) }); err != nil {
-		return nil, chunkKey{}, err
-	}
-	a.keys[ci].Store(&key)
-	return files, key, nil
+	return body, key, nil
+}
+
+// decodeChunk decodes one chunk's bytes and counts the decode.
+func (a *Archive) decodeChunk(body []byte) ([]File, error) {
+	files, decoded, err := decodeBody(a.copts, body, true, a.uo)
+	a.decoded.Add(decoded)
+	a.decodes.Add(1)
+	return files, err
+}
+
+// checkChunk reports a chunk whose files are not the classes the
+// archive's index lists for chunk ci.
+func (a *Archive) checkChunk(ci int, files []File) error {
+	return a.ix.CheckChunk(ci, len(files), func(i int) string { return trimClass(files[i].Name) })
+}
+
+// indexHolds reports whether d is the digests of a chunk holding the
+// classes the archive's index lists for chunk ci, by their count and
+// the digest of their names.
+func (a *Archive) indexHolds(ci int, d *chunkDigests) bool {
+	n, start := a.ix.Chunks[ci].Classes, a.ix.Start(ci)
+	return len(d.classes) == n && d.names == namesDigest(n, func(i int) string { return a.names[start+i] })
 }
 
 // ExtractClasses extracts the named classes, returned in input order.
