@@ -33,7 +33,8 @@ lint:
 # concurrency-sensitive in the tree. The unpack pipeline, which builds
 # classes on workers while the decoder reads ahead, gets ten: its
 # ordering, error and panic paths depend on scheduling, and so does
-# how DoWorkers raises a worker's panic on its caller. So does pack,
+# how DoWorkers raises a worker's panic on its caller; so does its
+# partial decode, which builds only the classes a caller needs. So does pack,
 # which codes the reference pools on workers after its class walk, and
 # DEFLATEs each stream past 64 KiB on a coder goroutine while the walk
 # still writes it. jpackd's class and subset GETs share one open Archive
@@ -48,7 +49,7 @@ verify: lint delta-smoke
 	$(GO) test -race -count=10 -run '^(TestOpenArchiveConcurrentCounts|TestSubsetAndClassGETsConcurrentCounts|TestDeltaAndGETsConcurrentCounts)$$' ./internal/serve
 	$(GO) test -race -count=10 -run '^(TestPipeline|TestDoWorkersPanicSurfaces)' ./internal/par
 	$(GO) test -race -count=10 -run '^(TestMutantOutcomesMatchAcrossWorkers|FuzzUnpackStream|TestPackDeterministicAcrossConcurrency|TestPackStatsDeterministicAcrossConcurrency|TestPackParallelErrorMatchesSerial)$$' .
-	$(GO) test -race -count=10 -run '^(TestLargeStreamsCodeAsWhole|TestCoderLifecycle|TestCoderGetsCopies|TestNoCoderOutlivesPack)$$' ./internal/streams ./internal/core
+	$(GO) test -race -count=10 -run '^(TestLargeStreamsCodeAsWhole|TestCoderLifecycle|TestCoderGetsCopies|TestNoCoderOutlivesPack|TestDecodeChunkNeed)$$' ./internal/streams ./internal/core
 
 # bench runs the throughput benchmarks that track the parallel
 # pipeline's speedup (MB/s at -j 1 vs -j NumCPU): pack, unpack, and
@@ -56,11 +57,13 @@ verify: lint delta-smoke
 # class-file reader and writer alone, over tools as distributed and
 # stripped (BenchmarkParseWrite); then the arithmetic coder alone,
 # encoding and decoding the streams of packed tools that the container
-# trial-codes with it (those of at most 64 KiB); then jpackd's GET
-# /delta over a chain of 202_jess releases, chained as serve-write's
-# updates chain and cold (BenchmarkDeltaGET).
+# trial-codes with it (those of at most 64 KiB); then ApplyDelta over a
+# chain of 202_jess releases, as serve-write's client applies its
+# updates (BenchmarkApplyDelta), and jpackd's GET /delta over such a
+# chain, chained as serve-write's updates chain, asked a second time,
+# and cold (BenchmarkDeltaGET).
 bench:
-	$(GO) test -run=NONE -bench='^Benchmark((Pack|Unpack|UnpackToJar)Throughput|ParseWrite)$$' -benchmem .
+	$(GO) test -run=NONE -bench='^Benchmark((Pack|Unpack|UnpackToJar)Throughput|ParseWrite|ApplyDelta)$$' -benchmem .
 	$(GO) test -run=NONE -bench='^Benchmark(Encode|Decode)$$' -benchmem ./internal/encoding/arith
 	$(GO) test -run=NONE -bench='^BenchmarkDeltaGET$$' -benchmem ./internal/serve
 

@@ -255,6 +255,60 @@ func BenchmarkExtractClassInOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyDelta applies the patches of a chain of 16 releases of
+// 202_jess at scale 1.0, each from the one before by synth.MutateClasses
+// at 5%, packed at -chunk 64: the releases and the client half of an
+// update of classpack-bench's serve-write workload, which has jpackd
+// pack at that chunk size. The patches are made before the timer
+// starts; each op applies the next one, with default options, as that
+// workload's client does.
+//
+//	go test -run NONE -bench ApplyDelta -benchmem .
+func BenchmarkApplyDelta(b *testing.B) {
+	const releases = 16
+	p, err := synth.ProfileByName("202_jess")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfs, err := synth.GenerateStripped(p, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	files := make([][]byte, len(cfs))
+	for i, cf := range cfs {
+		if files[i], err = classfile.Write(cf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := DefaultOptions()
+	opts.ChunkClasses = 64
+	arcs := make([][]byte, releases)
+	for k := range arcs {
+		if k > 0 {
+			if files, _, err = synth.MutateClasses(files, 0.05, int64(k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if arcs[k], err = Pack(files, &opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	patches := make([][]byte, releases-1)
+	for k := range patches {
+		if patches[k], err = Diff(arcs[k], arcs[k+1], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(patches)
+		if _, err := ApplyDelta(arcs[k], patches[k], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Ablation benchmarks for the design decisions DESIGN.md calls out: each
 // reports the packed size through the custom "bytes" metric so the cost
 // of turning a feature off is visible next to its speed.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 
+	"classpack/internal/classfile"
 	"classpack/internal/core"
 	"classpack/internal/corrupt"
 	"classpack/internal/delta"
@@ -35,12 +36,18 @@ var ErrDeltaMismatch = errors.New("classpack: patch does not apply to this archi
 // (32 bytes a class, plus 32 for its class names) and never its
 // classes. So, through a shared cache, a chain of diffs in which each
 // diff's old archive is the previous diff's new one decodes each
-// changed chunk once, not twice; a new chunk whose digests the cache
+// changed chunk once, not twice. A new chunk whose digests the cache
 // held is still decoded when it carries a changed class, for that call
-// alone. Only Concurrency, MaxDecodedBytes, MaxClassCount and
-// ChunkCache of opts are honored (a nil opts uses defaults). The new
-// archive must be version 2 or 3; version-1 archives (which Pack no
-// longer emits) cannot be delta targets.
+// alone, but only the classes the patch carries are built and written:
+// the chunk's other classes are only read off the wire, which the
+// sequential reference models require. Before it reads a chunk, Diff
+// walks the length prefixes of each version-3 archive, decoding
+// nothing, and refuses, as strict Unpack does, an archive whose chunk
+// framing its index does not account for. Only Concurrency,
+// MaxDecodedBytes, MaxClassCount and ChunkCache of opts are honored (a
+// nil opts uses defaults). The new archive must be version 2 or 3;
+// version-1 archives (which Pack no longer emits) cannot be delta
+// targets.
 func Diff(oldArchive, newArchive []byte, opts *Options) ([]byte, error) {
 	oldA, err := OpenArchiveBytes(oldArchive, opts)
 	if err != nil {
@@ -63,6 +70,12 @@ func Diff(oldArchive, newArchive []byte, opts *Options) ([]byte, error) {
 func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Options) (*delta.Patch, error) {
 	if newA.version == core.Version1 {
 		return nil, fmt.Errorf("classpack: version-1 archives cannot be delta targets (re-pack as version 2 or 3)")
+	}
+	if err := oldA.checkFraming(oldArchive); err != nil {
+		return nil, fmt.Errorf("classpack: old archive: %w", err)
+	}
+	if err := newA.checkFraming(newArchive); err != nil {
+		return nil, fmt.Errorf("classpack: new archive: %w", err)
 	}
 	const unassigned = -2
 	ops := make([]int, newA.NumClasses())
@@ -122,19 +135,36 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 		if err != nil {
 			return nil, fmt.Errorf("classpack: new archive: %w", err)
 		}
+		var carried []bool // the payload's classes, when files is nil
 		for i, h := range sums {
 			if g, ok := byDigest[h]; ok {
 				ops[start+i] = g
 				continue
 			}
-			if files == nil {
-				// The chunk cache held only this chunk's digests.
-				if files, err = newA.chunkAlone(ci); err != nil {
-					return nil, fmt.Errorf("classpack: new archive: %w", err)
-				}
-			}
 			ops[start+i] = delta.PayloadOp
-			payloadFiles = append(payloadFiles, files[i].Data)
+			if files != nil {
+				payloadFiles = append(payloadFiles, files[i].Data)
+				continue
+			}
+			if carried == nil {
+				carried = make([]bool, len(sums))
+			}
+			carried[i] = true
+		}
+		if carried != nil {
+			// The chunk cache held only this chunk's digests, which
+			// matched the index: build the payload's classes alone.
+			cfs, err := newA.chunkClasses(ci, carried)
+			if err != nil {
+				return nil, fmt.Errorf("classpack: new archive: %w", err)
+			}
+			for _, cf := range cfs {
+				raw, err := classfile.Write(cf)
+				if err != nil {
+					return nil, fmt.Errorf("classpack: new archive: chunk %d: %w", ci, err)
+				}
+				payloadFiles = append(payloadFiles, raw)
+			}
 		}
 	}
 
@@ -194,6 +224,17 @@ func oldDigests(a *Archive, skip map[int]bool) (map[[sha256.Size]byte]int, error
 	return byDigest, nil
 }
 
+// checkFraming refuses a version-3 archive whose chunk framing its index
+// does not account for (see core.Index.CheckFraming). Diff reads chunks
+// by the index's byte ranges alone, so without the check it could diff
+// an archive that strict Unpack refuses.
+func (a *Archive) checkFraming(data []byte) error {
+	if a.ix == nil {
+		return nil
+	}
+	return a.ix.CheckFraming(data)
+}
+
 // diffChunks is how many chunks Diff reads a in: a version-3 archive's
 // chunks, or one chunk of all the classes of a version-1/2 archive.
 func (a *Archive) diffChunks() int {
@@ -232,11 +273,17 @@ func (a *Archive) diffChunk(ci int) ([][sha256.Size]byte, []File, error) {
 // ApplyDelta reconstructs the new archive from the old archive and a
 // CJPD patch produced by Diff, returning bytes identical to the new
 // archive Diff was given — the reconstruction is re-verified against
-// the digest recorded in the patch before it is returned. Copied
-// classes extract lazily from the old archive (a version-3 old archive
-// decodes only the chunks the patch references); the patch payload
-// decodes through the normal checked path. Only Concurrency,
-// MaxDecodedBytes, MaxClassCount and ChunkCache of opts are honored.
+// the digest recorded in the patch before it is returned. It decodes
+// the classes the patch copies from the old archive: for a version-3
+// old archive only the chunks holding them, each in full and checked
+// against the archive's index; for a version-1/2 one its whole body,
+// once. It decodes the patch payload through the normal checked path.
+// Then it packs the decoded classes as they are, with the coding
+// choices and chunk size the patch records: the decoder builds each
+// class as Strip leaves it, so no class is written, re-parsed or
+// re-stripped. Only Concurrency, MaxDecodedBytes and MaxClassCount of
+// opts are honored. ChunkCache is not: its entries hold serialized
+// bytes, which ApplyDelta would have to parse again.
 //
 // Failures caused by the patch or archive bytes are *CorruptError
 // values or wrap one; a well-formed patch built against a different old
@@ -254,28 +301,16 @@ func ApplyDelta(oldArchive, patch []byte, opts *Options) ([]byte, error) {
 		return nil, fmt.Errorf("%w: patch was built against archive %s",
 			ErrDeltaMismatch, hex.EncodeToString(p.OldDigest[:]))
 	}
-	oldA, err := OpenArchiveBytes(oldArchive, opts)
+	copies, err := copiedClasses(oldArchive, p.Ops, uo)
 	if err != nil {
-		return nil, fmt.Errorf("classpack: old archive: %w", err)
+		return nil, err
 	}
-	var copyOrds []int
-	for _, op := range p.Ops {
-		if op == delta.PayloadOp {
-			continue
-		}
-		if op >= oldA.NumClasses() {
-			return nil, corrupt.Errorf("patch", -1,
-				"op copies old class %d, archive holds %d", op, oldA.NumClasses())
-		}
-		copyOrds = append(copyOrds, op)
-	}
-	copies, err := oldA.ordinals(copyOrds)
-	if err != nil {
-		return nil, fmt.Errorf("classpack: old archive: %w", err)
-	}
-	var payload []File
+	var payload []*classfile.ClassFile
 	if len(p.Payload) > 0 {
-		payload, err = UnpackOpts(p.Payload, opts)
+		err := core.UnpackStreamOpts(p.Payload, uo, func(cf *classfile.ClassFile) error {
+			payload = append(payload, cf)
+			return nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("classpack: patch payload: %w", err)
 		}
@@ -284,14 +319,14 @@ func ApplyDelta(oldArchive, patch []byte, opts *Options) ([]byte, error) {
 		return nil, corrupt.Errorf("patch", -1,
 			"payload holds %d classes, ops take %d", len(payload), want)
 	}
-	files := make([][]byte, len(p.Ops))
+	cfs := make([]*classfile.ClassFile, len(p.Ops))
 	nc, np := 0, 0
 	for g, op := range p.Ops {
 		if op == delta.PayloadOp {
-			files[g] = payload[np].Data
+			cfs[g] = payload[np]
 			np++
 		} else {
-			files[g] = copies[nc].Data
+			cfs[g] = copies[nc]
 			nc++
 		}
 	}
@@ -303,21 +338,73 @@ func ApplyDelta(oldArchive, patch []byte, opts *Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	popts := Options{
-		Scheme:       copts.Scheme,
-		StackState:   copts.StackState,
-		Compress:     copts.Compress,
-		Preload:      copts.Preload,
-		Concurrency:  uo.Concurrency,
-		ChunkClasses: p.ChunkClasses,
-	}
-	out, err := Pack(files, &popts)
+	copts.Concurrency, copts.ChunkClasses = uo.Concurrency, p.ChunkClasses
+	out, err := core.PackVersion(cfs, copts, p.NewVersion)
 	if err != nil {
 		return nil, fmt.Errorf("classpack: reassembling archive: %w", err)
 	}
 	if sha256.Sum256(out) != p.NewDigest {
 		return nil, corrupt.Errorf("patch", -1,
 			"reconstructed archive digest differs from the one the patch records")
+	}
+	return out, nil
+}
+
+// copiedClasses decodes the classes of oldArchive that ops copy, in op
+// order (see ApplyDelta). The same old class copied twice is one
+// ClassFile, which packing only reads.
+func copiedClasses(oldArchive []byte, ops []int, uo core.UnpackOpts) ([]*classfile.ClassFile, error) {
+	ver, _, err := core.ParseHeader(oldArchive)
+	if err != nil {
+		return nil, fmt.Errorf("classpack: old archive: %w", err)
+	}
+	var a *Archive
+	var all []*classfile.ClassFile // version 1/2: every class
+	if ver == core.Version3 {
+		a, err = OpenArchiveBytes(oldArchive, &Options{Concurrency: uo.Concurrency,
+			MaxDecodedBytes: uo.MaxDecodedBytes, MaxClassCount: uo.MaxClassCount})
+	} else {
+		err = core.UnpackStreamOpts(oldArchive, uo, func(cf *classfile.ClassFile) error {
+			all = append(all, cf)
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("classpack: old archive: %w", err)
+	}
+	n := len(all)
+	if a != nil {
+		n = a.NumClasses()
+	}
+	var ords []int
+	for _, op := range ops {
+		if op == delta.PayloadOp {
+			continue
+		}
+		if op >= n {
+			return nil, corrupt.Errorf("patch", -1, "op copies old class %d, archive holds %d", op, n)
+		}
+		ords = append(ords, op)
+	}
+	out := make([]*classfile.ClassFile, len(ords))
+	if a == nil {
+		for i, g := range ords {
+			out[i] = all[g]
+		}
+		return out, nil
+	}
+	err = a.eachChunk(ords, func(ci int, positions []int) error {
+		cfs, err := a.chunkClasses(ci, nil)
+		if err != nil {
+			return err
+		}
+		for _, i := range positions {
+			out[i] = cfs[ords[i]-a.ix.Start(ci)]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("classpack: old archive: %w", err)
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"classpack/internal/classfile"
@@ -12,55 +13,100 @@ import (
 )
 
 // bumpedSample returns the sample corpus and a deterministically
-// mutated "next release" of it: ~rate of the classes differ by one
-// bytecode constant, and one extra class is appended.
+// mutated "next release" of it (see bump).
 func bumpedSample(t *testing.T, rate float64) (v1, v2 [][]byte) {
 	t.Helper()
 	v1 = sample(t)
-	mut, changed, err := synth.MutateClasses(v1, rate, 7)
+	return v1, bump(t, v1, rate)
+}
+
+// bump returns a deterministically mutated "next release" of files:
+// ~rate of the classes differ by one bytecode constant, and one extra
+// class is appended.
+func bump(t *testing.T, files [][]byte, rate float64) [][]byte {
+	t.Helper()
+	mut, _, err := synth.MutateClasses(files, rate, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if changed == 0 {
-		t.Fatal("version bump mutated nothing")
-	}
 	// The "release" also adds a class: a mutated twin of the first
 	// mutable corpus member (different bytes than any old class).
-	for _, f := range v1 {
+	for _, f := range files {
 		extra, ok, err := synth.MutateClass(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok {
-			return v1, append(mut, extra)
+			return append(mut, extra)
 		}
 	}
 	t.Fatal("no corpus class is mutable")
-	return nil, nil
+	return nil
 }
 
 // TestDeltaRoundTrip pins the tentpole acceptance:
-// ApplyDelta(old, Diff(old, new)) == new byte-for-byte, across v2→v3,
-// v3→v3 and v3→v2 pairs, at several chunk sizes, and at every worker
-// count — with the patch bytes themselves identical at every -j, with
-// no shared chunk cache, with a cold one and with one warmed by a Diff
-// of the same pair.
+// ApplyDelta(old, Diff(old, new)) == new byte-for-byte. ApplyDelta packs
+// the classes it decodes without re-parsing them, so this is also the
+// check that such a repack equals Pack's. It holds across v2→v3, v3→v3
+// and v3→v2 pairs of the sample corpus, at several chunk sizes and every
+// worker count; for each coding choice that make digests packs with; and
+// for a release of every synth profile at -j 1. The patch bytes are the
+// same at every -j, with no shared chunk cache, with a cold one, and
+// with one warmed by a Diff of the same pair, through which Diff builds
+// only the payload's classes of a changed chunk.
 func TestDeltaRoundTrip(t *testing.T) {
+	type row struct {
+		name               string
+		oldFiles, newFiles [][]byte
+		oldOpts, newOpts   Options
+		jobs               []int
+	}
+	var rows []row
 	oldFiles, newFiles := bumpedSample(t, 0.10)
-	cases := []struct{ oldChunk, newChunk int }{
+	for _, c := range []struct{ oldChunk, newChunk int }{
 		{0, 8},  // v2 -> v3
 		{8, 8},  // v3 -> v3, same chunking
 		{4, 16}, // v3 -> v3, re-chunked
 		{8, 0},  // v3 -> v2
+	} {
+		r := row{fmt.Sprintf("chunks %d->%d", c.oldChunk, c.newChunk), oldFiles, newFiles,
+			DefaultOptions(), DefaultOptions(), []int{1, 2, 0}}
+		r.oldOpts.ChunkClasses, r.newOpts.ChunkClasses = c.oldChunk, c.newChunk
+		rows = append(rows, r)
 	}
-	for _, tc := range cases {
-		oldOpts, newOpts := DefaultOptions(), DefaultOptions()
-		oldOpts.ChunkClasses, newOpts.ChunkClasses = tc.oldChunk, tc.newChunk
-		oldArc, err := Pack(oldFiles, &oldOpts)
+	coding := func(name string, edit func(o *Options)) {
+		o := DefaultOptions()
+		edit(&o)
+		rows = append(rows, row{name, oldFiles, newFiles, o, o, []int{1}})
+	}
+	for _, s := range []Scheme{SchemeSimple, SchemeBasic, SchemeMTFBasic, SchemeMTFTransients, SchemeMTFContext} {
+		coding(fmt.Sprintf("scheme=%v", s), func(o *Options) { o.Scheme = s })
+	}
+	coding("stackstate=off", func(o *Options) { o.StackState = false })
+	coding("compress=off", func(o *Options) { o.Compress = false })
+	coding("preload=on", func(o *Options) { o.Preload = true })
+	for _, p := range synth.Profiles() {
+		cfs, err := synth.Generate(p, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newArc, err := Pack(newFiles, &newOpts)
+		files := make([][]byte, len(cfs))
+		for i, cf := range cfs {
+			if files[i], err = classfile.Write(cf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := DefaultOptions()
+		o.ChunkClasses = 4
+		rows = append(rows, row{p.Name, files, bump(t, files, 0.10), o, o, []int{1}})
+	}
+
+	for _, r := range rows {
+		oldArc, err := Pack(r.oldFiles, &r.oldOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newArc, err := Pack(r.newFiles, &r.newOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,24 +116,24 @@ func TestDeltaRoundTrip(t *testing.T) {
 		if _, err := Diff(oldArc, newArc, &Options{ChunkCache: warm}); err != nil {
 			t.Fatal(err)
 		}
-		for _, j := range []int{1, 2, 0} {
+		for _, j := range r.jobs {
 			for k, cache := range []*ChunkCache{nil, NewChunkCache(1 << 20), warm} {
 				opts := &Options{Concurrency: j, ChunkCache: cache}
 				patch, err := Diff(oldArc, newArc, opts)
 				if err != nil {
-					t.Fatalf("chunks %d->%d j=%d cache %d: Diff: %v", tc.oldChunk, tc.newChunk, j, k, err)
+					t.Fatalf("%s j=%d cache %d: Diff: %v", r.name, j, k, err)
 				}
 				if first == nil {
 					first = patch
 				} else if !bytes.Equal(first, patch) {
-					t.Fatalf("chunks %d->%d: j=%d cache %d produced different patch bytes", tc.oldChunk, tc.newChunk, j, k)
+					t.Fatalf("%s: j=%d cache %d produced different patch bytes", r.name, j, k)
 				}
 				got, err := ApplyDelta(oldArc, patch, opts)
 				if err != nil {
-					t.Fatalf("chunks %d->%d j=%d cache %d: ApplyDelta: %v", tc.oldChunk, tc.newChunk, j, k, err)
+					t.Fatalf("%s j=%d cache %d: ApplyDelta: %v", r.name, j, k, err)
 				}
 				if !bytes.Equal(got, newArc) {
-					t.Fatalf("chunks %d->%d j=%d cache %d: reconstruction is not byte-identical", tc.oldChunk, tc.newChunk, j, k)
+					t.Fatalf("%s j=%d cache %d: reconstruction is not byte-identical", r.name, j, k)
 				}
 			}
 		}
@@ -95,13 +141,13 @@ func TestDeltaRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.NewClasses != len(newFiles) || sum.PayloadClasses == 0 ||
+		if sum.NewClasses != len(r.newFiles) || sum.PayloadClasses == 0 ||
 			sum.CopiedClasses+sum.PayloadClasses != sum.NewClasses {
-			t.Fatalf("chunks %d->%d: summary %+v inconsistent", tc.oldChunk, tc.newChunk, sum)
+			t.Fatalf("%s: summary %+v inconsistent", r.name, sum)
 		}
-		if len(first) >= len(newArc) {
-			t.Errorf("chunks %d->%d: patch (%d bytes) is no smaller than the archive (%d bytes)",
-				tc.oldChunk, tc.newChunk, len(first), len(newArc))
+		// A patch that copies no class carries the whole archive.
+		if sum.CopiedClasses > 0 && len(first) >= len(newArc) {
+			t.Errorf("%s: patch (%d bytes) is no smaller than the archive (%d bytes)", r.name, len(first), len(newArc))
 		}
 	}
 }
@@ -265,8 +311,11 @@ func checkDigestsOnly(t *testing.T, cache *ChunkCache) {
 // through one shared cache, as jpackd's /delta does on each update: the
 // second diff's old archive is the first diff's new one, so it decodes
 // none of its old side's chunks. A repeat of the second diff adds no
-// miss and no cache bytes, the cache holds only digests throughout, and
-// every patch equals a cacheless Diff's and applies.
+// miss and no cache bytes, and decodes its new side's two changed
+// chunks, whose digests the cache holds, only to build the classes the
+// payload carries: it charges the bytes of a full decode of them. The
+// cache holds only digests throughout, and every patch equals a
+// cacheless Diff's and applies.
 func TestDiffChainDecodesEachChunkOnce(t *testing.T) {
 	arcs := chainSample(t)
 	cache := NewChunkCache(1 << 20)
@@ -301,15 +350,48 @@ func TestDiffChainDecodesEachChunkOnce(t *testing.T) {
 	if oldA.ChunkDecodes() != 0 || newA.ChunkDecodes() != 2 {
 		t.Fatalf("chained diff decoded %d old and %d new chunks, want 0 and 2", oldA.ChunkDecodes(), newA.ChunkDecodes())
 	}
+	full := newA.DecodedBytes()
 	before := cache.Stats()
-	oldA, _ = diff(arcs[1], arcs[2])
+	oldA, newA = diff(arcs[1], arcs[2])
 	after := cache.Stats()
 	if oldA.ChunkDecodes() != 0 || after.Misses != before.Misses || after.Bytes != before.Bytes {
 		t.Fatalf("repeated diff: %d old decodes, stats %+v after %+v; want no decode, miss or byte added",
 			oldA.ChunkDecodes(), after, before)
 	}
+	if newA.ChunkDecodes() != 2 || newA.DecodedBytes() != full {
+		t.Fatalf("repeated diff decoded %d new chunks, %d bytes; want the 2 changed chunks, %d bytes as in full",
+			newA.ChunkDecodes(), newA.DecodedBytes(), full)
+	}
 	if want := int64(6 * sha256.Size * 3); after.Bytes != want {
 		t.Fatalf("cache Bytes = %d, want 6 chunks of 2 class digests and a names digest, %d", after.Bytes, want)
+	}
+}
+
+// TestDiffRefusesDamagedFraming: Diff reads a version-3 archive's
+// chunks by its index's byte ranges, so it must also check the chunks'
+// length prefixes, which strict Unpack walks. An archive whose first
+// prefix is damaged under an intact index is refused on either side of
+// a Diff, with a CorruptError on the chunk framing, as Unpack refuses it.
+func TestDiffRefusesDamagedFraming(t *testing.T) {
+	oldArc, newArc, _, _ := diffReleases(t)
+	damagedOld, damagedNew := damageFraming(t, oldArc), damageFraming(t, newArc)
+	for _, tc := range []struct {
+		name              string
+		damaged, from, to []byte
+	}{
+		{"new", damagedNew, oldArc, damagedNew},
+		{"old", damagedOld, damagedOld, newArc},
+	} {
+		if _, err := Unpack(tc.damaged); err == nil {
+			t.Fatalf("%s: Unpack accepted the damaged archive", tc.name)
+		}
+		patch, err := Diff(tc.from, tc.to, nil)
+		if err == nil {
+			t.Fatalf("%s: Diff returned a %d-byte patch of a damaged archive", tc.name, len(patch))
+		}
+		if ce, ok := AsCorrupt(err); !ok || ce.Stream != "chunks" {
+			t.Fatalf("%s: Diff error %v, want a CorruptError on chunks", tc.name, err)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile
 	if data[4] == Version3 {
 		return unpackChunks(&chunkWalker{data: data, pos: 6}, opts, o, visit)
 	}
-	_, err = DecodeChunk(opts, data[6:], data[4] != Version1, o, func(ord int, cf *classfile.ClassFile) error {
+	_, err = DecodeChunk(opts, data[6:], data[4] != Version1, o, nil, func(ord int, cf *classfile.ClassFile) error {
 		return visit(cf)
 	})
 	return err
@@ -182,10 +182,11 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 
 // decodeClasses is the class loop of every container body: it reads the
 // declared class count, holds it to the class cap, then decodes the
-// classes in order and hands each to visit with its ordinal. It returns
-// the declared count, or -1 when the count was unreadable or over the
-// cap. A decode or build failure comes back as a corrupt error naming
-// the class it hit; a visit error stops the loop and comes back as it is.
+// classes in order, builds those need selects (see DecodeChunk) and
+// hands each built one to visit with its ordinal. It returns the
+// declared count, or -1 when the count was unreadable or over the cap.
+// A decode or build failure comes back as a corrupt error naming the
+// class it hit; a visit error stops the loop and comes back as it is.
 //
 // Decoding stays on the calling goroutine, because the reference models
 // are stateful. Building, which reads only its own dClass and the
@@ -193,7 +194,7 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 // while the decoder reads ahead. visit is called on the calling
 // goroutine, in ordinal order, and the outcome is the serial loop's at
 // every worker count.
-func (u *unpacker) decodeClasses(o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int, error) {
+func (u *unpacker) decodeClasses(o UnpackOpts, need []bool, visit func(ord int, cf *classfile.ClassFile) error) (int, error) {
 	count, err := u.st[sMeta].Uint()
 	if err != nil {
 		return -1, fmt.Errorf("core: class count: %w", err)
@@ -213,17 +214,26 @@ func (u *unpacker) decodeClasses(o UnpackOpts, visit func(ord int, cf *classfile
 		},
 		func(worker, slot int) error {
 			d := &slots[slot]
+			if !builds(need, d.ord) {
+				return nil
+			}
 			cf, err := builders[worker].build(d)
 			d.cf = cf
 			return classError(d.ord, err)
 		},
 		func(slot, i int) error {
+			if !builds(need, i) {
+				return nil
+			}
 			cf := slots[slot].cf
 			slots[slot].cf = nil
 			return visit(i, cf)
 		})
 	return n, err
 }
+
+// builds reports whether need selects ordinal i (see DecodeChunk).
+func builds(need []bool, i int) bool { return need == nil || i < len(need) && need[i] }
 
 // classError places a failure to decode or build class i, nil for none.
 func classError(i int, err error) error {

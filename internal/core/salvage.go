@@ -64,7 +64,7 @@ func (res *SalvageResult) salvageBody(ci int, opts Options, o UnpackOpts, body [
 	r, damage := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
 	first := len(res.Classes)
 	var err error
-	declared, err = newUnpacker(opts, r).decodeClasses(o, func(_ int, cf *classfile.ClassFile) error {
+	declared, err = newUnpacker(opts, r).decodeClasses(o, nil, func(_ int, cf *classfile.ClassFile) error {
 		res.Classes = append(res.Classes, cf)
 		return nil
 	})

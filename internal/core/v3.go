@@ -24,7 +24,8 @@
 //
 // One chunkWriter writes this layout, for Pack and PackStream alike.
 // One chunkWalker reads the framing back, for strict unpack from memory
-// or from a stream and for salvage; ReadIndexAt alone parses the tail.
+// or from a stream, for salvage and for CheckFraming; ReadIndexAt alone
+// parses the tail.
 package core
 
 import (
@@ -521,12 +522,17 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 
 // DecodeChunk decodes one container body — a version-3 chunk, or the
 // whole body of a version-1/2 archive — invoking visit with each class
-// and its ordinal within the body. checked selects the container layout
-// (true for every version-3 chunk and version-2 body). It returns the
-// decoded wire-stream bytes the body expanded to, which is what
-// MaxDecodedBytes budgets; callers decoding several chunks charge a
-// shared budget by shrinking o.MaxDecodedBytes as they go.
-func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int64, error) {
+// it builds and its ordinal within the body. need selects the ordinals
+// to build: need[i] for ordinal i, none past its end; a nil need builds
+// every class. A class that is not built is still read off the wire,
+// since the reference models are sequential, and still counts against
+// MaxDecodedBytes and MaxClassCount; only its build and its visit are
+// skipped. checked selects the container layout (true for every
+// version-3 chunk and version-2 body). It returns the decoded
+// wire-stream bytes the body expanded to, which is what MaxDecodedBytes
+// budgets; callers decoding several chunks charge a shared budget by
+// shrinking o.MaxDecodedBytes as they go.
+func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, need []bool, visit func(ord int, cf *classfile.ClassFile) error) (int64, error) {
 	var r *streams.Reader
 	var err error
 	if checked {
@@ -537,7 +543,7 @@ func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit fu
 	if err != nil {
 		return 0, err
 	}
-	_, err = newUnpacker(opts, r).decodeClasses(o, visit)
+	_, err = newUnpacker(opts, r).decodeClasses(o, need, visit)
 	return r.DecodedBytes(), err
 }
 
@@ -664,7 +670,7 @@ func unpackChunks(w *chunkWalker, opts Options, o UnpackOpts, visit func(*classf
 	var names []string
 	err := w.walk(o, func(ci int, off int64, body []byte, co UnpackOpts) (int64, int, error) {
 		first := len(names)
-		decoded, err := DecodeChunk(opts, body, true, co, func(_ int, cf *classfile.ClassFile) error {
+		decoded, err := DecodeChunk(opts, body, true, co, nil, func(_ int, cf *classfile.ClassFile) error {
 			names = append(names, cf.ThisClassName())
 			return visit(cf)
 		})
@@ -693,6 +699,38 @@ func unpackChunks(w *chunkWalker, opts Options, o UnpackOpts, visit func(*classf
 		if err := ix.CheckChunk(ci, ch.Classes, func(i int) string { return names[first+i] }); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// CheckFraming walks the chunk framing of data, the in-memory version-3
+// archive whose index ReadIndex or ReadIndexAt parsed as ix, and decodes
+// nothing. It reports, as a corrupt error on the chunk framing, a length
+// prefix, gap or end-of-chunks sentinel that ix does not account for:
+// the walk must find exactly ix's chunks, at ix's byte ranges, and then
+// the sentinel right before the index blob.
+func (ix *Index) CheckFraming(data []byte) error {
+	w := &chunkWalker{data: data, pos: 6}
+	walked := 0
+	err := w.walk(UnpackOpts{}, func(ci int, off int64, body []byte, _ UnpackOpts) (int64, int, error) {
+		if ci >= len(ix.Chunks) {
+			return 0, 0, corrupt.Errorf(sChunks, off, "framing holds chunk %d, index lists %d chunks", ci, len(ix.Chunks))
+		}
+		if ch := ix.Chunks[ci]; ch.Off != off || ch.Len != int64(len(body)) {
+			return 0, 0, corrupt.Errorf(sChunks, off,
+				"framing places chunk %d at [%d,+%d), index says [%d,+%d)", ci, off, len(body), ch.Off, ch.Len)
+		}
+		walked++
+		return 0, 0, nil
+	})
+	if err != nil {
+		return err
+	}
+	if walked != len(ix.Chunks) {
+		return corrupt.Errorf(sChunks, w.pos, "framing ends after %d chunks, index lists %d", walked, len(ix.Chunks))
+	}
+	if w.pos != ix.blobOff {
+		return corrupt.Errorf(sChunks, w.pos, "framing ends at %d, index starts at %d", w.pos, ix.blobOff)
 	}
 	return nil
 }

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
+	"classpack/internal/faultinject"
 	"classpack/internal/synth"
 )
 
@@ -239,13 +241,116 @@ func TestV3ChunkDecodesStandalone(t *testing.T) {
 	for ci, ch := range ix.Chunks {
 		body := packed[ch.Off : ch.Off+ch.Len]
 		var got []*classfile.ClassFile
-		if _, err := DecodeChunk(opts, body, true, UnpackOpts{}, func(ord int, cf *classfile.ClassFile) error {
+		if _, err := DecodeChunk(opts, body, true, UnpackOpts{}, nil, func(ord int, cf *classfile.ClassFile) error {
 			got = append(got, cf)
 			return nil
 		}); err != nil {
 			t.Fatalf("chunk %d: %v", ci, err)
 		}
 		checkClasses(t, got, want[ix.Start(ci):ix.Start(ci)+ch.Classes])
+	}
+}
+
+// decodeNeed decodes body with need at worker count j and returns each
+// visited class's ordinal and bytes, the decoded bytes charged, and the
+// error.
+func decodeNeed(t *testing.T, opts Options, body []byte, checked bool, j int, need []bool) ([]int, [][]byte, int64, error) {
+	t.Helper()
+	var ords []int
+	var got [][]byte
+	decoded, err := DecodeChunk(opts, body, checked, UnpackOpts{Concurrency: j}, need, func(ord int, cf *classfile.ClassFile) error {
+		data, err := classfile.Write(cf)
+		if err != nil {
+			return err
+		}
+		ords = append(ords, ord)
+		got = append(got, data)
+		return nil
+	})
+	return ords, got, decoded, err
+}
+
+// TestDecodeChunkNeed pins the partial decode: at -j 1, 2 and 8, a
+// DecodeChunk given a need set builds and visits exactly the classes of
+// the full decode at the selected ordinals, in order, charges the same
+// decoded bytes, and fails with the same error on damaged bodies, those
+// of a version-1 archive, which carries no checksum, so that damage
+// reaches the class loop.
+func TestDecodeChunkNeed(t *testing.T) {
+	cfs, _ := synthStripped(t, 0.3)
+	packed, err := Pack(cfs, v3Opts(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, opts, err := ParseHeader(packed[:6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ReadIndex(packed, UnpackOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := ix.Chunks[0]
+	body := packed[ch.Off : ch.Off+ch.Len]
+	n := ch.Classes
+	needs := map[string][]bool{"none": make([]bool, n), "all": make([]bool, n), "first": make([]bool, n),
+		"last": make([]bool, n), "every third": make([]bool, n), "short": make([]bool, n/2)}
+	for i := 0; i < n; i++ {
+		needs["all"][i] = true
+		needs["every third"][i] = i%3 == 1
+	}
+	needs["first"][0], needs["last"][n-1], needs["short"][n/2-1] = true, true, true
+	for _, j := range []int{1, 2, 8} {
+		fullOrds, full, fullDecoded, err := decodeNeed(t, opts, body, true, j, nil)
+		if err != nil || len(full) != n {
+			t.Fatalf("j=%d: full decode gave %d classes, err %v", j, len(full), err)
+		}
+		for name, need := range needs {
+			ords, got, decoded, err := decodeNeed(t, opts, body, true, j, need)
+			if err != nil {
+				t.Fatalf("j=%d need %s: %v", j, name, err)
+			}
+			if decoded != fullDecoded {
+				t.Errorf("j=%d need %s: charged %d decoded bytes, full decode %d", j, name, decoded, fullDecoded)
+			}
+			var want []int
+			for _, g := range fullOrds {
+				if g < len(need) && need[g] {
+					want = append(want, g)
+				}
+			}
+			if !slices.Equal(ords, want) {
+				t.Fatalf("j=%d need %s: visited %v, want %v", j, name, ords, want)
+			}
+			for k, g := range ords {
+				if !bytes.Equal(got[k], full[g]) {
+					t.Fatalf("j=%d need %s: class %d differs from the full decode's", j, name, g)
+				}
+			}
+		}
+	}
+
+	v1, err := PackVersion(cfs[:n], opts, Version1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.NewPlan(29)
+	failed := 0
+	for m := 0; m < 120; m++ {
+		damaged := plan.Next(len(v1) - 6).Apply(v1[6:])
+		_, _, _, fullErr := decodeNeed(t, opts, damaged, false, 1, nil)
+		if fullErr != nil {
+			failed++
+		}
+		for _, j := range []int{1, 2, 8} {
+			_, _, _, err := decodeNeed(t, opts, damaged, false, j, needs["every third"])
+			if fmt.Sprint(err) != fmt.Sprint(fullErr) {
+				t.Fatalf("mutant %d j=%d: partial decode error %v, full decode error %v", m, j, err, fullErr)
+			}
+		}
+	}
+	if failed < 40 {
+		t.Fatalf("only %d of 120 mutants failed to decode", failed)
 	}
 }
 

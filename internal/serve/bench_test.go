@@ -202,9 +202,13 @@ func jessReleases(b *testing.B, n int) (st *castore.Store, opts classpack.Option
 // GET's old release is the previous GET's new one, as in serve-write's
 // updates; each run of the chain starts on a fresh server with an
 // untimed first GET, so each timed GET's new release is one no earlier
-// request diffed. In "cold" each GET runs on a fresh server, so no
-// earlier request diffed either release: the traffic a chunk cache
-// cannot help.
+// request diffed. In "repeat" the chain is asked a second time on one
+// server that served it once before the timer started, so the chunk
+// cache holds the digests of both releases of every GET: the traffic of
+// a client repeating an update, or of many clients updating to one
+// release, where the diff builds only the classes the patch carries. In
+// "cold" each GET runs on a fresh server, so no earlier request diffed
+// either release: the traffic a chunk cache cannot help.
 //
 //	go test -run NONE -bench DeltaGET -benchmem ./internal/serve
 func BenchmarkDeltaGET(b *testing.B) {
@@ -224,6 +228,17 @@ func BenchmarkDeltaGET(b *testing.B) {
 				b.StartTimer()
 			}
 			benchGET(b, h, target(k))
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		h := fresh()
+		for k := 0; k < releases-1; k++ {
+			benchGET(b, h, target(k))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchGET(b, h, target(i%(releases-1)))
 		}
 	})
 	b.Run("cold", func(b *testing.B) {

@@ -120,13 +120,11 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 		if err != nil {
 			return nil, err
 		}
-		files, decoded, err := decodeBody(copts, data[6:], ver != core.Version1, uo)
+		files, err := a.decodeFiles(data[6:], ver != core.Version1)
 		if err != nil {
 			return nil, err
 		}
 		a.files = files
-		a.decoded.Store(decoded)
-		a.decodes.Store(1)
 		a.names = make([]string, len(files))
 		for i, f := range files {
 			a.names[i] = strings.TrimSuffix(f.Name, ".class")
@@ -205,11 +203,21 @@ func OpenArchiveBytes(data []byte, opts *Options) (*Archive, error) {
 	return OpenArchive(bytes.NewReader(data), int64(len(data)), opts)
 }
 
-// decodeBody decodes one container body into serialized class files and
-// reports the decoded wire-stream bytes.
-func decodeBody(copts core.Options, body []byte, checked bool, uo core.UnpackOpts) ([]File, int64, error) {
+// decode decodes one container body, a version-3 chunk or a
+// version-1/2 archive's whole body, building the classes need selects
+// (see core.DecodeChunk), and counts the decode.
+func (a *Archive) decode(body []byte, checked bool, need []bool, visit func(ord int, cf *classfile.ClassFile) error) error {
+	decoded, err := core.DecodeChunk(a.copts, body, checked, a.uo, need, visit)
+	a.decoded.Add(decoded)
+	a.decodes.Add(1)
+	return err
+}
+
+// decodeFiles decodes one container body (see decode) into serialized
+// class files.
+func (a *Archive) decodeFiles(body []byte, checked bool) ([]File, error) {
 	var files []File
-	decoded, err := core.DecodeChunk(copts, body, checked, uo, func(ord int, cf *classfile.ClassFile) error {
+	err := a.decode(body, checked, nil, func(_ int, cf *classfile.ClassFile) error {
 		raw, err := classfile.Write(cf)
 		if err != nil {
 			return err
@@ -218,9 +226,9 @@ func decodeBody(copts core.Options, body []byte, checked bool, uo core.UnpackOpt
 		return nil
 	})
 	if err != nil {
-		return nil, decoded, err
+		return nil, err
 	}
-	return files, decoded, nil
+	return files, nil
 }
 
 // Version is the archive's container version (1, 2 or 3).
@@ -337,11 +345,12 @@ func (a *Archive) chunkFiles(ci int) ([]File, chunkKey, error) {
 			return files, *key, nil
 		}
 	}
-	body, key, err := a.readChunk(ci)
+	body, err := a.readChunk(ci)
 	if err != nil {
 		return nil, chunkKey{}, err
 	}
-	files, err := a.cache.get(key, func() ([]File, error) { return a.decodeChunk(body) })
+	key := a.key(body)
+	files, err := a.cache.get(key, func() ([]File, error) { return a.decodeFiles(body, true) })
 	if err != nil {
 		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
@@ -361,16 +370,17 @@ func (a *Archive) chunkFiles(ci int) ([]File, chunkKey, error) {
 // On a mismatch it decodes the chunk, so that the index check reports
 // the difference. The files are shared with the cache: read-only.
 func (a *Archive) chunkDigests(ci int) (*chunkDigests, []File, error) {
-	body, key, err := a.readChunk(ci)
+	body, err := a.readChunk(ci)
 	if err != nil {
 		return nil, nil, err
 	}
-	d, files, err := a.cache.digests(key, func() ([]File, error) { return a.decodeChunk(body) })
+	key := a.key(body)
+	d, files, err := a.cache.digests(key, func() ([]File, error) { return a.decodeFiles(body, true) })
 	if err != nil {
 		return nil, nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
 	if files == nil && !a.indexHolds(ci, d) {
-		if files, err = a.decodeChunk(body); err != nil {
+		if files, err = a.decodeFiles(body, true); err != nil {
 			return nil, nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 		}
 	}
@@ -383,48 +393,55 @@ func (a *Archive) chunkDigests(ci int) (*chunkDigests, []File, error) {
 	return d, files, nil
 }
 
-// chunkAlone decodes chunk ci for this call alone, outside the chunk
-// cache, and checks it against the archive's index.
-func (a *Archive) chunkAlone(ci int) ([]File, error) {
-	body, _, err := a.readChunk(ci)
+// chunkClasses decodes chunk ci for this call alone, outside the chunk
+// cache, and returns the classes at the chunk positions need selects
+// (see core.DecodeChunk), in chunk order. With a nil need it builds
+// every class and checks them against the archive's index, as
+// chunkFiles checks the files it returns. With a need it checks
+// nothing: it serves Diff, which builds only a chunk's changed classes
+// once a cache entry holding the chunk's digests has matched the index.
+func (a *Archive) chunkClasses(ci int, need []bool) ([]*classfile.ClassFile, error) {
+	body, err := a.readChunk(ci)
 	if err != nil {
 		return nil, err
 	}
-	files, err := a.decodeChunk(body)
+	var cfs []*classfile.ClassFile
+	err = a.decode(body, true, need, func(_ int, cf *classfile.ClassFile) error {
+		cfs = append(cfs, cf)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
-	if err := a.checkChunk(ci, files); err != nil {
-		return nil, err
+	if need == nil {
+		if err := a.ix.CheckChunk(ci, len(cfs), func(i int) string { return cfs[i].ThisClassName() }); err != nil {
+			return nil, err
+		}
 	}
-	return files, nil
+	return cfs, nil
 }
 
-// readChunk reads chunk ci's bytes, held to the decode budget, and
-// returns them with their cache key.
-func (a *Archive) readChunk(ci int) ([]byte, chunkKey, error) {
+// readChunk reads chunk ci's bytes, held to the decode budget.
+func (a *Archive) readChunk(ci int) ([]byte, error) {
 	ch := a.ix.Chunks[ci]
 	if err := core.CheckBuffered(ch.Len, core.EffectiveBudget(a.uo), "chunks", ch.Off); err != nil {
-		return nil, chunkKey{}, fmt.Errorf("classpack: chunk %d: %w", ci, err)
+		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
 	body := make([]byte, ch.Len)
 	if _, err := a.r.ReadAt(body, ch.Off); err != nil {
-		return nil, chunkKey{}, corrupt.Errorf("chunks", ch.Off, "reading chunk %d: %v", ci, err)
+		return nil, corrupt.Errorf("chunks", ch.Off, "reading chunk %d: %v", ci, err)
 	}
+	return body, nil
+}
+
+// key is the chunk cache key of a chunk's bytes (see ChunkCache).
+func (a *Archive) key(body []byte) chunkKey {
 	h := sha256.New()
 	h.Write(a.keyHead)
 	h.Write(body)
 	var key chunkKey
 	h.Sum(key[:0])
-	return body, key, nil
-}
-
-// decodeChunk decodes one chunk's bytes and counts the decode.
-func (a *Archive) decodeChunk(body []byte) ([]File, error) {
-	files, decoded, err := decodeBody(a.copts, body, true, a.uo)
-	a.decoded.Add(decoded)
-	a.decodes.Add(1)
-	return files, err
+	return key
 }
 
 // checkChunk reports a chunk whose files are not the classes the
@@ -490,7 +507,11 @@ func (a *Archive) ordinals(ords []int) ([]File, error) {
 		}
 		return out, nil
 	}
-	err := a.eachChunk(ords, func(ci int, files []File, _ chunkKey, positions []int) error {
+	err := a.eachChunk(ords, func(ci int, positions []int) error {
+		files, _, err := a.chunkFiles(ci)
+		if err != nil {
+			return err
+		}
 		for _, i := range positions {
 			out[i] = files[ords[i]-a.ix.Start(ci)]
 		}
@@ -513,11 +534,10 @@ func (a *Archive) checkOrdinals(ords []int) error {
 }
 
 // eachChunk calls visit once for each version-3 chunk holding any of
-// the checked ords, in ascending chunk order, so each chunk is decoded
-// at most once even when the request order jumps around. visit gets the
-// chunk's files and cache key (see chunkFiles) and the positions in
-// ords of the ordinals the chunk holds.
-func (a *Archive) eachChunk(ords []int, visit func(ci int, files []File, key chunkKey, positions []int) error) error {
+// the checked ords, in ascending chunk order, with the positions in ords
+// of the ordinals the chunk holds, so that a caller decodes each chunk
+// at most once even when the request order jumps around.
+func (a *Archive) eachChunk(ords []int, visit func(ci int, positions []int) error) error {
 	byChunk := make(map[int][]int) // chunk -> positions in the request
 	maxChunk := 0
 	for i, g := range ords {
@@ -532,11 +552,7 @@ func (a *Archive) eachChunk(ords []int, visit func(ci int, files []File, key chu
 		if !ok {
 			continue
 		}
-		files, key, err := a.chunkFiles(ci)
-		if err != nil {
-			return err
-		}
-		if err := visit(ci, files, key, positions); err != nil {
+		if err := visit(ci, positions); err != nil {
 			return err
 		}
 	}
@@ -568,7 +584,11 @@ func (a *Archive) ExtractJar(ords []int) ([]byte, error) {
 	}
 	members := make([]archive.File, len(ords))
 	bodies := make([]archive.Body, len(ords))
-	err := a.eachChunk(ords, func(ci int, files []File, key chunkKey, positions []int) error {
+	err := a.eachChunk(ords, func(ci int, positions []int) error {
+		files, key, err := a.chunkFiles(ci)
+		if err != nil {
+			return err
+		}
 		idx := make([]int, len(positions))
 		for k, i := range positions {
 			idx[k] = ords[i] - a.ix.Start(ci)
